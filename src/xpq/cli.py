@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 usage or input-parsing problem, 2 domain error
 (bad denominators, identity elements, dependent bases where forbidden),
 3 check-suite failure.  Output goes to stdout in the format picked by
---format; warnings go to stderr.  For a fixed argv and seed the stdout
-bytes are identical run to run, threads or not.
+--format (csv only for `orbits` and `moments`); warnings go to stderr.
+For a fixed argv the stdout bytes are identical run to run.
 
 JSON payloads passed to --trace/--element/--points/--sequence may be
 given inline or as @path to read a file.
@@ -80,7 +80,7 @@ def _load_json(text: str):
 
 def _params(args) -> SystemParams:
     params = SystemParams(args.p, args.q)
-    if not params.mult_indep and getattr(args, "_warn_dependent", True):
+    if not params.mult_indep:
         w = multiplicative_dependence_witness(args.p, args.q)
         print(
             f"warning: {args.p} and {args.q} are multiplicatively dependent "
@@ -111,11 +111,6 @@ def _max_den(args, required: bool = True) -> int | None:
     return bound
 
 
-def _reject_csv(args):
-    if args.format == "csv":
-        raise ValueError("csv output is only available for `moments` and `orbits`")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -124,7 +119,7 @@ def _reject_csv(args):
 def _cmd_orbits(args) -> int:
     params = _params(args)
     bound = _max_den(args)
-    orbits = enumerate_minimal_sets(params, bound, threads=args.threads)
+    orbits = enumerate_minimal_sets(params, bound)
     if args.format == "csv":
         w = csv.writer(sys.stdout, lineterminator="\n")
         w.writerow(["r", "size", "index", "basis_a", "basis_b", "basis_c", "points"])
@@ -161,7 +156,6 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_stabilizer(args) -> int:
-    _reject_csv(args)
     params = _params(args)
     lat = stabilizer_lattice(params, args.r)
     (a, b), (z, c) = lat.basis
@@ -181,7 +175,6 @@ def _cmd_stabilizer(args) -> int:
 
 
 def _cmd_fix(args) -> int:
-    _reject_csv(args)
     params = _params(args)
     bound = _max_den(args, required=False)
     fix = fixed_points(params, (args.m, args.n), max_denominator=bound)
@@ -205,7 +198,6 @@ def _cmd_fix(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    _reject_csv(args)
     params = _params(args)
     x = SolenoidPoint(QmodZ.parse(args.point))
     seq = lift_sequence(params, x, args.depth)
@@ -218,7 +210,6 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_trace_eval(args) -> int:
-    _reject_csv(args)
     params = _params(args)
     spec = trace_spec_from_json(_load_json(args.trace), params)
     element = algebra_element_from_json(_load_json(args.element), params)
@@ -258,7 +249,6 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_invariance(args) -> int:
-    _reject_csv(args)
     params = _params(args)
     spec = trace_spec_from_json(_load_json(args.trace), params)
     seq = moments(spec, args.n_max)
@@ -272,7 +262,6 @@ def _cmd_invariance(args) -> int:
 
 
 def _cmd_ktheory(args) -> int:
-    _reject_csv(args)
     params = _params(args)
     result = k_theory_of_group(params.p, params.q)
     if args.format == "pretty":
@@ -286,7 +275,6 @@ def _cmd_ktheory(args) -> int:
 
 
 def _cmd_lemma36(args) -> int:
-    _reject_csv(args)
     ker, cok = mult_map_ker_coker(args.m, args.n)
     if args.format == "pretty":
         print(f"x{args.m} on Z/{args.n}: kernel {ker}, cokernel {cok}")
@@ -303,7 +291,6 @@ def _cmd_lemma36(args) -> int:
 
 
 def _cmd_prim_closure(args) -> int:
-    _reject_csv(args)
     data = _load_json(args.points)
     if not isinstance(data, list):
         raise ValueError("--points expects a JSON list of points")
@@ -313,7 +300,6 @@ def _cmd_prim_closure(args) -> int:
 
 
 def _cmd_prim_limit(args) -> int:
-    _reject_csv(args)
     seq = sequence_desc_from_json(_load_json(args.sequence))
     _emit_closed(args, limit_set(seq))
     return 0
@@ -338,7 +324,6 @@ def _emit_closed(args, desc):
 
 
 def _cmd_icc_witness(args) -> int:
-    _reject_csv(args)
     params = _params(args)
     g = group_element_from_json(_load_json(args.element), params)
     found = icc_witness(params, g, args.count)
@@ -357,7 +342,6 @@ def _cmd_icc_witness(args) -> int:
 
 
 def _cmd_mult_indep(args) -> int:
-    _reject_csv(args)
     witness = multiplicative_dependence_witness(args.p, args.q)
     if args.format == "pretty":
         if witness is None:
@@ -372,7 +356,6 @@ def _cmd_mult_indep(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    _reject_csv(args)
     params = _params(args)
     bound = args.max_den if args.max_den is not None else 30
     results = run_checks(
@@ -409,11 +392,6 @@ def _cmd_check(args) -> int:
 
 
 def build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "pretty"), default="json")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
-    common.add_argument("--threads", type=int, default=1, help="worker threads for enumeration")
-
     pq = argparse.ArgumentParser(add_help=False)
     pq.add_argument("-p", type=int, required=True)
     pq.add_argument("-q", type=int, required=True)
@@ -421,59 +399,61 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="xpq", description="exact computations for the xp, xq system")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name, func, parents, help_, **extra):
-        sp = sub.add_parser(name, parents=parents, help=help_, **extra)
+    def add(name, func, parents, help_, formats=("json", "pretty")):
+        sp = sub.add_parser(name, parents=parents, help=help_)
+        sp.add_argument("--format", choices=formats, default="json")
         sp.set_defaults(func=func)
         return sp
 
-    sp = add(
-        "orbits", _cmd_orbits, [common, pq], "enumerate finite minimal invariant sets"
-    )
+    # csv only where the result is a table
+    tables = ("json", "csv", "pretty")
+
+    sp = add("orbits", _cmd_orbits, [pq], "enumerate finite minimal invariant sets", tables)
     sp.add_argument("--max-den", type=int, default=None, help=f"denominator bound (default ${ENV_MAX_DENOMINATOR})")
 
-    sp = add("stabilizer", _cmd_stabilizer, [common, pq], "stabilizer lattice of a denominator")
+    sp = add("stabilizer", _cmd_stabilizer, [pq], "stabilizer lattice of a denominator")
     sp.add_argument("-r", type=int, required=True)
 
-    sp = add("fix", _cmd_fix, [common, pq], "fixed points of one group element")
+    sp = add("fix", _cmd_fix, [pq], "fixed points of one group element")
     sp.add_argument("-m", type=int, required=True)
     sp.add_argument("-n", type=int, required=True)
     sp.add_argument("--max-den", type=int, default=None, help="bound for the listed points")
 
-    sp = add("lift", _cmd_lift, [common, pq], "backward orbit under division by pq")
+    sp = add("lift", _cmd_lift, [pq], "backward orbit under division by pq")
     sp.add_argument("--point", required=True, help='rational point "a/r", r coprime to pq')
     sp.add_argument("--depth", type=int, default=5)
 
-    sp = add("trace-eval", _cmd_trace_eval, [common, pq], "evaluate a trace on an element")
+    sp = add("trace-eval", _cmd_trace_eval, [pq], "evaluate a trace on an element")
     sp.add_argument("--trace", required=True, help="TraceSpec JSON (inline or @file)")
     sp.add_argument("--element", required=True, help="group algebra element JSON")
 
-    sp = add("moments", _cmd_moments, [common, pq], "moment sequence of a trace")
+    sp = add("moments", _cmd_moments, [pq], "moment sequence of a trace", tables)
     sp.add_argument("--trace", required=True, help="TraceSpec JSON (inline or @file)")
     sp.add_argument("--n-max", type=int, default=10)
 
-    sp = add("invariance", _cmd_invariance, [common, pq], "check xp/xq-invariance of moments")
+    sp = add("invariance", _cmd_invariance, [pq], "check xp/xq-invariance of moments")
     sp.add_argument("--trace", required=True, help="TraceSpec JSON (inline or @file)")
     sp.add_argument("--n-max", type=int, default=10)
 
-    add("ktheory", _cmd_ktheory, [common, pq], "K-theory of the group algebra")
+    add("ktheory", _cmd_ktheory, [pq], "K-theory of the group algebra")
 
-    sp = add("lemma36", _cmd_lemma36, [common], "kernel/cokernel of xm on Z/nZ")
+    sp = add("lemma36", _cmd_lemma36, [], "kernel/cokernel of xm on Z/nZ")
     sp.add_argument("-m", type=int, required=True)
     sp.add_argument("-n", type=int, required=True)
 
-    sp = add("prim-closure", _cmd_prim_closure, [common], "closure of points in the ideal space")
+    sp = add("prim-closure", _cmd_prim_closure, [], "closure of points in the ideal space")
     sp.add_argument("--points", required=True, help="JSON list of points (inline or @file)")
 
-    sp = add("prim-limit", _cmd_prim_limit, [common], "limit set of a described sequence")
+    sp = add("prim-limit", _cmd_prim_limit, [], "limit set of a described sequence")
     sp.add_argument("--sequence", required=True, help="sequence JSON (inline or @file)")
 
-    sp = add("icc-witness", _cmd_icc_witness, [common, pq], "distinct conjugates of an element")
+    sp = add("icc-witness", _cmd_icc_witness, [pq], "distinct conjugates of an element")
     sp.add_argument("--element", required=True, help="group element JSON")
     sp.add_argument("--count", type=int, default=10)
 
-    add("mult-indep", _cmd_mult_indep, [common, pq], "multiplicative dependence test")
+    add("mult-indep", _cmd_mult_indep, [pq], "multiplicative dependence test")
 
-    sp = add("check", _cmd_check, [common], "run property suites against the library")
+    sp = add("check", _cmd_check, [], "run property suites against the library")
     sp.add_argument(
         "suite",
         nargs="?",
@@ -484,6 +464,7 @@ def build_parser() -> _Parser:
     sp.add_argument("-q", type=int, default=3)
     sp.add_argument("--max-den", type=int, default=None)
     sp.add_argument("--trials", type=int, default=25)
+    sp.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
 
     return parser
 

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from concurrent.futures import ThreadPoolExecutor
-
 from .errors import IdentityElement, NotCoprime, OutOfRange
 from .exact import QmodZ, is_multiplicatively_independent, multiplicative_order
 
@@ -38,16 +36,12 @@ class SystemParams:
 
     p: int
     q: int
-    mult_indep: bool = field(default=None)  # type: ignore[assignment]
+    mult_indep: bool = field(init=False)
 
     def __post_init__(self):
         if self.p < 2 or self.q < 2:
             raise OutOfRange(f"bases ({self.p}, {self.q}) must both be >= 2")
-        indep = is_multiplicatively_independent(self.p, self.q)
-        if self.mult_indep is None:
-            object.__setattr__(self, "mult_indep", indep)
-        elif bool(self.mult_indep) != indep:
-            raise ValueError(f"mult_indep={self.mult_indep} contradicts ({self.p}, {self.q})")
+        object.__setattr__(self, "mult_indep", is_multiplicatively_independent(self.p, self.q))
 
     @property
     def pq(self) -> int:
@@ -184,77 +178,64 @@ def stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
     return StabilizerLattice(((m, b), (0, dq)), m * dq)
 
 
-def orbit_of(params: SystemParams, x: SolenoidPoint) -> OrbitData:
-    """The finite orbit of a rational point under multiplication by p and q.
+def _orbit_numerators(params: SystemParams, a0: int, r: int) -> list[int]:
+    """The sorted numerators of the orbit of a0/r.
 
     <p, q> is a subgroup of the finite unit group mod r, so closing under
     multiplication by p and q alone already yields the full group orbit.
     """
-    r = x.coord.den
-    params.require_coprime(r)
-    if r == 1:
-        points = (SolenoidPoint(QmodZ(0, 1)),)
-        return OrbitData(params, 1, points, stabilizer_lattice(params, 1))
     p, q = params.p, params.q
-    seen = {x.coord.num}
-    frontier = [x.coord.num]
+    seen = {a0}
+    frontier = [a0]
     while frontier:
         a = frontier.pop()
         for step in (a * p % r, a * q % r):
             if step not in seen:
                 seen.add(step)
                 frontier.append(step)
-    points = tuple(SolenoidPoint(QmodZ(a, r)) for a in sorted(seen))
+    return sorted(seen)
+
+
+def orbit_of(params: SystemParams, x: SolenoidPoint) -> OrbitData:
+    """The finite orbit of a rational point under multiplication by p and q."""
+    r = x.coord.den
+    params.require_coprime(r)
+    points = tuple(SolenoidPoint(QmodZ(a, r)) for a in _orbit_numerators(params, x.coord.num, r))
     stab = stabilizer_lattice(params, r)
     assert len(points) == stab.index
     return OrbitData(params, r, points, stab)
 
 
 def _orbits_mod(params: SystemParams, r: int) -> list[OrbitData]:
-    if r == 1:
-        return [orbit_of(params, SolenoidPoint(QmodZ(0, 1)))]
-    p, q = params.p, params.q
     stab = stabilizer_lattice(params, r)
     out = []
     visited = bytearray(r)
-    for a0 in range(1, r):
+    for a0 in range(r):
         if visited[a0] or gcd(a0, r) != 1:
             continue
-        seen = {a0}
-        frontier = [a0]
-        while frontier:
-            a = frontier.pop()
-            for step in (a * p % r, a * q % r):
-                if step not in seen:
-                    seen.add(step)
-                    frontier.append(step)
-        for a in seen:
+        nums = _orbit_numerators(params, a0, r)
+        for a in nums:
             visited[a] = 1
-        points = tuple(SolenoidPoint(QmodZ(a, r)) for a in sorted(seen))
+        points = tuple(SolenoidPoint(QmodZ(a, r)) for a in nums)
         out.append(OrbitData(params, r, points, stab))
     return out
 
 
-def enumerate_minimal_sets(
-    params: SystemParams, max_denominator: int, threads: int = 1
-) -> list[OrbitData]:
+def enumerate_minimal_sets(params: SystemParams, max_denominator: int) -> list[OrbitData]:
     """All finite minimal invariant sets with denominator <= the bound.
 
     These are exactly the <p, q>-orbits on lowest-terms numerators mod r
     for each r coprime to pq, plus the fixed point {0} (the r = 1 entry).
     Ordered by (r, least numerator); points within an orbit are sorted.
-    threads > 1 evaluates distinct denominators in parallel with
-    identical output.
     """
     if max_denominator < 1:
         raise OutOfRange(f"bound {max_denominator} out of range; expected >= 1")
-    rs = [r for r in range(1, max_denominator + 1) if gcd(r, params.pq) == 1]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            groups = list(pool.map(lambda r: _orbits_mod(params, r), rs))
-    else:
-        groups = [_orbits_mod(params, r) for r in rs]
-    return [orbit for group in groups for orbit in group]
+    return [
+        orbit
+        for r in range(1, max_denominator + 1)
+        if gcd(r, params.pq) == 1
+        for orbit in _orbits_mod(params, r)
+    ]
 
 
 def is_invariant_set(params: SystemParams, points) -> bool:

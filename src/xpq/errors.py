@@ -41,9 +41,5 @@ class IncompatibleMap(XpqError):
     """A matrix does not define a homomorphism between the given groups."""
 
 
-class Unsupported(XpqError):
-    """The requested computation is outside the implemented scope."""
-
-
 class FactorizationTooHard(XpqError):
     """An integer resisted trial division and is too large for Pollard rho."""

@@ -76,7 +76,7 @@ def _is_probable_prime(n: int) -> bool:
 
 
 def _pollard_rho(n: int) -> int:
-    """Return a nontrivial factor of odd composite n (Brent's cycle method)."""
+    """Return a nontrivial factor of odd composite n (Floyd's cycle detection)."""
     if n % 2 == 0:
         return 2
     for c in range(1, 64):

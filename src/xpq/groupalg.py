@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .dynamics import SystemParams
-from .errors import DependentParams, IdentityElement, ParamsMismatch
+from .errors import DependentParams, IdentityElement, OutOfRange, ParamsMismatch
 from .exact import PqRational
 
 
@@ -74,6 +74,8 @@ def icc_witness(params: SystemParams, g: GroupElement, count: int) -> list[Group
     conjugating by (k, 0, 0) gives ((1 - p^m q^n) k, m, n); this needs
     p^m q^n != 1, which multiplicative independence guarantees.
     """
+    if count < 0:
+        raise OutOfRange(f"count {count} out of range; expected count >= 0")
     if g.is_identity():
         raise IdentityElement("the identity has a one-element conjugacy class")
     out = []

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import IncompatibleMap, OutOfRange, Unsupported
+from .errors import IncompatibleMap, OutOfRange
 from .exact import factorize
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -405,19 +405,14 @@ def pv_assemble(
     k1: FgAbGroup,
     alpha0: FgAbMap,
     alpha1: FgAbMap,
-    split: bool = True,
 ) -> tuple[FgAbGroup, FgAbGroup]:
-    """K-theory of a crossed product by Z from the coefficient data, in the
-    case where both boundary sequences split:
+    """K-theory of a crossed product by Z from the coefficient data,
+    assuming both boundary sequences split (they do for the group
+    algebra assembled below):
 
         K_0 = coker(id - alpha_0) (+) ker(id - alpha_1)
         K_1 = coker(id - alpha_1) (+) ker(id - alpha_0)
-
-    Only the split case is implemented; pass split=False and you get
-    Unsupported rather than a silently wrong extension.
     """
-    if not split:
-        raise Unsupported("non-split extension problems are not implemented")
     if alpha0.source != k0 or alpha0.target != k0:
         raise ValueError("alpha0 is not an endomorphism of k0")
     if alpha1.source != k1 or alpha1.target != k1:
@@ -456,7 +451,7 @@ def k_theory_of_group(p: int, q: int) -> KTheoryResult:
     alpha0 = FgAbMap.identity(k0)
     k1 = FgAbGroup(1, (p * q - 1,))
     alpha1 = FgAbMap(k1, k1, ((1, 0), (0, p)))
-    K0, K1 = pv_assemble(k0, k1, alpha0, alpha1, split=True)
+    K0, K1 = pv_assemble(k0, k1, alpha0, alpha1)
     g = gcd(p - 1, q - 1)
     closed = FgAbGroup(2, (g,) if g >= 2 else ())
     return KTheoryResult(K0, K1, closed, g, K0 == closed and K1 == closed)

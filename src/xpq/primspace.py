@@ -224,11 +224,6 @@ def limit_set(seq: SequenceDesc) -> ClosedSetDesc:
     return FiniteUnion(((tail.orbit, FinitePoints((tail.chi_limit,))),))
 
 
-def is_closed(desc: ClosedSetDesc) -> bool:
-    """Descriptions are closed by construction; kept for API symmetry."""
-    return True
-
-
 def closed_union(a: ClosedSetDesc, b: ClosedSetDesc) -> ClosedSetDesc:
     if isinstance(a, AllClosedSet) or isinstance(b, AllClosedSet):
         return ALL

@@ -370,5 +370,6 @@ def sequence_desc_from_json(data) -> SequenceDesc:
         tail = ConstantOrbitTail(orbit, _chi_from_json(_need(tail_data, "chi_limit", dict)))
     else:
         raise ValueError(f"unknown tail kind {kind!r}")
-    prefix = tuple(prim_point_from_json(entry) for entry in data.get("prefix", []))
+    entries = _need(data, "prefix", list) if "prefix" in data else []
+    prefix = tuple(prim_point_from_json(entry) for entry in entries)
     return SequenceDesc(tail, prefix)

@@ -17,7 +17,6 @@ from xpq import (
     FgAbMap,
     IncompatibleMap,
     OutOfRange,
-    Unsupported,
     k_theory_of_group,
     map_cokernel,
     map_kernel,
@@ -269,11 +268,6 @@ class TestMultMapKerCoker:
 
 
 class TestAssembly:
-    def test_split_only(self):
-        ident = FgAbMap.identity(Z)
-        with pytest.raises(Unsupported):
-            pv_assemble(Z, Z, ident, ident, split=False)
-
     def test_requires_endomorphisms(self):
         ident = FgAbMap.identity(Z)
         other = FgAbMap.identity(Z2)
