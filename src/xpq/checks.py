@@ -144,12 +144,12 @@ def _check_dynamics(params: SystemParams, rng: random.Random, bound: int, trials
     for orbit in orbits:
         res.record(orbit.size == orbit.stabilizer.index, f"size mod {orbit.denominator}")
         res.record(
-            is_invariant_set(params, [pt.coord for pt in orbit.points]),
+            is_invariant_set(params, [SolenoidPoint.of(a, orbit.denominator) for a in orbit.numerators]),
             f"invariance mod {orbit.denominator}",
         )
         seen = covered.setdefault(orbit.denominator, set())
-        res.record(not (seen & set(orbit.numerators())), f"disjoint mod {orbit.denominator}")
-        seen |= set(orbit.numerators())
+        res.record(seen.isdisjoint(orbit.numerators), f"disjoint mod {orbit.denominator}")
+        seen.update(orbit.numerators)
     for r, seen in covered.items():
         want = {a for a in range(r) if gcd(a, r) == 1} if r > 1 else {0}
         res.record(seen == want, f"cover mod {r}")

@@ -133,13 +133,13 @@ def _cmd_orbits(args) -> int:
                     a,
                     b,
                     c,
-                    " ".join(str(pt.coord) for pt in orbit.points),
+                    " ".join(f"{num}/{orbit.denominator}" for num in orbit.numerators),
                 ]
             )
     elif args.format == "pretty":
         print(f"minimal invariant sets for p={params.p}, q={params.q}, r <= {bound}:")
         for orbit in orbits:
-            pts = ", ".join(str(pt.coord) for pt in orbit.points)
+            pts = ", ".join(f"{num}/{orbit.denominator}" for num in orbit.numerators)
             print(f"  r={orbit.denominator}  size={orbit.size}  {{{pts}}}")
         print(f"total: {len(orbits)}")
     else:

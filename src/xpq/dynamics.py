@@ -7,7 +7,8 @@ in particular (1, 1) is the shift that divides by pq.  A rational point
 a/r with gcd(r, pq) = 1 determines (and is determined by) a finite orbit:
 the orbit of the subgroup <p, q> of (Z/rZ)^* acting on numerators.
 
-This module computes those orbits, the stabilizer lattices
+This module computes those orbits, each stored as its sorted integer
+numerators mod r, the stabilizer lattices
 
     L_r = { (m, n) in Z^2 : p^m q^n = 1 mod r },
 
@@ -24,6 +25,20 @@ from math import gcd
 
 from .errors import IdentityElement, NotCoprime, OutOfRange
 from .exact import QmodZ, is_multiplicatively_independent, multiplicative_order
+
+# Largest |exponent| of p or q accepted from a caller.  Powers are exact
+# integers, so p**e costs time and memory that grow with e: at e = 10**5
+# a single power of 2 and 3 already takes seconds.
+MAX_EXPONENT = 10_000
+
+# Most fixed points fixed_points lists without a denominator bound.
+MAX_FIXED_LISTING = 100_000
+
+
+def check_exponent(name: str, value: int) -> None:
+    """Refuse an exponent beyond MAX_EXPONENT before any power is computed."""
+    if abs(value) > MAX_EXPONENT:
+        raise OutOfRange(f"exponent {name} = {value} out of range; |{name}| must be <= {MAX_EXPONENT}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,21 +120,19 @@ class StabilizerLattice:
 
 @dataclass(frozen=True, slots=True)
 class OrbitData:
-    """A finite orbit: all points a/r in lowest terms reachable from one
-    of them under multiplication by p and q, together with the common
-    stabilizer lattice.  len(points) equals stabilizer.index."""
+    """A finite orbit: the sorted numerators a of all points a/r in lowest
+    terms reachable from one of them under multiplication by p and q,
+    together with the common stabilizer lattice.  len(numerators) equals
+    stabilizer.index."""
 
     params: SystemParams
     denominator: int
-    points: tuple[SolenoidPoint, ...]
+    numerators: tuple[int, ...]
     stabilizer: StabilizerLattice
 
     @property
     def size(self) -> int:
-        return len(self.points)
-
-    def numerators(self) -> tuple[int, ...]:
-        return tuple(pt.coord.num for pt in self.points)
+        return len(self.numerators)
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,7 +191,7 @@ def stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
     return StabilizerLattice(((m, b), (0, dq)), m * dq)
 
 
-def _orbit_numerators(params: SystemParams, a0: int, r: int) -> list[int]:
+def _orbit_numerators(params: SystemParams, a0: int, r: int) -> tuple[int, ...]:
     """The sorted numerators of the orbit of a0/r.
 
     <p, q> is a subgroup of the finite unit group mod r, so closing under
@@ -193,17 +206,17 @@ def _orbit_numerators(params: SystemParams, a0: int, r: int) -> list[int]:
             if step not in seen:
                 seen.add(step)
                 frontier.append(step)
-    return sorted(seen)
+    return tuple(sorted(seen))
 
 
 def orbit_of(params: SystemParams, x: SolenoidPoint) -> OrbitData:
     """The finite orbit of a rational point under multiplication by p and q."""
     r = x.coord.den
     params.require_coprime(r)
-    points = tuple(SolenoidPoint(QmodZ(a, r)) for a in _orbit_numerators(params, x.coord.num, r))
+    nums = _orbit_numerators(params, x.coord.num, r)
     stab = stabilizer_lattice(params, r)
-    assert len(points) == stab.index
-    return OrbitData(params, r, points, stab)
+    assert len(nums) == stab.index
+    return OrbitData(params, r, nums, stab)
 
 
 def _orbits_mod(params: SystemParams, r: int) -> list[OrbitData]:
@@ -216,8 +229,7 @@ def _orbits_mod(params: SystemParams, r: int) -> list[OrbitData]:
         nums = _orbit_numerators(params, a0, r)
         for a in nums:
             visited[a] = 1
-        points = tuple(SolenoidPoint(QmodZ(a, r)) for a in nums)
-        out.append(OrbitData(params, r, points, stab))
+        out.append(OrbitData(params, r, nums, stab))
     return out
 
 
@@ -226,7 +238,7 @@ def enumerate_minimal_sets(params: SystemParams, max_denominator: int) -> list[O
 
     These are exactly the <p, q>-orbits on lowest-terms numerators mod r
     for each r coprime to pq, plus the fixed point {0} (the r = 1 entry).
-    Ordered by (r, least numerator); points within an orbit are sorted.
+    Ordered by (r, least numerator); numerators within an orbit are sorted.
     """
     if max_denominator < 1:
         raise OutOfRange(f"bound {max_denominator} out of range; expected >= 1")
@@ -239,10 +251,9 @@ def enumerate_minimal_sets(params: SystemParams, max_denominator: int) -> list[O
 
 
 def is_invariant_set(params: SystemParams, points) -> bool:
-    """Whether a finite set of rational points is invariant, i.e. both
-    multiplication by p and by q permute it.  Accepts SolenoidPoint or
-    bare QmodZ entries."""
-    b = {x.coord if isinstance(x, SolenoidPoint) else x for x in points}
+    """Whether a finite set of SolenoidPoints is invariant, i.e. both
+    multiplication by p and by q permute it."""
+    b = {x.coord for x in points}
     return {x.mul_int(params.p) for x in b} == b and {x.mul_int(params.q) for x in b} == b
 
 
@@ -258,12 +269,15 @@ def fixed_points(
 
     With a denominator bound, sample keeps only the fixed points whose
     lowest-terms denominator is within the bound; count is exact either
-    way.
+    way.  Without one, a count above MAX_FIXED_LISTING raises OutOfRange,
+    and so does |m| or |n| above MAX_EXPONENT.
 
     >>> fixed_points(SystemParams(2, 3), (1, 1)).count
     5
     """
     m, n = g
+    check_exponent("m", m)
+    check_exponent("n", n)
     if (m, n) == (0, 0):
         raise IdentityElement("(0, 0) fixes every point")
     w = Fraction(params.p) ** m * Fraction(params.q) ** n - 1
@@ -278,6 +292,13 @@ def fixed_points(
         g_ = gcd(t, params.pq)
     count = t
     if max_denominator is None:
+        if count > MAX_FIXED_LISTING:
+            # str() refuses ints above 4300 digits; give those by size
+            shown = count if count.bit_length() < 4096 else f"about 2^{count.bit_length() - 1}"
+            raise OutOfRange(
+                f"{shown} fixed points exceed the listing limit {MAX_FIXED_LISTING}; "
+                "a denominator bound (--max-den) gives the exact count with a bounded list"
+            )
         sample = tuple(SolenoidPoint(QmodZ(a, count)) for a in range(count))
     else:
         pts = []

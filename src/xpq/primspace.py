@@ -96,7 +96,7 @@ FULL = FullTorus()
 
 
 def _orbit_key(orbit: OrbitData):
-    return (orbit.denominator, min(orbit.numerators()))
+    return (orbit.denominator, orbit.numerators[0])
 
 
 @dataclass(frozen=True, slots=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dynamics import OrbitData, SolenoidPoint, SystemParams, orbit_of
+from .dynamics import OrbitData, SolenoidPoint, SystemParams, check_exponent, orbit_of
 from .errors import OutOfRange, ParamsMismatch
 from .exact import Cyclotomic, PqRational, QmodZ
 from .groupalg import GroupAlgebraElement, GroupElement
@@ -83,6 +83,8 @@ def pq_rational_from_json(data, params: SystemParams) -> PqRational:
     b = _int_field(data, "b")
     if a < 0 or b < 0:
         raise ValueError(f"exponents ({a}, {b}) must be nonnegative")
+    check_exponent("a", a)
+    check_exponent("b", b)
     value = Fraction(num, params.p**a * params.q**b)
     canon = PqRational.from_fraction(value, params.p, params.q)
     if (canon.num, canon.a, canon.b) != (num, a, b):
@@ -126,7 +128,7 @@ def orbit_to_json(orbit: OrbitData) -> dict:
         "p": orbit.params.p,
         "q": orbit.params.q,
         "r": orbit.denominator,
-        "orbit": [str(pt.coord) for pt in orbit.points],
+        "orbit": [f"{num}/{orbit.denominator}" for num in orbit.numerators],
         "stabilizer": {"basis": [[a, b], [z, c]], "index": orbit.stabilizer.index},
     }
 
@@ -146,7 +148,7 @@ def orbit_from_json(data) -> OrbitData:
     if len(set(nums)) != len(nums):
         raise ValueError("orbit list has duplicates")
     orbit = orbit_of(params, SolenoidPoint(QmodZ(min(nums), r)))
-    if set(orbit.numerators()) != set(nums):
+    if orbit.numerators != tuple(sorted(nums)):
         raise ValueError(f"listed points are not one orbit mod {r}")
     stab = _need(data, "stabilizer", dict)
     (a, b), (z, c) = orbit.stabilizer.basis
@@ -165,11 +167,11 @@ def group_element_to_json(g: GroupElement) -> dict:
 
 
 def group_element_from_json(data, params: SystemParams) -> GroupElement:
-    return GroupElement(
-        pq_rational_from_json(_need(data, "x", dict), params),
-        _int_field(data, "m"),
-        _int_field(data, "n"),
-    )
+    m = _int_field(data, "m")
+    n = _int_field(data, "n")
+    check_exponent("m", m)
+    check_exponent("n", n)
+    return GroupElement(pq_rational_from_json(_need(data, "x", dict), params), m, n)
 
 
 def algebra_element_to_json(a: GroupAlgebraElement) -> dict:

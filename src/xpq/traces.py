@@ -134,7 +134,7 @@ def _orbit_mean(orbit: OrbitData, w: int):
     # (1/|B|) sum over numerators a of zeta_r^(w a), exact at level r
     r = orbit.denominator
     counts = [0] * r
-    for a in orbit.numerators():
+    for a in orbit.numerators:
         counts[w * a % r] += 1
     return Cyclotomic(r, counts, orbit.size)
 

@@ -59,6 +59,24 @@ class TestExitCodes:
         proc = run("icc-witness", "-p", "2", "-q", "3", "--element", g, "--count", "-5")
         assert proc.returncode == 2
         assert "count" in proc.stderr and proc.stdout == ""
+        # exponents beyond the limit are refused before any power is computed
+        big = ('{"terms":[{"g":{"x":{"num":"1","a":1000000000,"b":0},"m":0,"n":0},'
+               '"c":"1"}]}')
+        for argv, field in (
+            (["trace-eval", "-p", "2", "-q", "3", "--trace", '{"kind":"canonical"}',
+              "--element", big], "a"),
+            (["fix", "-p", "2", "-q", "3", "-m", "1000000000", "-n", "0"], "m"),
+        ):
+            proc = run(*argv)
+            assert proc.returncode == 2
+            assert f"exponent {field} = 1000000000" in proc.stderr
+            assert "10000" in proc.stderr and "Traceback" not in proc.stderr
+        # an unbounded listing of ~1.3e31 fixed points is refused
+        proc = run("fix", "-p", "2", "-q", "3", "-m", "40", "-n", "40")
+        assert proc.returncode == 2
+        assert "13367494538843734067838845976575" in proc.stderr
+        assert "100000" in proc.stderr and "--max-den" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_missing_bound_is_usage_error(self):
         proc = run("orbits", "-p", "2", "-q", "3")
@@ -500,6 +518,15 @@ GOLDEN = [
     (
         ["check", "dynamics", "--trials", "3", "--seed", "11", "--format", "pretty"],
         "07421e2e7f58c0b52f34b3476700de447cc841b7e80c5c3a48c1bb0ed693669b",
+    ),
+    # the two below were recorded before orbits became integer numerators
+    (
+        ["orbits", "-p", "2", "-q", "4", "--max-den", "150", "--format", "csv"],
+        "1d4dd0cd8a4271f587280d5ac14429dd6cd029c286857da1d98ccbb06ba5a898",
+    ),
+    (
+        ["orbits", "-p", "5", "-q", "7", "--max-den", "200"],
+        "42a81cbdace50118b79d76918e970d79c11f3238650cfb27cf2913b3b67e668a",
     ),
 ]
 

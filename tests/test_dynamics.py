@@ -21,6 +21,7 @@ from xpq import (
     orbit_of,
     stabilizer_lattice,
 )
+from xpq.dynamics import MAX_EXPONENT, MAX_FIXED_LISTING
 
 
 class TestSystemParams:
@@ -129,20 +130,23 @@ class TestStabilizer:
 
 class TestOrbits:
     def test_matches_naive(self):
-        for p, q in ((2, 3), (3, 5)):
+        # every unit start below r = 60, start 1 above; (2, 4) is dependent
+        for p, q in ((2, 3), (3, 5), (2, 4)):
             params = SystemParams(p, q)
             for r in range(1, 120):
                 if gcd(r, p * q) != 1:
                     continue
-                orbit = orbit_of(params, SolenoidPoint.of(1, r))
-                assert orbit.denominator == r
-                assert set(orbit.numerators()) == naive_orbit(p, q, r, 1)
-                assert orbit.size == orbit.stabilizer.index
+                starts = [a for a in range(r) if gcd(a, r) == 1] if r < 60 else [1]
+                for a0 in starts:
+                    orbit = orbit_of(params, SolenoidPoint.of(a0, r))
+                    assert orbit.denominator == r
+                    assert set(orbit.numerators) == naive_orbit(p, q, r, a0)
+                    assert orbit.size == orbit.stabilizer.index
 
     def test_points_sorted_and_base_point_free(self):
         params = SystemParams(2, 3)
         orbit = orbit_of(params, SolenoidPoint.of(1, 7))
-        nums = orbit.numerators()
+        nums = orbit.numerators
         assert list(nums) == sorted(nums)
         for a in nums:
             assert orbit_of(params, SolenoidPoint.of(a, 7)) == orbit
@@ -172,7 +176,7 @@ class TestOrbits:
                 units = {a for a in range(r) if gcd(a, r) == 1} if r > 1 else {0}
                 seen: set[int] = set()
                 for o in by_r[r]:
-                    nums = set(o.numerators())
+                    nums = set(o.numerators)
                     assert not (nums & seen)  # orbits are disjoint
                     seen |= nums
                 assert seen == units
@@ -182,13 +186,13 @@ class TestOrbits:
         params = SystemParams(2, 3)
         for orbit in enumerate_minimal_sets(params, 25):
             r = orbit.denominator
-            for a in orbit.numerators():
-                assert naive_orbit(2, 3, r, a) == set(orbit.numerators())
+            for a in orbit.numerators:
+                assert naive_orbit(2, 3, r, a) == set(orbit.numerators)
 
     def test_is_invariant_set(self):
         params = SystemParams(2, 3)
         orbit = orbit_of(params, SolenoidPoint.of(1, 7))
-        pts = [SolenoidPoint.of(a, 7) for a in orbit.numerators()]
+        pts = [SolenoidPoint.of(a, 7) for a in orbit.numerators]
         assert is_invariant_set(params, pts)
         assert not is_invariant_set(params, pts[:3])
         assert is_invariant_set(params, [])
@@ -250,6 +254,21 @@ class TestFixedPoints:
         # dependent parameters can make a nonzero pair act trivially
         with pytest.raises(IdentityElement):
             fixed_points(SystemParams(4, 8), (3, -2))
+
+    def test_limits(self):
+        params = SystemParams(2, 3)
+        # exponents are refused before any power is computed
+        for g in ((10**9, 0), (0, -(10**9)), (MAX_EXPONENT + 1, 1)):
+            with pytest.raises(OutOfRange, match=str(MAX_EXPONENT)):
+                fixed_points(params, g)
+        assert fixed_points(params, (MAX_EXPONENT, 0), max_denominator=1).count > 1
+        # an unbounded listing beyond the limit is refused; a bound still
+        # gives the exact count
+        with pytest.raises(OutOfRange, match=str(MAX_FIXED_LISTING)):
+            fixed_points(params, (40, 40))
+        fp = fixed_points(params, (40, 40), max_denominator=5)
+        assert fp.count == 6**40 - 1
+        assert [pt.coord for pt in fp.sample] == [QmodZ(0, 1)] + [QmodZ(a, 5) for a in range(1, 5)]
 
 
 class TestLift:

@@ -53,6 +53,8 @@ from xpq import (
     trace_spec_from_json,
     trace_spec_to_json,
 )
+from xpq.dynamics import MAX_EXPONENT
+from xpq.errors import OutOfRange
 
 P23 = SystemParams(2, 3)
 ORBIT5 = orbit_of(P23, SolenoidPoint.of(1, 5))
@@ -95,6 +97,13 @@ class TestPqRational:
             pq_rational_from_json({"num": "2", "a": 1, "b": 0}, P23)
         with pytest.raises(ValueError):
             pq_rational_from_json({"num": "0", "a": 1, "b": 0}, P23)
+        # exponents beyond the limit are refused before any power is computed
+        for key in ("a", "b"):
+            data = {"num": "1", "a": 0, "b": 0, key: 10**9}
+            with pytest.raises(OutOfRange, match=f"exponent {key} .* {MAX_EXPONENT}"):
+                pq_rational_from_json(data, P23)
+        x = PqRational(1, MAX_EXPONENT, 0)
+        assert pq_rational_from_json(pq_rational_to_json(x), P23) == x
 
 
 class TestCyclotomic:
@@ -192,6 +201,12 @@ class TestGroupElements:
         assert set(data) == {"x", "m", "n"}
         assert group_element_from_json(data, P23) == g
         assert round_trips_as_json(data)
+
+    def test_exponent_limit(self):
+        for key in ("m", "n"):
+            data = {"x": {"num": "1", "a": 0, "b": 0}, "m": 0, "n": 0, key: -(10**9)}
+            with pytest.raises(OutOfRange, match=f"exponent {key} .* {MAX_EXPONENT}"):
+                group_element_from_json(data, P23)
 
     def test_algebra_round_trip(self):
         rng = random.Random(73)
