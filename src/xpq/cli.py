@@ -25,10 +25,11 @@ from .dynamics import (
     SystemParams,
     enumerate_minimal_sets,
     fixed_points,
+    int_text,
     lift_sequence,
     stabilizer_lattice,
 )
-from .errors import XpqError
+from .errors import OutOfRange, XpqError
 from .exact import QmodZ, multiplicative_dependence_witness
 from .groupalg import GroupAlgebraElement, icc_witness
 from .ktheory import k_theory_of_group, mult_map_ker_coker
@@ -178,6 +179,12 @@ def _cmd_fix(args) -> int:
     params = _params(args)
     bound = _max_den(args, required=False)
     fix = fixed_points(params, (args.m, args.n), max_denominator=bound)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    if digits and fix.count >= 10**digits:
+        raise OutOfRange(
+            f"|Fix({args.m}, {args.n})| = {int_text(fix.count)} has more than {digits} "
+            "decimal digits, the limit for printing an integer (sys.get_int_max_str_digits())"
+        )
     listed = [str(pt.coord) for pt in fix.sample]
     if args.format == "pretty":
         print(f"|Fix({args.m}, {args.n})| = {fix.count}")

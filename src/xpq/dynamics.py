@@ -31,14 +31,23 @@ from .exact import QmodZ, is_multiplicatively_independent, multiplicative_order
 # a single power of 2 and 3 already takes seconds.
 MAX_EXPONENT = 10_000
 
-# Most fixed points fixed_points lists without a denominator bound.
+# Most fixed points fixed_points lists, with or without a denominator bound.
 MAX_FIXED_LISTING = 100_000
+
+# Most candidate denominators fixed_points scans under a denominator bound:
+# the scan runs over d <= min(max_denominator, count), one division each.
+MAX_DENOMINATOR_SCAN = 10**6
 
 
 def check_exponent(name: str, value: int) -> None:
     """Refuse an exponent beyond MAX_EXPONENT before any power is computed."""
     if abs(value) > MAX_EXPONENT:
         raise OutOfRange(f"exponent {name} = {value} out of range; |{name}| must be <= {MAX_EXPONENT}")
+
+
+def int_text(n: int) -> str:
+    """n in decimal, or "about 2^k" from 4096 bits on, where str() may refuse it."""
+    return str(n) if n.bit_length() < 4096 else f"about 2^{n.bit_length() - 1}"
 
 
 @dataclass(frozen=True, slots=True)
@@ -269,8 +278,9 @@ def fixed_points(
 
     With a denominator bound, sample keeps only the fixed points whose
     lowest-terms denominator is within the bound; count is exact either
-    way.  Without one, a count above MAX_FIXED_LISTING raises OutOfRange,
-    and so does |m| or |n| above MAX_EXPONENT.
+    way.  OutOfRange is raised for |m| or |n| above MAX_EXPONENT, for a
+    listing of more than MAX_FIXED_LISTING points, and for a bound whose
+    scan min(max_denominator, count) exceeds MAX_DENOMINATOR_SCAN.
 
     >>> fixed_points(SystemParams(2, 3), (1, 1)).count
     5
@@ -293,18 +303,28 @@ def fixed_points(
     count = t
     if max_denominator is None:
         if count > MAX_FIXED_LISTING:
-            # str() refuses ints above 4300 digits; give those by size
-            shown = count if count.bit_length() < 4096 else f"about 2^{count.bit_length() - 1}"
             raise OutOfRange(
-                f"{shown} fixed points exceed the listing limit {MAX_FIXED_LISTING}; "
+                f"{int_text(count)} fixed points exceed the listing limit {MAX_FIXED_LISTING}; "
                 "a denominator bound (--max-den) gives the exact count with a bounded list"
             )
         sample = tuple(SolenoidPoint(QmodZ(a, count)) for a in range(count))
     else:
+        # every fixed denominator divides count, so none lies above it
+        scan = min(max_denominator, count)
+        if scan > MAX_DENOMINATOR_SCAN:
+            raise OutOfRange(
+                f"max_denominator = {max_denominator} would scan {scan} denominators; "
+                f"the scan limit is {MAX_DENOMINATOR_SCAN}"
+            )
         pts = []
-        for d in range(1, max_denominator + 1):
+        for d in range(1, scan + 1):
             if count % d == 0:
                 pts.extend(QmodZ(a, d) for a in range(d) if gcd(a, d) == 1)
+                if len(pts) > MAX_FIXED_LISTING:
+                    raise OutOfRange(
+                        f"more than {MAX_FIXED_LISTING} fixed points have a denominator <= "
+                        f"{max_denominator}, the listing limit; lower max_denominator"
+                    )
         pts.sort(key=QmodZ.to_fraction)
         sample = tuple(SolenoidPoint(x) for x in pts)
     return FixedPoints(count, sample)

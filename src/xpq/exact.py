@@ -568,10 +568,11 @@ class Cyclotomic:
 
     def scaled(self, x) -> Cyclotomic:
         """Multiply by a rational scalar."""
+        if x == 1:
+            return self  # instances are never mutated after __init__
         x = Fraction(x)
-        return Cyclotomic(
-            self.level, [c * x.numerator for c in self.vec], self.den * x.denominator
-        )
+        num = x.numerator
+        return Cyclotomic(self.level, [c * num for c in self.vec], self.den * x.denominator)
 
     def __pow__(self, n: int):
         if n < 0:

@@ -95,17 +95,19 @@ def pq_rational_from_json(data, params: SystemParams) -> PqRational:
 
 
 def cyclotomic_to_json(value: Cyclotomic) -> dict:
+    # the same strings as str(c) for c in value.coeffs, without a Fraction per zero
     z = value.approx()
+    den = value.den
     return {
         "level": value.level,
-        "coeffs": [str(c) for c in value.coeffs],
+        "coeffs": [str(Fraction(c, den)) if c else "0" for c in value.vec],
         "approx": {"re": z.real, "im": z.imag},
     }
 
 
 def evaluation_to_json(value: Cyclotomic) -> dict:
-    z = value.approx()
-    return {"exact": cyclotomic_to_json(value), "approx": {"re": z.real, "im": z.imag}}
+    exact = cyclotomic_to_json(value)
+    return {"exact": exact, "approx": dict(exact["approx"])}
 
 
 def _qmodz_from_str(text) -> QmodZ:

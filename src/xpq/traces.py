@@ -179,12 +179,13 @@ def trace_eval(spec: TraceSpec, a: GroupAlgebraElement) -> Cyclotomic:
             f"trace over ({params.p}, {params.q}) applied to an element over "
             f"({a.params.p}, {a.params.q})"
         )
-    total = Cyclotomic.zero()
+    total = None
     for g, c in a.terms:
         v = _term_value(spec, g)
         if v is not None:
-            total = total + v.scaled(c)
-    return total
+            v = v.scaled(c)
+            total = v if total is None else total + v
+    return Cyclotomic.zero() if total is None else total
 
 
 @dataclass(frozen=True, slots=True)

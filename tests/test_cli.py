@@ -1,7 +1,9 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +79,18 @@ class TestExitCodes:
         assert "13367494538843734067838845976575" in proc.stderr
         assert "100000" in proc.stderr and "--max-den" in proc.stderr
         assert "Traceback" not in proc.stderr
+        # a bound scanning 10**12 denominators is refused before the scan
+        proc = run("fix", "-p", "2", "-q", "3", "-m", "40", "-n", "40", "--max-den", str(10**12))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "max_denominator" in proc.stderr and "1000000" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        # a count of 25850 bits has too many digits to print
+        for fmt in ("json", "pretty"):
+            proc = run("fix", "-p", "2", "-q", "3", "-m", "10000", "-n", "10000",
+                       "--max-den", "5", "--format", fmt)
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert "4300" in proc.stderr and "about 2^" in proc.stderr
+            assert "Traceback" not in proc.stderr
 
     def test_missing_bound_is_usage_error(self):
         proc = run("orbits", "-p", "2", "-q", "3")
@@ -98,6 +112,17 @@ class TestExitCodes:
         data = json.loads(capsys.readouterr().out)
         assert data["ok"] is True
         assert all(s["failed"] == 0 for s in data["suites"])
+
+
+class TestStdlibOnly:
+    def test_imports_without_site_packages(self):
+        # -S drops site-packages, so any third-party import fails here
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", "import xpq, xpq.cli"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestDeterminism:
@@ -171,6 +196,14 @@ class TestStabilizerAndFix:
         assert data["count"] == 5
         assert data["complete"] is False
         assert data["points"] == ["0/1"]
+
+    def test_fix_huge_bound_scans_only_to_count(self):
+        data = run_json(
+            "fix", "-p", "2", "-q", "3", "-m", "1", "-n", "1", "--max-den", str(10**12)
+        )
+        assert data["count"] == 5
+        assert data["complete"] is True
+        assert data["points"] == ["0/1", "1/5", "2/5", "3/5", "4/5"]
 
 
 class TestLift:
@@ -390,6 +423,28 @@ GOLDEN_SEQUENCE = (
     '"chi_limit":{"t1":"0/1","t2":"1/2"}}}'
 )
 GOLDEN_GROUP_ELEMENT = '{"x":{"num":"1","a":0,"b":0},"m":1,"n":0}'
+# one orbit of all 24 units mod 35, and one of the two orbits mod 95
+GOLDEN_ORBIT35 = (
+    '{"p":2,"q":3,"r":35,"orbit":["1/35","2/35","3/35","4/35","6/35","8/35","9/35","11/35",'
+    '"12/35","13/35","16/35","17/35","18/35","19/35","22/35","23/35","24/35","26/35","27/35",'
+    '"29/35","31/35","32/35","33/35","34/35"],"stabilizer":{"basis":[[2,2],[0,12]],"index":24}}'
+)
+GOLDEN_ORBIT95 = (
+    '{"p":2,"q":3,"r":95,"orbit":["7/95","14/95","17/95","21/95","23/95","28/95","29/95",'
+    '"31/95","34/95","41/95","42/95","43/95","46/95","47/95","51/95","56/95","58/95","59/95",'
+    '"62/95","63/95","68/95","69/95","71/95","73/95","77/95","79/95","82/95","83/95","84/95",'
+    '"86/95","87/95","89/95","91/95","92/95","93/95","94/95"],'
+    '"stabilizer":{"basis":[[1,29],[0,36]],"index":36}}'
+)
+GOLDEN_SPEC35 = '{"kind":"finite_orbit","orbit":' + GOLDEN_ORBIT35 + ',"chi":{"t1":"1/3","t2":"1/4"}}'
+GOLDEN_MEASURE35 = '{"kind":"orbit_measure","orbit":' + GOLDEN_ORBIT35 + '}'
+GOLDEN_SPEC95 = '{"kind":"finite_orbit","orbit":' + GOLDEN_ORBIT95 + ',"chi":{"t1":"1/3","t2":"1/4"}}'
+# every term lies in the r = 35 stabilizer lattice, so the character shows
+GOLDEN_LATTICE_ELEMENT = (
+    '{"terms":[{"g":{"x":{"num":"1","a":0,"b":0},"m":2,"n":2},"c":"3/5"},'
+    '{"g":{"x":{"num":"-5","a":1,"b":0},"m":0,"n":12},"c":"-2"},'
+    '{"g":{"x":{"num":"0","a":0,"b":0},"m":2,"n":14},"c":"1"}]}'
+)
 GOLDEN = [
     (
         ["orbits", "-p", "2", "-q", "3", "--max-den", "40"],
@@ -527,6 +582,28 @@ GOLDEN = [
     (
         ["orbits", "-p", "5", "-q", "7", "--max-den", "200"],
         "42a81cbdace50118b79d76918e970d79c11f3238650cfb27cf2913b3b67e668a",
+    ),
+    # the five below were recorded before trace values were encoded from
+    # their integer vectors: dens > 1, negative entries, composite levels
+    (
+        ["moments", "-p", "2", "-q", "3", "--trace", GOLDEN_SPEC35, "--n-max", "6"],
+        "da1f6d242fada69c161b9f305e4c66572bccc3e99285c5534bcf8ad19cf17473",
+    ),
+    (
+        ["moments", "-p", "2", "-q", "3", "--trace", GOLDEN_SPEC35, "--n-max", "6", "--format", "csv"],
+        "2ba577edf0aa65ba0360318b22ef242ebfd4740dba42f4ece1c478807177d50e",
+    ),
+    (
+        ["moments", "-p", "2", "-q", "3", "--trace", GOLDEN_SPEC95, "--n-max", "4"],
+        "0c4016015a548abeb7a92796568cf5a841302adae9e9006e0bcd2fc09264dff7",
+    ),
+    (
+        ["trace-eval", "-p", "2", "-q", "3", "--trace", GOLDEN_MEASURE35, "--element", GOLDEN_ELEMENT],
+        "d8007c2671260e4c830aab7ad3a24d38f43951ce5ab29bdb1dd1ae6293258842",
+    ),
+    (
+        ["trace-eval", "-p", "2", "-q", "3", "--trace", GOLDEN_SPEC35, "--element", GOLDEN_LATTICE_ELEMENT],
+        "d11bbcfb3a8640969bcf86913a850527e3269027a601746578fe129d5c382b43",
     ),
 ]
 

@@ -21,7 +21,7 @@ from xpq import (
     orbit_of,
     stabilizer_lattice,
 )
-from xpq.dynamics import MAX_EXPONENT, MAX_FIXED_LISTING
+from xpq.dynamics import MAX_DENOMINATOR_SCAN, MAX_EXPONENT, MAX_FIXED_LISTING
 
 
 class TestSystemParams:
@@ -269,6 +269,21 @@ class TestFixedPoints:
         fp = fixed_points(params, (40, 40), max_denominator=5)
         assert fp.count == 6**40 - 1
         assert [pt.coord for pt in fp.sample] == [QmodZ(0, 1)] + [QmodZ(a, 5) for a in range(1, 5)]
+
+    def test_denominator_scan_limit(self):
+        params = SystemParams(2, 3)
+        # count = 2^31 - 1 is prime, so the scan finds only d = 1
+        fp = fixed_points(params, (31, 0), max_denominator=MAX_DENOMINATOR_SCAN)
+        assert fp.count == 2**31 - 1
+        assert [pt.coord for pt in fp.sample] == [QmodZ(0, 1)]
+        with pytest.raises(OutOfRange, match=f"max_denominator .* {MAX_DENOMINATOR_SCAN}"):
+            fixed_points(params, (31, 0), max_denominator=MAX_DENOMINATOR_SCAN + 1)
+        # the scan stops at count, so any bound above a small count is fine
+        fp = fixed_points(params, (1, 1), max_denominator=10**12)
+        assert [pt.coord for pt in fp.sample] == [QmodZ(0, 1)] + [QmodZ(a, 5) for a in range(1, 5)]
+        # a bounded listing beyond the limit is refused too
+        with pytest.raises(OutOfRange, match=str(MAX_FIXED_LISTING)):
+            fixed_points(params, (40, 40), max_denominator=MAX_DENOMINATOR_SCAN)
 
 
 class TestLift:

@@ -333,6 +333,11 @@ class TestCyclotomic:
             assert z**k == acc
             acc = acc * z
         assert (z.scaled(2) - z.scaled(2)).is_zero()
+        v = Cyclotomic(12, [3, -1, 0, 5], 7)
+        for one in (1, Fraction(1), Fraction(2, 2)):
+            assert v.scaled(one) == v
+            assert v.scaled(one).level == 12
+        assert v.scaled(Fraction(-7, 3)) == Cyclotomic(12, [-3, 1, 0, -5], 3)
         with pytest.raises(ValueError):
             z ** (-1)
 

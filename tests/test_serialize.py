@@ -14,6 +14,7 @@ from xpq import (
     CanonicalTrace,
     Character,
     ConstantOrbitTail,
+    Cyclotomic,
     FinitePoints,
     FiniteUnion,
     FiniteOrbitTrace,
@@ -121,6 +122,22 @@ class TestCyclotomic:
         assert set(data) == {"exact", "approx"}
         assert data["exact"]["level"] == 3
         assert abs(data["approx"]["re"] + 0.25) < 1e-12
+
+    def test_coeffs_match_fraction_oracle(self):
+        # seeded values with zero and negative entries over dens > 1,
+        # at prime, prime-power and composite levels
+        rng = random.Random(4)
+        for level in (1, 2, 4, 7, 9, 12, 15, 35, 95, 420):
+            for _ in range(6):
+                vec = [rng.choice((0, 0, 0, rng.randint(-40, 40))) for _ in range(level)]
+                v = Cyclotomic(level, vec, rng.randint(1, 60))
+                data = cyclotomic_to_json(v)
+                assert data["level"] == v.level
+                assert data["coeffs"] == [str(c) for c in v.coeffs]
+                z = v.approx()
+                wrapped = evaluation_to_json(v)
+                for approx in (data["approx"], wrapped["exact"]["approx"], wrapped["approx"]):
+                    assert approx == {"re": z.real, "im": z.imag}
 
 
 class TestOrbit:

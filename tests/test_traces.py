@@ -122,6 +122,16 @@ class TestWorkedValues:
         )
         assert trace_eval(spec, unit(GroupElement(PqRational(0, 0, 0), 1, 1))).is_zero()
 
+    def test_all_terms_vanish(self):
+        # off the stabilizer lattice and off the identity every term is zero
+        off = unit(GroupElement(PqRational(1, 0, 0), 1, 0)) + unit(
+            GroupElement(PqRational(3, 1, 0), 0, 1)
+        ).scaled(Fraction(-2, 3))
+        for spec in all_specs(ORBIT5):
+            val = trace_eval(spec, off)
+            assert val == Cyclotomic.zero() and val.level == 1
+        assert trace_eval(CanonicalTrace(P23), GroupAlgebraElement.zero(P23)).level == 1
+
     def test_orbit_one_is_canonical_on_translations(self):
         # the single-point orbit at 0 pairs trivially with every translation
         spec = FiniteOrbitTrace(ORBIT1, Character.trivial(ORBIT1.stabilizer))
