@@ -17,7 +17,6 @@ import csv
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .checks import run_checks
 from .dynamics import (
@@ -31,7 +30,7 @@ from .dynamics import (
 )
 from .errors import OutOfRange, XpqError
 from .exact import QmodZ, multiplicative_dependence_witness
-from .groupalg import GroupAlgebraElement, icc_witness
+from .groupalg import icc_witness
 from .ktheory import k_theory_of_group, mult_map_ker_coker
 from .primspace import closure, limit_set
 from .serialize import (

@@ -6,7 +6,14 @@ divisibility chain of torsion orders); maps are integer matrices on the
 standard generators, free generators first.  Kernels and cokernels are
 computed through integer presentation matrices and Smith normal form
 over arbitrary-precision integers, so no generator words survive; the
-isomorphism type is the contract.
+isomorphism type is the contract.  For f with matrix F, the matrix
+P = [F | target relation columns] presents coker f, and
+
+    ker f = ker P / im Psi,   Psi(r) = (r, y),  y_i = -(F r)_i / d_i,
+
+over the source relation columns r and the torsion generators i (of
+order d_i) of the target; ker P is saturated, so the SNF of Psi and the
+rank of P give the kernel.  No integer is ever factored.
 
 The crossed-product K-theory is assembled from the Pimsner-Voiculescu
 sequence of the outer Z-action on the coefficient algebra, which is the
@@ -28,11 +35,11 @@ form as an independent cross-check.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 
 from .errors import IncompatibleMap, OutOfRange
-from .exact import factorize
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -55,13 +62,30 @@ class SNFResult:
         return tuple(self.D[i][i] for i in range(min(len(self.D), len(self.V))))
 
 
+def _entry(x) -> int:
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"matrix entry {x!r} is not an integer") from None
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    # (g, x, y) with g = gcd(a, b) = x*a + y*b
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        k, r = divmod(a, b)
+        a, b = b, r
+        x0, y0, x1, y1 = x1, y1, x0 - k * x1, y0 - k * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
 def smith_normal_form(matrix) -> SNFResult:
-    """Smith normal form by naive Euclidean reduction over big integers.
+    """Smith normal form by extended-gcd elimination over big integers.
 
     >>> smith_normal_form([[2, 4], [6, 8]]).diagonal()
     (2, 4)
     """
-    A = [[int(x) for x in row] for row in matrix]
+    A = [[_entry(x) for x in row] for row in matrix]
     m = len(A)
     n = len(A[0]) if m else 0
     if any(len(row) != n for row in A):
@@ -69,105 +93,62 @@ def smith_normal_form(matrix) -> SNFResult:
     U = [[int(i == j) for j in range(m)] for i in range(m)]
     V = [[int(i == j) for j in range(n)] for i in range(n)]
 
-    def row_sub(i, k, f):
-        Ai, Ak, Ui, Uk = A[i], A[k], U[i], U[k]
-        for j in range(n):
-            Ai[j] -= f * Ak[j]
-        for j in range(m):
-            Ui[j] -= f * Uk[j]
+    def rows(i, k, a, b, c, d):
+        # (row i, row k) <- (a row i + b row k, c row i + d row k), ad - bc = +-1
+        for M in (A, U):
+            Mi, Mk = M[i], M[k]
+            for j, (x, y) in enumerate(zip(Mi, Mk)):
+                Mi[j], Mk[j] = a * x + b * y, c * x + d * y
 
-    def col_sub(j, k, f):
-        for i in range(m):
-            A[i][j] -= f * A[i][k]
-        for i in range(n):
-            V[i][j] -= f * V[i][k]
+    def cols(j, k, a, b, c, d):
+        for M in (A, V):
+            for row in M:
+                x, y = row[j], row[k]
+                row[j], row[k] = a * x + b * y, c * x + d * y
 
-    def row_swap(i, k):
-        A[i], A[k] = A[k], A[i]
-        U[i], U[k] = U[k], U[i]
-
-    def col_swap(j, k):
-        for i in range(m):
-            A[i][j], A[i][k] = A[i][k], A[i][j]
-        for i in range(n):
-            V[i][j], V[i][k] = V[i][k], V[i][j]
+    def pair(p, e):
+        # the 2x2 unimodular step that sends (p, e) to (gcd, 0)
+        if e % p == 0:
+            return 1, 0, -(e // p), 1
+        g, x, y = _xgcd(p, e)
+        return x, y, -(e // g), p // g
 
     for t in range(min(m, n)):
-        best = None
-        pi = pj = -1
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(A[i][j])
-                if v and (best is None or v < best):
-                    best, pi, pj = v, i, j
-        if best is None:
+        entries = [(abs(A[i][j]), i, j) for i in range(t, m) for j in range(t, n) if A[i][j]]
+        if not entries:
             break
+        _, pi, pj = min(entries)
         if pi != t:
-            row_swap(t, pi)
+            rows(t, pi, 0, 1, 1, 0)
         if pj != t:
-            col_swap(t, pj)
+            cols(t, pj, 0, 1, 1, 0)
         while True:
-            dirty = False
             for i in range(t + 1, m):
                 if A[i][t]:
-                    f = A[i][t] // A[t][t]
-                    row_sub(i, t, f)
-                    if A[i][t]:  # nonzero remainder becomes the smaller pivot
-                        row_swap(i, t)
-                        dirty = True
+                    rows(t, i, *pair(A[t][t], A[i][t]))
             for j in range(t + 1, n):
                 if A[t][j]:
-                    f = A[t][j] // A[t][t]
-                    col_sub(j, t, f)
-                    if A[t][j]:
-                        col_swap(j, t)
-                        dirty = True
-            if dirty:
-                continue
+                    cols(t, j, *pair(A[t][t], A[t][j]))
+            if any(A[i][t] for i in range(t + 1, m)):
+                continue  # a column step refilled column t
             d = A[t][t]
-            offender = -1
-            for i in range(t + 1, m):
-                if any(A[i][j] % d for j in range(t + 1, n)):
-                    offender = i
-                    break
+            offender = next(
+                (i for i in range(t + 1, m) if any(A[i][j] % d for j in range(t + 1, n))), -1
+            )
             if offender < 0:
                 break
-            row_sub(t, offender, -1)  # pull the offending row into the pivot row
+            rows(t, offender, 1, 1, 0, 1)  # pull the offending row into the pivot row
         if A[t][t] < 0:
-            for j in range(n):
-                A[t][j] = -A[t][j]
-            for j in range(m):
-                U[t][j] = -U[t][j]
+            A[t] = [-x for x in A[t]]
+            U[t] = [-x for x in U[t]]
 
-    freeze = lambda rows: tuple(tuple(r) for r in rows)
+    freeze = lambda M: tuple(tuple(r) for r in M)
     return SNFResult(freeze(U), freeze(A), freeze(V))
 
 
 # ---------------------------------------------------------------------------
 # finitely generated abelian groups and maps
 # ---------------------------------------------------------------------------
-
-
-def _chain_from_divisors(divs) -> tuple[int, ...]:
-    # merge arbitrary cyclic orders into an ascending divisibility chain
-    by_prime: dict[int, list[int]] = {}
-    for d in divs:
-        for p, e in factorize(d).pairs:
-            by_prime.setdefault(p, []).append(e)
-    if not by_prime:
-        return ()
-    depth = max(len(v) for v in by_prime.values())
-    for v in by_prime.values():
-        v.sort(reverse=True)
-        v.extend([0] * (depth - len(v)))
-    factors = []
-    for j in range(depth):
-        d = 1
-        for p, exps in by_prime.items():
-            d *= p ** exps[j]
-        factors.append(d)
-    factors.reverse()
-    return tuple(factors)
 
 
 @dataclass(frozen=True, slots=True)
@@ -202,10 +183,11 @@ class FgAbGroup:
         return cls(0, ()) if n == 1 else cls(0, (n,))
 
     def direct_sum(self, other: FgAbGroup) -> FgAbGroup:
-        return FgAbGroup(
-            self.rank + other.rank,
-            _chain_from_divisors(list(self.torsion) + list(other.torsion)),
-        )
+        # the invariant factors of diag(torsion) merge the two chains
+        torsion = self.torsion + other.torsion
+        D = [[d if i == j else 0 for j in range(len(torsion))] for i, d in enumerate(torsion)]
+        chain = tuple(d for d in smith_normal_form(D).diagonal() if d > 1)
+        return FgAbGroup(self.rank + other.rank, chain)
 
     def is_trivial(self) -> bool:
         return self.rank == 0 and not self.torsion
@@ -273,16 +255,14 @@ class FgAbMap:
         return FgAbMap(self.source, self.target, rows)
 
 
-def _relation_columns(group: FgAbGroup) -> list[list[int]]:
-    orders = group.gen_orders()
-    k = len(orders)
-    cols = []
-    for i, d in enumerate(orders):
-        if d:
-            col = [0] * k
-            col[i] = d
-            cols.append(col)
-    return cols
+def _presentation_matrix(f: FgAbMap) -> list[list[int]]:
+    """P = [matrix | target relation columns]; its cokernel is coker(f)."""
+    orders = f.target.gen_orders()
+    torsion = [k for k, d in enumerate(orders) if d]
+    return [
+        list(row) + [orders[i] if i == k else 0 for k in torsion]
+        for i, row in enumerate(f.matrix)
+    ]
 
 
 def _presentation_group(diag, gens: int) -> FgAbGroup:
@@ -293,90 +273,36 @@ def _presentation_group(diag, gens: int) -> FgAbGroup:
 
 def map_cokernel(f: FgAbMap) -> FgAbGroup:
     """target / image(f), by SNF of [matrix | target relations]."""
-    t = len(f.target.gen_orders())
-    if t == 0:
-        return FgAbGroup.trivial()
-    cols = [list(col) for col in zip(*f.matrix)] if f.matrix and f.matrix[0] else []
-    cols += _relation_columns(f.target)
-    if not cols:
-        return FgAbGroup.free(t)
-    P = [[col[i] for col in cols] for i in range(t)]
-    return _presentation_group(smith_normal_form(P).diagonal(), t)
-
-
-def _integer_kernel_basis(rows: list[list[int]]) -> list[list[int]]:
-    # basis of the integer kernel lattice of a matrix with >= 1 rows
-    res = smith_normal_form(rows)
-    n = len(res.V)
-    rank = sum(1 for d in res.diagonal() if d)
-    return [[res.V[i][j] for i in range(n)] for j in range(rank, n)]
-
-
-def _column_lattice_basis(cols: list[list[int]], dim: int) -> list[list[int]]:
-    # nonzero columns of G*V form a basis of the column lattice of G
-    if not cols:
-        return []
-    G = [[col[i] for col in cols] for i in range(dim)]
-    V = smith_normal_form(G).V
-    k = len(cols)
-    out = []
-    for j in range(k):
-        vec = [sum(G[i][l] * V[l][j] for l in range(k)) for i in range(dim)]
-        if any(vec):
-            out.append(vec)
-    return out
-
-
-def _solve_in_lattice(basis: list[list[int]], v: list[int]) -> list[int]:
-    # integer c with B c = v, where B has the basis vectors as columns
-    if not basis:
-        if any(v):
-            raise IncompatibleMap("no integral solution")
-        return []
-    dim = len(v)
-    B = [[col[i] for col in basis] for i in range(dim)]
-    res = smith_normal_form(B)
-    k = len(basis)
-    w = [sum(res.U[i][j] * v[j] for j in range(dim)) for i in range(dim)]
-    y = [0] * k
-    diag = res.diagonal()
-    for i in range(dim):
-        if i < k and i < len(diag) and diag[i]:
-            if w[i] % diag[i]:
-                raise IncompatibleMap("no integral solution")
-            y[i] = w[i] // diag[i]
-        elif w[i]:
-            raise IncompatibleMap("no integral solution")
-    return [sum(res.V[i][j] * y[j] for j in range(k)) for i in range(k)]
+    P = _presentation_matrix(f)
+    return _presentation_group(smith_normal_form(P).diagonal(), len(f.target.gen_orders()))
 
 
 def map_kernel(f: FgAbMap) -> FgAbGroup:
-    """The kernel of f, as an abstract group.
+    """The kernel of f, as an abstract group: ker P / im Psi.
 
-    Solving F x = R_target y picks out the sublattice K of source
-    coordinates that die in the target; the kernel is K modulo the
-    source relations, presented in the basis of K and read off by SNF.
+    A point (x, y) of ker P, P = [matrix | target relations], is a
+    source vector x with matrix*x = -(target relations)*y, and y is
+    determined by x, so ker P is the lattice of source vectors that die
+    in the target.  Psi sends each source relation column r to (r, y)
+    with y_i = -(matrix*r)_i / d_i over the torsion generators i of the
+    target.  ker P is saturated, hence a direct summand of Z^N, so the
+    torsion of ker P / im Psi is that of Z^N / im Psi and the kernel is
+    _presentation_group(SNF(Psi).diagonal(), nullity(P)).
     """
+    P = _presentation_matrix(f)
+    t_orders = f.target.gen_orders()
     s = len(f.source.gen_orders())
-    t = len(f.target.gen_orders())
-    if s == 0:
-        return FgAbGroup.trivial()
-    if t == 0:
-        return FgAbGroup(f.source.rank, f.source.torsion)
-    cols = [list(col) for col in zip(*f.matrix)]
-    cols += _relation_columns(f.target)
-    A = [[col[i] for col in cols] for i in range(t)]
-    kb = _integer_kernel_basis(A)
-    basis = _column_lattice_basis([vec[:s] for vec in kb], s)
-    rels = _relation_columns(f.source)
-    k = len(basis)
-    if k == 0:
-        return FgAbGroup.trivial()
-    if not rels:
-        return FgAbGroup.free(k)
-    C = [_solve_in_lattice(basis, rel) for rel in rels]  # one column per relation
-    P = [[C[j][i] for j in range(len(C))] for i in range(k)]
-    return _presentation_group(smith_normal_form(P).diagonal(), k)
+    cols = []
+    for j, d in enumerate(f.source.gen_orders()):
+        if d:
+            cols.append(
+                [d if k == j else 0 for k in range(s)]
+                + [-(f.matrix[i][j] * d // e) for i, e in enumerate(t_orders) if e]
+            )
+    n = s + sum(1 for e in t_orders if e)
+    psi = [[col[i] for col in cols] for i in range(n)]
+    nullity = n - sum(1 for d in smith_normal_form(P).diagonal() if d)
+    return _presentation_group(smith_normal_form(psi).diagonal(), nullity)
 
 
 def mult_map_ker_coker(m: int, n: int) -> tuple[FgAbGroup, FgAbGroup]:

@@ -303,6 +303,11 @@ class TestKTheoryCommand:
         assert data["matches"] is True
         data = run_json("ktheory", "-p", "3", "-q", "5")
         assert data["K0"] == {"rank": 2, "torsion": [2]}
+        p, q = "9444732970618373275928", "18889465941236746551855"
+        data = run_json("ktheory", "-p", p, "-q", q)
+        g = 68719476767 * 137438953481
+        assert data["K0"] == data["K1"] == {"rank": 2, "torsion": [g]}
+        assert data["matches"] is True
 
     def test_lemma36(self):
         data = run_json("lemma36", "-m", "2", "-n", "4")

@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -49,6 +51,17 @@ class TestSmithNormalForm:
         assert smith_normal_form(((0, 0), (0, 0))).diagonal() == (0, 0)
         assert smith_normal_form(((6,),)).diagonal() == (6,)
         assert smith_normal_form(()).diagonal() == ()
+        # [matrix | target relations] of a map into Z^2 (+) Z/6 (+) Z/36 (+)
+        # Z/108: small entries that a remainder-and-swap elimination grows
+        # past 10^30 within three pivots
+        P = (
+            (5, -6, 9, 0, 0, 0, 0),
+            (-9, -8, -11, 0, 0, 0, 0),
+            (2, 8, 11, -30, 6, 0, 0),
+            (-11, -11, -12, 216, 0, 36, 0),
+            (10, -7, 9, 324, 0, 0, 108),
+        )
+        assert smith_normal_form(P).diagonal() == (1, 1, 1, 12, 72)
 
     def test_random_factorization(self):
         rng = random.Random(43)
@@ -74,6 +87,26 @@ class TestSmithNormalForm:
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             smith_normal_form(((1, 2), (3,)))
+
+    def test_non_integer_rejected(self):
+        for bad in (1.5, Fraction(3, 2), "6"):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                smith_normal_form(((bad, 0), (0, 2)))
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import invariant_factors
+
+        rng = random.Random(61)
+        for _ in range(300):
+            rows = rng.randint(1, 5)
+            cols = rng.randint(1, 5)
+            a = [
+                [rng.randint(-20, 20) if rng.random() < 0.7 else 0 for _ in range(cols)]
+                for _ in range(rows)
+            ]
+            want = invariant_factors(sympy.Matrix(a), domain=sympy.ZZ)
+            assert smith_normal_form(a).diagonal() == tuple(int(d) for d in want), a
 
 
 class TestFgAbGroup:
@@ -161,6 +194,15 @@ class TestKernelCokernelFree:
         f = FgAbMap(Z, Z, ((0,),))
         assert map_kernel(f) == Z
         assert map_cokernel(f) == Z
+        # from and to the trivial group
+        T = FgAbGroup.trivial()
+        g = FgAbGroup(1, (2, 6))
+        assert map_kernel(FgAbMap(g, T, ())) == g
+        assert map_cokernel(FgAbMap(g, T, ())) == T
+        h = FgAbMap(T, FgAbGroup(2, (4,)), ((), (), ()))
+        assert map_kernel(h) == T
+        assert map_cokernel(h) == FgAbGroup(2, (4,))
+        assert map_kernel(FgAbMap(T, T, ())) == T
 
     def test_multiplication_on_z(self):
         f = FgAbMap(Z, Z, ((6,),))
@@ -245,6 +287,49 @@ class TestKernelCokernelFinite:
         f2 = FgAbMap(g, g, ((0, 0), (0, 2)))
         assert map_kernel(f2) == FgAbGroup(1, (2,))
         assert map_cokernel(f2) == FgAbGroup(1, (2,))
+        # Z^2 (+) Z/2 (+) Z/10 --> Z (+) Z/2 (+) Z/6 (+) Z/30, generators
+        # x1..x4 and y1..y4.  Kernel: the y1 row forces (x1, x2) = k(6, 5);
+        # then y4 gives 16k + 9*x4 = 0 mod 30, so x4 is even, k = 0 mod 3 and
+        # x4 = k mod 5; y2 gives x4 = k mod 2, so k = 0 mod 6; y3 gives
+        # x3 = 0.  Each k in 6Z fixes (x3, x4), so the kernel is Z, spanned by
+        # (36, 30, 0, 6).  Cokernel: x1 + x2 hits y1 + y2 + 13*y4, which
+        # eliminates y1; 6*x1 + 5*x2, x3 and x4 hit (1, 3, 16), (0, 3, 0) and
+        # (1, 3, 9) in Z/2 (+) Z/6 (+) Z/30.  16 - 9 = 7 is a unit mod 30, so
+        # these span Z/2 (+) <3> (+) Z/30, leaving Z/6 / <3> = Z/3.
+        f3 = FgAbMap(
+            FgAbGroup(2, (2, 10)),
+            FgAbGroup(1, (2, 6, 30)),
+            ((-5, 6, 0, 0), (0, 1, 0, 1), (3, 3, 3, 3), (11, 2, 0, 9)),
+        )
+        assert map_kernel(f3) == Z
+        assert map_cokernel(f3) == cyc(3)
+
+    def test_rank_nullity_sweep(self):
+        # over Q, rank ker - rank coker = rank source - rank target
+        rng = random.Random(59)
+
+        def rand_group():
+            chain, d = [], 1
+            for _ in range(rng.randint(0, 2)):
+                d *= rng.choice((2, 3, 5))
+                chain.append(d)
+            return FgAbGroup(rng.randint(0, 2), tuple(chain))
+
+        def entry(d, e):
+            # a generator of order d goes to a multiple of e / gcd(d, e) in
+            # an order-e coordinate, and to 0 in a free one unless d = 0
+            if e == 0:
+                return 0 if d else rng.randint(-12, 12)
+            return e // gcd(d, e) * rng.randint(-12, 12)
+
+        for _ in range(2000):
+            src, tgt = rand_group(), rand_group()
+            rows = tuple(
+                tuple(entry(d, e) for d in src.gen_orders()) for e in tgt.gen_orders()
+            )
+            f = FgAbMap(src, tgt, rows)
+            ker, coker = map_kernel(f), map_cokernel(f)
+            assert ker.rank - coker.rank == src.rank - tgt.rank, f
 
 
 class TestMultMapKerCoker:
@@ -290,6 +375,13 @@ class TestAssembly:
         assert res.torsion_gcd == 2 and res.matches
         res = k_theory_of_group(7, 13)
         assert res.K0 == FgAbGroup(2, (6,)) and res.matches
+        # 74-bit bases: the torsion is g = gcd(p - 1, q - 1) = 68719476767 *
+        # 137438953481, which the assembly reaches without factoring
+        p, q = 9444732970618373275928, 18889465941236746551855
+        g = 68719476767 * 137438953481
+        res = k_theory_of_group(p, q)
+        assert res.K0 == FgAbGroup(2, (g,)) and res.K1 == FgAbGroup(2, (g,))
+        assert res.torsion_gcd == g and res.matches
 
     def test_assembled_equals_closed_form_sweep(self):
         for p in range(2, 31):
