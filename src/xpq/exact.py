@@ -188,8 +188,12 @@ def multiplicative_order(k: int, r: int) -> int:
 def multiplicative_dependence_witness(p: int, q: int) -> tuple[int, int] | None:
     """Minimal (r, s) with r, s > 0 and p^r = q^s, or None if independent.
 
-    p and q are dependent exactly when their prime supports agree and the
-    exponent vectors are proportional.
+    p and q are dependent exactly when both are powers of one integer c.
+    Euclid's algorithm on their exponents finds c without factoring: divide
+    the larger of the pair by the smaller until they agree, and answer
+    "independent" at the first inexact division.  Each value is carried
+    with its exponent vector over (p, q); those vectors form a unimodular
+    matrix, so their difference at the end is the minimal witness.
 
     >>> multiplicative_dependence_witness(4, 8)
     (3, 2)
@@ -198,23 +202,17 @@ def multiplicative_dependence_witness(p: int, q: int) -> tuple[int, int] | None:
     """
     if p < 2 or q < 2:
         raise OutOfRange(f"bases ({p}, {q}) out of range; expected both >= 2")
-    fp = _factorize_cached(p)
-    fq = _factorize_cached(q)
-    if fp.primes != fq.primes:
-        return None
-    e = dict(fp.pairs)
-    f = dict(fq.pairs)
-    ratio: Fraction | None = None
-    for ell in fp.primes:
-        this = Fraction(f[ell], e[ell])
-        if ratio is None:
-            ratio = this
-        elif ratio != this:
+    # x = p^ex[0] q^ex[1] and y = p^ey[0] q^ey[1] throughout
+    x, ex, y, ey = p, (1, 0), q, (0, 1)
+    while x != y:
+        if x > y:
+            x, ex, y, ey = y, ey, x, ex
+        y, rem = divmod(y, x)
+        if rem:
             return None
-    assert ratio is not None
-    r, s = ratio.numerator, ratio.denominator
-    assert p**r == q**s
-    return (r, s)
+        ey = (ey[0] - ex[0], ey[1] - ex[1])
+    r, s = ex[0] - ey[0], ey[1] - ex[1]
+    return (r, s) if r > 0 else (-r, -s)
 
 
 def is_multiplicatively_independent(p: int, q: int) -> bool:
@@ -303,12 +301,18 @@ class QmodZ:
 # ---------------------------------------------------------------------------
 
 
-def _valuation(n: int, p: int) -> int:
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+def _gcd_steps(t: int, k: int) -> tuple[int, int]:
+    """Divide t by gcd(t, k) until that gcd is 1; return (steps, what is left).
+
+    Each step lowers the valuation of t at a prime ell of k by up to
+    v_ell(k), so when nothing is left the step count is the least e with
+    t | k^e, found without factoring k.
+    """
+    steps = 0
+    while (g := gcd(t, k)) > 1:
+        t //= g
+        steps += 1
+    return steps, t
 
 
 @dataclass(frozen=True, slots=True)
@@ -318,8 +322,8 @@ class PqRational:
     Canonical form: a = 0 or p does not divide num, and b = 0 or q does
     not divide num.  When p and q share prime factors the canonical form
     is not unique, so the builders fix a deterministic choice: minimal b
-    first, then minimal a.  Construct through from_fraction / from_int;
-    the raw constructor trusts its inputs.
+    first, then minimal a.  Construct through canonical, from_fraction or
+    from_int; the raw constructor trusts its inputs.
     """
 
     num: int
@@ -331,28 +335,34 @@ class PqRational:
         return cls(n, 0, 0)
 
     @classmethod
+    def canonical(cls, num: int, den: int, p: int, q: int) -> PqRational:
+        """The canonical form of num/den, for den >= 1.
+
+        Decided by gcd steps alone, so p and q are never factored.  Raises
+        OutOfRange when den, reduced, does not divide a power of pq.
+
+        >>> PqRational.canonical(3, 8, 4, 6)
+        PqRational(num=6, a=2, b=0)
+        """
+        if num == 0:
+            return cls(0, 0, 0)
+        g = gcd(num, den)
+        num //= g
+        den //= g
+        # the part of den prime to p needs q^b, and b is minimal
+        b, rest = _gcd_steps(_gcd_steps(den, p)[1], q)
+        if rest != 1:
+            raise OutOfRange(f"{num}/{den} is not an element of Z[1/{p * q}]")
+        qb = q**b
+        g = gcd(qb, den)
+        den //= g
+        a, _ = _gcd_steps(den, p)  # what q^b leaves of den divides a power of p
+        return cls(num * (qb // g) * (p**a // den), a, b)
+
+    @classmethod
     def from_fraction(cls, value, p: int, q: int) -> PqRational:
         value = Fraction(value)
-        if value == 0:
-            return cls(0, 0, 0)
-        d = value.denominator
-        b = 0
-        for ell, fl in _factorize_cached(q).pairs:
-            if p % ell == 0:
-                continue  # p covers this prime, keep b minimal
-            v = _valuation(d, ell)
-            if v:
-                b = max(b, -(-v // fl))
-        db = (value * Fraction(q) ** b).denominator
-        a = 0
-        for ell, fl in _factorize_cached(p).pairs:
-            v = _valuation(db, ell)
-            if v:
-                a = max(a, -(-v // fl))
-        scaled = value * Fraction(p) ** a * Fraction(q) ** b
-        if scaled.denominator != 1:
-            raise OutOfRange(f"{value} is not an element of Z[1/{p * q}]")
-        return cls(int(scaled), a, b)
+        return cls.canonical(value.numerator, value.denominator, p, q)
 
     def to_fraction(self, p: int, q: int) -> Fraction:
         return Fraction(self.num, p**self.a * q**self.b)

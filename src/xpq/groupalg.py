@@ -5,6 +5,11 @@ the normal subgroup by (m, n): x -> p^m q^n x, so
 
     (x1, m1, n1) (x2, m2, n2) = (x1 + p^m1 q^n1 x2, m1 + m2, n1 + n2).
 
+Ring parts are computed in integers: both summands are written over one
+denominator p^a q^b (a negative power of p or q multiplies the numerator
+instead), the numerators are added, and PqRational.canonical brings the
+sum to canonical form by gcd steps, so neither p nor q is ever factored.
+
 For multiplicatively independent p, q every nontrivial conjugacy class
 is infinite; icc_witness produces arbitrarily many distinct conjugates
 from the two closed-form families used to see that.
@@ -37,28 +42,41 @@ class GroupElement:
         return (self.x.num, self.x.a, self.x.b, self.m, self.n)
 
 
+def _times_pq(params: SystemParams, x: PqRational, m: int, n: int) -> tuple[int, int, int]:
+    # x p^m q^n as (num, a, b) meaning num / (p^a q^b) with a, b >= 0, not
+    # yet canonical; a negative exponent multiplies num instead of dividing
+    num, a, b = x.num, x.a - m, x.b - n
+    if a < 0:
+        num *= params.p**-a
+        a = 0
+    if b < 0:
+        num *= params.q**-b
+        b = 0
+    return num, a, b
+
+
+def _canonical(params: SystemParams, num: int, a: int, b: int) -> PqRational:
+    p, q = params.p, params.q
+    return PqRational.canonical(num, p**a * q**b, p, q)
+
+
 def alpha_apply(params: SystemParams, mn: tuple[int, int], x: PqRational) -> PqRational:
     """The Z^2-action on Z[1/pq]: (m, n) sends x to p^m q^n x."""
-    m, n = mn
-    v = x.to_fraction(params.p, params.q)
-    v *= Fraction(params.p) ** m * Fraction(params.q) ** n
-    return PqRational.from_fraction(v, params.p, params.q)
+    return _canonical(params, *_times_pq(params, x, *mn))
 
 
 def group_mul(params: SystemParams, g: GroupElement, h: GroupElement) -> GroupElement:
-    xf = g.x.to_fraction(params.p, params.q)
-    xf += h.x.to_fraction(params.p, params.q) * (
-        Fraction(params.p) ** g.m * Fraction(params.q) ** g.n
-    )
-    return GroupElement(
-        PqRational.from_fraction(xf, params.p, params.q), g.m + h.m, g.n + h.n
-    )
+    p, q = params.p, params.q
+    n1, a1, b1 = g.x.num, g.x.a, g.x.b
+    n2, a2, b2 = _times_pq(params, h.x, g.m, g.n)
+    a, b = max(a1, a2), max(b1, b2)
+    num = n1 * p ** (a - a1) * q ** (b - b1) + n2 * p ** (a - a2) * q ** (b - b2)
+    return GroupElement(_canonical(params, num, a, b), g.m + h.m, g.n + h.n)
 
 
 def group_inv(params: SystemParams, g: GroupElement) -> GroupElement:
-    xf = -g.x.to_fraction(params.p, params.q)
-    xf *= Fraction(params.p) ** -g.m * Fraction(params.q) ** -g.n
-    return GroupElement(PqRational.from_fraction(xf, params.p, params.q), -g.m, -g.n)
+    num, a, b = _times_pq(params, g.x, -g.m, -g.n)
+    return GroupElement(_canonical(params, -num, a, b), -g.m, -g.n)
 
 
 def conjugated(params: SystemParams, h: GroupElement, g: GroupElement) -> GroupElement:
@@ -83,18 +101,17 @@ def icc_witness(params: SystemParams, g: GroupElement, count: int) -> list[Group
         for k in range(1, count + 1):
             out.append(GroupElement(alpha_apply(params, (k, 0), g.x), g.m, g.n))
         return out
-    factor = 1 - Fraction(params.p) ** g.m * Fraction(params.q) ** g.n
-    if factor == 0:
+    # p^m q^n = num / den, so the factor 1 - p^m q^n is (den - num) / den
+    num, a, b = _times_pq(params, PqRational.from_int(1), g.m, g.n)
+    den = params.p**a * params.q**b
+    if num == den:
         raise DependentParams(
             f"p^{g.m} q^{g.n} = 1: the conjugates by (k, 0, 0) collapse; "
             "this cannot happen for multiplicatively independent p, q"
         )
     for k in range(1, count + 1):
-        out.append(
-            GroupElement(
-                PqRational.from_fraction(factor * k, params.p, params.q), g.m, g.n
-            )
-        )
+        x = PqRational.canonical((den - num) * k, den, params.p, params.q)
+        out.append(GroupElement(x, g.m, g.n))
     return out
 
 

@@ -139,7 +139,6 @@ def _orbit_mean(orbit: OrbitData, w: int):
     return Cyclotomic(r, counts, orbit.size)
 
 
-@lru_cache(maxsize=None)
 def _twisted_mean(orbit: OrbitData, texp: QmodZ, w: int):
     mean = _orbit_mean(orbit, w)
     if texp.is_zero():

@@ -181,6 +181,57 @@ def subgroup_generated(vectors, orders) -> set:
 
 
 # ---------------------------------------------------------------------------
+# Z[1/pq] by valuations at the primes of p and q
+# ---------------------------------------------------------------------------
+
+
+def _factor_pairs(n: int) -> list[tuple[int, int]]:
+    out = []
+    for f in _prime_factors(n):
+        e = 0
+        while n % f == 0:
+            n //= f
+            e += 1
+        out.append((f, e))
+    return out
+
+
+def _valuation(n: int, ell: int) -> int:
+    v = 0
+    while n % ell == 0:
+        n //= ell
+        v += 1
+    return v
+
+
+def reference_pq_rational(value, p: int, q: int) -> tuple[int, int, int] | None:
+    """(num, a, b) with value = num / (p^a q^b), minimal b first and then
+    minimal a, read off the valuations at the primes of p and of q; None
+    when value is not in Z[1/pq]."""
+    value = Fraction(value)
+    if value == 0:
+        return (0, 0, 0)
+    d = value.denominator
+    b = 0
+    for ell, fl in _factor_pairs(q):
+        if p % ell == 0:
+            continue  # p covers this prime, keep b minimal
+        v = _valuation(d, ell)
+        if v:
+            b = max(b, -(-v // fl))
+    db = (value * Fraction(q) ** b).denominator
+    a = 0
+    for ell, fl in _factor_pairs(p):
+        v = _valuation(db, ell)
+        if v:
+            a = max(a, -(-v // fl))
+    scaled = value * Fraction(p) ** a * Fraction(q) ** b
+    if scaled.denominator != 1:
+        return None
+    return (int(scaled), a, b)
+
+
+# ---------------------------------------------------------------------------
 # random builders
 # ---------------------------------------------------------------------------
 

@@ -308,6 +308,11 @@ class TestKTheoryCommand:
         g = 68719476767 * 137438953481
         assert data["K0"] == data["K1"] == {"rank": 2, "torsion": [g]}
         assert data["matches"] is True
+        # trial division leaves a cofactor of p past 2^64; K_* needs only
+        # gcd(p - 1, q - 1) = gcd(3^200 + 1, 4) = 2
+        data = run_json("ktheory", "-p", str(3**200 + 2), "-q", "5")
+        assert data["K0"] == data["K1"] == {"rank": 2, "torsion": [2]}
+        assert data["matches"] is True
 
     def test_lemma36(self):
         data = run_json("lemma36", "-m", "2", "-n", "4")
@@ -367,6 +372,10 @@ class TestMiscCommands:
         assert data == {"independent": False, "witness": {"r": 3, "s": 2}}
         data = run_json("mult-indep", "-p", "2", "-q", "3")
         assert data == {"independent": True, "witness": None}
+        data = run_json("mult-indep", "-p", str(3**200 + 2), "-q", "5")
+        assert data == {"independent": True, "witness": None}
+        data = run_json("mult-indep", "-p", str(6**35), "-q", str(6**21))
+        assert data == {"independent": False, "witness": {"r": 3, "s": 5}}
 
     def test_mult_indep_no_warning(self):
         proc = run("mult-indep", "-p", "4", "-q", "8")
@@ -449,6 +458,21 @@ GOLDEN_LATTICE_ELEMENT = (
     '{"terms":[{"g":{"x":{"num":"1","a":0,"b":0},"m":2,"n":2},"c":"3/5"},'
     '{"g":{"x":{"num":"-5","a":1,"b":0},"m":0,"n":12},"c":"-2"},'
     '{"g":{"x":{"num":"0","a":0,"b":0},"m":2,"n":14},"c":"1"}]}'
+)
+# shared-prime pairs, where the canonical form of Z[1/pq] picks minimal b
+# first, then minimal a; the r = 7 orbit of (4, 6) and an element whose
+# terms are canonical there
+GOLDEN_ORBIT7_46 = (
+    '{"p":4,"q":6,"r":7,"orbit":["1/7","2/7","3/7","4/7","5/7","6/7"],'
+    '"stabilizer":{"basis":[[3,0],[0,2]],"index":6}}'
+)
+GOLDEN_SPEC7_46 = '{"kind":"finite_orbit","orbit":' + GOLDEN_ORBIT7_46 + ',"chi":{"t1":"1/3","t2":"1/2"}}'
+GOLDEN_MEASURE7_46 = '{"kind":"orbit_measure","orbit":' + GOLDEN_ORBIT7_46 + '}'
+GOLDEN_ELEMENT_46 = (
+    '{"terms":[{"g":{"x":{"num":"5","a":2,"b":1},"m":3,"n":0},"c":"2/3"},'
+    '{"g":{"x":{"num":"-7","a":0,"b":2},"m":0,"n":2},"c":"-1"},'
+    '{"g":{"x":{"num":"6","a":2,"b":0},"m":3,"n":4},"c":"5"},'
+    '{"g":{"x":{"num":"11","a":0,"b":1},"m":1,"n":0},"c":"1"}]}'
 )
 GOLDEN = [
     (
@@ -609,6 +633,32 @@ GOLDEN = [
     (
         ["trace-eval", "-p", "2", "-q", "3", "--trace", GOLDEN_SPEC35, "--element", GOLDEN_LATTICE_ELEMENT],
         "d11bbcfb3a8640969bcf86913a850527e3269027a601746578fe129d5c382b43",
+    ),
+    # the six below were recorded before Z[1/pq] arithmetic moved from
+    # Fraction and factoring to integer gcd steps
+    (
+        ["icc-witness", "-p", "6", "-q", "10", "--element", '{"x":{"num":"7","a":1,"b":1},"m":1,"n":-1}', "--count", "6"],
+        "4a4521817e982ab8aa987b160bbbadc2ba80abd39a7d8f722007df7deea85090",
+    ),
+    (
+        ["icc-witness", "-p", "6", "-q", "10", "--element", '{"x":{"num":"0","a":0,"b":0},"m":1,"n":-1}', "--count", "5"],
+        "81eefa0f1065cd853dc10f66af07147e370335796d04cb30c66190748aa7e8cb",
+    ),
+    (
+        ["trace-eval", "-p", "4", "-q", "6", "--trace", GOLDEN_SPEC7_46, "--element", GOLDEN_ELEMENT_46],
+        "890f4807b710238fb4dd1a346a65eaf38e4670211a8e7784a56952ac6c00e19b",
+    ),
+    (
+        ["trace-eval", "-p", "4", "-q", "6", "--trace", GOLDEN_MEASURE7_46, "--element", GOLDEN_ELEMENT_46, "--format", "pretty"],
+        "4b2a168d6313f274a534cccf69b2209f6184c5895d8dada9bef92b92e9cc54a3",
+    ),
+    (
+        ["check", "groupalg", "-p", "6", "-q", "10", "--trials", "4", "--seed", "7"],
+        "c5d3ced10f68fbbb8bdda559a3e786be98c6833bb2e2d00579afbf7b3e553cb3",
+    ),
+    (
+        ["check", "exact", "-p", "4", "-q", "6", "--trials", "6", "--seed", "3", "--max-den", "12"],
+        "c55177dc9c0e7c1d2638b4fa94486aaebeea52a6b35be52421cd3169ec719885",
     ),
 ]
 

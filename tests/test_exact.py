@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_order
+from helpers import naive_order, reference_pq_rational
 from xpq import (
     Cyclotomic,
     FactorizationTooHard,
@@ -80,12 +80,20 @@ class TestPqRational:
         assert (z.num, z.a, z.b) == (-3, 0, 0)
         zero = PqRational.from_fraction(0, 2, 3)
         assert zero.is_zero() and (zero.a, zero.b) == (0, 0)
+        # a base whose cofactor after trial division passes 2^64
+        big = 3**200 + 2
+        x = PqRational.canonical(10, big * big * 25, big, 5)
+        assert (x.num, x.a, x.b) == (2, 2, 1)
 
     def test_not_representable(self):
         with pytest.raises(OutOfRange):
             PqRational.from_fraction(Fraction(1, 5), 2, 3)
         with pytest.raises(OutOfRange):
             PqRational.from_fraction(Fraction(1, 3), 2, 5)
+        for num, den, p, q in ((3, 14, 4, 6), (1, 9, 4, 8), (7, 98, 12, 18)):
+            assert reference_pq_rational(Fraction(num, den), p, q) is None
+            with pytest.raises(OutOfRange, match="is not an element of Z"):
+                PqRational.canonical(num, den, p, q)
 
     def test_shared_base_factor(self):
         # p = 4 and q = 8 overlap in the prime 2; q-powers are only spent
@@ -114,6 +122,16 @@ class TestPqRational:
                 if x.num and (x.a or x.b):
                     re_reduced = PqRational.from_fraction(x.to_fraction(p, q), p, q)
                     assert (re_reduced.num, re_reduced.a, re_reduced.b) == (x.num, x.a, x.b)
+
+    @pytest.mark.parametrize("p, q", [(2, 3), (3, 5), (6, 10), (4, 6), (12, 18), (10, 15), (2, 4)])
+    def test_canonical_against_valuations(self, p, q):
+        rng = random.Random(f"canonical:{p}:{q}")
+        for _ in range(400):
+            num = rng.randint(-500, 500)
+            den = p ** rng.randint(0, 4) * q ** rng.randint(0, 4)
+            x = PqRational.canonical(num, den, p, q)
+            assert (x.num, x.a, x.b) == reference_pq_rational(Fraction(num, den), p, q), (num, den)
+            assert PqRational.from_fraction(Fraction(num, den), p, q) == x
 
 
 class TestFactorization:
@@ -219,6 +237,11 @@ class TestDependence:
         assert multiplicative_dependence_witness(27, 9) == (2, 3)
         assert multiplicative_dependence_witness(2, 3) is None
         assert multiplicative_dependence_witness(12, 18) is None
+        assert multiplicative_dependence_witness(6**35, 6**21) == (3, 5)
+        assert multiplicative_dependence_witness(10**50, 10**75) == (3, 2)
+        # trial division leaves a cofactor past 2^64 here
+        assert multiplicative_dependence_witness(3**200 + 2, 5) is None
+        assert multiplicative_dependence_witness((3**200 + 2) ** 2, (3**200 + 2) ** 3) == (3, 2)
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_algebra_element, random_group_element
+from helpers import random_algebra_element, random_group_element, reference_pq_rational
 from xpq import (
     DependentParams,
     GroupAlgebraElement,
@@ -69,6 +69,32 @@ class TestGroupLaw:
             assert y.to_fraction(2, 3) == x.to_fraction(2, 3) * Fraction(
                 2
             ) ** m * Fraction(3) ** n
+
+    @pytest.mark.parametrize("p, q", [(2, 3), (3, 5), (6, 10), (4, 6), (12, 18), (10, 15), (2, 4)])
+    def test_against_fraction_formula(self, p, q):
+        params = SystemParams(p, q)
+        rng = random.Random(f"group:{p}:{q}")
+
+        def value(x):
+            return Fraction(x.num, p**x.a * q**x.b)
+
+        def scale(m, n):
+            return Fraction(p) ** m * Fraction(q) ** n
+
+        e = GroupElement.identity()
+        for _ in range(300):
+            g = random_group_element(rng, params)
+            h = random_group_element(rng, params)
+            gh = group_mul(params, g, h)
+            want = reference_pq_rational(value(g.x) + scale(g.m, g.n) * value(h.x), p, q)
+            assert ((gh.x.num, gh.x.a, gh.x.b), gh.m, gh.n) == (want, g.m + h.m, g.n + h.n)
+            inv = group_inv(params, g)
+            want = reference_pq_rational(-value(g.x) * scale(-g.m, -g.n), p, q)
+            assert ((inv.x.num, inv.x.a, inv.x.b), inv.m, inv.n) == (want, -g.m, -g.n)
+            assert group_mul(params, g, inv) == e
+            assert group_mul(params, inv, g) == e
+            y = alpha_apply(params, (h.m, h.n), g.x)
+            assert (y.num, y.a, y.b) == reference_pq_rational(value(g.x) * scale(h.m, h.n), p, q)
 
     def test_conjugation_closed_forms(self):
         # conjugating a translation by a scaling multiplies the offset
