@@ -61,8 +61,38 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _dumps(value, indent: str = "") -> str:
+    """value as json.dumps(value, sort_keys=True, indent=2) writes it, each
+    line after the first shifted right by indent; dict keys must be str.
+
+    json's C encoder runs only without indent, so this lays out the dicts
+    and lists and hands every key and scalar, and each list of scalars as
+    a whole, to json.dumps.
+    """
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [f"{json.dumps(k)}: {_dumps(v, inner)}" for k, v in sorted(value.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if set(map(type, value)) <= _SCALARS:
+            body = json.dumps(value, separators=(",\n" + inner, ": "))[1:-1]
+        else:
+            body = (",\n" + inner).join([_dumps(v, inner) for v in value])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    return json.dumps(value)
+
+
 def _emit_json(payload):
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    """Write payload as json.dumps(payload, sort_keys=True, indent=2) would,
+    through _dumps, and a newline."""
+    sys.stdout.write(_dumps(payload) + "\n")
 
 
 def _load_json(text: str):
@@ -143,15 +173,16 @@ def _cmd_orbits(args) -> int:
             print(f"  r={orbit.denominator}  size={orbit.size}  {{{pts}}}")
         print(f"total: {len(orbits)}")
     else:
-        _emit_json(
-            {
-                "p": params.p,
-                "q": params.q,
-                "max_denominator": bound,
-                "count": len(orbits),
-                "orbits": [orbit_to_json(o) for o in orbits],
-            }
-        )
+        # the document _emit_json would write for {"count", "max_denominator",
+        # "orbits", "p", "q"}, one orbit at a time; the r = 1 orbit is always
+        # there, so the list is never empty
+        out = sys.stdout
+        out.write(f'{{\n  "count": {len(orbits)},\n  "max_denominator": {bound},\n  "orbits": [')
+        sep = "\n    "
+        for orbit in orbits:
+            out.write(sep + _dumps(orbit_to_json(orbit), "    "))
+            sep = ",\n    "
+        out.write(f'\n  ],\n  "p": {params.p},\n  "q": {params.q}\n}}\n')
     return 0
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import IdentityElement, NotCoprime, OutOfRange
-from .exact import QmodZ, is_multiplicatively_independent, multiplicative_order
+from .exact import QmodZ, euler_phi, is_multiplicatively_independent, multiplicative_order
 
 # Largest |exponent| of p or q accepted from a caller.  Powers are exact
 # integers, so p**e costs time and memory that grow with e: at e = 10**5
@@ -37,6 +37,16 @@ MAX_FIXED_LISTING = 100_000
 # Most candidate denominators fixed_points scans under a denominator bound:
 # the scan runs over d <= min(max_denominator, count), one division each.
 MAX_DENOMINATOR_SCAN = 10**6
+
+# Largest denominator bound enumerate_minimal_sets accepts.  The census up
+# to N holds sum phi(r) over r <= N coprime to pq, of order N^2 points: at
+# N = 5000, 3.8 million at (2, 3) and 5.5 million at (5, 7), which `xpq
+# orbits` writes as 79 and 116 MB of JSON.
+MAX_ORBIT_DENOMINATOR = 5_000
+
+# Longest backward orbit lift_sequence builds: one point per step, about
+# 11 bytes of JSON each.
+MAX_LIFT_DEPTH = 10**6
 
 
 def check_exponent(name: str, value: int) -> None:
@@ -168,6 +178,15 @@ def beta_apply(params: SystemParams, g: tuple[int, int], x: SolenoidPoint) -> So
     return SolenoidPoint(x.coord.mul_int(w))
 
 
+def _powers(g: int, n: int, r: int) -> list[int]:
+    """[g^0, ..., g^(n-1)] mod r, doubling the list at each step."""
+    out = [1 % r]
+    while len(out) < n:
+        step = pow(g, len(out), r)
+        out += [step * x % r for x in out[: n - len(out)]]
+    return out
+
+
 def stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
     """The lattice L_r = {(m, n) : p^m q^n = 1 mod r} in Hermite form.
 
@@ -185,11 +204,7 @@ def stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
         return StabilizerLattice(((1, 0), (0, 1)), 1)
     p, q = params.p, params.q
     dq = multiplicative_order(q, r)
-    qpow_index = {}
-    v = 1
-    for j in range(dq):
-        qpow_index[v] = j
-        v = v * q % r
+    qpow_index = {v: j for j, v in enumerate(_powers(q, dq, r))}
     m, pm = 1, p % r
     while pm not in qpow_index:
         m += 1
@@ -200,45 +215,53 @@ def stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
     return StabilizerLattice(((m, b), (0, dq)), m * dq)
 
 
-def _orbit_numerators(params: SystemParams, a0: int, r: int) -> tuple[int, ...]:
-    """The sorted numerators of the orbit of a0/r.
+def _subgroup(params: SystemParams, r: int, stab: StabilizerLattice) -> list[int]:
+    """The subgroup <p, q> of (Z/rZ)^*, one element p^i q^j per point
+    (i, j) of [0, a) x [0, c), where ((a, b), (0, c)) is the Hermite basis
+    of its stabilizer lattice.
 
-    <p, q> is a subgroup of the finite unit group mod r, so closing under
-    multiplication by p and q alone already yields the full group orbit.
+    These a*c elements are distinct (p^i q^j = p^i' q^j' with |i - i'| < a
+    puts p^(i - i') in <q>, so i = i', and then j = j' below c = ord_r(q)),
+    and there are index(L_r) = |<p, q>| of them.
     """
-    p, q = params.p, params.q
-    seen = {a0}
-    frontier = [a0]
-    while frontier:
-        a = frontier.pop()
-        for step in (a * p % r, a * q % r):
-            if step not in seen:
-                seen.add(step)
-                frontier.append(step)
-    return tuple(sorted(seen))
+    (a, _), (_, c) = stab.basis
+    q_powers = _powers(params.q, c, r)
+    return [u * x % r for u in _powers(params.p, a, r) for x in q_powers]
 
 
 def orbit_of(params: SystemParams, x: SolenoidPoint) -> OrbitData:
-    """The finite orbit of a rational point under multiplication by p and q."""
+    """The finite orbit of a rational point under multiplication by p and q.
+
+    The orbit of a/r is the coset a<p, q> of the subgroup built from the
+    stabilizer basis; numerators are sorted.
+    """
     r = x.coord.den
     params.require_coprime(r)
-    nums = _orbit_numerators(params, x.coord.num, r)
     stab = stabilizer_lattice(params, r)
-    assert len(nums) == stab.index
+    a0 = x.coord.num
+    nums = tuple(sorted([a0 * h % r for h in _subgroup(params, r, stab)]))
     return OrbitData(params, r, nums, stab)
 
 
 def _orbits_mod(params: SystemParams, r: int) -> list[OrbitData]:
+    """Every orbit with denominator r, ordered by least numerator.
+
+    <p, q> mod r is built once from the stabilizer basis; each orbit is
+    then the coset a0<p, q> of the least unit a0 not yet covered.
+    """
     stab = stabilizer_lattice(params, r)
+    subgroup = _subgroup(params, r, stab)
+    n_orbits = euler_phi(r) // stab.index
     out = []
-    visited = bytearray(r)
+    seen: set[int] = set()
     for a0 in range(r):
-        if visited[a0] or gcd(a0, r) != 1:
+        if a0 in seen or gcd(a0, r) != 1:
             continue
-        nums = _orbit_numerators(params, a0, r)
-        for a in nums:
-            visited[a] = 1
+        nums = tuple(sorted([a0 * h % r for h in subgroup]))
         out.append(OrbitData(params, r, nums, stab))
+        if len(out) == n_orbits:
+            break
+        seen.update(nums)
     return out
 
 
@@ -248,9 +271,13 @@ def enumerate_minimal_sets(params: SystemParams, max_denominator: int) -> list[O
     These are exactly the <p, q>-orbits on lowest-terms numerators mod r
     for each r coprime to pq, plus the fixed point {0} (the r = 1 entry).
     Ordered by (r, least numerator); numerators within an orbit are sorted.
+    A bound above MAX_ORBIT_DENOMINATOR is refused before any orbit is built.
     """
-    if max_denominator < 1:
-        raise OutOfRange(f"bound {max_denominator} out of range; expected >= 1")
+    if not 1 <= max_denominator <= MAX_ORBIT_DENOMINATOR:
+        raise OutOfRange(
+            f"max_denominator = {max_denominator} out of range; "
+            f"expected 1 <= max_denominator <= {MAX_ORBIT_DENOMINATOR}"
+        )
     return [
         orbit
         for r in range(1, max_denominator + 1)
@@ -337,8 +364,8 @@ def lift_sequence(params: SystemParams, x: SolenoidPoint, depth: int) -> tuple[S
     On denominators coprime to pq the division is the multiplication by
     the inverse of pq mod r, so the lift is unique and stays rational.
     """
-    if depth < 0:
-        raise OutOfRange(f"depth {depth} out of range; expected >= 0")
+    if not 0 <= depth <= MAX_LIFT_DEPTH:
+        raise OutOfRange(f"depth = {depth} out of range; expected 0 <= depth <= {MAX_LIFT_DEPTH}")
     r = x.coord.den
     params.require_coprime(r)
     w = pow(params.pq, -1, r)

@@ -194,7 +194,9 @@ class GroupAlgebraElement:
                     acc[g] = s
                 else:
                     acc.pop(g, None)
-        return self.from_terms(self.params, acc.items())
+        # acc holds nonzero Fraction sums already; only the order is left
+        ordered = tuple(sorted(acc.items(), key=lambda t: t[0].sort_key()))
+        return GroupAlgebraElement(self.params, ordered)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -130,7 +130,7 @@ def orbit_to_json(orbit: OrbitData) -> dict:
         "p": orbit.params.p,
         "q": orbit.params.q,
         "r": orbit.denominator,
-        "orbit": [f"{num}/{orbit.denominator}" for num in orbit.numerators],
+        "orbit": list(map(f"{{}}/{orbit.denominator}".format, orbit.numerators)),
         "stabilizer": {"basis": [[a, b], [z, c]], "index": orbit.stabilizer.index},
     }
 

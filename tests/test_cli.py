@@ -1,11 +1,15 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import xpq.cli as cli
 from xpq import (
@@ -84,6 +88,16 @@ class TestExitCodes:
         assert proc.returncode == 2 and proc.stdout == ""
         assert "max_denominator" in proc.stderr and "1000000" in proc.stderr
         assert "Traceback" not in proc.stderr
+        # census and lift sizes beyond their limits are refused before work
+        for argv, field, limit in (
+            (["orbits", "-p", "2", "-q", "3", "--max-den", "20000"], "max_denominator", "5000"),
+            (["check", "dynamics", "--max-den", "20000"], "max_denominator", "5000"),
+            (["lift", "-p", "2", "-q", "3", "--point", "1/5", "--depth", "100000000"], "depth", "1000000"),
+        ):
+            proc = run(*argv)
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert field in proc.stderr and limit in proc.stderr
+            assert "Traceback" not in proc.stderr
         # a count of 25850 bits has too many digits to print
         for fmt in ("json", "pretty"):
             proc = run("fix", "-p", "2", "-q", "3", "-m", "10000", "-n", "10000",
@@ -91,6 +105,13 @@ class TestExitCodes:
             assert proc.returncode == 2 and proc.stdout == ""
             assert "4300" in proc.stderr and "about 2^" in proc.stderr
             assert "Traceback" not in proc.stderr
+
+    def test_orbit_bound_refused_before_work(self, capsys):
+        t = time.perf_counter()
+        assert cli.main(["orbits", "-p", "2", "-q", "3", "--max-den", "20000"]) == 2
+        assert time.perf_counter() - t < 0.5
+        out, err = capsys.readouterr()
+        assert out == "" and "max_denominator = 20000" in err
 
     def test_missing_bound_is_usage_error(self):
         proc = run("orbits", "-p", "2", "-q", "3")
@@ -123,6 +144,37 @@ class TestStdlibOnly:
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert proc.returncode == 0, proc.stderr
+
+
+# JSON values as _dumps meets them: str keys, and scalars that exercise the
+# encoder's escaping and float spelling
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(10**80), max_value=10**80),
+    st.floats(),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e300, 5e-324]),
+    st.text(),
+    st.sampled_from(['"', "\\", "\n", 'a"b\\c\nd', "\u00e9\u2028\U0001f600", "\x00\x7f"]),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=5), inner, max_size=5),
+    max_leaves=30,
+)
+
+
+class TestRenderer:
+    @given(_json_values)
+    @example({"b": [], "a": {}, "c": [1, "x", None, True, -0.0], "d": [[1], {"k": [2.5]}]})
+    @example([[], {}, [[]], [{}]])
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, value):
+        expected = json.dumps(value, sort_keys=True, indent=2)
+        assert cli._dumps(value) == expected
+        # raw newlines in the output are all layout, since strings escape theirs
+        assert cli._dumps(value, "    ") == expected.replace("\n", "\n    ")
 
 
 class TestDeterminism:
@@ -659,6 +711,20 @@ GOLDEN = [
     (
         ["check", "exact", "-p", "4", "-q", "6", "--trials", "6", "--seed", "3", "--max-den", "12"],
         "c55177dc9c0e7c1d2638b4fa94486aaebeea52a6b35be52421cd3169ec719885",
+    ),
+    # the three below were recorded before orbits were built as cosets of
+    # <p, q> and the JSON census was written orbit by orbit
+    (
+        ["orbits", "-p", "6", "-q", "10", "--max-den", "400"],
+        "c03055cc434c5d2dc9c1b4a730b93b1a9111e6a797d51ca14ad22920da7ec80b",
+    ),
+    (
+        ["orbits", "-p", "3", "-q", "4", "--max-den", "300", "--format", "pretty"],
+        "666e9d0424940d95312da77596617dd204c15fb6a2d9ddc7540bf2506cc046e1",
+    ),
+    (
+        ["orbits", "-p", "5", "-q", "7", "--max-den", "600", "--format", "csv"],
+        "acba2651af130b78ee0fd4df442e747e275d7df4517b9e312befa962f63ff81e",
     ),
 ]
 

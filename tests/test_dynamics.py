@@ -21,7 +21,13 @@ from xpq import (
     orbit_of,
     stabilizer_lattice,
 )
-from xpq.dynamics import MAX_DENOMINATOR_SCAN, MAX_EXPONENT, MAX_FIXED_LISTING
+from xpq.dynamics import (
+    MAX_DENOMINATOR_SCAN,
+    MAX_EXPONENT,
+    MAX_FIXED_LISTING,
+    MAX_LIFT_DEPTH,
+    MAX_ORBIT_DENOMINATOR,
+)
 
 
 class TestSystemParams:
@@ -181,6 +187,27 @@ class TestOrbits:
                     seen |= nums
                 assert seen == units
 
+    def test_enumerate_matches_naive_partition(self):
+        # the cosets of <p, q> split the units mod r as the BFS closure does;
+        # (2, 4) is dependent and (4, 6), (6, 10) share a prime
+        for p, q in ((2, 3), (6, 10), (4, 6), (2, 4)):
+            by_r: dict[int, set] = {}
+            for o in enumerate_minimal_sets(SystemParams(p, q), 199):
+                assert list(o.numerators) == sorted(set(o.numerators))
+                by_r.setdefault(o.denominator, set()).add(frozenset(o.numerators))
+            for r in range(1, 200):
+                if gcd(r, p * q) != 1:
+                    assert r not in by_r
+                    continue
+                units = [a for a in range(r) if gcd(a, r) == 1]
+                assert by_r[r] == {naive_orbit(p, q, r, a) for a in units}
+
+    def test_enumerate_bound(self):
+        params = SystemParams(2, 3)
+        for bad in (0, MAX_ORBIT_DENOMINATOR + 1, 10**30):
+            with pytest.raises(OutOfRange, match=f"max_denominator = {bad} .*{MAX_ORBIT_DENOMINATOR}"):
+                enumerate_minimal_sets(params, bad)
+
     def test_minimality(self):
         # from any point, the two maps reach the whole orbit
         params = SystemParams(2, 3)
@@ -302,6 +329,8 @@ class TestLift:
         assert lift_sequence(params, x, 0) == (x,)
         with pytest.raises(OutOfRange):
             lift_sequence(params, x, -1)
+        with pytest.raises(OutOfRange, match=f"depth = {MAX_LIFT_DEPTH + 1} .*{MAX_LIFT_DEPTH}"):
+            lift_sequence(params, x, MAX_LIFT_DEPTH + 1)
 
     def test_rejects_bad_denominator(self):
         with pytest.raises(NotCoprime):

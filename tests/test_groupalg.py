@@ -185,6 +185,33 @@ class TestAlgebra:
             assert a - a == GroupAlgebraElement.zero(P23)
             assert a.scaled(Fraction(2, 3)).scaled(Fraction(3, 2)) == a
 
+    def test_product_against_naive_terms(self):
+        # supports from three translations, which commute, and one scaling,
+        # with coefficients +-1, so some products cancel to zero
+        rng = random.Random(41)
+        pool = [elem(k, 0, 0, 0, 0) for k in (-1, 0, 1)] + [elem(0, 0, 0, 1, 0)]
+        cancelled = 0
+        for _ in range(300):
+            a, b = (
+                GroupAlgebraElement.from_terms(
+                    P23, [(rng.choice(pool), rng.choice((-1, 1))) for _ in range(rng.randint(0, 4))]
+                )
+                for _ in range(2)
+            )
+            naive = [(group_mul(P23, g, h), c * d) for g, c in a.terms for h, d in b.terms]
+            prod = a * b
+            assert prod == GroupAlgebraElement.from_terms(P23, naive)
+            keys = [g.sort_key() for g, _ in prod.terms]
+            assert keys == sorted(keys) and len(set(keys)) == len(keys)
+            assert all(isinstance(c, Fraction) and c != 0 for _, c in prod.terms)
+            cancelled += len({g for g, _ in naive}) > prod.support_size()
+        assert cancelled > 0
+        # (1 + u_g)(1 - u_g) = 1 - u_g^2: the u_g terms cancel
+        g = elem(1, 1, 0, 0, -1)
+        one = GroupAlgebraElement.unit(P23, GroupElement.identity())
+        ug = GroupAlgebraElement.unit(P23, g)
+        assert (one + ug) * (one - ug) == one - GroupAlgebraElement.unit(P23, group_mul(P23, g, g))
+
     def test_unit_multiplication_is_group_law(self):
         rng = random.Random(31)
         for _ in range(200):
