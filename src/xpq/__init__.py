@@ -6,241 +6,79 @@ calculus, and crossed-product K-theory.
 
 Everything is integer or cyclotomic arithmetic; floating point appears
 only in .approx() views.
+
+The names below are resolved on first use: ``import xpq`` loads no
+submodule, and ``xpq.trace_eval`` imports ``xpq.traces`` when it is first
+read.
 """
 
-from .dynamics import (
-    FixedPoints,
-    OrbitData,
-    SolenoidPoint,
-    StabilizerLattice,
-    SystemParams,
-    beta_apply,
-    enumerate_minimal_sets,
-    fixed_points,
-    is_invariant_set,
-    lift_sequence,
-    orbit_of,
-    stabilizer_lattice,
-)
-from .errors import (
-    DependentParams,
-    FactorizationTooHard,
-    IdentityElement,
-    IncompatibleMap,
-    NonInvertible,
-    NotCoprime,
-    OutOfRange,
-    ParamsMismatch,
-    RangeTooSmall,
-    XpqError,
-)
-from .exact import (
-    Cyclotomic,
-    Factorization,
-    PqRational,
-    QmodZ,
-    carmichael,
-    cyclotomic_polynomial,
-    divisors,
-    euler_phi,
-    factorize,
-    is_multiplicatively_independent,
-    multiplicative_dependence_witness,
-    multiplicative_order,
-    root_of_unity,
-)
-from .groupalg import (
-    GroupAlgebraElement,
-    GroupElement,
-    alpha_apply,
-    conjugated,
-    group_inv,
-    group_mul,
-    icc_witness,
-)
-from .ktheory import (
-    FgAbGroup,
-    FgAbMap,
-    KTheoryResult,
-    SNFResult,
-    k_theory_of_group,
-    map_cokernel,
-    map_kernel,
-    mult_map_ker_coker,
-    pv_assemble,
-    smith_normal_form,
-)
-from .primspace import (
-    ALL,
-    EMPTY,
-    ESCAPING,
-    FULL,
-    INFINITY,
-    AllClosedSet,
-    ConstantOrbitTail,
-    EscapingTail,
-    FinitePoints,
-    FiniteUnion,
-    FullTorus,
-    InfinityPoint,
-    OrbitCharPoint,
-    SequenceDesc,
-    closed_intersection,
-    closed_union,
-    closure,
-    contains_point,
-    limit_set,
-    specializes,
-)
-from .checks import CheckResult, run_checks
-from .serialize import (
-    algebra_element_from_json,
-    algebra_element_to_json,
-    closed_set_from_json,
-    closed_set_to_json,
-    cyclotomic_to_json,
-    evaluation_to_json,
-    fg_ab_group_from_json,
-    fg_ab_group_to_json,
-    group_element_from_json,
-    group_element_to_json,
-    ktheory_result_to_json,
-    moments_to_json,
-    orbit_from_json,
-    orbit_to_json,
-    pq_rational_from_json,
-    pq_rational_to_json,
-    prim_point_from_json,
-    prim_point_to_json,
-    sequence_desc_from_json,
-    sequence_desc_to_json,
-    trace_spec_from_json,
-    trace_spec_to_json,
-)
-from .traces import (
-    CanonicalTrace,
-    Character,
-    FiniteOrbitTrace,
-    MomentSequence,
-    OrbitMeasureTrace,
-    TraceSpec,
-    average_over_character_level,
-    check_pq_invariance,
-    moments,
-    nonfaithful_witness,
-    pairing,
-    trace_eval,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL",
-    "AllClosedSet",
-    "CanonicalTrace",
-    "Character",
-    "CheckResult",
-    "ConstantOrbitTail",
-    "Cyclotomic",
-    "DependentParams",
-    "EMPTY",
-    "ESCAPING",
-    "EscapingTail",
-    "FULL",
-    "Factorization",
-    "FactorizationTooHard",
-    "FgAbGroup",
-    "FgAbMap",
-    "FiniteOrbitTrace",
-    "FinitePoints",
-    "FiniteUnion",
-    "FixedPoints",
-    "FullTorus",
-    "GroupAlgebraElement",
-    "GroupElement",
-    "INFINITY",
-    "IdentityElement",
-    "IncompatibleMap",
-    "InfinityPoint",
-    "KTheoryResult",
-    "MomentSequence",
-    "NonInvertible",
-    "NotCoprime",
-    "OrbitCharPoint",
-    "OrbitData",
-    "OrbitMeasureTrace",
-    "OutOfRange",
-    "ParamsMismatch",
-    "PqRational",
-    "QmodZ",
-    "RangeTooSmall",
-    "SNFResult",
-    "SequenceDesc",
-    "SolenoidPoint",
-    "StabilizerLattice",
-    "SystemParams",
-    "TraceSpec",
-    "XpqError",
-    "algebra_element_from_json",
-    "algebra_element_to_json",
-    "alpha_apply",
-    "average_over_character_level",
-    "beta_apply",
-    "carmichael",
-    "check_pq_invariance",
-    "closed_intersection",
-    "closed_set_from_json",
-    "closed_set_to_json",
-    "closed_union",
-    "closure",
-    "conjugated",
-    "contains_point",
-    "cyclotomic_polynomial",
-    "cyclotomic_to_json",
-    "divisors",
-    "enumerate_minimal_sets",
-    "euler_phi",
-    "evaluation_to_json",
-    "factorize",
-    "fg_ab_group_from_json",
-    "fg_ab_group_to_json",
-    "fixed_points",
-    "group_element_from_json",
-    "group_element_to_json",
-    "group_inv",
-    "group_mul",
-    "icc_witness",
-    "is_invariant_set",
-    "is_multiplicatively_independent",
-    "k_theory_of_group",
-    "ktheory_result_to_json",
-    "lift_sequence",
-    "limit_set",
-    "map_cokernel",
-    "map_kernel",
-    "moments",
-    "moments_to_json",
-    "mult_map_ker_coker",
-    "multiplicative_dependence_witness",
-    "multiplicative_order",
-    "nonfaithful_witness",
-    "orbit_from_json",
-    "orbit_of",
-    "orbit_to_json",
-    "pairing",
-    "pq_rational_from_json",
-    "pq_rational_to_json",
-    "prim_point_from_json",
-    "prim_point_to_json",
-    "pv_assemble",
-    "root_of_unity",
-    "run_checks",
-    "sequence_desc_from_json",
-    "sequence_desc_to_json",
-    "smith_normal_form",
-    "specializes",
-    "stabilizer_lattice",
-    "trace_eval",
-    "trace_spec_from_json",
-    "trace_spec_to_json",
-]
+# submodule -> the names the package exports from it
+_EXPORTS = {
+    "checks": ("CheckResult", "run_checks"),
+    "dynamics": (
+        "FixedPoints", "OrbitData", "SolenoidPoint", "StabilizerLattice", "SystemParams",
+        "beta_apply", "enumerate_minimal_sets", "fixed_points", "is_invariant_set",
+        "lift_sequence", "orbit_of", "stabilizer_lattice",
+    ),
+    "errors": (
+        "DependentParams", "FactorizationTooHard", "IdentityElement", "IncompatibleMap",
+        "NonInvertible", "NotCoprime", "OutOfRange", "ParamsMismatch", "RangeTooSmall",
+        "XpqError",
+    ),
+    "exact": (
+        "Cyclotomic", "Factorization", "PqRational", "QmodZ", "carmichael",
+        "cyclotomic_polynomial", "divisors", "euler_phi", "factorize",
+        "is_multiplicatively_independent", "multiplicative_dependence_witness",
+        "multiplicative_order", "root_of_unity",
+    ),
+    "groupalg": (
+        "GroupAlgebraElement", "GroupElement", "alpha_apply", "conjugated", "group_inv",
+        "group_mul", "icc_witness",
+    ),
+    "ktheory": (
+        "FgAbGroup", "FgAbMap", "KTheoryResult", "SNFResult", "k_theory_of_group",
+        "map_cokernel", "map_kernel", "mult_map_ker_coker", "pv_assemble", "smith_normal_form",
+    ),
+    "primspace": (
+        "ALL", "EMPTY", "ESCAPING", "FULL", "INFINITY", "AllClosedSet", "ConstantOrbitTail",
+        "EscapingTail", "FinitePoints", "FiniteUnion", "FullTorus", "InfinityPoint",
+        "OrbitCharPoint", "SequenceDesc", "closed_intersection", "closed_union", "closure",
+        "contains_point", "limit_set", "specializes",
+    ),
+    "serialize": (
+        "algebra_element_from_json", "algebra_element_to_json", "closed_set_from_json",
+        "closed_set_to_json", "cyclotomic_to_json", "evaluation_to_json",
+        "fg_ab_group_from_json", "fg_ab_group_to_json", "group_element_from_json",
+        "group_element_to_json", "ktheory_result_to_json", "moments_to_json",
+        "orbit_from_json", "orbit_to_json", "pq_rational_from_json", "pq_rational_to_json",
+        "prim_point_from_json", "prim_point_to_json", "sequence_desc_from_json",
+        "sequence_desc_to_json", "trace_spec_from_json", "trace_spec_to_json",
+    ),
+    "traces": (
+        "CanonicalTrace", "Character", "FiniteOrbitTrace", "MomentSequence",
+        "OrbitMeasureTrace", "TraceSpec", "average_over_character_level",
+        "check_pq_invariance", "moments", "nonfaithful_witness", "pairing", "trace_eval",
+    ),
+}
+
+_MODULE_OF = {name: f"{__name__}.{module}" for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name):
+    # looked up on every access and never stored here, so the package
+    # always shows the submodule's current binding of the name
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(module), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

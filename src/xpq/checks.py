@@ -23,6 +23,7 @@ from .dynamics import (
     is_invariant_set,
     lift_sequence,
 )
+from .errors import OutOfRange
 from .exact import (
     Cyclotomic,
     PqRational,
@@ -57,6 +58,10 @@ from .traces import (
 )
 
 _TOL = 1e-9
+
+# Most trials run_checks runs per suite; `check all --trials 1000` takes about
+# a second.
+MAX_TRIALS = 1000
 
 
 @dataclass
@@ -339,6 +344,8 @@ def run_checks(
     trials: int = 25,
 ) -> list[CheckResult]:
     """Run one named suite, or all of them; deterministic for a fixed seed."""
+    if not 0 <= trials <= MAX_TRIALS:
+        raise OutOfRange(f"trials = {trials} out of range; expected 0 <= trials <= {MAX_TRIALS}")
     names = list(_SUITES) if suite == "all" else [suite]
     out = []
     for name in names:

@@ -8,6 +8,9 @@ For a fixed argv the stdout bytes are identical run to run.
 
 JSON payloads passed to --trace/--element/--points/--sequence may be
 given inline or as @path to read a file.
+
+Each subcommand imports the library modules it runs when it runs, so a
+call loads only those.
 """
 
 from __future__ import annotations
@@ -18,38 +21,7 @@ import json
 import os
 import sys
 
-from .checks import run_checks
-from .dynamics import (
-    SolenoidPoint,
-    SystemParams,
-    enumerate_minimal_sets,
-    fixed_points,
-    int_text,
-    lift_sequence,
-    stabilizer_lattice,
-)
 from .errors import OutOfRange, XpqError
-from .exact import QmodZ, multiplicative_dependence_witness
-from .groupalg import icc_witness
-from .ktheory import k_theory_of_group, mult_map_ker_coker
-from .primspace import closure, limit_set
-from .serialize import (
-    algebra_element_from_json,
-    algebra_element_to_json,
-    closed_set_to_json,
-    evaluation_to_json,
-    fg_ab_group_to_json,
-    group_element_from_json,
-    group_element_to_json,
-    ktheory_result_to_json,
-    moments_to_json,
-    orbit_to_json,
-    prim_point_from_json,
-    sequence_desc_from_json,
-    trace_spec_from_json,
-    trace_spec_to_json,
-)
-from .traces import check_pq_invariance, moments, trace_eval
 
 ENV_MAX_DENOMINATOR = "XPQ_MAX_DENOMINATOR"
 
@@ -108,7 +80,10 @@ def _load_json(text: str):
         raise ValueError(f"bad JSON: {exc}") from None
 
 
-def _params(args) -> SystemParams:
+def _params(args):
+    from .dynamics import SystemParams
+    from .exact import multiplicative_dependence_witness
+
     params = SystemParams(args.p, args.q)
     if not params.mult_indep:
         w = multiplicative_dependence_witness(args.p, args.q)
@@ -147,6 +122,9 @@ def _max_den(args, required: bool = True) -> int | None:
 
 
 def _cmd_orbits(args) -> int:
+    from .dynamics import enumerate_minimal_sets
+    from .serialize import orbit_to_json
+
     params = _params(args)
     bound = _max_den(args)
     orbits = enumerate_minimal_sets(params, bound)
@@ -187,6 +165,8 @@ def _cmd_orbits(args) -> int:
 
 
 def _cmd_stabilizer(args) -> int:
+    from .dynamics import stabilizer_lattice
+
     params = _params(args)
     lat = stabilizer_lattice(params, args.r)
     (a, b), (z, c) = lat.basis
@@ -206,6 +186,8 @@ def _cmd_stabilizer(args) -> int:
 
 
 def _cmd_fix(args) -> int:
+    from .dynamics import fixed_points, int_text
+
     params = _params(args)
     bound = _max_den(args, required=False)
     fix = fixed_points(params, (args.m, args.n), max_denominator=bound)
@@ -235,6 +217,9 @@ def _cmd_fix(args) -> int:
 
 
 def _cmd_lift(args) -> int:
+    from .dynamics import SolenoidPoint, lift_sequence
+    from .exact import QmodZ
+
     params = _params(args)
     x = SolenoidPoint(QmodZ.parse(args.point))
     seq = lift_sequence(params, x, args.depth)
@@ -247,6 +232,15 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_trace_eval(args) -> int:
+    from .serialize import (
+        algebra_element_from_json,
+        algebra_element_to_json,
+        evaluation_to_json,
+        trace_spec_from_json,
+        trace_spec_to_json,
+    )
+    from .traces import trace_eval
+
     params = _params(args)
     spec = trace_spec_from_json(_load_json(args.trace), params)
     element = algebra_element_from_json(_load_json(args.element), params)
@@ -266,6 +260,9 @@ def _cmd_trace_eval(args) -> int:
 
 
 def _cmd_moments(args) -> int:
+    from .serialize import moments_to_json, trace_spec_from_json
+    from .traces import moments
+
     params = _params(args)
     spec = trace_spec_from_json(_load_json(args.trace), params)
     seq = moments(spec, args.n_max)
@@ -286,6 +283,9 @@ def _cmd_moments(args) -> int:
 
 
 def _cmd_invariance(args) -> int:
+    from .serialize import trace_spec_from_json, trace_spec_to_json
+    from .traces import check_pq_invariance, moments
+
     params = _params(args)
     spec = trace_spec_from_json(_load_json(args.trace), params)
     seq = moments(spec, args.n_max)
@@ -299,6 +299,9 @@ def _cmd_invariance(args) -> int:
 
 
 def _cmd_ktheory(args) -> int:
+    from .ktheory import k_theory_of_group
+    from .serialize import ktheory_result_to_json
+
     params = _params(args)
     result = k_theory_of_group(params.p, params.q)
     if args.format == "pretty":
@@ -312,6 +315,9 @@ def _cmd_ktheory(args) -> int:
 
 
 def _cmd_lemma36(args) -> int:
+    from .ktheory import mult_map_ker_coker
+    from .serialize import fg_ab_group_to_json
+
     ker, cok = mult_map_ker_coker(args.m, args.n)
     if args.format == "pretty":
         print(f"x{args.m} on Z/{args.n}: kernel {ker}, cokernel {cok}")
@@ -328,6 +334,9 @@ def _cmd_lemma36(args) -> int:
 
 
 def _cmd_prim_closure(args) -> int:
+    from .primspace import closure
+    from .serialize import prim_point_from_json
+
     data = _load_json(args.points)
     if not isinstance(data, list):
         raise ValueError("--points expects a JSON list of points")
@@ -337,12 +346,17 @@ def _cmd_prim_closure(args) -> int:
 
 
 def _cmd_prim_limit(args) -> int:
+    from .primspace import limit_set
+    from .serialize import sequence_desc_from_json
+
     seq = sequence_desc_from_json(_load_json(args.sequence))
     _emit_closed(args, limit_set(seq))
     return 0
 
 
 def _emit_closed(args, desc):
+    from .serialize import closed_set_to_json
+
     payload = closed_set_to_json(desc)
     if args.format == "pretty":
         if payload["kind"] == "all":
@@ -361,6 +375,9 @@ def _emit_closed(args, desc):
 
 
 def _cmd_icc_witness(args) -> int:
+    from .groupalg import icc_witness
+    from .serialize import group_element_from_json, group_element_to_json
+
     params = _params(args)
     g = group_element_from_json(_load_json(args.element), params)
     found = icc_witness(params, g, args.count)
@@ -379,6 +396,8 @@ def _cmd_icc_witness(args) -> int:
 
 
 def _cmd_mult_indep(args) -> int:
+    from .exact import multiplicative_dependence_witness
+
     witness = multiplicative_dependence_witness(args.p, args.q)
     if args.format == "pretty":
         if witness is None:
@@ -393,6 +412,8 @@ def _cmd_mult_indep(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .checks import run_checks
+
     params = _params(args)
     bound = args.max_den if args.max_den is not None else 30
     results = run_checks(

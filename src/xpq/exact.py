@@ -31,6 +31,13 @@ from .errors import FactorizationTooHard, NonInvertible, OutOfRange
 _TRIAL_LIMIT = 1 << 16
 _RHO_LIMIT = 1 << 64
 
+# Largest cyclotomic level N a value may have.  A value at level N is built
+# from dense vectors of length up to N, and Phi_N from x^N - 1, so a level
+# from a character such as 1/1000000007 would ask for 10^9 entries.  A trace
+# value at the prime level 999983 takes 0.4 s; composite levels far below
+# the limit are still slow, because Phi_N is built by exact division.
+MAX_CYCLOTOMIC_LEVEL = 10**6
+
 # deterministic Miller-Rabin witness set, valid for all n < 3.317e24
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -376,6 +383,15 @@ class PqRational:
 # ---------------------------------------------------------------------------
 
 
+def check_level(N: int) -> None:
+    """Refuse a cyclotomic level outside 1..MAX_CYCLOTOMIC_LEVEL before any
+    vector of that length is built."""
+    if not 1 <= N <= MAX_CYCLOTOMIC_LEVEL:
+        raise OutOfRange(
+            f"cyclotomic level {N} out of range; expected 1 <= level <= {MAX_CYCLOTOMIC_LEVEL}"
+        )
+
+
 def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     # den is monic; division of integer polynomials with zero remainder
     num = list(num)
@@ -406,8 +422,7 @@ def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
     >>> cyclotomic_polynomial(5)
     (1, 1, 1, 1, 1)
     """
-    if N < 1:
-        raise OutOfRange(f"cyclotomic level {N} out of range; expected N >= 1")
+    check_level(N)
     if N == 1:
         return (-1, 1)
     poly = [-1] + [0] * (N - 1) + [1]
@@ -510,6 +525,7 @@ class Cyclotomic:
             return self
         if level % self.level != 0:
             raise OutOfRange(f"cannot lift level {self.level} to {level}")
+        check_level(level)
         k = level // self.level
         out = [0] * ((len(self.vec) - 1) * k + 1)
         for i, c in enumerate(self.vec):
@@ -659,4 +675,5 @@ def root_of_unity(t: QmodZ) -> Cyclotomic:
     >>> root_of_unity(QmodZ(1, 2)).to_fraction()
     Fraction(-1, 1)
     """
+    check_level(t.den)
     return Cyclotomic(t.den, [0] * t.num + [1])

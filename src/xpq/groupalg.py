@@ -24,6 +24,10 @@ from .dynamics import SystemParams
 from .errors import DependentParams, IdentityElement, OutOfRange, ParamsMismatch
 from .exact import PqRational
 
+# Most conjugates icc_witness lists.  The k-th conjugate of (x, m, n) with
+# x != 0 is (p^k x, m, n), so the listing grows quadratically with count.
+MAX_CONJUGATES = 1000
+
 
 @dataclass(frozen=True, slots=True)
 class GroupElement:
@@ -92,8 +96,8 @@ def icc_witness(params: SystemParams, g: GroupElement, count: int) -> list[Group
     conjugating by (k, 0, 0) gives ((1 - p^m q^n) k, m, n); this needs
     p^m q^n != 1, which multiplicative independence guarantees.
     """
-    if count < 0:
-        raise OutOfRange(f"count {count} out of range; expected count >= 0")
+    if not 0 <= count <= MAX_CONJUGATES:
+        raise OutOfRange(f"count = {count} out of range; expected 0 <= count <= {MAX_CONJUGATES}")
     if g.is_identity():
         raise IdentityElement("the identity has a one-element conjugacy class")
     out = []

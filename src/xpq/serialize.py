@@ -13,40 +13,32 @@ claimed point set and stabilizer.
 Big integers ride as strings ("num") so consumers that read JSON with
 53-bit floats cannot corrupt them silently; small structural integers
 (exponents, lattice entries) stay bare.
+
+Only the exact values, orbits and errors are imported with the module;
+each function that builds or recognises a group-algebra, trace, K-theory
+or ideal-space value imports that module itself, so a command loads only
+what it encodes.  Per-item helpers such as _qmodz_from_str import nothing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .dynamics import OrbitData, SolenoidPoint, SystemParams, check_exponent, orbit_of
 from .errors import OutOfRange, ParamsMismatch
 from .exact import Cyclotomic, PqRational, QmodZ
-from .groupalg import GroupAlgebraElement, GroupElement
-from .ktheory import FgAbGroup, KTheoryResult
-from .primspace import (
-    ALL,
-    AllClosedSet,
-    ClosedSetDesc,
-    ConstantOrbitTail,
-    EscapingTail,
-    FinitePoints,
-    FiniteUnion,
-    FullTorus,
-    InfinityPoint,
-    OrbitCharPoint,
-    PrimPoint,
-    SequenceDesc,
-    T2Closed,
-)
-from .traces import (
-    CanonicalTrace,
-    Character,
-    FiniteOrbitTrace,
-    MomentSequence,
-    OrbitMeasureTrace,
-    TraceSpec,
-)
+
+if TYPE_CHECKING:
+    from .groupalg import GroupAlgebraElement, GroupElement
+    from .ktheory import FgAbGroup, KTheoryResult
+    from .primspace import ClosedSetDesc, PrimPoint, SequenceDesc
+    from .traces import MomentSequence, TraceSpec
+
+
+# Largest |exponent| of a decimal coefficient such as "25e-3": Fraction
+# builds 10**exponent, so "1e999999999" would not finish.
+MAX_COEFFICIENT_EXPONENT = 1000
 
 
 def _need(data, key, kind=None):
@@ -169,6 +161,8 @@ def group_element_to_json(g: GroupElement) -> dict:
 
 
 def group_element_from_json(data, params: SystemParams) -> GroupElement:
+    from .groupalg import GroupElement
+
     m = _int_field(data, "m")
     n = _int_field(data, "n")
     check_exponent("m", m)
@@ -185,11 +179,16 @@ def algebra_element_to_json(a: GroupAlgebraElement) -> dict:
 
 
 def algebra_element_from_json(data, params: SystemParams) -> GroupAlgebraElement:
+    from .groupalg import GroupAlgebraElement
+
     terms = []
     for entry in _need(data, "terms", list):
         g = group_element_from_json(_need(entry, "g", dict), params)
         text = _need(entry, "c", str)
+        exponent = text.lower().partition("e")[2]
         try:
+            if exponent and abs(int(exponent)) > MAX_COEFFICIENT_EXPONENT:
+                raise ValueError
             c = Fraction(text)
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"bad coefficient {text!r}") from None
@@ -211,6 +210,8 @@ def _chi_from_json(data) -> tuple[QmodZ, QmodZ]:
 
 
 def trace_spec_to_json(spec: TraceSpec) -> dict:
+    from .traces import CanonicalTrace, FiniteOrbitTrace, OrbitMeasureTrace
+
     if isinstance(spec, FiniteOrbitTrace):
         return {
             "kind": "finite_orbit",
@@ -225,6 +226,8 @@ def trace_spec_to_json(spec: TraceSpec) -> dict:
 
 
 def trace_spec_from_json(data, params: SystemParams | None = None) -> TraceSpec:
+    from .traces import CanonicalTrace, Character, FiniteOrbitTrace, OrbitMeasureTrace
+
     kind = _need(data, "kind", str)
     if kind == "canonical":
         if params is None:
@@ -262,6 +265,8 @@ def fg_ab_group_to_json(group: FgAbGroup) -> dict:
 
 
 def fg_ab_group_from_json(data) -> FgAbGroup:
+    from .ktheory import FgAbGroup
+
     torsion = _need(data, "torsion", list)
     try:
         return FgAbGroup(_int_field(data, "rank"), tuple(int(d) for d in torsion))
@@ -284,38 +289,27 @@ def ktheory_result_to_json(result: KTheoryResult) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _part_to_json(part: T2Closed):
-    if isinstance(part, FullTorus):
-        return "full"
-    return [[str(t1), str(t2)] for t1, t2 in part.points]
-
-
-def _part_from_json(data) -> T2Closed:
-    if data == "full":
-        return FullTorus()
-    if not isinstance(data, list):
-        raise ValueError("part must be \"full\" or a list of character pairs")
-    points = []
-    for pair in data:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ValueError(f"bad character pair {pair!r}")
-        points.append((_qmodz_from_str(pair[0]), _qmodz_from_str(pair[1])))
-    return FinitePoints(tuple(points))
-
-
 def closed_set_to_json(desc: ClosedSetDesc) -> dict:
+    from .primspace import AllClosedSet, FullTorus
+
     if isinstance(desc, AllClosedSet):
         return {"kind": "all"}
     return {
         "kind": "union",
         "parts": [
-            {"orbit": orbit_to_json(orbit), "part": _part_to_json(part)}
+            {
+                "orbit": orbit_to_json(orbit),
+                "part": "full" if isinstance(part, FullTorus)
+                else [[str(t1), str(t2)] for t1, t2 in part.points],
+            }
             for orbit, part in desc.parts
         ],
     }
 
 
 def closed_set_from_json(data) -> ClosedSetDesc:
+    from .primspace import ALL, FinitePoints, FiniteUnion, FullTorus
+
     kind = _need(data, "kind", str)
     if kind == "all":
         return ALL
@@ -324,11 +318,24 @@ def closed_set_from_json(data) -> ClosedSetDesc:
     parts = []
     for entry in _need(data, "parts", list):
         orbit = orbit_from_json(_need(entry, "orbit", dict))
-        parts.append((orbit, _part_from_json(_need(entry, "part"))))
+        part = _need(entry, "part")
+        if part == "full":
+            parts.append((orbit, FullTorus()))
+            continue
+        if not isinstance(part, list):
+            raise ValueError("part must be \"full\" or a list of character pairs")
+        points = []
+        for pair in part:
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise ValueError(f"bad character pair {pair!r}")
+            points.append((_qmodz_from_str(pair[0]), _qmodz_from_str(pair[1])))
+        parts.append((orbit, FinitePoints(tuple(points))))
     return FiniteUnion(tuple(parts))
 
 
 def prim_point_to_json(pt: PrimPoint) -> dict:
+    from .primspace import InfinityPoint
+
     if isinstance(pt, InfinityPoint):
         return {"kind": "infinity"}
     return {
@@ -339,6 +346,8 @@ def prim_point_to_json(pt: PrimPoint) -> dict:
 
 
 def prim_point_from_json(data) -> PrimPoint:
+    from .primspace import InfinityPoint, OrbitCharPoint
+
     kind = _need(data, "kind", str)
     if kind == "infinity":
         return InfinityPoint()
@@ -349,6 +358,8 @@ def prim_point_from_json(data) -> PrimPoint:
 
 
 def sequence_desc_to_json(seq: SequenceDesc) -> dict:
+    from .primspace import EscapingTail
+
     tail = seq.tail
     if isinstance(tail, EscapingTail):
         tail_data = {"kind": "escaping"}
@@ -365,6 +376,8 @@ def sequence_desc_to_json(seq: SequenceDesc) -> dict:
 
 
 def sequence_desc_from_json(data) -> SequenceDesc:
+    from .primspace import ConstantOrbitTail, EscapingTail, SequenceDesc
+
     tail_data = _need(data, "tail", dict)
     kind = _need(tail_data, "kind", str)
     if kind == "escaping":

@@ -39,8 +39,13 @@ from functools import lru_cache
 
 from .dynamics import OrbitData, SolenoidPoint, StabilizerLattice, SystemParams
 from .errors import OutOfRange, ParamsMismatch, RangeTooSmall
-from .exact import Cyclotomic, PqRational, QmodZ, root_of_unity
+from .exact import Cyclotomic, PqRational, QmodZ, check_level, root_of_unity
 from .groupalg import GroupAlgebraElement, GroupElement
+
+# Largest n_max moments accepts.  The sequence holds 2 n_max + 1 values, each
+# with up to phi(r) coefficients for an orbit trace mod r: at r = 10007 and
+# n_max = 1000 that is 150 MB of JSON.
+MAX_MOMENT_RANGE = 1000
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,6 +138,7 @@ def _pair_mult(params: SystemParams, r: int, y: PqRational) -> int:
 def _orbit_mean(orbit: OrbitData, w: int):
     # (1/|B|) sum over numerators a of zeta_r^(w a), exact at level r
     r = orbit.denominator
+    check_level(r)
     counts = [0] * r
     for a in orbit.numerators:
         counts[w * a % r] += 1
@@ -210,8 +216,8 @@ class MomentSequence:
 
 
 def moments(spec: TraceSpec, n_max: int) -> MomentSequence:
-    if n_max < 0:
-        raise OutOfRange(f"moment range {n_max} out of range; expected >= 0")
+    if not 0 <= n_max <= MAX_MOMENT_RANGE:
+        raise OutOfRange(f"n_max = {n_max} out of range; expected 0 <= n_max <= {MAX_MOMENT_RANGE}")
     params = getattr(spec, "params")
     vals = []
     for n in range(-n_max, n_max + 1):

@@ -11,12 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import xpq.checks
 import xpq.cli as cli
 from xpq import (
     CheckResult,
+    OutOfRange,
     SystemParams,
     closed_set_from_json,
     orbit_from_json,
+    run_checks,
     trace_spec_from_json,
 )
 
@@ -50,6 +53,13 @@ class TestExitCodes:
         proc = run("prim-limit", "--sequence", '{"tail":{"kind":"escaping"},"prefix":5}')
         assert proc.returncode == 1
         assert "prefix" in proc.stderr and "Traceback" not in proc.stderr
+        # coefficients whose decimal exponent would expand to 10^400000 digits and more
+        for c in ("1e400000", "1e999999999"):
+            element = '{"terms":[{"g":{"x":{"num":"1","a":0,"b":0},"m":0,"n":0},"c":"%s"}]}' % c
+            proc = run("trace-eval", "-p", "2", "-q", "3", "--trace", '{"kind":"canonical"}',
+                       "--element", element)
+            assert proc.returncode == 1 and proc.stdout == ""
+            assert f"bad coefficient '{c}'" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_domain_errors(self):
         # r shares a factor with pq
@@ -88,11 +98,25 @@ class TestExitCodes:
         assert proc.returncode == 2 and proc.stdout == ""
         assert "max_denominator" in proc.stderr and "1000000" in proc.stderr
         assert "Traceback" not in proc.stderr
-        # census and lift sizes beyond their limits are refused before work
+        # sizes beyond their limits are refused before work
+        chi_level = ('{"kind":"finite_orbit","orbit":{"p":2,"q":3,"r":5,'
+                     '"orbit":["1/5","2/5","3/5","4/5"],'
+                     '"stabilizer":{"basis":[[1,1],[0,4]],"index":4}},'
+                     '"chi":{"t1":"1/1000000007","t2":"0"}}')
+        unit = '{"terms":[{"g":{"x":{"num":"1","a":0,"b":0},"m":4,"n":0},"c":"1"}]}'
         for argv, field, limit in (
             (["orbits", "-p", "2", "-q", "3", "--max-den", "20000"], "max_denominator", "5000"),
             (["check", "dynamics", "--max-den", "20000"], "max_denominator", "5000"),
             (["lift", "-p", "2", "-q", "3", "--point", "1/5", "--depth", "100000000"], "depth", "1000000"),
+            (["moments", "-p", "2", "-q", "3", "--trace", '{"kind":"canonical"}',
+              "--n-max", "100000000"], "n_max = 100000000", "1000"),
+            (["invariance", "-p", "2", "-q", "3", "--trace", '{"kind":"canonical"}',
+              "--n-max", "100000000"], "n_max = 100000000", "1000"),
+            (["icc-witness", "-p", "2", "-q", "3", "--element", g, "--count", "100000000"],
+             "count = 100000000", "1000"),
+            (["check", "all", "--trials", "100000000", "--max-den", "8"], "trials = 100000000", "1000"),
+            (["trace-eval", "-p", "2", "-q", "3", "--trace", chi_level, "--element", unit],
+             "cyclotomic level 1000000007", "1000000"),
         ):
             proc = run(*argv)
             assert proc.returncode == 2 and proc.stdout == ""
@@ -120,12 +144,20 @@ class TestExitCodes:
 
     def test_check_failure_returns_3(self, monkeypatch, capsys):
         failing = CheckResult("exact", passed=1, failed=2, failures=["a", "b"])
-        monkeypatch.setattr(cli, "run_checks", lambda *a, **k: [failing])
+        monkeypatch.setattr(xpq.checks, "run_checks", lambda *a, **k: [failing])
         rc = cli.main(["check", "exact"])
         assert rc == 3
         data = json.loads(capsys.readouterr().out)
         assert data["ok"] is False
         assert data["suites"][0]["failures"] == ["a", "b"]
+
+    def test_trials_limit(self):
+        from xpq.checks import MAX_TRIALS
+
+        with pytest.raises(OutOfRange, match=f"trials = {MAX_TRIALS + 1} .* {MAX_TRIALS}"):
+            run_checks("exact", SystemParams(2, 3), trials=MAX_TRIALS + 1)
+        (result,) = run_checks("exact", SystemParams(2, 3), max_denominator=8, trials=MAX_TRIALS)
+        assert result.ok and result.passed > MAX_TRIALS
 
     def test_check_success_in_process(self, capsys):
         rc = cli.main(["check", "exact", "--trials", "4", "--max-den", "12"])
@@ -135,15 +167,66 @@ class TestExitCodes:
         assert all(s["failed"] == 0 for s in data["suites"])
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def loaded_modules(*argv):
+    """Exit code of `xpq ARGV...` run in-process by a fresh interpreter, and the
+    xpq modules it loaded; with no argv only `import xpq.cli` runs."""
+    code = (
+        "import json, sys\n"
+        "from xpq.cli import main\n"
+        "rc = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print(rc, json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'xpq')), file=sys.stderr)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    rc, _, names = proc.stderr.splitlines()[-1].partition(" ")
+    return int(rc), set(json.loads(names))
+
+
 class TestStdlibOnly:
     def test_imports_without_site_packages(self):
-        # -S drops site-packages, so any third-party import fails here
-        src = Path(__file__).resolve().parents[1] / "src"
+        # -S drops site-packages, so any third-party import fails here; every
+        # exported name is resolved, which imports every submodule
+        code = "import xpq, xpq.cli\nfor name in xpq.__all__:\n    getattr(xpq, name)"
         proc = subprocess.run(
-            [sys.executable, "-S", "-c", "import xpq, xpq.cli"],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+            [sys.executable, "-S", "-c", code],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(SRC)},
         )
         assert proc.returncode == 0, proc.stderr
+
+
+class TestLazyImports:
+    BASE = {"xpq", "xpq.cli", "xpq.errors"}
+
+    def test_package_names(self, monkeypatch):
+        import xpq
+
+        assert set(xpq.__all__) <= set(dir(xpq))
+        assert xpq.trace_eval is xpq.traces.trace_eval
+        # resolved on every access: a rebinding in the submodule shows through
+        monkeypatch.setattr(xpq.traces, "trace_eval", len)
+        assert xpq.trace_eval is len
+        with pytest.raises(AttributeError, match="no_such_name"):
+            xpq.no_such_name
+        with pytest.raises(ImportError):
+            from xpq import no_such_name  # noqa: F401
+
+    def test_modules_loaded_per_command(self):
+        assert loaded_modules() == (0, self.BASE)
+        assert loaded_modules("frobnicate") == (1, self.BASE)  # argparse refusal
+        assert loaded_modules("mult-indep", "-p", "2", "-q", "3") == (0, self.BASE | {"xpq.exact"})
+        # none of these loads xpq.traces, xpq.groupalg, xpq.primspace or xpq.checks
+        core = self.BASE | {"xpq.exact", "xpq.dynamics"}
+        for argv, extra in (
+            (["lemma36", "-m", "4", "-n", "6"], {"xpq.ktheory", "xpq.serialize"}),
+            (["ktheory", "-p", "2", "-q", "3"], {"xpq.ktheory", "xpq.serialize"}),
+            (["stabilizer", "-p", "2", "-q", "3", "-r", "5"], set()),
+            (["fix", "-p", "2", "-q", "3", "-m", "1", "-n", "1"], set()),
+            (["lift", "-p", "2", "-q", "3", "--point", "1/5"], set()),
+        ):
+            assert loaded_modules(*argv) == (0, core | extra), argv
 
 
 # JSON values as _dumps meets them: str keys, and scalars that exercise the

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -24,6 +25,8 @@ from xpq import (
     multiplicative_order,
     root_of_unity,
 )
+
+from xpq.exact import MAX_CYCLOTOMIC_LEVEL, check_level
 
 qmodz = st.builds(QmodZ, st.integers(-300, 300), st.integers(1, 120))
 
@@ -269,6 +272,12 @@ class TestCyclotomicPolynomials:
             want = [-1] + [0] * (n - 1) + [1]
             assert prod == want, n
 
+    def test_level_limit(self):
+        check_level(MAX_CYCLOTOMIC_LEVEL)
+        for bad in (0, MAX_CYCLOTOMIC_LEVEL + 1):
+            with pytest.raises(OutOfRange, match=f"cyclotomic level {bad} .* {MAX_CYCLOTOMIC_LEVEL}"):
+                cyclotomic_polynomial(bad)
+
     def test_degree_and_large_coefficient(self):
         for n in (12, 36, 100):
             assert len(cyclotomic_polynomial(n)) == euler_phi(n) + 1
@@ -277,6 +286,25 @@ class TestCyclotomicPolynomials:
 
 
 class TestCyclotomic:
+    def test_level_limit(self):
+        # each is refused before a vector of the level's length is built:
+        # without the check the first three would allocate 80 MB and the
+        # sum, whose lcm level 1009 * 1013 is above the limit, 8 MB
+        for build in (
+            lambda: root_of_unity(QmodZ(10**7, 10**7 + 19)),
+            lambda: Cyclotomic(10**9 + 7, [1]),
+            lambda: root_of_unity(QmodZ(1, 3)).lifted(3 * 10**7),
+            lambda: root_of_unity(QmodZ(1, 1009)) + root_of_unity(QmodZ(1, 1013)),
+        ):
+            tracemalloc.start()
+            try:
+                with pytest.raises(OutOfRange, match=f"cyclotomic level .* {MAX_CYCLOTOMIC_LEVEL}"):
+                    build()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 10**6
+
     def test_roots_of_unity(self):
         assert root_of_unity(QmodZ(0, 1)) == Cyclotomic.one()
         assert root_of_unity(QmodZ(1, 2)) == Cyclotomic.from_fraction(-1)

@@ -19,6 +19,9 @@ from xpq import (
     icc_witness,
 )
 
+from xpq.errors import OutOfRange
+from xpq.groupalg import MAX_CONJUGATES
+
 P23 = SystemParams(2, 3)
 
 
@@ -134,6 +137,13 @@ class TestIccWitness:
             assert len(set(conjs)) == 25
             # every listed element really is a conjugate of g
             assert all(c.m == g.m and c.n == g.n for c in conjs)
+
+    def test_count_limit(self):
+        g = elem(1, 0, 0, 1, 0)
+        assert len(set(icc_witness(P23, g, MAX_CONJUGATES))) == MAX_CONJUGATES
+        for bad in (-1, MAX_CONJUGATES + 1):
+            with pytest.raises(OutOfRange, match=f"count = {bad} .* {MAX_CONJUGATES}"):
+                icc_witness(P23, g, bad)
 
     def test_identity_rejected(self):
         with pytest.raises(IdentityElement):

@@ -56,6 +56,7 @@ from xpq import (
 )
 from xpq.dynamics import MAX_EXPONENT
 from xpq.errors import OutOfRange
+from xpq.serialize import MAX_COEFFICIENT_EXPONENT
 
 P23 = SystemParams(2, 3)
 ORBIT5 = orbit_of(P23, SolenoidPoint.of(1, 5))
@@ -248,6 +249,13 @@ class TestGroupElements:
             data = {"terms": [dict(good, c=bad)]}
             with pytest.raises(ValueError):
                 algebra_element_from_json(data, P23)
+        # a decimal exponent is bounded before Fraction builds 10**exponent
+        for bad in ("1e400000", "1e999999999", f"1e-{MAX_COEFFICIENT_EXPONENT + 1}", "1e" + "9" * 5000):
+            data = {"terms": [dict(good, c=bad)]}
+            with pytest.raises(ValueError, match="bad coefficient"):
+                algebra_element_from_json(data, P23)
+        data = {"terms": [dict(good, c=f"1E{MAX_COEFFICIENT_EXPONENT}")]}
+        assert algebra_element_from_json(data, P23).terms[0][1] == 10**MAX_COEFFICIENT_EXPONENT
         # exact decimal strings are accepted leniently on input
         data = {"terms": [dict(good, c="0.5")]}
         a = algebra_element_from_json(data, P23)

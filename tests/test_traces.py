@@ -30,6 +30,7 @@ from xpq import (
     stabilizer_lattice,
     trace_eval,
 )
+from xpq.traces import MAX_MOMENT_RANGE
 
 P23 = SystemParams(2, 3)
 ORBIT5 = orbit_of(P23, SolenoidPoint.of(1, 5))
@@ -205,6 +206,12 @@ class TestMoments:
         seq = moments(CanonicalTrace(P23), 5)
         with pytest.raises(OutOfRange):
             seq.value(6)
+
+    def test_range_limit(self):
+        assert moments(CanonicalTrace(P23), MAX_MOMENT_RANGE).n_max == MAX_MOMENT_RANGE
+        for bad in (-1, MAX_MOMENT_RANGE + 1):
+            with pytest.raises(OutOfRange, match=f"n_max = {bad} .* {MAX_MOMENT_RANGE}"):
+                moments(CanonicalTrace(P23), bad)
 
     def test_conjugate_symmetry(self):
         chi = Character(ORBIT7.stabilizer, QmodZ(1, 6), QmodZ(0, 1))
