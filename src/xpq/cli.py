@@ -415,9 +415,8 @@ def _cmd_check(args) -> int:
     from .checks import run_checks
 
     params = _params(args)
-    bound = args.max_den if args.max_den is not None else 30
     results = run_checks(
-        args.suite, params, seed=args.seed, max_denominator=bound, trials=args.trials
+        args.suite, params, seed=args.seed, max_denominator=args.max_den, trials=args.trials
     )
     ok = all(r.ok for r in results)
     if args.format == "pretty":
@@ -520,7 +519,7 @@ def build_parser() -> _Parser:
     )
     sp.add_argument("-p", type=int, default=2)
     sp.add_argument("-q", type=int, default=3)
-    sp.add_argument("--max-den", type=int, default=None)
+    sp.add_argument("--max-den", type=int, default=30)
     sp.add_argument("--trials", type=int, default=25)
     sp.add_argument("--seed", type=int, default=0, help="seed for randomized suites")
 

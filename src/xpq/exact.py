@@ -24,7 +24,9 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd, lcm
+from operator import sub
 
 from .errors import FactorizationTooHard, NonInvertible, OutOfRange
 
@@ -32,10 +34,9 @@ _TRIAL_LIMIT = 1 << 16
 _RHO_LIMIT = 1 << 64
 
 # Largest cyclotomic level N a value may have.  A value at level N is built
-# from dense vectors of length up to N, and Phi_N from x^N - 1, so a level
-# from a character such as 1/1000000007 would ask for 10^9 entries.  A trace
-# value at the prime level 999983 takes 0.4 s; composite levels far below
-# the limit are still slow, because Phi_N is built by exact division.
+# from dense vectors of length up to N, so a level from a character such as
+# 1/1000000007 would ask for 10^9 entries.  Phi_N and the reduction mod Phi_N
+# take one strided pass over such a vector per squarefree divisor of N.
 MAX_CYCLOTOMIC_LEVEL = 10**6
 
 # deterministic Miller-Rabin witness set, valid for all n < 3.317e24
@@ -392,62 +393,63 @@ def check_level(N: int) -> None:
         )
 
 
-def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
-    # den is monic; division of integer polynomials with zero remainder
-    num = list(num)
-    d = len(den) - 1
-    out = []
-    while len(num) - 1 >= d:
-        c = num.pop()
-        out.append(c)
-        if c:
-            off = len(num) - d
-            for j in range(d):
-                num[off + j] -= c * den[j]
-    if any(num):
-        raise ArithmeticError("polynomial division left a remainder")
-    out.reverse()
-    return out
+@lru_cache(maxsize=4096)
+def _binomial_factors(N: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    # (phi(N), mul, div) with Phi_N = prod (1 - x^d), d in mul, over prod
+    # (1 - x^d), d in div, for N > 1: the d = N/s for squarefree s | N, in
+    # mul when mu(s) = 1.  The level is checked before N is factored.
+    check_level(N)
+    mul, div = [N], []
+    for p in _factorize_cached(N).primes:
+        mul, div = mul + [d // p for d in div], div + [d // p for d in mul]
+    return euler_phi(N), tuple(mul), tuple(div)
 
 
-@lru_cache(maxsize=None)
+def _binomials(poly: list[int], mul: tuple[int, ...], div: tuple[int, ...]) -> list[int]:
+    # poly * prod (1 - x^d), d in mul, / prod (1 - x^d), d in div, as power
+    # series truncated at len(poly), in place: one strided pass per factor
+    n = len(poly)
+    for d in mul:
+        if d < n:
+            poly[d:] = map(sub, poly[d:], poly[: n - d])
+    for d in div:
+        # 1/(1 - x^d) = sum of x^(jd): a running sum over each class mod d
+        for k in range(min(d, n - d)):
+            poly[k::d] = accumulate(poly[k::d])
+    return poly
+
+
 def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
     """Coefficients of the N-th cyclotomic polynomial Phi_N, low degree first.
 
-    Computed by exact division of x^N - 1 by the product of Phi_d over the
-    proper divisors d of N.
+    For N > 1, Phi_N = prod over d | N of (1 - x^d)^mu(N/d), expanded as a
+    power series to degree phi(N): one strided pass per squarefree divisor
+    (Arnold and Monagan, Math. Comp. 80, 2011).
 
     >>> cyclotomic_polynomial(6)
     (1, -1, 1)
     >>> cyclotomic_polynomial(5)
     (1, 1, 1, 1, 1)
     """
-    check_level(N)
     if N == 1:
         return (-1, 1)
-    poly = [-1] + [0] * (N - 1) + [1]
-    for d in divisors(N):
-        if d < N:
-            poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
+    phi, mul, div = _binomial_factors(N)
+    return tuple(_binomials([1] + [0] * phi, mul, div))
 
 
 def _reduce_mod_cyclotomic(vec: list[int], level: int) -> list[int]:
-    phi = cyclotomic_polynomial(level)
-    d = len(phi) - 1
-    if len(vec) <= d:
-        return vec + [0] * (d - len(vec))
-    for i in range(len(vec) - 1, d - 1, -1):
-        c = vec[i]
-        if c:
-            vec[i] = 0
-            base = i - d
-            for j in range(d):
-                pj = phi[j]
-                if pj:
-                    vec[base + j] -= c * pj
-    del vec[d:]
-    return vec
+    # the remainder of vec mod Phi_level, as phi(level) coefficients
+    if level == 1:
+        return [sum(vec)]
+    phi, mul, div = _binomial_factors(level)
+    extra = len(vec) - phi
+    if extra <= 0:
+        return vec + [0] * -extra
+    # Phi_N is palindromic, so reversing vec = quo * Phi_N + rem turns the
+    # quotient into the power series rev(vec) / Phi_N, truncated at its length
+    quo = _binomials(vec[phi:][::-1], div, mul)[::-1]
+    low = _binomials(quo[:phi] + [0] * (phi - extra), mul, div)
+    return list(map(sub, vec[:phi], low))
 
 
 class Cyclotomic:
@@ -528,9 +530,7 @@ class Cyclotomic:
         check_level(level)
         k = level // self.level
         out = [0] * ((len(self.vec) - 1) * k + 1)
-        for i, c in enumerate(self.vec):
-            if c:
-                out[i * k] = c
+        out[::k] = self.vec
         return Cyclotomic(level, out, self.den)
 
     # --- arithmetic --------------------------------------------------------

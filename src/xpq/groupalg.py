@@ -17,6 +17,7 @@ from the two closed-form families used to see that.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -94,27 +95,40 @@ def icc_witness(params: SystemParams, g: GroupElement, count: int) -> list[Group
     For x != 0, conjugating by (0, k, 0) scales the ring part: the
     conjugates are (p^k x, m, n).  For x = 0 and (m, n) != 0,
     conjugating by (k, 0, 0) gives ((1 - p^m q^n) k, m, n); this needs
-    p^m q^n != 1, which multiplicative independence guarantees.
+    p^m q^n != 1, which multiplicative independence guarantees.  The listing
+    stops with OutOfRange at the first numerator too long to print, so no
+    conjugate is built much past that length.
     """
     if not 0 <= count <= MAX_CONJUGATES:
         raise OutOfRange(f"count = {count} out of range; expected 0 <= count <= {MAX_CONJUGATES}")
     if g.is_identity():
         raise IdentityElement("the identity has a one-element conjugacy class")
-    out = []
     if not g.x.is_zero():
-        for k in range(1, count + 1):
-            out.append(GroupElement(alpha_apply(params, (k, 0), g.x), g.m, g.n))
-        return out
-    # p^m q^n = num / den, so the factor 1 - p^m q^n is (den - num) / den
-    num, a, b = _times_pq(params, PqRational.from_int(1), g.m, g.n)
-    den = params.p**a * params.q**b
-    if num == den:
-        raise DependentParams(
-            f"p^{g.m} q^{g.n} = 1: the conjugates by (k, 0, 0) collapse; "
-            "this cannot happen for multiplicatively independent p, q"
-        )
+        def nth(k: int) -> PqRational:
+            return alpha_apply(params, (k, 0), g.x)
+    else:
+        # p^m q^n = num / den, so the factor 1 - p^m q^n is (den - num) / den
+        num, a, b = _times_pq(params, PqRational.from_int(1), g.m, g.n)
+        den = params.p**a * params.q**b
+        if num == den:
+            raise DependentParams(
+                f"p^{g.m} q^{g.n} = 1: the conjugates by (k, 0, 0) collapse; "
+                "this cannot happen for multiplicatively independent p, q"
+            )
+
+        def nth(k: int) -> PqRational:
+            return PqRational.canonical((den - num) * k, den, params.p, params.q)
+
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    limit = 10**digits if digits else None
+    out = []
     for k in range(1, count + 1):
-        x = PqRational.canonical((den - num) * k, den, params.p, params.q)
+        x = nth(k)
+        if limit and abs(x.num) >= limit:
+            raise OutOfRange(
+                f"count = {count}: conjugate {k} has a numerator of more than {digits} decimal "
+                "digits, the limit for printing an integer (sys.get_int_max_str_digits())"
+            )
         out.append(GroupElement(x, g.m, g.n))
     return out
 

@@ -39,13 +39,16 @@ from functools import lru_cache
 
 from .dynamics import OrbitData, SolenoidPoint, StabilizerLattice, SystemParams
 from .errors import OutOfRange, ParamsMismatch, RangeTooSmall
-from .exact import Cyclotomic, PqRational, QmodZ, check_level, root_of_unity
+from .exact import Cyclotomic, PqRational, QmodZ, check_level, euler_phi, root_of_unity
 from .groupalg import GroupAlgebraElement, GroupElement
 
-# Largest n_max moments accepts.  The sequence holds 2 n_max + 1 values, each
-# with up to phi(r) coefficients for an orbit trace mod r: at r = 10007 and
-# n_max = 1000 that is 150 MB of JSON.
+# Largest n_max moments accepts.
 MAX_MOMENT_RANGE = 1000
+# Most coefficients a moment sequence may hold.  It holds 2 n_max + 1 values
+# with phi(r) coefficients each, r the orbit denominator (1 for the canonical
+# trace): at r = 10007 and n_max = 1000 that is 2 * 10^7 coefficients, 10 s,
+# 1.2 GB and 150 MB of JSON.  The limit admits n_max = 49 at r = 10007.
+MAX_MOMENT_COEFFICIENTS = 10**6
 
 
 @dataclass(frozen=True, slots=True)
@@ -218,6 +221,13 @@ class MomentSequence:
 def moments(spec: TraceSpec, n_max: int) -> MomentSequence:
     if not 0 <= n_max <= MAX_MOMENT_RANGE:
         raise OutOfRange(f"n_max = {n_max} out of range; expected 0 <= n_max <= {MAX_MOMENT_RANGE}")
+    r = 1 if isinstance(spec, CanonicalTrace) else spec.orbit.denominator
+    check_level(r)
+    if (size := (2 * n_max + 1) * euler_phi(r)) > MAX_MOMENT_COEFFICIENTS:
+        raise OutOfRange(
+            f"n_max = {n_max} at r = {r} asks for (2 n_max + 1) phi(r) = {size} coefficients; "
+            f"the limit is {MAX_MOMENT_COEFFICIENTS}"
+        )
     params = getattr(spec, "params")
     vals = []
     for n in range(-n_max, n_max + 1):

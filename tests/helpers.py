@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm, prod
 
 from xpq import GroupAlgebraElement, GroupElement, PqRational, SystemParams
@@ -229,6 +230,63 @@ def reference_pq_rational(value, p: int, q: int) -> tuple[int, int, int] | None:
     if scaled.denominator != 1:
         return None
     return (int(scaled), a, b)
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic polynomials by dense long division
+# ---------------------------------------------------------------------------
+
+
+def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
+    # den is monic; division of integer polynomials with zero remainder
+    num = list(num)
+    d = len(den) - 1
+    out = []
+    while len(num) - 1 >= d:
+        c = num.pop()
+        out.append(c)
+        if c:
+            off = len(num) - d
+            for j in range(d):
+                num[off + j] -= c * den[j]
+    if any(num):
+        raise ArithmeticError("polynomial division left a remainder")
+    out.reverse()
+    return out
+
+
+@lru_cache(maxsize=None)
+def dense_cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Phi_n, low degree first: x^n - 1 divided exactly by Phi_d for every
+    proper divisor d of n."""
+    if n == 1:
+        return (-1, 1)
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _poly_div_exact(poly, dense_cyclotomic_polynomial(d))
+    return tuple(poly)
+
+
+def dense_reduce_mod_cyclotomic(vec: list[int], n: int) -> list[int]:
+    """The remainder of vec mod Phi_n by long division, top coefficient
+    first, padded to phi(n) coefficients."""
+    phi = dense_cyclotomic_polynomial(n)
+    d = len(phi) - 1
+    vec = list(vec)
+    if len(vec) <= d:
+        return vec + [0] * (d - len(vec))
+    for i in range(len(vec) - 1, d - 1, -1):
+        c = vec[i]
+        if c:
+            vec[i] = 0
+            base = i - d
+            for j in range(d):
+                pj = phi[j]
+                if pj:
+                    vec[base + j] -= c * pj
+    del vec[d:]
+    return vec
 
 
 # ---------------------------------------------------------------------------

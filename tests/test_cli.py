@@ -104,6 +104,13 @@ class TestExitCodes:
                      '"stabilizer":{"basis":[[1,1],[0,4]],"index":4}},'
                      '"chi":{"t1":"1/1000000007","t2":"0"}}')
         unit = '{"terms":[{"g":{"x":{"num":"1","a":0,"b":0},"m":4,"n":0},"c":"1"}]}'
+        # 2001 moments of phi(1001) = 720 coefficients each
+        measure1001 = (
+            '{"kind":"orbit_measure","orbit":{"p":2,"q":3,"r":1001,"orbit":['
+            + ",".join(f'"{a}/1001"' for a in sorted({pow(2, i, 1001) * pow(3, j, 1001) % 1001
+                                                      for i in range(60) for j in range(30)}))
+            + '],"stabilizer":{"basis":[[12,6],[0,30]],"index":360}}}'
+        )
         for argv, field, limit in (
             (["orbits", "-p", "2", "-q", "3", "--max-den", "20000"], "max_denominator", "5000"),
             (["check", "dynamics", "--max-den", "20000"], "max_denominator", "5000"),
@@ -117,6 +124,8 @@ class TestExitCodes:
             (["check", "all", "--trials", "100000000", "--max-den", "8"], "trials = 100000000", "1000"),
             (["trace-eval", "-p", "2", "-q", "3", "--trace", chi_level, "--element", unit],
              "cyclotomic level 1000000007", "1000000"),
+            (["moments", "-p", "2", "-q", "3", "--trace", measure1001, "--n-max", "1000"],
+             "n_max = 1000 at r = 1001", "1000000"),
         ):
             proc = run(*argv)
             assert proc.returncode == 2 and proc.stdout == ""
@@ -129,6 +138,12 @@ class TestExitCodes:
             assert proc.returncode == 2 and proc.stdout == ""
             assert "4300" in proc.stderr and "about 2^" in proc.stderr
             assert "Traceback" not in proc.stderr
+        # conjugates 43 to 50 of x = 1 have too many digits to print: exit 2
+        # at conjugate 43, not exit 1 while printing
+        proc = run("icc-witness", "-p", str(10**100 + 1), "-q", "3", "--element", g, "--count", "50")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "count = 50: conjugate 43" in proc.stderr and "4300" in proc.stderr
+        assert "sys.get_int_max_str_digits()" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_orbit_bound_refused_before_work(self, capsys):
         t = time.perf_counter()
@@ -609,6 +624,29 @@ GOLDEN_ELEMENT_46 = (
     '{"g":{"x":{"num":"6","a":2,"b":0},"m":3,"n":4},"c":"5"},'
     '{"g":{"x":{"num":"11","a":0,"b":1},"m":1,"n":0},"c":"1"}]}'
 )
+# composite cyclotomic levels: the r = 385 = 5 7 11 orbit of 1/385 with a
+# level-12 character (level 4620 = 2^2 3 5 7 11), an element with three
+# terms in its stabilizer lattice, and the r = 5 orbit with t1 = 1/30030
+GOLDEN_ORBIT385 = (
+    '{"p":2,"q":3,"r":385,"orbit":['
+    + ",".join(f'"{a}/385"' for a in sorted({pow(2, i, 385) * pow(3, j, 385) % 385
+                                             for i in range(60) for j in range(60)}))
+    + '],"stabilizer":{"basis":[[2,26],[0,60]],"index":120}}'
+)
+GOLDEN_SPEC385 = '{"kind":"finite_orbit","orbit":' + GOLDEN_ORBIT385 + ',"chi":{"t1":"1/12","t2":"1/4"}}'
+GOLDEN_ELEMENT385 = (
+    '{"terms":[{"g":{"x":{"num":"1","a":0,"b":0},"m":2,"n":26},"c":"3/5"},'
+    '{"g":{"x":{"num":"-5","a":1,"b":0},"m":0,"n":60},"c":"-2"},'
+    '{"g":{"x":{"num":"7","a":0,"b":2},"m":4,"n":112},"c":"1"},'
+    '{"g":{"x":{"num":"1","a":0,"b":0},"m":1,"n":0},"c":"4"}]}'
+)
+GOLDEN_SPEC5_30030 = (
+    '{"kind":"finite_orbit","orbit":{"p":2,"q":3,"r":5,'
+    '"orbit":["1/5","2/5","3/5","4/5"],'
+    '"stabilizer":{"basis":[[1,1],[0,4]],"index":4}},'
+    '"chi":{"t1":"1/30030","t2":"0"}}'
+)
+GOLDEN_UNIT11 = '{"terms":[{"g":{"x":{"num":"1","a":0,"b":0},"m":1,"n":1},"c":"1"}]}'
 GOLDEN = [
     (
         ["orbits", "-p", "2", "-q", "3", "--max-den", "40"],
@@ -808,6 +846,20 @@ GOLDEN = [
     (
         ["orbits", "-p", "5", "-q", "7", "--max-den", "600", "--format", "csv"],
         "acba2651af130b78ee0fd4df442e747e275d7df4517b9e312befa962f63ff81e",
+    ),
+    # the three below were recorded before Phi_N and the reduction mod Phi_N
+    # were computed from the binomials (1 - x^d)
+    (
+        ["trace-eval", "-p", "2", "-q", "3", "--trace", GOLDEN_SPEC385, "--element", GOLDEN_ELEMENT385],
+        "ad8acffed743f083a7da4c26badc2203398c5e0826eb38d385f0864486d4a098",
+    ),
+    (
+        ["moments", "-p", "2", "-q", "3", "--trace", GOLDEN_SPEC385, "--n-max", "8"],
+        "c2f63239e96d375458900694ce4ca71bd2e5a2c25c3319470413a22cbe5accc2",
+    ),
+    (
+        ["trace-eval", "-p", "2", "-q", "3", "--trace", GOLDEN_SPEC5_30030, "--element", GOLDEN_UNIT11],
+        "7bbb95ebd824ce1286be77cdfa981c47d906664e947f0a29f25efaf2c64d7b31",
     ),
 ]
 

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_order, reference_pq_rational
+from helpers import (
+    dense_cyclotomic_polynomial,
+    dense_reduce_mod_cyclotomic,
+    naive_order,
+    reference_pq_rational,
+)
 from xpq import (
     Cyclotomic,
     FactorizationTooHard,
@@ -271,6 +276,30 @@ class TestCyclotomicPolynomials:
                 prod = nxt
             want = [-1] + [0] * (n - 1) + [1]
             assert prod == want, n
+
+    def test_dense_reference(self):
+        for n in list(range(1, 301)) + [360, 420, 840, 1155, 2310]:
+            assert cyclotomic_polynomial(n) == dense_cyclotomic_polynomial(n), n
+
+    def test_sympy_reference(self):
+        sympy = pytest.importorskip("sympy")
+        # sympy takes about 30 s for every n up to 3000, so above 500 a
+        # seeded sample and the levels with the most prime factors
+        rng = random.Random(3000)
+        levels = list(range(1, 501)) + rng.sample(range(501, 3001), 40) + [840, 1155, 2310, 2520, 2730]
+        for n in levels:
+            want = sympy.cyclotomic_poly(n, polys=True).all_coeffs()[::-1]
+            assert cyclotomic_polynomial(n) == tuple(int(c) for c in want), n
+
+    def test_reduction_vs_dense(self):
+        # every length from 1 to 2 phi(n) + 1, at a prime, a prime power and
+        # composite levels with up to five primes
+        rng = random.Random(60)
+        for n in (1, 2, 97, 243, 60, 840, 1155, 2310):
+            for length in range(1, 2 * euler_phi(n) + 2):
+                vec = [rng.randint(-9, 9) for _ in range(length)]
+                got = Cyclotomic(n, vec).vec  # den 1 leaves the remainder as it is
+                assert list(got) == dense_reduce_mod_cyclotomic(vec, n), (n, length)
 
     def test_level_limit(self):
         check_level(MAX_CYCLOTOMIC_LEVEL)

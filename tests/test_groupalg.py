@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,18 @@ class TestIccWitness:
         for bad in (-1, MAX_CONJUGATES + 1):
             with pytest.raises(OutOfRange, match=f"count = {bad} .* {MAX_CONJUGATES}"):
                 icc_witness(P23, g, bad)
+
+    def test_unprintable_count_refused(self):
+        # conjugate k of x = 1 has 100 k + 1 digits for p = 10^100 + 1, so
+        # 43 is the first past the 4300 Python prints; x = 0 with p^-44 is
+        # past it at k = 1
+        params = SystemParams(10**100 + 1, 3)
+        digits = sys.get_int_max_str_digits()
+        for g, count in ((elem(1, 0, 0, 1, 0), 43), (elem(0, 0, 0, -44, 0), 1)):
+            with pytest.raises(OutOfRange, match=f"count = {count}: .* {digits} .*get_int_max_str_digits"):
+                icc_witness(params, g, count)
+        found = icc_witness(params, elem(1, 0, 0, 1, 0), 42)
+        assert len(str(found[-1].x.num)) == 4201
 
     def test_identity_rejected(self):
         with pytest.raises(IdentityElement):

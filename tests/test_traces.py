@@ -1,3 +1,4 @@
+import cmath
 import random
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from xpq import (
     stabilizer_lattice,
     trace_eval,
 )
-from xpq.traces import MAX_MOMENT_RANGE
+from xpq.traces import MAX_MOMENT_COEFFICIENTS, MAX_MOMENT_RANGE
 
 P23 = SystemParams(2, 3)
 ORBIT5 = orbit_of(P23, SolenoidPoint.of(1, 5))
@@ -109,6 +110,17 @@ class TestWorkedValues:
         spec = FiniteOrbitTrace(ORBIT5, chi)
         val = trace_eval(spec, unit(GroupElement(PqRational(0, 0, 0), 0, 4)))
         assert val == root_of_unity(QmodZ(1, 4))
+
+    def test_composite_level(self):
+        # level lcm(10007, 12) = 120084 = 2^2 3 10007; the value is zeta_12
+        # times the mean of zeta_10007^a over the orbit
+        orbit = orbit_of(P23, SolenoidPoint.of(1, 10007))
+        chi = Character(orbit.stabilizer, QmodZ(1, 12), QmodZ(0, 1))
+        m, n = orbit.stabilizer.basis[0]
+        val = trace_eval(FiniteOrbitTrace(orbit, chi), unit(GroupElement(PqRational(1, 0, 0), m, n)))
+        assert val.level == 120084
+        mean = sum(cmath.exp(2j * cmath.pi * a / 10007) for a in orbit.numerators) / orbit.size
+        assert abs(val.approx() - cmath.exp(2j * cmath.pi / 12) * mean) < 1e-9
 
     def test_canonical_is_point_mass_at_identity(self):
         spec = CanonicalTrace(P23)
@@ -212,6 +224,15 @@ class TestMoments:
         for bad in (-1, MAX_MOMENT_RANGE + 1):
             with pytest.raises(OutOfRange, match=f"n_max = {bad} .* {MAX_MOMENT_RANGE}"):
                 moments(CanonicalTrace(P23), bad)
+
+    def test_coefficient_limit(self):
+        # (2 n_max + 1) phi(r) coefficients: 25 * 10006 passes, 2001 * 10006 does not
+        orbit = orbit_of(P23, SolenoidPoint.of(1, 10007))
+        assert moments(OrbitMeasureTrace(orbit), 12).n_max == 12
+        for spec in (OrbitMeasureTrace(orbit), FiniteOrbitTrace(orbit, Character.trivial(orbit.stabilizer))):
+            for n_max in (1000, 50):  # 101 * 10006 is just past the limit
+                with pytest.raises(OutOfRange, match=f"n_max = {n_max} at r = 10007 .* {MAX_MOMENT_COEFFICIENTS}"):
+                    moments(spec, n_max)
 
     def test_conjugate_symmetry(self):
         chi = Character(ORBIT7.stabilizer, QmodZ(1, 6), QmodZ(0, 1))
