@@ -21,7 +21,7 @@ _EXPORTS = {
     "checks": ("CheckResult", "run_checks"),
     "dynamics": (
         "FixedPoints", "OrbitData", "SolenoidPoint", "StabilizerLattice", "SystemParams",
-        "beta_apply", "enumerate_minimal_sets", "fixed_points", "is_invariant_set",
+        "beta_apply", "census", "enumerate_minimal_sets", "fixed_points", "is_invariant_set",
         "lift_sequence", "orbit_of", "stabilizer_lattice",
     ),
     "errors": (

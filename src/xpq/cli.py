@@ -122,43 +122,46 @@ def _max_den(args, required: bool = True) -> int | None:
 
 
 def _cmd_orbits(args) -> int:
-    from .dynamics import enumerate_minimal_sets
-    from .serialize import orbit_to_json
+    from .dynamics import census
 
     params = _params(args)
     bound = _max_den(args)
-    orbits = enumerate_minimal_sets(params, bound)
+    count, orbits = census(params, bound)
+    # each orbit's points are one join of its numerators, the separator
+    # closing one point and opening the next
+    out = sys.stdout
     if args.format == "csv":
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(["r", "size", "index", "basis_a", "basis_b", "basis_c", "points"])
+        # what csv.writer writes: no field needs quoting
+        out.write("r,size,index,basis_a,basis_b,basis_c,points\n")
         for orbit in orbits:
+            r = orbit.denominator
             (a, b), (_, c) = orbit.stabilizer.basis
-            w.writerow(
-                [
-                    orbit.denominator,
-                    orbit.size,
-                    orbit.stabilizer.index,
-                    a,
-                    b,
-                    c,
-                    " ".join(f"{num}/{orbit.denominator}" for num in orbit.numerators),
-                ]
-            )
+            pts = f"/{r} ".join(map(str, orbit.numerators))
+            out.write(f"{r},{orbit.size},{orbit.stabilizer.index},{a},{b},{c},{pts}/{r}\n")
     elif args.format == "pretty":
-        print(f"minimal invariant sets for p={params.p}, q={params.q}, r <= {bound}:")
+        out.write(f"minimal invariant sets for p={params.p}, q={params.q}, r <= {bound}:\n")
         for orbit in orbits:
-            pts = ", ".join(f"{num}/{orbit.denominator}" for num in orbit.numerators)
-            print(f"  r={orbit.denominator}  size={orbit.size}  {{{pts}}}")
-        print(f"total: {len(orbits)}")
+            r = orbit.denominator
+            pts = f"/{r}, ".join(map(str, orbit.numerators))
+            out.write(f"  r={r}  size={orbit.size}  {{{pts}/{r}}}\n")
+        out.write(f"total: {count}\n")
     else:
         # the document _emit_json would write for {"count", "max_denominator",
-        # "orbits", "p", "q"}, one orbit at a time; the r = 1 orbit is always
-        # there, so the list is never empty
-        out = sys.stdout
-        out.write(f'{{\n  "count": {len(orbits)},\n  "max_denominator": {bound},\n  "orbits": [')
+        # "orbits", "p", "q"}, each orbit laid out as _dumps(orbit_to_json(orbit),
+        # "    ") does; the r = 1 orbit is always there, so the list is never empty
+        out.write(f'{{\n  "count": {count},\n  "max_denominator": {bound},\n  "orbits": [')
         sep = "\n    "
         for orbit in orbits:
-            out.write(sep + _dumps(orbit_to_json(orbit), "    "))
+            r = orbit.denominator
+            (a, b), (z, c) = orbit.stabilizer.basis
+            pts = f'/{r}",\n        "'.join(map(str, orbit.numerators))
+            out.write(
+                f'{sep}{{\n      "orbit": [\n        "{pts}/{r}"\n      ],'
+                f'\n      "p": {params.p},\n      "q": {params.q},\n      "r": {r},'
+                f'\n      "stabilizer": {{\n        "basis": [\n          [\n            {a},'
+                f'\n            {b}\n          ],\n          [\n            {z},\n            {c}'
+                f'\n          ]\n        ],\n        "index": {orbit.stabilizer.index}\n      }}\n    }}'
+            )
             sep = ",\n    "
         out.write(f'\n  ],\n  "p": {params.p},\n  "q": {params.q}\n}}\n')
     return 0

@@ -19,6 +19,7 @@ individual group elements, and backward orbits along the pq-division map.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -38,11 +39,19 @@ MAX_FIXED_LISTING = 100_000
 # the scan runs over d <= min(max_denominator, count), one division each.
 MAX_DENOMINATOR_SCAN = 10**6
 
-# Largest denominator bound enumerate_minimal_sets accepts.  The census up
-# to N holds sum phi(r) over r <= N coprime to pq, of order N^2 points: at
-# N = 5000, 3.8 million at (2, 3) and 5.5 million at (5, 7), which `xpq
-# orbits` writes as 79 and 116 MB of JSON.
+# Largest denominator bound census and enumerate_minimal_sets accept.  The
+# census up to N holds sum phi(r) over r <= N coprime to pq, of order N^2
+# points: at N = 5000, 3.8 million at (2, 3) and 5.5 million at (5, 7),
+# which `xpq orbits` writes as 79 and 116 MB of JSON.  census builds them r
+# by r, so its memory is O(N + largest orbit); the bound caps time and
+# output, which grow as N^2.
 MAX_ORBIT_DENOMINATOR = 5_000
+
+# Largest ord_r(q), and largest number of powers of p scanned, that
+# stabilizer_lattice accepts.  It holds a dict of the ord_r(q) powers of q:
+# at r = 10000019 (ord_r(3) = 5000009, above the limit) that took 1 s and
+# 552 MB, at r = 1000003 (ord_r(3) = 333334) 0.04 s and 50 MB.
+MAX_STABILIZER_ORDER = 10**6
 
 # Longest backward orbit lift_sequence builds: one point per step, about
 # 11 bytes of JSON each.
@@ -192,7 +201,9 @@ def stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
 
     The second basis vector is (0, ord_r(q)); the first is (m, b) where m
     is least positive with p^m in <q> mod r.  The index a*c equals the
-    order of <p, q> in (Z/rZ)^*.
+    order of <p, q> in (Z/rZ)^*.  OutOfRange is raised when ord_r(q), or
+    the least such m, exceeds MAX_STABILIZER_ORDER, before the powers of q
+    are built in the first case.
 
     >>> stabilizer_lattice(SystemParams(2, 3), 5).basis
     ((1, 1), (0, 4))
@@ -204,10 +215,19 @@ def stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
         return StabilizerLattice(((1, 0), (0, 1)), 1)
     p, q = params.p, params.q
     dq = multiplicative_order(q, r)
+    if dq > MAX_STABILIZER_ORDER:
+        raise OutOfRange(
+            f"denominator {r}: ord_r(q) = {dq} exceeds the stabilizer limit {MAX_STABILIZER_ORDER}"
+        )
     qpow_index = {v: j for j, v in enumerate(_powers(q, dq, r))}
     m, pm = 1, p % r
     while pm not in qpow_index:
         m += 1
+        if m > MAX_STABILIZER_ORDER:
+            raise OutOfRange(
+                f"denominator {r}: no p^m with m <= {MAX_STABILIZER_ORDER} lies in <q> "
+                f"(ord_r(q) = {dq}); {MAX_STABILIZER_ORDER} is the stabilizer limit"
+            )
         pm = pm * p % r
     # q^j = p^m means p^m q^(dq - j) = 1, so the lattice point is (m, dq - j)
     j = qpow_index[pm]
@@ -216,17 +236,18 @@ def stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
 
 
 def _subgroup(params: SystemParams, r: int, stab: StabilizerLattice) -> list[int]:
-    """The subgroup <p, q> of (Z/rZ)^*, one element p^i q^j per point
-    (i, j) of [0, a) x [0, c), where ((a, b), (0, c)) is the Hermite basis
-    of its stabilizer lattice.
+    """The subgroup <p, q> of (Z/rZ)^*, sorted: the numerators of the orbit
+    of 1/r (of 0/1 at r = 1).
 
-    These a*c elements are distinct (p^i q^j = p^i' q^j' with |i - i'| < a
-    puts p^(i - i') in <q>, so i = i', and then j = j' below c = ord_r(q)),
-    and there are index(L_r) = |<p, q>| of them.
+    It is {p^i q^j : (i, j) in [0, a) x [0, c)}, where ((a, b), (0, c)) is
+    the Hermite basis of its stabilizer lattice.  These a*c elements are
+    distinct (p^i q^j = p^i' q^j' with |i - i'| < a puts p^(i - i') in <q>,
+    so i = i', and then j = j' below c = ord_r(q)), and there are
+    index(L_r) = |<p, q>| of them.
     """
     (a, _), (_, c) = stab.basis
     q_powers = _powers(params.q, c, r)
-    return [u * x % r for u in _powers(params.p, a, r) for x in q_powers]
+    return sorted([u * x % r for u in _powers(params.p, a, r) for x in q_powers])
 
 
 def orbit_of(params: SystemParams, x: SolenoidPoint) -> OrbitData:
@@ -243,26 +264,53 @@ def orbit_of(params: SystemParams, x: SolenoidPoint) -> OrbitData:
     return OrbitData(params, r, nums, stab)
 
 
-def _orbits_mod(params: SystemParams, r: int) -> list[OrbitData]:
-    """Every orbit with denominator r, ordered by least numerator.
+def _orbits_mod(params: SystemParams, r: int, stab: StabilizerLattice) -> Iterator[OrbitData]:
+    """Every orbit with denominator r, in order of least numerator, given
+    the stabilizer lattice stab of r.
 
-    <p, q> mod r is built once from the stabilizer basis; each orbit is
-    then the coset a0<p, q> of the least unit a0 not yet covered.
+    The first orbit is the sorted subgroup <p, q> itself, the orbit of 1.
+    Each later one is the coset a0<p, q> of the least unit a0 not yet
+    covered; a0 times the sorted subgroup, reduced mod r, is a few
+    ascending runs, which sorted() merges cheaply.  The scan stops after
+    the phi(r) / index(stab) orbits there are.
     """
-    stab = stabilizer_lattice(params, r)
     subgroup = _subgroup(params, r, stab)
-    n_orbits = euler_phi(r) // stab.index
-    out = []
-    seen: set[int] = set()
-    for a0 in range(r):
+    left = euler_phi(r) // stab.index - 1
+    yield OrbitData(params, r, tuple(subgroup), stab)
+    seen = set(subgroup)
+    a0 = 1
+    while left:
+        a0 += 1
         if a0 in seen or gcd(a0, r) != 1:
             continue
         nums = tuple(sorted([a0 * h % r for h in subgroup]))
-        out.append(OrbitData(params, r, nums, stab))
-        if len(out) == n_orbits:
-            break
+        yield OrbitData(params, r, nums, stab)
+        left -= 1
         seen.update(nums)
-    return out
+
+
+def census(params: SystemParams, max_denominator: int) -> tuple[int, Iterator[OrbitData]]:
+    """The number of finite minimal invariant sets with denominator <= the
+    bound, and an iterator over them in the order of enumerate_minimal_sets.
+
+    A bound outside [1, MAX_ORBIT_DENOMINATOR] is refused before any
+    lattice is built.  The stabilizer lattices of all r come first, and the
+    count is the sum of phi(r) / index(L_r) over them; the orbits are then
+    built r by r as the iterator is read, so at most one denominator's
+    orbits are held at a time.
+    """
+    if not 1 <= max_denominator <= MAX_ORBIT_DENOMINATOR:
+        raise OutOfRange(
+            f"max_denominator = {max_denominator} out of range; "
+            f"expected 1 <= max_denominator <= {MAX_ORBIT_DENOMINATOR}"
+        )
+    lattices = [
+        (r, stabilizer_lattice(params, r))
+        for r in range(1, max_denominator + 1)
+        if gcd(r, params.pq) == 1
+    ]
+    count = sum(euler_phi(r) // stab.index for r, stab in lattices)
+    return count, (orbit for r, stab in lattices for orbit in _orbits_mod(params, r, stab))
 
 
 def enumerate_minimal_sets(params: SystemParams, max_denominator: int) -> list[OrbitData]:
@@ -271,19 +319,10 @@ def enumerate_minimal_sets(params: SystemParams, max_denominator: int) -> list[O
     These are exactly the <p, q>-orbits on lowest-terms numerators mod r
     for each r coprime to pq, plus the fixed point {0} (the r = 1 entry).
     Ordered by (r, least numerator); numerators within an orbit are sorted.
-    A bound above MAX_ORBIT_DENOMINATOR is refused before any orbit is built.
+    This is the census of the bound as a list; a bound above
+    MAX_ORBIT_DENOMINATOR is refused before any orbit is built.
     """
-    if not 1 <= max_denominator <= MAX_ORBIT_DENOMINATOR:
-        raise OutOfRange(
-            f"max_denominator = {max_denominator} out of range; "
-            f"expected 1 <= max_denominator <= {MAX_ORBIT_DENOMINATOR}"
-        )
-    return [
-        orbit
-        for r in range(1, max_denominator + 1)
-        if gcd(r, params.pq) == 1
-        for orbit in _orbits_mod(params, r)
-    ]
+    return list(census(params, max_denominator)[1])
 
 
 def is_invariant_set(params: SystemParams, points) -> bool:

@@ -137,7 +137,13 @@ def _pair_mult(params: SystemParams, r: int, y: PqRational) -> int:
     return y.num * pow(base, -1, r) % r
 
 
-@lru_cache(maxsize=None)
+# Bounded so that a long-lived process does not keep every (orbit, w) it
+# ever saw.  4096 holds the whole working set of a repeated trace_moments
+# mix (1,640 keys, each hit again on every later round; a bound of 1024 lost
+# about 20% of its speed to eviction), while mixes over ever new orbits,
+# which grow by about 145 keys per 20 ops of algebra_positivity and hit
+# within an op, now stop growing there.
+@lru_cache(maxsize=4096)
 def _orbit_mean(orbit: OrbitData, w: int):
     # (1/|B|) sum over numerators a of zeta_r^(w a), exact at level r
     r = orbit.denominator

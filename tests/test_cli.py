@@ -131,6 +131,14 @@ class TestExitCodes:
             assert proc.returncode == 2 and proc.stdout == ""
             assert field in proc.stderr and limit in proc.stderr
             assert "Traceback" not in proc.stderr
+        # ord_r(3) = 5000000009 at the prime r = 10000000019: refused before
+        # the powers of q are built
+        t = time.perf_counter()
+        proc = run("stabilizer", "-p", "2", "-q", "3", "-r", "10000000019")
+        assert time.perf_counter() - t < 5
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert "10000000019" in proc.stderr and "5000000009" in proc.stderr
+        assert "1000000" in proc.stderr and "Traceback" not in proc.stderr
         # a count of 25850 bits has too many digits to print
         for fmt in ("json", "pretty"):
             proc = run("fix", "-p", "2", "-q", "3", "-m", "10000", "-n", "10000",
@@ -151,6 +159,17 @@ class TestExitCodes:
         assert time.perf_counter() - t < 0.5
         out, err = capsys.readouterr()
         assert out == "" and "max_denominator = 20000" in err
+
+    def test_orbit_bound_builds_no_lattice(self, monkeypatch, capsys):
+        import xpq.dynamics
+
+        def no_lattice(params, r):
+            raise AssertionError(f"lattice built for r = {r}")
+
+        monkeypatch.setattr(xpq.dynamics, "stabilizer_lattice", no_lattice)
+        assert cli.main(["orbits", "-p", "5", "-q", "7", "--max-den", "5001"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "max_denominator = 5001" in err and "5000" in err
 
     def test_missing_bound_is_usage_error(self):
         proc = run("orbits", "-p", "2", "-q", "3")
@@ -318,6 +337,41 @@ class TestOrbitsCommand:
     def test_pretty(self):
         proc = run("orbits", "-p", "2", "-q", "3", "--max-den", "7", "--format", "pretty")
         assert proc.returncode == 0 and "1/5" in proc.stdout
+
+    @pytest.mark.parametrize(
+        "p, q", [(2, 3), (5, 7), (6, 10), (4, 6), (2, 4), (1000000007, 998244353)]
+    )
+    def test_streamed_output_matches_generic_writers(self, p, q, capsys):
+        # the per-orbit templates against _dumps(orbit_to_json(orbit)) (inside
+        # the whole document), csv.writer and the per-orbit pretty line
+        import csv
+        import io
+
+        from xpq import enumerate_minimal_sets, orbit_to_json
+
+        bound = 300
+        orbits = enumerate_minimal_sets(SystemParams(p, q), bound)
+        doc = {"count": len(orbits), "max_denominator": bound,
+               "orbits": [orbit_to_json(o) for o in orbits], "p": p, "q": q}
+        table = io.StringIO()
+        w = csv.writer(table, lineterminator="\n")
+        w.writerow(["r", "size", "index", "basis_a", "basis_b", "basis_c", "points"])
+        pretty = [f"minimal invariant sets for p={p}, q={q}, r <= {bound}:"]
+        for o in orbits:
+            (a, b), (_, c) = o.stabilizer.basis
+            pts = [f"{num}/{o.denominator}" for num in o.numerators]
+            w.writerow([o.denominator, o.size, o.stabilizer.index, a, b, c, " ".join(pts)])
+            pretty.append(f"  r={o.denominator}  size={o.size}  {{{', '.join(pts)}}}")
+        pretty.append(f"total: {len(orbits)}")
+        expected = {
+            "json": cli._dumps(doc) + "\n",
+            "csv": table.getvalue(),
+            "pretty": "\n".join(pretty) + "\n",
+        }
+        for fmt, text in expected.items():
+            argv = ["orbits", "-p", str(p), "-q", str(q), "--max-den", str(bound), "--format", fmt]
+            assert cli.main(argv) == 0
+            assert capsys.readouterr().out == text, fmt
 
     def test_dependence_warning_on_stderr(self):
         proc = run("orbits", "-p", "2", "-q", "4", "--max-den", "5")
@@ -860,6 +914,20 @@ GOLDEN = [
     (
         ["trace-eval", "-p", "2", "-q", "3", "--trace", GOLDEN_SPEC5_30030, "--element", GOLDEN_UNIT11],
         "7bbb95ebd824ce1286be77cdfa981c47d906664e947f0a29f25efaf2c64d7b31",
+    ),
+    # the three below were recorded before the orbits census was streamed
+    # r by r with its count taken from phi(r) / index
+    (
+        ["orbits", "-p", "2", "-q", "3", "--max-den", "1500"],
+        "7a215b2f9158557155411a4402c639d85f16e578de0147cc633e3f44e8f16c41",
+    ),
+    (
+        ["orbits", "-p", "5", "-q", "7", "--max-den", "800", "--format", "pretty"],
+        "3d7087f6b23a26af8a76a47a7105cc70f22e3c2827d02793b8f1dd1d21dc7c94",
+    ),
+    (
+        ["orbits", "-p", "1000000007", "-q", "998244353", "--max-den", "200", "--format", "csv"],
+        "3055b061a07f9f43acf9d63e824b4bd7296fe59dbe763b9910a05bd59ae79874",
     ),
 ]
 

@@ -13,6 +13,7 @@ from xpq import (
     SolenoidPoint,
     SystemParams,
     beta_apply,
+    census,
     enumerate_minimal_sets,
     fixed_points,
     is_invariant_set,
@@ -27,7 +28,9 @@ from xpq.dynamics import (
     MAX_FIXED_LISTING,
     MAX_LIFT_DEPTH,
     MAX_ORBIT_DENOMINATOR,
+    MAX_STABILIZER_ORDER,
 )
+from xpq import dynamics
 
 
 class TestSystemParams:
@@ -118,6 +121,26 @@ class TestStabilizer:
                 # index is the size of the subgroup generated by p and q
                 assert lat.index == len(naive_orbit(p, q, r, 1))
 
+    def test_order_limit(self, monkeypatch):
+        # r = 10000000019 is prime with ord_r(3) = (r - 1) / 2: refused
+        # before the table of q-powers is built
+        with pytest.raises(OutOfRange, match=f"10000000019: ord_r\\(q\\) = 5000000009 .*{MAX_STABILIZER_ORDER}"):
+            stabilizer_lattice(SystemParams(2, 3), 10000000019)
+        # q = -1 mod r has order 2, so the scan for p^m in <q> is what is long
+        with pytest.raises(OutOfRange, match=f"10000000019: no p\\^m with m <= {MAX_STABILIZER_ORDER}"):
+            stabilizer_lattice(SystemParams(2, 10000000018), 10000000019)
+        # each limit admits its own value: ord_7(3) = 6, and at r = 11,
+        # q = 10 = -1 and 2^5 = -1 give m = 5
+        monkeypatch.setattr(dynamics, "MAX_STABILIZER_ORDER", 6)
+        assert stabilizer_lattice(SystemParams(2, 3), 7).basis == ((1, 4), (0, 6))
+        with pytest.raises(OutOfRange, match="ord_r"):
+            stabilizer_lattice(SystemParams(2, 3), 49)
+        monkeypatch.setattr(dynamics, "MAX_STABILIZER_ORDER", 5)
+        assert stabilizer_lattice(SystemParams(2, 10), 11).basis == ((5, 1), (0, 2))
+        monkeypatch.setattr(dynamics, "MAX_STABILIZER_ORDER", 4)
+        with pytest.raises(OutOfRange, match="no p\\^m with m <= 4"):
+            stabilizer_lattice(SystemParams(2, 10), 11)
+
     def test_coords(self):
         params = SystemParams(2, 3)
         lat = stabilizer_lattice(params, 5)
@@ -202,11 +225,17 @@ class TestOrbits:
                 units = [a for a in range(r) if gcd(a, r) == 1]
                 assert by_r[r] == {naive_orbit(p, q, r, a) for a in units}
 
-    def test_enumerate_bound(self):
+    def test_enumerate_bound(self, monkeypatch):
+        # refused before any stabilizer lattice is built
+        def no_lattice(params, r):
+            raise AssertionError(f"lattice built for r = {r}")
+
+        monkeypatch.setattr(dynamics, "stabilizer_lattice", no_lattice)
         params = SystemParams(2, 3)
         for bad in (0, MAX_ORBIT_DENOMINATOR + 1, 10**30):
-            with pytest.raises(OutOfRange, match=f"max_denominator = {bad} .*{MAX_ORBIT_DENOMINATOR}"):
-                enumerate_minimal_sets(params, bad)
+            for enumerate_ in (enumerate_minimal_sets, census):
+                with pytest.raises(OutOfRange, match=f"max_denominator = {bad} .*{MAX_ORBIT_DENOMINATOR}"):
+                    enumerate_(params, bad)
 
     def test_minimality(self):
         # from any point, the two maps reach the whole orbit
@@ -215,6 +244,20 @@ class TestOrbits:
             r = orbit.denominator
             for a in orbit.numerators:
                 assert naive_orbit(2, 3, r, a) == set(orbit.numerators)
+
+    def test_census_count_and_order(self):
+        # count is sum phi(r) / index over the lattices, before any orbit is
+        # built; it must match the orbits the iterator then yields
+        for p, q in ((2, 3), (5, 7), (6, 10), (4, 6), (2, 4)):
+            params = SystemParams(p, q)
+            for bound in (1, 2, 7, 30, 97, 299, 300):
+                count, orbits = census(params, bound)
+                listed = list(orbits)
+                assert count == len(listed), (p, q, bound)
+                assert listed == enumerate_minimal_sets(params, bound)
+                assert [(o.denominator, o.numerators[0]) for o in listed] == sorted(
+                    (o.denominator, o.numerators[0]) for o in listed
+                )
 
     def test_is_invariant_set(self):
         params = SystemParams(2, 3)
