@@ -20,9 +20,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "checks": ("CheckResult", "run_checks"),
     "dynamics": (
-        "FixedPoints", "OrbitData", "SolenoidPoint", "StabilizerLattice", "SystemParams",
-        "beta_apply", "census", "enumerate_minimal_sets", "fixed_points", "is_invariant_set",
-        "lift_sequence", "orbit_of", "stabilizer_lattice",
+        "Character", "FixedPoints", "OrbitData", "SolenoidPoint", "StabilizerLattice",
+        "SystemParams", "beta_apply", "census", "enumerate_minimal_sets", "fixed_points",
+        "is_invariant_set", "lift_sequence", "orbit_of", "stabilizer_lattice",
     ),
     "errors": (
         "DependentParams", "FactorizationTooHard", "IdentityElement", "IncompatibleMap",
@@ -59,9 +59,9 @@ _EXPORTS = {
         "sequence_desc_to_json", "trace_spec_from_json", "trace_spec_to_json",
     ),
     "traces": (
-        "CanonicalTrace", "Character", "FiniteOrbitTrace", "MomentSequence",
-        "OrbitMeasureTrace", "TraceSpec", "average_over_character_level",
-        "check_pq_invariance", "moments", "nonfaithful_witness", "pairing", "trace_eval",
+        "CanonicalTrace", "FiniteOrbitTrace", "MomentSequence", "OrbitMeasureTrace", "TraceSpec",
+        "average_over_character_level", "check_pq_invariance", "moments", "nonfaithful_witness",
+        "pairing", "trace_eval",
     ),
 }
 

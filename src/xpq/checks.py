@@ -15,6 +15,7 @@ from fractions import Fraction
 from math import gcd
 
 from .dynamics import (
+    Character,
     SolenoidPoint,
     SystemParams,
     beta_apply,
@@ -48,7 +49,6 @@ from .primspace import (
 )
 from .traces import (
     CanonicalTrace,
-    Character,
     FiniteOrbitTrace,
     OrbitMeasureTrace,
     check_pq_invariance,
@@ -302,8 +302,8 @@ def _check_primspace(params: SystemParams, rng: random.Random, bound: int, trial
     for orbit in orbits:
         (a, _), (_, c) = orbit.stabilizer.basis
         res.record(a > 0 and c > 0, f"rank-2 stabilizer mod {orbit.denominator}")
-        points.append(OrbitCharPoint(orbit, (QmodZ(0, 1), QmodZ(0, 1))))
-        points.append(OrbitCharPoint(orbit, (QmodZ(1, 2), QmodZ(1, 3))))
+        points.append(OrbitCharPoint(orbit, Character.trivial(orbit.stabilizer)))
+        points.append(OrbitCharPoint(orbit, Character(orbit.stabilizer, QmodZ(1, 2), QmodZ(1, 3))))
     for pt in points:
         res.record(specializes(INFINITY, pt), "infinity is dense")
         if not isinstance(pt, OrbitCharPoint):

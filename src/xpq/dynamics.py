@@ -12,7 +12,8 @@ numerators mod r, the stabilizer lattices
 
     L_r = { (m, n) in Z^2 : p^m q^n = 1 mod r },
 
-presented by a canonical row Hermite basis [[a, b], [0, c]], the finite
+presented by a canonical row Hermite basis [[a, b], [0, c]], their
+characters with rational coordinates in that basis, the finite
 minimal invariant sets up to a denominator bound, fixed-point data of
 individual group elements, and backward orbits along the pq-division map.
 """
@@ -25,7 +26,9 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import IdentityElement, NotCoprime, OutOfRange
-from .exact import QmodZ, euler_phi, is_multiplicatively_independent, multiplicative_order
+from .exact import (
+    Cyclotomic, QmodZ, euler_phi, is_multiplicatively_independent, multiplicative_order, root_of_unity,
+)
 
 # Largest |exponent| of p or q accepted from a caller.  Powers are exact
 # integers, so p**e costs time and memory that grow with e: at e = 10**5
@@ -147,6 +150,37 @@ class StabilizerLattice:
 
 
 @dataclass(frozen=True, slots=True)
+class Character:
+    """A character of a stabilizer lattice with rational coordinates.
+
+    (t1, t2) are the values (as elements of Q/Z, i.e. exponents) on the
+    two Hermite basis vectors of the lattice.
+    """
+
+    lattice: StabilizerLattice
+    t1: QmodZ
+    t2: QmodZ
+
+    @classmethod
+    def trivial(cls, lattice: StabilizerLattice) -> Character:
+        return cls(lattice, QmodZ(0, 1), QmodZ(0, 1))
+
+    def is_trivial(self) -> bool:
+        return self.t1.is_zero() and self.t2.is_zero()
+
+    def exponent(self, m: int, n: int) -> QmodZ:
+        """chi(m, n) as an exponent in Q/Z; (m, n) must lie in the lattice."""
+        coords = self.lattice.coords(m, n)
+        if coords is None:
+            raise OutOfRange(f"({m}, {n}) is not in the lattice {self.lattice.basis}")
+        c1, c2 = coords
+        return self.t1.mul_int(c1) + self.t2.mul_int(c2)
+
+    def value(self, m: int, n: int) -> Cyclotomic:
+        return root_of_unity(self.exponent(m, n))
+
+
+@dataclass(frozen=True, slots=True)
 class OrbitData:
     """A finite orbit: the sorted numerators a of all points a/r in lowest
     terms reachable from one of them under multiplication by p and q,
@@ -264,18 +298,18 @@ def orbit_of(params: SystemParams, x: SolenoidPoint) -> OrbitData:
     return OrbitData(params, r, nums, stab)
 
 
-def _orbits_mod(params: SystemParams, r: int, stab: StabilizerLattice) -> Iterator[OrbitData]:
+def _orbits_mod(params: SystemParams, r: int, stab: StabilizerLattice, count: int) -> Iterator[OrbitData]:
     """Every orbit with denominator r, in order of least numerator, given
-    the stabilizer lattice stab of r.
+    the stabilizer lattice stab of r and the orbit count phi(r) / index(stab).
 
     The first orbit is the sorted subgroup <p, q> itself, the orbit of 1.
     Each later one is the coset a0<p, q> of the least unit a0 not yet
     covered; a0 times the sorted subgroup, reduced mod r, is a few
     ascending runs, which sorted() merges cheaply.  The scan stops after
-    the phi(r) / index(stab) orbits there are.
+    count orbits.
     """
     subgroup = _subgroup(params, r, stab)
-    left = euler_phi(r) // stab.index - 1
+    left = count - 1
     yield OrbitData(params, r, tuple(subgroup), stab)
     seen = set(subgroup)
     a0 = 1
@@ -304,13 +338,13 @@ def census(params: SystemParams, max_denominator: int) -> tuple[int, Iterator[Or
             f"max_denominator = {max_denominator} out of range; "
             f"expected 1 <= max_denominator <= {MAX_ORBIT_DENOMINATOR}"
         )
-    lattices = [
-        (r, stabilizer_lattice(params, r))
-        for r in range(1, max_denominator + 1)
-        if gcd(r, params.pq) == 1
-    ]
-    count = sum(euler_phi(r) // stab.index for r, stab in lattices)
-    return count, (orbit for r, stab in lattices for orbit in _orbits_mod(params, r, stab))
+    per_r = []
+    for r in range(1, max_denominator + 1):
+        if gcd(r, params.pq) == 1:
+            stab = stabilizer_lattice(params, r)
+            per_r.append((r, stab, euler_phi(r) // stab.index))
+    count = sum(k for _, _, k in per_r)
+    return count, (orbit for r, stab, k in per_r for orbit in _orbits_mod(params, r, stab, k))
 
 
 def enumerate_minimal_sets(params: SystemParams, max_denominator: int) -> list[OrbitData]:

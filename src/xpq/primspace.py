@@ -26,11 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dynamics import OrbitData
+from .dynamics import Character, OrbitData
 from .errors import ParamsMismatch
-from .exact import QmodZ
-
-Chi = tuple[QmodZ, QmodZ]
 
 
 # ---------------------------------------------------------------------------
@@ -49,7 +46,7 @@ class OrbitCharPoint:
     stabilizer lattice, written in the Hermite basis coordinates."""
 
     orbit: OrbitData
-    chi: Chi
+    chi: Character
 
 
 PrimPoint = InfinityPoint | OrbitCharPoint
@@ -72,19 +69,15 @@ class FullTorus:
     """Every character of one orbit's stabilizer."""
 
 
-def _chi_key(chi: Chi):
-    return (chi[0].to_fraction(), chi[1].to_fraction())
-
-
 @dataclass(frozen=True, slots=True)
 class FinitePoints:
     """A finite set of characters, kept sorted and duplicate-free."""
 
-    points: tuple[Chi, ...]
+    points: tuple[Character, ...]
 
     def __post_init__(self):
-        canon = tuple(sorted(set(self.points), key=_chi_key))
-        object.__setattr__(self, "points", canon)
+        canon = sorted(set(self.points), key=lambda chi: (chi.t1.to_fraction(), chi.t2.to_fraction()))
+        object.__setattr__(self, "points", tuple(canon))
 
     def is_empty(self) -> bool:
         return not self.points
@@ -102,7 +95,8 @@ def _orbit_key(orbit: OrbitData):
 @dataclass(frozen=True, slots=True)
 class FiniteUnion:
     """A finite union of per-orbit closed sets; the empty union is the
-    empty set.  Orbits are pairwise distinct and every part is nonempty."""
+    empty set.  Orbits are pairwise distinct, every part is nonempty, and
+    every listed character is one of its orbit's stabilizer lattice."""
 
     parts: tuple[tuple[OrbitData, T2Closed], ...]
 
@@ -121,8 +115,13 @@ class FiniteUnion:
                     f"orbits from ({params.p}, {params.q}) and "
                     f"({orbit.params.p}, {orbit.params.q}) in one closed set"
                 )
-            if isinstance(chunk, FinitePoints) and chunk.is_empty():
-                raise ValueError("empty part in a finite union")
+            if isinstance(chunk, FinitePoints):
+                if chunk.is_empty():
+                    raise ValueError("empty part in a finite union")
+                if any(chi.lattice != orbit.stabilizer for chi in chunk.points):
+                    raise ParamsMismatch(
+                        f"character lattice differs from the orbit stabilizer mod {orbit.denominator}"
+                    )
         object.__setattr__(self, "parts", parts)
 
     def is_empty(self) -> bool:
@@ -151,7 +150,7 @@ class ConstantOrbitTail:
     """The orbit is eventually B and the characters converge to chi_limit."""
 
     orbit: OrbitData
-    chi_limit: Chi
+    chi_limit: Character
 
 
 ESCAPING = EscapingTail()
@@ -181,7 +180,7 @@ def closure(points) -> ClosedSetDesc:
     pts = tuple(points)
     if any(isinstance(pt, InfinityPoint) for pt in pts):
         return ALL
-    by_orbit: dict[OrbitData, set[Chi]] = {}
+    by_orbit: dict[OrbitData, set[Character]] = {}
     for pt in pts:
         by_orbit.setdefault(pt.orbit, set()).add(pt.chi)
     return FiniteUnion(

@@ -25,11 +25,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .dynamics import OrbitData, SolenoidPoint, SystemParams, check_exponent, orbit_of
+from .dynamics import Character, OrbitData, SolenoidPoint, SystemParams, check_exponent, orbit_of
 from .errors import OutOfRange, ParamsMismatch
 from .exact import Cyclotomic, PqRational, QmodZ
 
 if TYPE_CHECKING:
+    from .dynamics import StabilizerLattice
     from .groupalg import GroupAlgebraElement, GroupElement
     from .ktheory import FgAbGroup, KTheoryResult
     from .primspace import ClosedSetDesc, PrimPoint, SequenceDesc
@@ -77,8 +78,7 @@ def pq_rational_from_json(data, params: SystemParams) -> PqRational:
         raise ValueError(f"exponents ({a}, {b}) must be nonnegative")
     check_exponent("a", a)
     check_exponent("b", b)
-    value = Fraction(num, params.p**a * params.q**b)
-    canon = PqRational.from_fraction(value, params.p, params.q)
+    canon = PqRational.canonical(num, params.p**a * params.q**b, params.p, params.q)
     if (canon.num, canon.a, canon.b) != (num, a, b):
         raise ValueError(
             f"{num}/({params.p}^{a} {params.q}^{b}) is not in canonical form"
@@ -201,12 +201,12 @@ def algebra_element_from_json(data, params: SystemParams) -> GroupAlgebraElement
 # ---------------------------------------------------------------------------
 
 
-def _chi_to_json(t1: QmodZ, t2: QmodZ) -> dict:
-    return {"t1": str(t1), "t2": str(t2)}
+def _chi_to_json(chi: Character) -> dict:
+    return {"t1": str(chi.t1), "t2": str(chi.t2)}
 
 
-def _chi_from_json(data) -> tuple[QmodZ, QmodZ]:
-    return (_qmodz_from_str(_need(data, "t1")), _qmodz_from_str(_need(data, "t2")))
+def _chi_from_json(data, lattice: StabilizerLattice) -> Character:
+    return Character(lattice, _qmodz_from_str(_need(data, "t1")), _qmodz_from_str(_need(data, "t2")))
 
 
 def trace_spec_to_json(spec: TraceSpec) -> dict:
@@ -216,7 +216,7 @@ def trace_spec_to_json(spec: TraceSpec) -> dict:
         return {
             "kind": "finite_orbit",
             "orbit": orbit_to_json(spec.orbit),
-            "chi": _chi_to_json(spec.chi.t1, spec.chi.t2),
+            "chi": _chi_to_json(spec.chi),
         }
     if isinstance(spec, CanonicalTrace):
         return {"kind": "canonical"}
@@ -226,7 +226,7 @@ def trace_spec_to_json(spec: TraceSpec) -> dict:
 
 
 def trace_spec_from_json(data, params: SystemParams | None = None) -> TraceSpec:
-    from .traces import CanonicalTrace, Character, FiniteOrbitTrace, OrbitMeasureTrace
+    from .traces import CanonicalTrace, FiniteOrbitTrace, OrbitMeasureTrace
 
     kind = _need(data, "kind", str)
     if kind == "canonical":
@@ -242,8 +242,7 @@ def trace_spec_from_json(data, params: SystemParams | None = None) -> TraceSpec:
             )
         if kind == "orbit_measure":
             return OrbitMeasureTrace(orbit)
-        t1, t2 = _chi_from_json(_need(data, "chi", dict))
-        return FiniteOrbitTrace(orbit, Character(orbit.stabilizer, t1, t2))
+        return FiniteOrbitTrace(orbit, _chi_from_json(_need(data, "chi", dict), orbit.stabilizer))
     raise ValueError(f"unknown trace kind {kind!r}")
 
 
@@ -300,7 +299,7 @@ def closed_set_to_json(desc: ClosedSetDesc) -> dict:
             {
                 "orbit": orbit_to_json(orbit),
                 "part": "full" if isinstance(part, FullTorus)
-                else [[str(t1), str(t2)] for t1, t2 in part.points],
+                else [[str(chi.t1), str(chi.t2)] for chi in part.points],
             }
             for orbit, part in desc.parts
         ],
@@ -328,7 +327,7 @@ def closed_set_from_json(data) -> ClosedSetDesc:
         for pair in part:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ValueError(f"bad character pair {pair!r}")
-            points.append((_qmodz_from_str(pair[0]), _qmodz_from_str(pair[1])))
+            points.append(Character(orbit.stabilizer, _qmodz_from_str(pair[0]), _qmodz_from_str(pair[1])))
         parts.append((orbit, FinitePoints(tuple(points))))
     return FiniteUnion(tuple(parts))
 
@@ -341,7 +340,7 @@ def prim_point_to_json(pt: PrimPoint) -> dict:
     return {
         "kind": "orbit_char",
         "orbit": orbit_to_json(pt.orbit),
-        "chi": _chi_to_json(*pt.chi),
+        "chi": _chi_to_json(pt.chi),
     }
 
 
@@ -354,7 +353,7 @@ def prim_point_from_json(data) -> PrimPoint:
     if kind != "orbit_char":
         raise ValueError(f"unknown point kind {kind!r}")
     orbit = orbit_from_json(_need(data, "orbit", dict))
-    return OrbitCharPoint(orbit, _chi_from_json(_need(data, "chi", dict)))
+    return OrbitCharPoint(orbit, _chi_from_json(_need(data, "chi", dict), orbit.stabilizer))
 
 
 def sequence_desc_to_json(seq: SequenceDesc) -> dict:
@@ -367,7 +366,7 @@ def sequence_desc_to_json(seq: SequenceDesc) -> dict:
         tail_data = {
             "kind": "constant_orbit",
             "orbit": orbit_to_json(tail.orbit),
-            "chi_limit": _chi_to_json(*tail.chi_limit),
+            "chi_limit": _chi_to_json(tail.chi_limit),
         }
     return {
         "prefix": [prim_point_to_json(pt) for pt in seq.prefix],
@@ -384,7 +383,7 @@ def sequence_desc_from_json(data) -> SequenceDesc:
         tail = EscapingTail()
     elif kind == "constant_orbit":
         orbit = orbit_from_json(_need(tail_data, "orbit", dict))
-        tail = ConstantOrbitTail(orbit, _chi_from_json(_need(tail_data, "chi_limit", dict)))
+        tail = ConstantOrbitTail(orbit, _chi_from_json(_need(tail_data, "chi_limit", dict), orbit.stabilizer))
     else:
         raise ValueError(f"unknown tail kind {kind!r}")
     entries = _need(data, "prefix", list) if "prefix" in data else []

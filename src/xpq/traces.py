@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .dynamics import OrbitData, SolenoidPoint, StabilizerLattice, SystemParams
+from .dynamics import Character, OrbitData, SolenoidPoint, SystemParams
 from .errors import OutOfRange, ParamsMismatch, RangeTooSmall
 from .exact import Cyclotomic, PqRational, QmodZ, check_level, euler_phi, root_of_unity
 from .groupalg import GroupAlgebraElement, GroupElement
@@ -52,44 +52,7 @@ MAX_MOMENT_COEFFICIENTS = 10**6
 
 
 @dataclass(frozen=True, slots=True)
-class Character:
-    """A character of a stabilizer lattice with rational coordinates.
-
-    (t1, t2) are the values (as elements of Q/Z, i.e. exponents) on the
-    two Hermite basis vectors of the lattice.
-    """
-
-    lattice: StabilizerLattice
-    t1: QmodZ
-    t2: QmodZ
-
-    @classmethod
-    def trivial(cls, lattice: StabilizerLattice) -> Character:
-        return cls(lattice, QmodZ(0, 1), QmodZ(0, 1))
-
-    def is_trivial(self) -> bool:
-        return self.t1.is_zero() and self.t2.is_zero()
-
-    def exponent(self, m: int, n: int) -> QmodZ:
-        """chi(m, n) as an exponent in Q/Z; (m, n) must lie in the lattice."""
-        coords = self.lattice.coords(m, n)
-        if coords is None:
-            raise OutOfRange(f"({m}, {n}) is not in the lattice {self.lattice.basis}")
-        c1, c2 = coords
-        return self.t1.mul_int(c1) + self.t2.mul_int(c2)
-
-    def value(self, m: int, n: int) -> Cyclotomic:
-        return root_of_unity(self.exponent(m, n))
-
-
-class TraceSpec:
-    """Marker base class for the representable trace specifications."""
-
-    __slots__ = ()
-
-
-@dataclass(frozen=True, slots=True)
-class FiniteOrbitTrace(TraceSpec):
+class FiniteOrbitTrace:
     orbit: OrbitData
     chi: Character
 
@@ -103,17 +66,20 @@ class FiniteOrbitTrace(TraceSpec):
 
 
 @dataclass(frozen=True, slots=True)
-class CanonicalTrace(TraceSpec):
+class CanonicalTrace:
     params: SystemParams
 
 
 @dataclass(frozen=True, slots=True)
-class OrbitMeasureTrace(TraceSpec):
+class OrbitMeasureTrace:
     orbit: OrbitData
 
     @property
     def params(self) -> SystemParams:
         return self.orbit.params
+
+
+TraceSpec = FiniteOrbitTrace | CanonicalTrace | OrbitMeasureTrace
 
 
 def pairing(params: SystemParams, z: SolenoidPoint, y: PqRational) -> QmodZ:
@@ -187,7 +153,7 @@ def trace_eval(spec: TraceSpec, a: GroupAlgebraElement) -> Cyclotomic:
     The result is a cyclotomic number; its level divides
     lcm(orbit denominator, character level).
     """
-    params = getattr(spec, "params")
+    params = spec.params
     if params != a.params:
         raise ParamsMismatch(
             f"trace over ({params.p}, {params.q}) applied to an element over "
@@ -234,7 +200,7 @@ def moments(spec: TraceSpec, n_max: int) -> MomentSequence:
             f"n_max = {n_max} at r = {r} asks for (2 n_max + 1) phi(r) = {size} coefficients; "
             f"the limit is {MAX_MOMENT_COEFFICIENTS}"
         )
-    params = getattr(spec, "params")
+    params = spec.params
     vals = []
     for n in range(-n_max, n_max + 1):
         g = GroupElement(PqRational.from_int(n), 0, 0)

@@ -298,8 +298,8 @@ def test_criterion_10_ideal_space_topology():
         orbits = enumerate_minimal_sets(P23, 50)
         points = []
         for i, orbit in enumerate(orbits):
-            points.append(OrbitCharPoint(orbit, (QmodZ(0, 1), QmodZ(0, 1))))
-            points.append(OrbitCharPoint(orbit, (QmodZ(1, 4), QmodZ(i % 3, 3))))
+            points.append(OrbitCharPoint(orbit, Character.trivial(orbit.stabilizer)))
+            points.append(OrbitCharPoint(orbit, Character(orbit.stabilizer, QmodZ(1, 4), QmodZ(i % 3, 3))))
 
         # infinity is dense; its closure is everything
         ok = ok and closure([INFINITY]) == ALL

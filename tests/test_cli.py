@@ -251,7 +251,8 @@ class TestLazyImports:
         assert loaded_modules() == (0, self.BASE)
         assert loaded_modules("frobnicate") == (1, self.BASE)  # argparse refusal
         assert loaded_modules("mult-indep", "-p", "2", "-q", "3") == (0, self.BASE | {"xpq.exact"})
-        # none of these loads xpq.traces, xpq.groupalg, xpq.primspace or xpq.checks
+        # none of these loads xpq.traces, xpq.groupalg or xpq.checks, and only the
+        # prim-* commands load xpq.primspace
         core = self.BASE | {"xpq.exact", "xpq.dynamics"}
         for argv, extra in (
             (["lemma36", "-m", "4", "-n", "6"], {"xpq.ktheory", "xpq.serialize"}),
@@ -259,6 +260,8 @@ class TestLazyImports:
             (["stabilizer", "-p", "2", "-q", "3", "-r", "5"], set()),
             (["fix", "-p", "2", "-q", "3", "-m", "1", "-n", "1"], set()),
             (["lift", "-p", "2", "-q", "3", "--point", "1/5"], set()),
+            (["prim-closure", "--points", GOLDEN_POINTS], {"xpq.primspace", "xpq.serialize"}),
+            (["prim-limit", "--sequence", GOLDEN_SEQUENCE], {"xpq.primspace", "xpq.serialize"}),
         ):
             assert loaded_modules(*argv) == (0, core | extra), argv
 

@@ -9,6 +9,7 @@ from xpq import (
     ESCAPING,
     FULL,
     INFINITY,
+    Character,
     ConstantOrbitTail,
     FinitePoints,
     FiniteUnion,
@@ -34,16 +35,19 @@ ORBIT5 = orbit_of(P23, SolenoidPoint.of(1, 5))
 ORBIT7 = orbit_of(P23, SolenoidPoint.of(1, 7))
 
 
-def chi(a, b, c, d):
-    return (QmodZ(a, b), QmodZ(c, d))
+def chi(orbit, a, b, c, d):
+    return Character(orbit.stabilizer, QmodZ(a, b), QmodZ(c, d))
 
 
-CHI0 = chi(0, 1, 0, 1)
-CHI_I = chi(1, 4, 0, 1)
+# a character belongs to one orbit's stabilizer lattice, so each fixture
+# holds one character per orbit with denominator <= 20
+CENSUS20 = enumerate_minimal_sets(P23, 20)
+CHI0 = {orbit: chi(orbit, 0, 1, 0, 1) for orbit in CENSUS20}
+CHI_I = {orbit: chi(orbit, 1, 4, 0, 1) for orbit in CENSUS20}
 
 
 def pt(orbit, character=CHI0):
-    return OrbitCharPoint(orbit, character)
+    return OrbitCharPoint(orbit, character[orbit])
 
 
 def sample_sets():
@@ -54,7 +58,7 @@ def sample_sets():
         closure([pt(ORBIT5, CHI_I), pt(ORBIT7)]),
         closure([pt(ORBIT1), pt(ORBIT5), pt(ORBIT5, CHI_I)]),
         FiniteUnion(((ORBIT5, FULL),)),
-        FiniteUnion(((ORBIT5, FULL), (ORBIT7, FinitePoints((CHI0,))))),
+        FiniteUnion(((ORBIT5, FULL), (ORBIT7, FinitePoints((CHI0[ORBIT7],))))),
     ]
 
 
@@ -74,14 +78,14 @@ class TestClosure:
         assert contains_point(c, x)
         assert not contains_point(c, pt(ORBIT5))
         assert not contains_point(c, INFINITY)
-        assert c == FiniteUnion(((ORBIT5, FinitePoints((CHI_I,))),))
+        assert c == FiniteUnion(((ORBIT5, FinitePoints((CHI_I[ORBIT5],))),))
 
     def test_groups_by_orbit(self):
         c = closure([pt(ORBIT5), pt(ORBIT7), pt(ORBIT5, CHI_I)])
         assert isinstance(c, FiniteUnion)
         assert [orbit.denominator for orbit, _ in c.parts] == [5, 7]
         five_part = dict(c.parts)[ORBIT5]
-        assert set(five_part.points) == {CHI0, CHI_I}
+        assert set(five_part.points) == {CHI0[ORBIT5], CHI_I[ORBIT5]}
 
     def test_idempotent_extensive_monotone(self):
         pts = [pt(ORBIT5), pt(ORBIT7, CHI_I), pt(ORBIT1)]
@@ -127,21 +131,21 @@ class TestSequences:
             assert contains_point(limit_set(seq), target)
 
     def test_constant_orbit(self):
-        seq = SequenceDesc(ConstantOrbitTail(ORBIT5, CHI_I))
+        seq = SequenceDesc(ConstantOrbitTail(ORBIT5, CHI_I[ORBIT5]))
         got = limit_set(seq)
-        assert got == FiniteUnion(((ORBIT5, FinitePoints((CHI_I,))),))
+        assert got == FiniteUnion(((ORBIT5, FinitePoints((CHI_I[ORBIT5],))),))
         assert contains_point(got, pt(ORBIT5, CHI_I))
         assert not contains_point(got, INFINITY)
 
     def test_prefix_ignored(self):
-        bare = SequenceDesc(ConstantOrbitTail(ORBIT5, CHI0))
+        bare = SequenceDesc(ConstantOrbitTail(ORBIT5, CHI0[ORBIT5]))
         decorated = SequenceDesc(
-            ConstantOrbitTail(ORBIT5, CHI0), prefix=(INFINITY, pt(ORBIT7))
+            ConstantOrbitTail(ORBIT5, CHI0[ORBIT5]), prefix=(INFINITY, pt(ORBIT7))
         )
         assert limit_set(bare) == limit_set(decorated)
 
     def test_limit_set_is_closure_of_limit_points(self):
-        seq = SequenceDesc(ConstantOrbitTail(ORBIT7, CHI0))
+        seq = SequenceDesc(ConstantOrbitTail(ORBIT7, CHI0[ORBIT7]))
         assert limit_set(seq) == closure([pt(ORBIT7, CHI0)])
 
 
@@ -154,7 +158,7 @@ class TestFiniteUnionValidation:
 
     def test_duplicate_orbit_rejected(self):
         with pytest.raises(ValueError):
-            FiniteUnion(((ORBIT5, FULL), (ORBIT5, FinitePoints((CHI0,)))))
+            FiniteUnion(((ORBIT5, FULL), (ORBIT5, FinitePoints((CHI0[ORBIT5],)))))
 
     def test_empty_part_rejected(self):
         with pytest.raises(ValueError):
@@ -165,9 +169,18 @@ class TestFiniteUnionValidation:
         with pytest.raises(ParamsMismatch):
             FiniteUnion(((ORBIT5, FULL), (other, FULL)))
 
+    def test_character_of_another_stabilizer_rejected(self):
+        assert ORBIT5.stabilizer != ORBIT7.stabilizer
+        with pytest.raises(ParamsMismatch):
+            FiniteUnion(((ORBIT5, FinitePoints((CHI_I[ORBIT7],))),))
+        with pytest.raises(ParamsMismatch):
+            FiniteUnion(((ORBIT7, FULL), (ORBIT5, FinitePoints((CHI0[ORBIT5], CHI0[ORBIT7])))))
+        with pytest.raises(ParamsMismatch):
+            closure([OrbitCharPoint(ORBIT5, CHI_I[ORBIT7])])
+
     def test_finite_points_dedup_and_sort(self):
-        fp = FinitePoints((CHI_I, CHI0, CHI_I))
-        assert fp.points == (CHI0, CHI_I)
+        fp = FinitePoints((CHI_I[ORBIT5], CHI0[ORBIT5], CHI_I[ORBIT5]))
+        assert fp.points == (CHI0[ORBIT5], CHI_I[ORBIT5])
 
 
 class TestLatticeOperations:
@@ -250,5 +263,5 @@ class TestStabilizersHaveFullRank:
         for orbit in enumerate_minimal_sets(P23, 30):
             (a, b), (z, c) = orbit.stabilizer.basis
             assert a > 0 and c > 0 and z == 0
-            x = pt(orbit, chi(rng.randrange(4), 4, rng.randrange(4), 4))
+            x = OrbitCharPoint(orbit, chi(orbit, rng.randrange(4), 4, rng.randrange(4), 4))
             assert contains_point(closure([x]), x)

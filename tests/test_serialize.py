@@ -271,6 +271,7 @@ class TestTraceSpecs:
         assert data["chi"] == {"t1": "1/3", "t2": "1/4"}
         assert trace_spec_from_json(data) == spec
         assert trace_spec_from_json(data, P23) == spec
+        assert trace_spec_from_json(data).chi.lattice == ORBIT5.stabilizer
 
     def test_orbit_measure_round_trip(self):
         spec = OrbitMeasureTrace(ORBIT7)
@@ -335,7 +336,7 @@ class TestPrimSpace:
             FiniteUnion(((ORBIT5, FULL),)),
             FiniteUnion(
                 (
-                    (ORBIT5, FinitePoints(((QmodZ(0, 1), QmodZ(1, 4)),))),
+                    (ORBIT5, FinitePoints((Character(ORBIT5.stabilizer, QmodZ(0, 1), QmodZ(1, 4)),))),
                     (ORBIT7, FULL),
                 )
             ),
@@ -344,6 +345,8 @@ class TestPrimSpace:
             data = closed_set_to_json(desc)
             assert closed_set_from_json(data) == desc
             assert round_trips_as_json(data)
+        (orbit, part), _ = closed_set_from_json(closed_set_to_json(sets[3])).parts
+        assert orbit == ORBIT5 and [chi.lattice for chi in part.points] == [ORBIT5.stabilizer]
 
     def test_closed_set_shapes(self):
         assert closed_set_to_json(ALL) == {"kind": "all"}
@@ -354,26 +357,30 @@ class TestPrimSpace:
     def test_prim_point_round_trip(self):
         pts = [
             INFINITY,
-            OrbitCharPoint(ORBIT5, (QmodZ(1, 4), QmodZ(1, 2))),
+            OrbitCharPoint(ORBIT5, Character(ORBIT5.stabilizer, QmodZ(1, 4), QmodZ(1, 2))),
         ]
         for pt in pts:
             data = prim_point_to_json(pt)
             assert prim_point_from_json(data) == pt
             assert round_trips_as_json(data)
+        assert prim_point_from_json(prim_point_to_json(pts[1])).chi.lattice == ORBIT5.stabilizer
         assert prim_point_to_json(INFINITY) == {"kind": "infinity"}
 
     def test_sequence_round_trip(self):
         seqs = [
             SequenceDesc(ESCAPING),
             SequenceDesc(
-                ConstantOrbitTail(ORBIT5, (QmodZ(0, 1), QmodZ(1, 4))),
-                prefix=(INFINITY, OrbitCharPoint(ORBIT7, (QmodZ(0, 1), QmodZ(0, 1)))),
+                ConstantOrbitTail(ORBIT5, Character(ORBIT5.stabilizer, QmodZ(0, 1), QmodZ(1, 4))),
+                prefix=(INFINITY, OrbitCharPoint(ORBIT7, Character.trivial(ORBIT7.stabilizer))),
             ),
         ]
         for seq in seqs:
             data = sequence_desc_to_json(seq)
             assert sequence_desc_from_json(data) == seq
             assert round_trips_as_json(data)
+        back = sequence_desc_from_json(sequence_desc_to_json(seqs[1]))
+        assert back.tail.chi_limit.lattice == ORBIT5.stabilizer
+        assert back.prefix[1].chi.lattice == ORBIT7.stabilizer
 
     def test_bad_closed_set(self):
         with pytest.raises(ValueError):
