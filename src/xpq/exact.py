@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
-from operator import sub
+from operator import add, sub
 
 from .errors import FactorizationTooHard, NonInvertible, OutOfRange
 
@@ -413,7 +413,12 @@ def _binomials(poly: list[int], mul: tuple[int, ...], div: tuple[int, ...]) -> l
         if d < n:
             poly[d:] = map(sub, poly[d:], poly[: n - d])
     for d in div:
-        # 1/(1 - x^d) = sum of x^(jd): a running sum over each class mod d
+        # 1/(1 - x^d) = sum of x^(jd): a running sum over each class mod d,
+        # by n/d block adds when d > sqrt(n), else by d strided accumulates
+        if d * d > n:
+            for j in range(d, n, d):
+                poly[j : j + d] = map(add, poly[j : j + d], poly[j - d : j])
+            continue
         for k in range(min(d, n - d)):
             poly[k::d] = accumulate(poly[k::d])
     return poly

@@ -9,6 +9,8 @@ Ring parts are computed in integers: both summands are written over one
 denominator p^a q^b (a negative power of p or q multiplies the numerator
 instead), the numerators are added, and PqRational.canonical brings the
 sum to canonical form by gcd steps, so neither p nor q is ever factored.
+Products in Q[G], and trace sums in traces, run on integer numerators
+over one denominator; a Fraction is built only for each nonzero result.
 
 For multiplicatively independent p, q every nontrivial conjugacy class
 is infinite; icc_witness produces arbitrarily many distinct conjugates
@@ -20,6 +22,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .dynamics import SystemParams
 from .errors import DependentParams, IdentityElement, OutOfRange, ParamsMismatch
@@ -70,13 +73,18 @@ def alpha_apply(params: SystemParams, mn: tuple[int, int], x: PqRational) -> PqR
     return _canonical(params, *_times_pq(params, x, *mn))
 
 
-def group_mul(params: SystemParams, g: GroupElement, h: GroupElement) -> GroupElement:
+def _ring_sum(params: SystemParams, x1: PqRational, x2: PqRational, m: int, n: int) -> PqRational:
+    # x1 + p^m q^n x2, the ring part of (x1, m, _) (x2, _, _)
     p, q = params.p, params.q
-    n1, a1, b1 = g.x.num, g.x.a, g.x.b
-    n2, a2, b2 = _times_pq(params, h.x, g.m, g.n)
+    n1, a1, b1 = x1.num, x1.a, x1.b
+    n2, a2, b2 = _times_pq(params, x2, m, n)
     a, b = max(a1, a2), max(b1, b2)
     num = n1 * p ** (a - a1) * q ** (b - b1) + n2 * p ** (a - a2) * q ** (b - b2)
-    return GroupElement(_canonical(params, num, a, b), g.m + h.m, g.n + h.n)
+    return _canonical(params, num, a, b)
+
+
+def group_mul(params: SystemParams, g: GroupElement, h: GroupElement) -> GroupElement:
+    return GroupElement(_ring_sum(params, g.x, h.x, g.m, g.n), g.m + h.m, g.n + h.n)
 
 
 def group_inv(params: SystemParams, g: GroupElement) -> GroupElement:
@@ -173,6 +181,12 @@ class GroupAlgebraElement:
                 return c
         return Fraction(0)
 
+    def integer_terms(self) -> tuple[int, list[tuple[GroupElement, int]]]:
+        """(d, [(g, k_g)]) with c_g = k_g / d: integer numerators over the
+        lcm d of the coefficient denominators."""
+        d = lcm(*(c.denominator for _, c in self.terms))
+        return d, [(g, c.numerator * (d // c.denominator)) for g, c in self.terms]
+
     def support_size(self) -> int:
         return len(self.terms)
 
@@ -203,18 +217,23 @@ class GroupAlgebraElement:
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
         self._check_params(other)
-        acc: dict[GroupElement, Fraction] = {}
-        for g1, c1 in self.terms:
-            for g2, c2 in other.terms:
-                g = group_mul(self.params, g1, g2)
-                s = acc.get(g, Fraction(0)) + c1 * c2
-                if s:
-                    acc[g] = s
-                else:
-                    acc.pop(g, None)
-        # acc holds nonzero Fraction sums already; only the order is left
-        ordered = tuple(sorted(acc.items(), key=lambda t: t[0].sort_key()))
-        return GroupAlgebraElement(self.params, ordered)
+        params = self.params
+        d1, left = self.integer_terms()
+        d2, right = other.integer_terms()
+        right = [(g.x, g.m, g.n, k) for g, k in right]
+        # keyed by (num, a, b, m, n), which is GroupElement.sort_key()
+        acc: dict[tuple[int, int, int, int, int], int] = {}
+        for g1, k1 in left:
+            x1, m1, n1 = g1.x, g1.m, g1.n
+            for x2, m2, n2, k2 in right:
+                x = _ring_sum(params, x1, x2, m1, n1)
+                key = (x.num, x.a, x.b, m1 + m2, n1 + n2)
+                acc[key] = acc.get(key, 0) + k1 * k2
+        d = d1 * d2
+        return GroupAlgebraElement(params, tuple(
+            (GroupElement(PqRational(num, a, b), m, n), Fraction(k, d))
+            for (num, a, b, m, n), k in sorted(acc.items()) if k
+        ))
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

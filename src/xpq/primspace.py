@@ -35,6 +35,11 @@ from .errors import ParamsMismatch
 # ---------------------------------------------------------------------------
 
 
+def _require_stabilizer_character(orbit: OrbitData, chi: Character) -> None:
+    if chi.lattice != orbit.stabilizer:
+        raise ParamsMismatch(f"character lattice differs from the orbit stabilizer mod {orbit.denominator}")
+
+
 @dataclass(frozen=True, slots=True)
 class InfinityPoint:
     """The zero ideal; its closure is the whole space."""
@@ -47,6 +52,9 @@ class OrbitCharPoint:
 
     orbit: OrbitData
     chi: Character
+
+    def __post_init__(self):
+        _require_stabilizer_character(self.orbit, self.chi)
 
 
 PrimPoint = InfinityPoint | OrbitCharPoint
@@ -118,10 +126,8 @@ class FiniteUnion:
             if isinstance(chunk, FinitePoints):
                 if chunk.is_empty():
                     raise ValueError("empty part in a finite union")
-                if any(chi.lattice != orbit.stabilizer for chi in chunk.points):
-                    raise ParamsMismatch(
-                        f"character lattice differs from the orbit stabilizer mod {orbit.denominator}"
-                    )
+                for chi in chunk.points:
+                    _require_stabilizer_character(orbit, chi)
         object.__setattr__(self, "parts", parts)
 
     def is_empty(self) -> bool:
@@ -151,6 +157,9 @@ class ConstantOrbitTail:
 
     orbit: OrbitData
     chi_limit: Character
+
+    def __post_init__(self):
+        _require_stabilizer_character(self.orbit, self.chi_limit)
 
 
 ESCAPING = EscapingTail()

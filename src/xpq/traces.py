@@ -49,6 +49,8 @@ MAX_MOMENT_RANGE = 1000
 # trace): at r = 10007 and n_max = 1000 that is 2 * 10^7 coefficients, 10 s,
 # 1.2 GB and 150 MB of JSON.  The limit admits n_max = 49 at r = 10007.
 MAX_MOMENT_COEFFICIENTS = 10**6
+# The character twist of a term under the orbit measure trace.
+_UNTWISTED = QmodZ(0, 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,31 +129,12 @@ def _twisted_mean(orbit: OrbitData, texp: QmodZ, w: int):
     return root_of_unity(texp) * mean
 
 
-def _term_value(spec: TraceSpec, g: GroupElement):
-    # value of the trace on the single unitary u_g, or None meaning zero
-    if isinstance(spec, CanonicalTrace):
-        return Cyclotomic.one() if g.is_identity() else None
-    if isinstance(spec, OrbitMeasureTrace):
-        if (g.m, g.n) != (0, 0):
-            return None
-        orbit = spec.orbit
-        return _orbit_mean(orbit, _pair_mult(orbit.params, orbit.denominator, g.x))
-    if isinstance(spec, FiniteOrbitTrace):
-        orbit = spec.orbit
-        coords = orbit.stabilizer.coords(g.m, g.n)
-        if coords is None:
-            return None
-        c1, c2 = coords
-        texp = spec.chi.t1.mul_int(c1) + spec.chi.t2.mul_int(c2)
-        return _twisted_mean(orbit, texp, _pair_mult(orbit.params, orbit.denominator, g.x))
-    raise TypeError(f"unknown trace spec {spec!r}")
-
-
 def trace_eval(spec: TraceSpec, a: GroupAlgebraElement) -> Cyclotomic:
     """Evaluate the trace on an algebra element, exactly.
 
     The result is a cyclotomic number; its level divides
-    lcm(orbit denominator, character level).
+    lcm(orbit denominator, character level).  Terms with equal pairing
+    factor w and twist share one summand, at the level it has alone.
     """
     params = spec.params
     if params != a.params:
@@ -159,13 +142,26 @@ def trace_eval(spec: TraceSpec, a: GroupAlgebraElement) -> Cyclotomic:
             f"trace over ({params.p}, {params.q}) applied to an element over "
             f"({a.params.p}, {a.params.q})"
         )
-    total = None
-    for g, c in a.terms:
-        v = _term_value(spec, g)
-        if v is not None:
-            v = v.scaled(c)
-            total = v if total is None else total + v
-    return Cyclotomic.zero() if total is None else total
+    if isinstance(spec, CanonicalTrace):
+        return Cyclotomic.from_fraction(a.coefficient(GroupElement.identity()))
+    orbit = spec.orbit
+    r = orbit.denominator
+    d, terms = a.integer_terms()
+    sums: dict[tuple[int, QmodZ], int] = {}
+    for g, k in terms:
+        if isinstance(spec, FiniteOrbitTrace):
+            coords = orbit.stabilizer.coords(g.m, g.n)
+            if coords is None:
+                continue
+            texp = spec.chi.t1.mul_int(coords[0]) + spec.chi.t2.mul_int(coords[1])
+        elif g.m or g.n:
+            continue
+        else:
+            texp = _UNTWISTED
+        key = (_pair_mult(params, r, g.x), texp)
+        sums[key] = sums.get(key, 0) + k
+    values = [_twisted_mean(orbit, texp, w).scaled(Fraction(k, d)) for (w, texp), k in sums.items()]
+    return sum(values[1:], values[0]) if values else Cyclotomic.zero()
 
 
 @dataclass(frozen=True, slots=True)

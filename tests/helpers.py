@@ -12,7 +12,17 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 
-from xpq import GroupAlgebraElement, GroupElement, PqRational, SystemParams
+from xpq import (
+    CanonicalTrace,
+    Cyclotomic,
+    FiniteOrbitTrace,
+    GroupAlgebraElement,
+    GroupElement,
+    PqRational,
+    SystemParams,
+    group_mul,
+    root_of_unity,
+)
 
 
 def naive_order(base: int, r: int) -> int:
@@ -308,3 +318,63 @@ def random_algebra_element(
         c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
         terms.append((random_group_element(rng, params), c))
     return GroupAlgebraElement.from_terms(params, terms)
+
+
+# ---------------------------------------------------------------------------
+# reference Q[G] product and trace evaluation
+# ---------------------------------------------------------------------------
+
+
+def reference_product(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
+    """a * b by the plain Fraction loop: one group_mul and one Fraction
+    multiply-and-add per pair of terms, zero sums dropped, sorted by
+    GroupElement.sort_key()."""
+    acc: dict[GroupElement, Fraction] = {}
+    for g1, c1 in a.terms:
+        for g2, c2 in b.terms:
+            g = group_mul(a.params, g1, g2)
+            s = acc.get(g, Fraction(0)) + c1 * c2
+            if s:
+                acc[g] = s
+            else:
+                acc.pop(g, None)
+    ordered = tuple(sorted(acc.items(), key=lambda t: t[0].sort_key()))
+    return GroupAlgebraElement(a.params, ordered)
+
+
+def reference_trace_eval(spec, a: GroupAlgebraElement) -> Cyclotomic:
+    """The trace of a as a per-term sum: the value on each unitary u_g is
+    built on its own as a Cyclotomic, scaled by its Fraction coefficient
+    and added in term order.  On a unitary u_(y, m, n) a finite-orbit
+    trace gives chi(m, n) times the mean of zeta_r^(a w) over the orbit
+    numerators a, w = y mod r, or 0 off the stabilizer lattice; the orbit
+    measure is the untwisted mean on m = n = 0 only; the canonical trace
+    is 1 on the identity only."""
+    p, q = a.params.p, a.params.q
+    total = None
+    for g, c in a.terms:
+        if isinstance(spec, CanonicalTrace):
+            if not g.is_identity():
+                continue
+            v = Cyclotomic.one()
+        else:
+            if isinstance(spec, FiniteOrbitTrace):
+                if not spec.orbit.stabilizer.contains(g.m, g.n):
+                    continue
+                twist = spec.chi.exponent(g.m, g.n)
+            elif (g.m, g.n) != (0, 0):
+                continue
+            else:
+                twist = None
+            orbit = spec.orbit
+            r = orbit.denominator
+            w = g.x.num * pow(p**g.x.a * q**g.x.b, -1, r) % r
+            counts = [0] * r
+            for num in orbit.numerators:
+                counts[w * num % r] += 1
+            v = Cyclotomic(r, counts, orbit.size)
+            if twist is not None and not twist.is_zero():
+                v = root_of_unity(twist) * v
+        v = v.scaled(c)
+        total = v if total is None else total + v
+    return Cyclotomic.zero() if total is None else total

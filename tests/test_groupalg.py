@@ -4,7 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_algebra_element, random_group_element, reference_pq_rational
+from helpers import (
+    random_algebra_element,
+    random_group_element,
+    reference_pq_rational,
+    reference_product,
+)
 from xpq import (
     DependentParams,
     GroupAlgebraElement,
@@ -269,3 +274,46 @@ class TestAlgebra:
             a + b
         with pytest.raises(ParamsMismatch):
             a * b
+
+
+class TestProductAgainstReference:
+    """The integer product loop against the Fraction loop over group_mul,
+    compared term by term (same elements, same coefficients, same order)."""
+
+    @pytest.mark.parametrize("p, q", [(2, 3), (5, 7), (4, 6)])
+    def test_seeded_products(self, p, q):
+        params = SystemParams(p, q)
+        rng = random.Random(1000 * p + q)
+        negative = 0
+        for _ in range(120):
+            a = random_algebra_element(rng, params, support=6)
+            b = random_algebra_element(rng, params, support=6)
+            for x, y in ((a, b), (b, a), (a.star(), a)):
+                assert (x * y).terms == reference_product(x, y).terms
+            negative += any(g.m < 0 or g.n < 0 for g, _ in a.terms)
+        assert negative > 0
+
+    @pytest.mark.parametrize("p, q", [(2, 3), (5, 7), (4, 6)])
+    def test_cancelling_products(self, p, q):
+        # translations by -1, 0, 1, 1/p, a scaling and its inverse, with
+        # coefficients +-1 and +-1/2, so many pair sums cancel to zero
+        params = SystemParams(p, q)
+        xs = [PqRational.from_fraction(Fraction(k), p, q) for k in (-1, 0, 1)]
+        pool = [GroupElement(x, 0, 0) for x in xs]
+        pool += [GroupElement(PqRational.from_fraction(Fraction(1, p), p, q), 0, 0)]
+        pool += [GroupElement(xs[1], 1, -1), GroupElement(xs[2], -1, 1)]
+        rng = random.Random(7 * p + q)
+        cancelled = 0
+        for _ in range(300):
+            a, b = (
+                GroupAlgebraElement.from_terms(params, [
+                    (rng.choice(pool), rng.choice((-1, 1, Fraction(1, 2), Fraction(-1, 2))))
+                    for _ in range(rng.randint(0, 5))
+                ])
+                for _ in range(2)
+            )
+            prod = a * b
+            assert prod.terms == reference_product(a, b).terms
+            products = {group_mul(params, g, h) for g, _ in a.terms for h, _ in b.terms}
+            cancelled += len(products) > prod.support_size()
+        assert cancelled > 0

@@ -178,6 +178,15 @@ class TestFiniteUnionValidation:
         with pytest.raises(ParamsMismatch):
             closure([OrbitCharPoint(ORBIT5, CHI_I[ORBIT7])])
 
+    def test_point_and_tail_of_another_stabilizer_rejected(self):
+        trivial7 = Character.trivial(ORBIT7.stabilizer)
+        with pytest.raises(ParamsMismatch, match="stabilizer mod 5"):
+            OrbitCharPoint(ORBIT5, trivial7)
+        with pytest.raises(ParamsMismatch, match="stabilizer mod 5"):
+            ConstantOrbitTail(ORBIT5, trivial7)
+        assert OrbitCharPoint(ORBIT7, trivial7).chi == trivial7
+        assert ConstantOrbitTail(ORBIT7, trivial7).chi_limit == trivial7
+
     def test_finite_points_dedup_and_sort(self):
         fp = FinitePoints((CHI_I[ORBIT5], CHI0[ORBIT5], CHI_I[ORBIT5]))
         assert fp.points == (CHI0[ORBIT5], CHI_I[ORBIT5])

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_algebra_element, random_group_element
+from helpers import random_algebra_element, random_group_element, reference_trace_eval
 from xpq import (
     CanonicalTrace,
     Character,
@@ -31,12 +31,14 @@ from xpq import (
     stabilizer_lattice,
     trace_eval,
 )
+from xpq.exact import MAX_CYCLOTOMIC_LEVEL
 from xpq.traces import MAX_MOMENT_COEFFICIENTS, MAX_MOMENT_RANGE
 
 P23 = SystemParams(2, 3)
 ORBIT5 = orbit_of(P23, SolenoidPoint.of(1, 5))
 ORBIT7 = orbit_of(P23, SolenoidPoint.of(1, 7))
 ORBIT1 = orbit_of(P23, SolenoidPoint.of(0, 1))
+ORBIT23 = orbit_of(P23, SolenoidPoint.of(1, 23))
 
 
 def unit(g: GroupElement, params=P23) -> GroupAlgebraElement:
@@ -150,6 +152,67 @@ class TestWorkedValues:
         spec = FiniteOrbitTrace(ORBIT1, Character.trivial(ORBIT1.stabilizer))
         assert trace_eval(spec, unit(translation(1))) == Cyclotomic.one()
         assert trace_eval(spec, unit(translation(7, 2, 1))) == Cyclotomic.one()
+
+
+def same_representation(x: Cyclotomic, y: Cyclotomic) -> bool:
+    # == lifts both sides to a common level; this also compares the levels
+    return (x.level, x.den, x.vec) == (y.level, y.den, y.vec)
+
+
+class TestTraceEvalAgainstReference:
+    """trace_eval against the per-term sum, by level, denominator and vector."""
+
+    def specs(self):
+        out = [CanonicalTrace(P23)]
+        for orbit in (ORBIT1, ORBIT5, ORBIT7, ORBIT23):
+            out.append(OrbitMeasureTrace(orbit))
+            for t1, t2 in ((QmodZ(0, 1), QmodZ(0, 1)), (QmodZ(1, 2), QmodZ(0, 1)),
+                           (QmodZ(1, 3), QmodZ(3, 4)), (QmodZ(0, 1), QmodZ(1, 2))):
+                out.append(FiniteOrbitTrace(orbit, Character(orbit.stabilizer, t1, t2)))
+        return out
+
+    def test_seeded_elements(self):
+        rng = random.Random(800)
+        specs = self.specs()
+        for _ in range(40):
+            a = random_algebra_element(rng, P23, support=5)
+            for x in (a, a.star() * a):
+                for spec in specs:
+                    assert same_representation(trace_eval(spec, x), reference_trace_eval(spec, x))
+
+    def test_levels_of_rational_twists_and_means(self):
+        # the orbit of 1/23 is the 11 squares mod 23, so its mean at w = 1 is
+        # (-1 + sqrt(-23))/2, not rational
+        orbit = ORBIT23
+        chi_half = Character(orbit.stabilizer, QmodZ(1, 2), QmodZ(0, 1))
+        chi_third = Character(orbit.stabilizer, QmodZ(1, 3), QmodZ(0, 1))
+        m, n = orbit.stabilizer.basis[0]  # coordinates (1, 0): the twist is t1
+        at_v = lambda num: unit(GroupElement(PqRational(num, 0, 0), m, n))  # noqa: E731
+        cases = [
+            # the twist -1 is rational, so the value stays at level 23
+            (FiniteOrbitTrace(orbit, chi_half), at_v(1), 23),
+            # <z, 0> = 0 makes the orbit mean 1, so the value is zeta_3 at level 3
+            (FiniteOrbitTrace(orbit, chi_third), at_v(0), 3),
+            # u_(0, v) and u_(23, v) cancel at level 3; the level-3 zero still
+            # lifts the level-23 mean of u_(1, 0, 0)
+            (FiniteOrbitTrace(orbit, chi_third), at_v(0) - at_v(23) + unit(translation(1)), 69),
+            # the orbit measure of u_e is the rational mean 1, at level 23
+            (OrbitMeasureTrace(orbit), unit(GroupElement.identity()), 23),
+        ]
+        for spec, a, level in cases:
+            got = trace_eval(spec, a)
+            assert got.level == level
+            assert same_representation(got, reference_trace_eval(spec, a))
+        assert not trace_eval(OrbitMeasureTrace(orbit), unit(translation(1))).is_rational()
+
+    def test_character_level_beyond_limit_is_named(self):
+        big = MAX_CYCLOTOMIC_LEVEL + 1
+        chi = Character(ORBIT7.stabilizer, QmodZ(1, big), QmodZ(0, 1))
+        m, n = ORBIT7.stabilizer.basis[0]
+        a = unit(GroupElement.identity()) + unit(GroupElement(PqRational(1, 0, 0), m, n))
+        with pytest.raises(OutOfRange, match=f"level {big} out of range") as err:
+            trace_eval(FiniteOrbitTrace(ORBIT7, chi), a)
+        assert str(7 * big) not in str(err.value)
 
 
 class TestTraceLaws:
