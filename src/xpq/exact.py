@@ -26,6 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
+from numbers import Rational
 from operator import add, sub
 
 from .errors import FactorizationTooHard, NonInvertible, OutOfRange
@@ -323,6 +324,17 @@ def _gcd_steps(t: int, k: int) -> tuple[int, int]:
     return steps, t
 
 
+def as_fraction(x) -> Fraction:
+    """x as a Fraction, for an exact rational x such as an int or a Fraction.
+
+    A float is refused: Fraction(0.1) is its binary expansion
+    3602879701896397/36028797018963968, not 1/10.
+    """
+    if not isinstance(x, Rational):
+        raise TypeError(f"{x!r} is not an exact rational; expected an int or a Fraction")
+    return Fraction(x)
+
+
 @dataclass(frozen=True, slots=True)
 class PqRational:
     """Element num / (p^a * q^b) of Z[1/pq].
@@ -498,7 +510,7 @@ class Cyclotomic:
 
     @classmethod
     def from_fraction(cls, x, level: int = 1) -> Cyclotomic:
-        x = Fraction(x)
+        x = as_fraction(x)
         return cls(level, [x.numerator], x.denominator)
 
     @classmethod
@@ -599,9 +611,9 @@ class Cyclotomic:
 
     def scaled(self, x) -> Cyclotomic:
         """Multiply by a rational scalar."""
+        x = as_fraction(x)
         if x == 1:
             return self  # instances are never mutated after __init__
-        x = Fraction(x)
         num = x.numerator
         return Cyclotomic(self.level, [c * num for c in self.vec], self.den * x.denominator)
 

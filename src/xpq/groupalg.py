@@ -9,8 +9,11 @@ Ring parts are computed in integers: both summands are written over one
 denominator p^a q^b (a negative power of p or q multiplies the numerator
 instead), the numerators are added, and PqRational.canonical brings the
 sum to canonical form by gcd steps, so neither p nor q is ever factored.
-Products in Q[G], and trace sums in traces, run on integer numerators
-over one denominator; a Fraction is built only for each nonzero result.
+An element of Q[G] holds integer numerators over one denominator, as
+Cyclotomic does; terms hands its coefficients out as Fractions.  A
+product writes the ring parts of all its pairs over one p^A q^B, adds
+coefficients per (numerator, m, n) and canonicalizes each distinct
+nonzero sum once.
 
 For multiplicatively independent p, q every nontrivial conjugacy class
 is infinite; icc_witness produces arbitrarily many distinct conjugates
@@ -22,11 +25,11 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .dynamics import SystemParams
 from .errors import DependentParams, IdentityElement, OutOfRange, ParamsMismatch
-from .exact import PqRational
+from .exact import PqRational, as_fraction
 
 # Most conjugates icc_witness lists.  The k-th conjugate of (x, m, n) with
 # x != 0 is (p^k x, m, n), so the listing grows quadratically with count.
@@ -73,18 +76,14 @@ def alpha_apply(params: SystemParams, mn: tuple[int, int], x: PqRational) -> PqR
     return _canonical(params, *_times_pq(params, x, *mn))
 
 
-def _ring_sum(params: SystemParams, x1: PqRational, x2: PqRational, m: int, n: int) -> PqRational:
-    # x1 + p^m q^n x2, the ring part of (x1, m, _) (x2, _, _)
+def group_mul(params: SystemParams, g: GroupElement, h: GroupElement) -> GroupElement:
+    # the ring part x1 + p^m1 q^n1 x2, both summands over p^a q^b
     p, q = params.p, params.q
-    n1, a1, b1 = x1.num, x1.a, x1.b
-    n2, a2, b2 = _times_pq(params, x2, m, n)
+    n1, a1, b1 = g.x.num, g.x.a, g.x.b
+    n2, a2, b2 = _times_pq(params, h.x, g.m, g.n)
     a, b = max(a1, a2), max(b1, b2)
     num = n1 * p ** (a - a1) * q ** (b - b1) + n2 * p ** (a - a2) * q ** (b - b2)
-    return _canonical(params, num, a, b)
-
-
-def group_mul(params: SystemParams, g: GroupElement, h: GroupElement) -> GroupElement:
-    return GroupElement(_ring_sum(params, g.x, h.x, g.m, g.n), g.m + h.m, g.n + h.n)
+    return GroupElement(_canonical(params, num, a, b), g.m + h.m, g.n + h.n)
 
 
 def group_inv(params: SystemParams, g: GroupElement) -> GroupElement:
@@ -145,50 +144,61 @@ def icc_witness(params: SystemParams, g: GroupElement, count: int) -> list[Group
 class GroupAlgebraElement:
     """Finitely supported rational combination sum c_g u_g in Q[G].
 
-    terms is kept sorted with nonzero coefficients, so equal elements
-    compare equal structurally.  Build through unit / from_terms or the
-    arithmetic operators.
+    Stored as integer numerators over one denominator: c_g = k_g / den
+    for (g, k_g) in nums.  nums is sorted by GroupElement.sort_key() with
+    no zero numerator, and gcd(den, k_g...) = 1 with den >= 1, so equal
+    elements compare and hash equal structurally.  terms hands out the
+    coefficients as Fractions.  Build through unit / zero / from_terms or
+    the arithmetic operators.
     """
 
     params: SystemParams
-    terms: tuple[tuple[GroupElement, Fraction], ...]
+    den: int
+    nums: tuple[tuple[GroupElement, int], ...]
+
+    @classmethod
+    def _normalised(cls, params: SystemParams, den: int, nums) -> GroupAlgebraElement:
+        # from (g, k) pairs with distinct g over den >= 1: drop k = 0, sort,
+        # and divide den and every k by their gcd
+        nums = sorted(((g, k) for g, k in nums if k), key=lambda t: t[0].sort_key())
+        c = gcd(den, *(k for _, k in nums))
+        if c > 1:
+            den //= c
+            nums = [(g, k // c) for g, k in nums]
+        return cls(params, den, tuple(nums))
 
     @classmethod
     def from_terms(cls, params: SystemParams, terms) -> GroupAlgebraElement:
-        acc: dict[GroupElement, Fraction] = {}
+        """sum c u_g over (g, c) in terms, with c an int or a Fraction;
+        repeated group elements add up."""
+        terms = [(g, as_fraction(c)) for g, c in terms]
+        den = lcm(*(c.denominator for _, c in terms))
+        acc: dict[GroupElement, int] = {}
         for g, c in terms:
-            c = Fraction(c)
-            if c:
-                s = acc.get(g, Fraction(0)) + c
-                if s:
-                    acc[g] = s
-                else:
-                    acc.pop(g, None)
-        ordered = tuple(sorted(acc.items(), key=lambda t: t[0].sort_key()))
-        return cls(params, ordered)
+            acc[g] = acc.get(g, 0) + c.numerator * (den // c.denominator)
+        return cls._normalised(params, den, acc.items())
 
     @classmethod
     def unit(cls, params: SystemParams, g: GroupElement) -> GroupAlgebraElement:
-        return cls(params, ((g, Fraction(1)),))
+        return cls(params, 1, ((g, 1),))
 
     @classmethod
     def zero(cls, params: SystemParams) -> GroupAlgebraElement:
-        return cls(params, ())
+        return cls(params, 1, ())
+
+    @property
+    def terms(self) -> tuple[tuple[GroupElement, Fraction], ...]:
+        """The (g, c_g) pairs in sort_key() order, c_g a nonzero Fraction."""
+        return tuple((g, Fraction(k, self.den)) for g, k in self.nums)
 
     def coefficient(self, g: GroupElement) -> Fraction:
-        for h, c in self.terms:
+        for h, k in self.nums:
             if h == g:
-                return c
+                return Fraction(k, self.den)
         return Fraction(0)
 
-    def integer_terms(self) -> tuple[int, list[tuple[GroupElement, int]]]:
-        """(d, [(g, k_g)]) with c_g = k_g / d: integer numerators over the
-        lcm d of the coefficient denominators."""
-        d = lcm(*(c.denominator for _, c in self.terms))
-        return d, [(g, c.numerator * (d // c.denominator)) for g, c in self.terms]
-
     def support_size(self) -> int:
-        return len(self.terms)
+        return len(self.nums)
 
     def _check_params(self, other: GroupAlgebraElement) -> None:
         if self.params != other.params:
@@ -201,10 +211,14 @@ class GroupAlgebraElement:
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
         self._check_params(other)
-        return self.from_terms(self.params, list(self.terms) + list(other.terms))
+        den = lcm(self.den, other.den)
+        acc = {g: k * (den // self.den) for g, k in self.nums}
+        for g, k in other.nums:
+            acc[g] = acc.get(g, 0) + k * (den // other.den)
+        return self._normalised(self.params, den, acc.items())
 
     def __neg__(self) -> GroupAlgebraElement:
-        return GroupAlgebraElement(self.params, tuple((g, -c) for g, c in self.terms))
+        return GroupAlgebraElement(self.params, self.den, tuple((g, -k) for g, k in self.nums))
 
     def __sub__(self, other: GroupAlgebraElement) -> GroupAlgebraElement:
         if not isinstance(other, GroupAlgebraElement):
@@ -217,22 +231,34 @@ class GroupAlgebraElement:
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
         self._check_params(other)
-        params = self.params
-        d1, left = self.integer_terms()
-        d2, right = other.integer_terms()
-        right = [(g.x, g.m, g.n, k) for g, k in right]
-        # keyed by (num, a, b, m, n), which is GroupElement.sort_key()
-        acc: dict[tuple[int, int, int, int, int], int] = {}
-        for g1, k1 in left:
-            x1, m1, n1 = g1.x, g1.m, g1.n
-            for x2, m2, n2, k2 in right:
-                x = _ring_sum(params, x1, x2, m1, n1)
-                key = (x.num, x.a, x.b, m1 + m2, n1 + n2)
+        params, left, right = self.params, self.nums, other.nums
+        if not (left and right):
+            return self.zero(params)
+        p, q = params.p, params.q
+        # Every ring part x1 + p^m1 q^n1 x2 goes over one p^A q^B:
+        # x1 = n1 / p^a1 q^b1 and p^m1 q^n1 x2 = n2 p^(m1 - a2) q^(n1 - b2)
+        # need A >= a1 and A >= a2 - m1 for every pair, and likewise B.
+        a2 = max(g.x.a for g, _ in right)
+        b2 = max(g.x.b for g, _ in right)
+        A = max(max(g.x.a for g, _ in left), a2 - min(g.m for g, _ in left), 0)
+        B = max(max(g.x.b for g, _ in left), b2 - min(g.n for g, _ in left), 0)
+        # the right numerators over p^a2 q^b2 with the largest a2, b2 there;
+        # per left term, its numerator over p^A q^B and the factor that
+        # lifts the right ones there
+        right = [(g.x.num * p ** (a2 - g.x.a) * q ** (b2 - g.x.b), g.m, g.n, k) for g, k in right]
+        acc: dict[tuple[int, int, int], int] = {}
+        for g, k1 in left:
+            x1, m1, n1 = g.x, g.m, g.n
+            num1 = x1.num * p ** (A - x1.a) * q ** (B - x1.b)
+            lift = p ** (A - a2 + m1) * q ** (B - b2 + n1)
+            for num2, m2, n2, k2 in right:
+                key = (num1 + lift * num2, m1 + m2, n1 + n2)
                 acc[key] = acc.get(key, 0) + k1 * k2
-        d = d1 * d2
-        return GroupAlgebraElement(params, tuple(
-            (GroupElement(PqRational(num, a, b), m, n), Fraction(k, d))
-            for (num, a, b, m, n), k in sorted(acc.items()) if k
+        # over one denominator, distinct keys are distinct group elements
+        den = p**A * q**B
+        return self._normalised(params, self.den * other.den, (
+            (GroupElement(PqRational.canonical(num, den, p, q), m, n), k)
+            for (num, m, n), k in acc.items() if k
         ))
 
     def __rmul__(self, other):
@@ -241,13 +267,14 @@ class GroupAlgebraElement:
         return NotImplemented
 
     def scaled(self, c) -> GroupAlgebraElement:
-        c = Fraction(c)
-        if not c:
-            return self.zero(self.params)
-        return GroupAlgebraElement(self.params, tuple((g, k * c) for g, k in self.terms))
+        """c times self, for c an int or a Fraction."""
+        c = as_fraction(c)
+        return self._normalised(
+            self.params, self.den * c.denominator, ((g, k * c.numerator) for g, k in self.nums)
+        )
 
     def star(self) -> GroupAlgebraElement:
-        """The adjoint: sum conj(c_g) u_(g^-1); rational conjugation is trivial."""
-        return self.from_terms(
-            self.params, ((group_inv(self.params, g), c) for g, c in self.terms)
-        )
+        """The adjoint: sum conj(c_g) u_(g^-1); rational conjugation is trivial.
+        g -> g^-1 is injective, so no terms merge and den stays."""
+        params = self.params
+        return self._normalised(params, self.den, ((group_inv(params, g), k) for g, k in self.nums))

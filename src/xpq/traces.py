@@ -146,9 +146,8 @@ def trace_eval(spec: TraceSpec, a: GroupAlgebraElement) -> Cyclotomic:
         return Cyclotomic.from_fraction(a.coefficient(GroupElement.identity()))
     orbit = spec.orbit
     r = orbit.denominator
-    d, terms = a.integer_terms()
     sums: dict[tuple[int, QmodZ], int] = {}
-    for g, k in terms:
+    for g, k in a.nums:
         if isinstance(spec, FiniteOrbitTrace):
             coords = orbit.stabilizer.coords(g.m, g.n)
             if coords is None:
@@ -160,7 +159,7 @@ def trace_eval(spec: TraceSpec, a: GroupAlgebraElement) -> Cyclotomic:
             texp = _UNTWISTED
         key = (_pair_mult(params, r, g.x), texp)
         sums[key] = sums.get(key, 0) + k
-    values = [_twisted_mean(orbit, texp, w).scaled(Fraction(k, d)) for (w, texp), k in sums.items()]
+    values = [_twisted_mean(orbit, texp, w).scaled(Fraction(k, a.den)) for (w, texp), k in sums.items()]
     return sum(values[1:], values[0]) if values else Cyclotomic.zero()
 
 

@@ -327,8 +327,8 @@ def random_algebra_element(
 
 def reference_product(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
     """a * b by the plain Fraction loop: one group_mul and one Fraction
-    multiply-and-add per pair of terms, zero sums dropped, sorted by
-    GroupElement.sort_key()."""
+    multiply-and-add per pair of terms, zero sums dropped, the result
+    built by from_terms."""
     acc: dict[GroupElement, Fraction] = {}
     for g1, c1 in a.terms:
         for g2, c2 in b.terms:
@@ -338,8 +338,38 @@ def reference_product(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAl
                 acc[g] = s
             else:
                 acc.pop(g, None)
-    ordered = tuple(sorted(acc.items(), key=lambda t: t[0].sort_key()))
-    return GroupAlgebraElement(a.params, ordered)
+    return GroupAlgebraElement.from_terms(a.params, acc.items())
+
+
+def _merged(params, terms) -> GroupAlgebraElement:
+    # the plain Fraction merge: add coefficients per group element, drop
+    # zero sums, and rebuild from the survivors
+    acc: dict[GroupElement, Fraction] = {}
+    for g, c in terms:
+        acc[g] = acc.get(g, Fraction(0)) + c
+    return GroupAlgebraElement.from_terms(params, [(g, c) for g, c in acc.items() if c])
+
+
+def reference_sum(a: GroupAlgebraElement, b: GroupAlgebraElement) -> GroupAlgebraElement:
+    """a + b by adding Fraction coefficients per group element."""
+    return _merged(a.params, list(a.terms) + list(b.terms))
+
+
+def reference_scaled(a: GroupAlgebraElement, c) -> GroupAlgebraElement:
+    """c a by multiplying each Fraction coefficient by c."""
+    c = Fraction(c)
+    return _merged(a.params, [(g, k * c) for g, k in a.terms])
+
+
+def reference_star(a: GroupAlgebraElement) -> GroupAlgebraElement:
+    """a* = sum c_g u_(g^-1), with g^-1 = (-p^-m q^-n x, -m, -n) computed
+    through Fractions and put in canonical form by reference_pq_rational."""
+    p, q = a.params.p, a.params.q
+    terms = []
+    for g, c in a.terms:
+        y = -Fraction(g.x.num, p**g.x.a * q**g.x.b) / (Fraction(p) ** g.m * Fraction(q) ** g.n)
+        terms.append((GroupElement(PqRational(*reference_pq_rational(y, p, q)), -g.m, -g.n), c))
+    return _merged(a.params, terms)
 
 
 def reference_trace_eval(spec, a: GroupAlgebraElement) -> Cyclotomic:

@@ -704,6 +704,15 @@ GOLDEN_SPEC5_30030 = (
     '"chi":{"t1":"1/30030","t2":"0"}}'
 )
 GOLDEN_UNIT11 = '{"terms":[{"g":{"x":{"num":"1","a":0,"b":0},"m":1,"n":1},"c":"1"}]}'
+# one group element given twice with 1/6 and 1/3, which merge to 1/2, and
+# another given with 1/4 and -1/4, which cancel
+GOLDEN_MERGING_46 = (
+    '{"terms":[{"g":{"x":{"num":"5","a":1,"b":1},"m":3,"n":2},"c":"1/6"},'
+    '{"g":{"x":{"num":"-7","a":0,"b":2},"m":0,"n":2},"c":"1/4"},'
+    '{"g":{"x":{"num":"5","a":1,"b":1},"m":3,"n":2},"c":"1/3"},'
+    '{"g":{"x":{"num":"0","a":0,"b":0},"m":0,"n":0},"c":"2"},'
+    '{"g":{"x":{"num":"-7","a":0,"b":2},"m":0,"n":2},"c":"-1/4"}]}'
+)
 GOLDEN = [
     (
         ["orbits", "-p", "2", "-q", "3", "--max-den", "40"],
@@ -931,6 +940,12 @@ GOLDEN = [
     (
         ["orbits", "-p", "1000000007", "-q", "998244353", "--max-den", "200", "--format", "csv"],
         "3055b061a07f9f43acf9d63e824b4bd7296fe59dbe763b9910a05bd59ae79874",
+    ),
+    # recorded before Q[G] elements were stored as integer numerators over
+    # one denominator
+    (
+        ["trace-eval", "-p", "4", "-q", "6", "--trace", GOLDEN_SPEC7_46, "--element", GOLDEN_MERGING_46],
+        "195d6ded4af8c7423c086f8536efc352b98cfa733b49b1b95524e5bf85b5582c",
     ),
 ]
 

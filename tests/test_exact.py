@@ -427,3 +427,12 @@ class TestCyclotomic:
             hash(z)
         with pytest.raises(TypeError):
             {z}
+
+    def test_float_refused(self):
+        with pytest.raises(TypeError, match="0.1"):
+            Cyclotomic.from_fraction(0.1)
+        with pytest.raises(TypeError, match="0.5"):
+            Cyclotomic.one().scaled(0.5)
+        with pytest.raises(TypeError, match="1.0"):
+            Cyclotomic.one().scaled(1.0)
+        assert Cyclotomic.from_fraction(Fraction(1, 10)).to_fraction() == Fraction(1, 10)

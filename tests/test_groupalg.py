@@ -1,6 +1,7 @@
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -9,6 +10,9 @@ from helpers import (
     random_group_element,
     reference_pq_rational,
     reference_product,
+    reference_scaled,
+    reference_star,
+    reference_sum,
 )
 from xpq import (
     DependentParams,
@@ -317,3 +321,117 @@ class TestProductAgainstReference:
             products = {group_mul(params, g, h) for g, _ in a.terms for h, _ in b.terms}
             cancelled += len(products) > prod.support_size()
         assert cancelled > 0
+
+
+def assert_normal_form(a: GroupAlgebraElement) -> None:
+    # the stored form: den >= 1, numerators nonzero and coprime to den as a
+    # whole, group elements strictly increasing by sort_key()
+    assert a.den >= 1 and gcd(a.den, *(k for _, k in a.nums)) == 1
+    assert all(isinstance(k, int) and k for _, k in a.nums)
+    keys = [g.sort_key() for g, _ in a.nums]
+    assert all(s < t for s, t in zip(keys, keys[1:]))
+
+
+PAIRS = [(2, 3), (5, 7), (4, 6), (6, 10), (2, 4)]
+
+
+def wide_element(rng: random.Random, params: SystemParams, support: int) -> GroupAlgebraElement:
+    # ring parts over p^a q^b with a up to 5 (more for shared primes once
+    # canonical), m and n of both signs
+    p, q = params.p, params.q
+    terms = []
+    for _ in range(rng.randint(1, support)):
+        den = p ** rng.randint(0, 5) * q ** rng.randint(0, 2)
+        x = PqRational.canonical(rng.randint(-40, 40), den, p, q)
+        g = GroupElement(x, rng.randint(-3, 3), rng.randint(-3, 3))
+        terms.append((g, Fraction(rng.randint(-6, 6), rng.randint(1, 6))))
+    return GroupAlgebraElement.from_terms(params, terms)
+
+
+def with_overlap(rng: random.Random, a: GroupAlgebraElement, b: GroupAlgebraElement):
+    # b plus, for a random half of a's terms, a multiple of -c_g u_g, so
+    # that a + b cancels some terms and shifts others
+    extra = [(g, -c * rng.choice((1, 1, 2, Fraction(1, 3)))) for g, c in a.terms if rng.random() < 0.5]
+    return b + GroupAlgebraElement.from_terms(a.params, extra)
+
+
+class TestAlgebraAgainstReference:
+    """+, -, scaled, star and negation against the Fraction loops in
+    helpers, compared term by term, with the stored form checked."""
+
+    @pytest.mark.parametrize("p, q", PAIRS)
+    def test_sum_difference_negation(self, p, q):
+        params = SystemParams(p, q)
+        rng = random.Random(100 * p + q)
+        cancelled = widest = negative = 0
+        for _ in range(150):
+            a = wide_element(rng, params, 6)
+            b = with_overlap(rng, a, wide_element(rng, params, 6))
+            total = a + b
+            assert total.terms == reference_sum(a, b).terms
+            assert (a - b).terms == reference_sum(a, reference_scaled(b, -1)).terms
+            assert (-a).terms == reference_scaled(a, -1).terms
+            for x in (total, a - b, -a, b):
+                assert_normal_form(x)
+            back = total - b
+            assert back == a and hash(back) == hash(a)
+            assert (a - a) == GroupAlgebraElement.zero(params)
+            cancelled += total.support_size() < len({g for g, _ in a.terms + b.terms})
+            widest = max([widest] + [g.x.a for g, _ in a.terms])
+            negative += any(g.m < 0 and g.n < 0 for g, _ in a.terms)
+        assert cancelled > 0 and negative > 0
+        assert widest >= 5
+
+    @pytest.mark.parametrize("p, q", PAIRS)
+    def test_scaled(self, p, q):
+        params = SystemParams(p, q)
+        rng = random.Random(200 * p + q)
+        for _ in range(150):
+            a = wide_element(rng, params, 6)
+            for c in (0, 1, -1, 3, Fraction(-2, 9), Fraction(rng.randint(-9, 9), rng.randint(1, 9))):
+                s = a.scaled(c)
+                assert s.terms == reference_scaled(a, c).terms
+                assert_normal_form(s)
+                assert (a * c).terms == (c * a).terms == s.terms
+            back = a.scaled(3).scaled(Fraction(1, 3))
+            assert back == a and hash(back) == hash(a)
+
+    @pytest.mark.parametrize("p, q", PAIRS)
+    def test_star(self, p, q):
+        params = SystemParams(p, q)
+        rng = random.Random(300 * p + q)
+        for _ in range(150):
+            a = wide_element(rng, params, 6)
+            s = a.star()
+            assert s.terms == reference_star(a).terms
+            assert_normal_form(s)
+            back = s.star()
+            assert back == a and hash(back) == hash(a)
+
+    @pytest.mark.parametrize("p, q", PAIRS)
+    def test_products_in_normal_form(self, p, q):
+        params = SystemParams(p, q)
+        rng = random.Random(400 * p + q)
+        for _ in range(60):
+            a = wide_element(rng, params, 5)
+            b = with_overlap(rng, a, wide_element(rng, params, 5))
+            prod = a.star() * b
+            assert prod.terms == reference_product(a.star(), b).terms
+            assert_normal_form(prod)
+
+
+class TestExactCoefficients:
+    def test_from_terms_refuses_float(self):
+        g = GroupElement.identity()
+        with pytest.raises(TypeError, match="0.1"):
+            GroupAlgebraElement.from_terms(P23, [(g, 0.1)])
+        a = GroupAlgebraElement.from_terms(P23, [(g, 1), (g, Fraction(1, 10))])
+        assert a.terms == ((g, Fraction(11, 10)),)
+
+    def test_scaled_refuses_float(self):
+        a = GroupAlgebraElement.unit(P23, GroupElement.identity())
+        with pytest.raises(TypeError, match="0.5"):
+            a.scaled(0.5)
+        with pytest.raises(TypeError):
+            a * 0.5
+        assert a.scaled(True) == a
