@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 usage or input-parsing problem, 2 domain error
+Exit codes: 0 success, 1 usage or input-parsing problem or output that
+cannot be written (stdout closed or full), 2 domain error
 (bad denominators, identity elements, dependent bases where forbidden),
 3 check-suite failure.  Output goes to stdout in the format picked by
 --format (csv only for `orbits` and `moments`); warnings go to stderr.
@@ -535,14 +536,39 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    if sys.stdout is None:  # started with file descriptor 1 closed
+        print("error: cannot write output: stdout is closed", file=sys.stderr)
+        return 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except XpqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        # only writes are left to fail here: _load_json turns read errors
+        # into ValueError.  Once the reader has quit, any output still
+        # buffered could fail again in the flush at interpreter shutdown,
+        # so stdout is pointed at the null device.
+        if isinstance(exc, BrokenPipeError):
+            _discard_stdout()
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 1
+
+
+def _discard_stdout() -> None:
+    """Point the stdout file descriptor at os.devnull, if stdout has one."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):  # a StringIO in place of stdout
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

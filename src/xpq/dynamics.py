@@ -20,14 +20,16 @@ individual group elements, and backward orbits along the pq-division map.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from itertools import compress
+from math import gcd, isqrt
 
 from .errors import IdentityElement, NotCoprime, OutOfRange
 from .exact import (
-    Cyclotomic, QmodZ, euler_phi, is_multiplicatively_independent, multiplicative_order, root_of_unity,
+    Cyclotomic, QmodZ, _factorize_cached, euler_phi, is_multiplicatively_independent,
+    multiplicative_order, root_of_unity,
 )
 
 # Largest |exponent| of p or q accepted from a caller.  Powers are exact
@@ -50,10 +52,11 @@ MAX_DENOMINATOR_SCAN = 10**6
 # output, which grow as N^2.
 MAX_ORBIT_DENOMINATOR = 5_000
 
-# Largest ord_r(q), and largest number of powers of p scanned, that
-# stabilizer_lattice accepts.  It holds a dict of the ord_r(q) powers of q:
-# at r = 10000019 (ord_r(3) = 5000009, above the limit) that took 1 s and
-# 552 MB, at r = 1000003 (ord_r(3) = 333334) 0.04 s and 50 MB.
+# Largest ord_r(q), and largest least m with p^m in <q>, that
+# stabilizer_lattice accepts.  The lattice holds only ceil(sqrt(ord_r(q)))
+# powers of q, so the limit is not what keeps it cheap (with the limit
+# lifted, r = 10000019, where ord_r(3) = 5000009, takes about 1 ms); it
+# bounds the diagonal entries a and c of every basis.
 MAX_STABILIZER_ORDER = 10**6
 
 # Longest backward orbit lift_sequence builds: one point per step, about
@@ -230,14 +233,41 @@ def _powers(g: int, n: int, r: int) -> list[int]:
     return out
 
 
+def _discrete_log(g: int, c: int, r: int) -> Callable[[int], int | None]:
+    """The discrete log to the base g mod r, where c = ord_r(g), by baby-step
+    giant-step (Shanks 1971): a function taking x to the j in [0, c) with
+    g^j = x mod r, or to None when x is not in <g>.  It tables the baby
+    steps g^j, j < s = ceil(sqrt(c)), and takes at most ceil(c / s) giant
+    steps by g^-s; the first step i that meets a baby step g^j gives
+    j + s i, which is below c."""
+    s = isqrt(c - 1) + 1
+    baby = {v: j for j, v in enumerate(_powers(g, s, r))}
+    giant = pow(g, -s, r)
+    steps = -(-c // s)
+
+    def log(x: int) -> int | None:
+        for i in range(steps):
+            j = baby.get(x)
+            if j is not None:
+                return j + s * i
+            x = x * giant % r
+        return None
+
+    return log
+
+
 def stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
     """The lattice L_r = {(m, n) : p^m q^n = 1 mod r} in Hermite form.
 
-    The second basis vector is (0, ord_r(q)); the first is (m, b) where m
-    is least positive with p^m in <q> mod r.  The index a*c equals the
-    order of <p, q> in (Z/rZ)^*.  OutOfRange is raised when ord_r(q), or
-    the least such m, exceeds MAX_STABILIZER_ORDER, before the powers of q
-    are built in the first case.
+    The second basis vector is (0, c) with c = ord_r(q); the first is
+    (a, b) where a is least positive with p^a in <q> mod r, and q^-b = p^a.
+    The m with p^m in <q> form aZ, which holds ord_r(p), so a is found by
+    order descent: start at m = ord_r(p) and strip each prime factor l
+    while p^(m/l) stays in <q>.  Membership and the log that gives b are
+    baby-step giant-step over ceil(sqrt(c)) powers of q.  The index a*c
+    equals the order of <p, q> in (Z/rZ)^*.  OutOfRange is raised when c,
+    or a, exceeds MAX_STABILIZER_ORDER, before any power of q is tabled in
+    the first case.
 
     >>> stabilizer_lattice(SystemParams(2, 3), 5).basis
     ((1, 1), (0, 4))
@@ -248,37 +278,48 @@ def stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
     if r == 1:
         return StabilizerLattice(((1, 0), (0, 1)), 1)
     p, q = params.p, params.q
-    dq = multiplicative_order(q, r)
-    if dq > MAX_STABILIZER_ORDER:
+    c = multiplicative_order(q, r)
+    if c > MAX_STABILIZER_ORDER:
         raise OutOfRange(
-            f"denominator {r}: ord_r(q) = {dq} exceeds the stabilizer limit {MAX_STABILIZER_ORDER}"
+            f"denominator {r}: ord_r(q) = {c} exceeds the stabilizer limit {MAX_STABILIZER_ORDER}"
         )
-    qpow_index = {v: j for j, v in enumerate(_powers(q, dq, r))}
-    m, pm = 1, p % r
-    while pm not in qpow_index:
-        m += 1
-        if m > MAX_STABILIZER_ORDER:
-            raise OutOfRange(
-                f"denominator {r}: no p^m with m <= {MAX_STABILIZER_ORDER} lies in <q> "
-                f"(ord_r(q) = {dq}); {MAX_STABILIZER_ORDER} is the stabilizer limit"
-            )
-        pm = pm * p % r
-    # q^j = p^m means p^m q^(dq - j) = 1, so the lattice point is (m, dq - j)
-    j = qpow_index[pm]
-    b = (dq - j) % dq
-    return StabilizerLattice(((m, b), (0, dq)), m * dq)
+    log_q = _discrete_log(q, c, r)
+    a = multiplicative_order(p, r)
+    for ell in _factorize_cached(a).primes:
+        while a % ell == 0 and log_q(pow(p, a // ell, r)) is not None:
+            a //= ell
+    if a > MAX_STABILIZER_ORDER:
+        raise OutOfRange(
+            f"denominator {r}: no p^m with m <= {MAX_STABILIZER_ORDER} lies in <q> "
+            f"(ord_r(q) = {c}); {MAX_STABILIZER_ORDER} is the stabilizer limit"
+        )
+    b = -log_q(pow(p, a, r)) % c
+    return StabilizerLattice(((a, b), (0, c)), a * c)
 
 
-def _subgroup(params: SystemParams, r: int, stab: StabilizerLattice) -> list[int]:
+def _units(r: int) -> list[int]:
+    """The units mod r in increasing order ([0] at r = 1): a bytearray mask
+    with the multiples of each prime factor of r cleared, read by compress."""
+    mask = bytearray(b"\x01") * r
+    for ell in _factorize_cached(r).primes:
+        mask[::ell] = bytes((r - 1) // ell + 1)
+    return list(compress(range(r), mask))
+
+
+def _subgroup(params: SystemParams, r: int, stab: StabilizerLattice, count: int) -> list[int]:
     """The subgroup <p, q> of (Z/rZ)^*, sorted: the numerators of the orbit
-    of 1/r (of 0/1 at r = 1).
+    of 1/r (of 0/1 at r = 1), given the orbit count phi(r) / index(stab).
 
-    It is {p^i q^j : (i, j) in [0, a) x [0, c)}, where ((a, b), (0, c)) is
-    the Hermite basis of its stabilizer lattice.  These a*c elements are
-    distinct (p^i q^j = p^i' q^j' with |i - i'| < a puts p^(i - i') in <q>,
-    so i = i', and then j = j' below c = ord_r(q)), and there are
-    index(L_r) = |<p, q>| of them.
+    With one orbit, <p, q> is the whole unit group, read off by _units
+    with no products and no sort.  Otherwise it is {p^i q^j : (i, j) in
+    [0, a) x [0, c)}, where ((a, b), (0, c)) is the Hermite basis of its
+    stabilizer lattice.  These a*c elements are distinct (p^i q^j =
+    p^i' q^j' with |i - i'| < a puts p^(i - i') in <q>, so i = i', and
+    then j = j' below c = ord_r(q)), and there are index(L_r) = |<p, q>|
+    of them.
     """
+    if count == 1:
+        return _units(r)
     (a, _), (_, c) = stab.basis
     q_powers = _powers(params.q, c, r)
     return sorted([u * x % r for u in _powers(params.p, a, r) for x in q_powers])
@@ -288,29 +329,35 @@ def orbit_of(params: SystemParams, x: SolenoidPoint) -> OrbitData:
     """The finite orbit of a rational point under multiplication by p and q.
 
     The orbit of a/r is the coset a<p, q> of the subgroup built from the
-    stabilizer basis; numerators are sorted.
+    stabilizer basis, or all units mod r when <p, q> is the whole unit
+    group; numerators are sorted.
     """
     r = x.coord.den
     params.require_coprime(r)
     stab = stabilizer_lattice(params, r)
-    a0 = x.coord.num
-    nums = tuple(sorted([a0 * h % r for h in _subgroup(params, r, stab)]))
-    return OrbitData(params, r, nums, stab)
+    count = euler_phi(r) // stab.index
+    subgroup = _subgroup(params, r, stab, count)
+    if count > 1:
+        a0 = x.coord.num
+        subgroup = sorted([a0 * h % r for h in subgroup])
+    return OrbitData(params, r, tuple(subgroup), stab)
 
 
 def _orbits_mod(params: SystemParams, r: int, stab: StabilizerLattice, count: int) -> Iterator[OrbitData]:
     """Every orbit with denominator r, in order of least numerator, given
     the stabilizer lattice stab of r and the orbit count phi(r) / index(stab).
 
-    The first orbit is the sorted subgroup <p, q> itself, the orbit of 1.
-    Each later one is the coset a0<p, q> of the least unit a0 not yet
-    covered; a0 times the sorted subgroup, reduced mod r, is a few
-    ascending runs, which sorted() merges cheaply.  The scan stops after
-    count orbits.
+    The first orbit is the sorted subgroup <p, q> itself, the orbit of 1;
+    with count 1 it is all the units and the only orbit.  Each later one
+    is the coset a0<p, q> of the least unit a0 not yet covered; a0 times
+    the sorted subgroup, reduced mod r, is a few ascending runs, which
+    sorted() merges cheaply.  The scan stops after count orbits.
     """
-    subgroup = _subgroup(params, r, stab)
-    left = count - 1
+    subgroup = _subgroup(params, r, stab, count)
     yield OrbitData(params, r, tuple(subgroup), stab)
+    if count == 1:
+        return
+    left = count - 1
     seen = set(subgroup)
     a0 = 1
     while left:

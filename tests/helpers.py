@@ -18,11 +18,15 @@ from xpq import (
     FiniteOrbitTrace,
     GroupAlgebraElement,
     GroupElement,
+    OutOfRange,
     PqRational,
+    StabilizerLattice,
     SystemParams,
     group_mul,
+    multiplicative_order,
     root_of_unity,
 )
+from xpq.dynamics import MAX_STABILIZER_ORDER
 
 
 def naive_order(base: int, r: int) -> int:
@@ -45,6 +49,54 @@ def naive_orbit(p: int, q: int, r: int, start: int) -> frozenset[int]:
                 seen.add(nxt)
                 queue.append(nxt)
     return frozenset(seen)
+
+
+def _powers(g: int, n: int, r: int) -> list[int]:
+    """[g^0, ..., g^(n-1)] mod r, doubling the list at each step."""
+    out = [1 % r]
+    while len(out) < n:
+        step = pow(g, len(out), r)
+        out += [step * x % r for x in out[: n - len(out)]]
+    return out
+
+
+# The oracle for dynamics.stabilizer_lattice: a dict of all ord_r(q) powers
+# of q and a scan over the powers of p, as the library computed it before
+# baby-step giant-step.
+def reference_stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
+    """The lattice L_r = {(m, n) : p^m q^n = 1 mod r} in Hermite form.
+
+    The second basis vector is (0, ord_r(q)); the first is (m, b) where m
+    is least positive with p^m in <q> mod r.  The index a*c equals the
+    order of <p, q> in (Z/rZ)^*.  OutOfRange is raised when ord_r(q), or
+    the least such m, exceeds MAX_STABILIZER_ORDER, before the powers of q
+    are built in the first case.
+    """
+    if r < 1:
+        raise OutOfRange(f"denominator {r} out of range; expected r >= 1")
+    params.require_coprime(r)
+    if r == 1:
+        return StabilizerLattice(((1, 0), (0, 1)), 1)
+    p, q = params.p, params.q
+    dq = multiplicative_order(q, r)
+    if dq > MAX_STABILIZER_ORDER:
+        raise OutOfRange(
+            f"denominator {r}: ord_r(q) = {dq} exceeds the stabilizer limit {MAX_STABILIZER_ORDER}"
+        )
+    qpow_index = {v: j for j, v in enumerate(_powers(q, dq, r))}
+    m, pm = 1, p % r
+    while pm not in qpow_index:
+        m += 1
+        if m > MAX_STABILIZER_ORDER:
+            raise OutOfRange(
+                f"denominator {r}: no p^m with m <= {MAX_STABILIZER_ORDER} lies in <q> "
+                f"(ord_r(q) = {dq}); {MAX_STABILIZER_ORDER} is the stabilizer limit"
+            )
+        pm = pm * p % r
+    # q^j = p^m means p^m q^(dq - j) = 1, so the lattice point is (m, dq - j)
+    j = qpow_index[pm]
+    b = (dq - j) % dq
+    return StabilizerLattice(((m, b), (0, dq)), m * dq)
 
 
 def int_det(matrix) -> int:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -192,6 +193,28 @@ class TestExitCodes:
             run_checks("exact", SystemParams(2, 3), trials=MAX_TRIALS + 1)
         (result,) = run_checks("exact", SystemParams(2, 3), max_denominator=8, trials=MAX_TRIALS)
         assert result.ok and result.passed > MAX_TRIALS
+
+    def test_closed_or_full_stdout(self):
+        # a reader that quits after 64 bytes, a device that takes no bytes,
+        # and no stdout at all: one error line, never a traceback
+        argv = BASE + ["orbits", "-p", "2", "-q", "3", "--max-den", "2000"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+            assert len(proc.stdout.read(64)) == 64
+            proc.stdout.close()
+            err = proc.stderr.read()
+            rc = proc.wait(timeout=60)
+        results = [(rc, err)]
+        if os.path.exists("/dev/full"):
+            with open("/dev/full", "w") as full:
+                done = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+            results.append((done.returncode, done.stderr))
+        if shutil.which("sh"):
+            done = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *argv], stderr=subprocess.PIPE,
+                                  text=True, timeout=60)
+            results.append((done.returncode, done.stderr))
+        for rc, err in results:
+            assert rc in (0, 1, 2, 3)
+            assert "Traceback" not in err and len(err.splitlines()) <= 1, err
 
     def test_check_success_in_process(self, capsys):
         rc = cli.main(["check", "exact", "--trials", "4", "--max-den", "12"])

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from helpers import naive_orbit
+from helpers import naive_orbit, reference_stabilizer_lattice
 from xpq import (
     IdentityElement,
     NotCoprime,
@@ -15,6 +15,7 @@ from xpq import (
     beta_apply,
     census,
     enumerate_minimal_sets,
+    euler_phi,
     fixed_points,
     is_invariant_set,
     lift_sequence,
@@ -141,6 +142,20 @@ class TestStabilizer:
         with pytest.raises(OutOfRange, match="no p\\^m with m <= 4"):
             stabilizer_lattice(SystemParams(2, 10), 11)
 
+    def test_matches_reference(self):
+        # the q-power dict and p-scan of the reference against order descent
+        # and baby-step giant-step; (4, 6), (6, 10) share a prime and (4, 8)
+        # is dependent
+        for p, q in ((2, 3), (5, 7), (4, 6), (6, 10), (4, 8)):
+            params = SystemParams(p, q)
+            for r in range(1, 3001):
+                if gcd(r, p * q) == 1:
+                    assert stabilizer_lattice(params, r) == reference_stabilizer_lattice(params, r), (p, q, r)
+        # primes with ord_r(3) = (r - 1) / 3 and (r - 1) / 2
+        params = SystemParams(2, 3)
+        assert stabilizer_lattice(params, 1000003).basis == ((3, 293991), (0, 333334))
+        assert stabilizer_lattice(params, 999983).basis == ((1, 228506), (0, 499991))
+
     def test_coords(self):
         params = SystemParams(2, 3)
         lat = stabilizer_lattice(params, 5)
@@ -159,18 +174,23 @@ class TestStabilizer:
 
 class TestOrbits:
     def test_matches_naive(self):
-        # every unit start below r = 60, start 1 above; (2, 4) is dependent
-        for p, q in ((2, 3), (3, 5), (2, 4)):
+        # every unit start below r = 60, starts 1 and r - 1 above; (2, 4) is
+        # dependent.  Where <p, q> is all of (Z/rZ)^* the orbit is read off
+        # the units, whatever the start.
+        single = 0
+        for p, q in ((2, 3), (3, 5), (2, 4), (5, 7)):
             params = SystemParams(p, q)
             for r in range(1, 120):
                 if gcd(r, p * q) != 1:
                     continue
-                starts = [a for a in range(r) if gcd(a, r) == 1] if r < 60 else [1]
+                starts = [a for a in range(r) if gcd(a, r) == 1] if r < 60 else [1, r - 1]
                 for a0 in starts:
                     orbit = orbit_of(params, SolenoidPoint.of(a0, r))
                     assert orbit.denominator == r
                     assert set(orbit.numerators) == naive_orbit(p, q, r, a0)
                     assert orbit.size == orbit.stabilizer.index
+                    single += a0 > 1 and orbit.size == euler_phi(r)
+        assert single > 0
 
     def test_points_sorted_and_base_point_free(self):
         params = SystemParams(2, 3)
@@ -212,13 +232,16 @@ class TestOrbits:
 
     def test_enumerate_matches_naive_partition(self):
         # the cosets of <p, q> split the units mod r as the BFS closure does;
-        # (2, 4) is dependent and (4, 6), (6, 10) share a prime
-        for p, q in ((2, 3), (6, 10), (4, 6), (2, 4)):
+        # (2, 4) is dependent and (4, 6), (6, 10) share a prime.  The range
+        # holds the prime powers 9, 25, 27, 49, 121, 125, 243 and 343, and
+        # composite r such as 35 at (2, 3) and 12 at (5, 7), where <p, q> is
+        # the whole unit group
+        for p, q in ((2, 3), (5, 7), (6, 10), (4, 6), (2, 4)):
             by_r: dict[int, set] = {}
-            for o in enumerate_minimal_sets(SystemParams(p, q), 199):
+            for o in enumerate_minimal_sets(SystemParams(p, q), 349):
                 assert list(o.numerators) == sorted(set(o.numerators))
                 by_r.setdefault(o.denominator, set()).add(frozenset(o.numerators))
-            for r in range(1, 200):
+            for r in range(1, 350):
                 if gcd(r, p * q) != 1:
                     assert r not in by_r
                     continue
