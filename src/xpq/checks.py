@@ -12,13 +12,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
+from operator import attrgetter
 
 from .dynamics import (
     Character,
     SolenoidPoint,
     SystemParams,
     beta_apply,
+    census,
     enumerate_minimal_sets,
     fixed_points,
     is_invariant_set,
@@ -144,18 +147,16 @@ def _check_exact(params: SystemParams, rng: random.Random, bound: int, trials: i
 
 def _check_dynamics(params: SystemParams, rng: random.Random, bound: int, trials: int) -> CheckResult:
     res = CheckResult("dynamics")
-    orbits = enumerate_minimal_sets(params, bound)
-    covered: dict[int, set[int]] = {}
-    for orbit in orbits:
-        res.record(orbit.size == orbit.stabilizer.index, f"size mod {orbit.denominator}")
-        res.record(
-            is_invariant_set(params, [SolenoidPoint.of(a, orbit.denominator) for a in orbit.numerators]),
-            f"invariance mod {orbit.denominator}",
-        )
-        seen = covered.setdefault(orbit.denominator, set())
-        res.record(seen.isdisjoint(orbit.numerators), f"disjoint mod {orbit.denominator}")
-        seen.update(orbit.numerators)
-    for r, seen in covered.items():
+    for r, orbits in groupby(census(params, bound)[1], key=attrgetter("denominator")):
+        seen: set[int] = set()
+        for orbit in orbits:
+            res.record(orbit.size == orbit.stabilizer.index, f"size mod {r}")
+            res.record(
+                is_invariant_set(params, [SolenoidPoint.of(a, r) for a in orbit.numerators]),
+                f"invariance mod {r}",
+            )
+            res.record(seen.isdisjoint(orbit.numerators), f"disjoint mod {r}")
+            seen.update(orbit.numerators)
         want = {a for a in range(r) if gcd(a, r) == 1} if r > 1 else {0}
         res.record(seen == want, f"cover mod {r}")
     for _ in range(trials):

@@ -17,7 +17,6 @@ call loads only those.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -271,11 +270,12 @@ def _cmd_moments(args) -> int:
     spec = trace_spec_from_json(_load_json(args.trace), params)
     seq = moments(spec, args.n_max)
     if args.format == "csv":
-        w = csv.writer(sys.stdout, lineterminator="\n")
-        w.writerow(["n", "re", "im", "exact"])
+        # what csv.writer writes: no field needs quoting
+        out = sys.stdout
+        out.write("n,re,im,exact\n")
         for n, v in seq.items():
             z = v.approx()
-            w.writerow([n, repr(z.real), repr(z.imag), str(v)])
+            out.write(f"{n},{z.real!r},{z.imag!r},{v}\n")
     elif args.format == "pretty":
         print(f"moments up to +-{seq.n_max}:")
         for n, v in seq.items():
@@ -416,6 +416,8 @@ def _cmd_mult_indep(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from dataclasses import asdict
+
     from .checks import run_checks
 
     params = _params(args)
@@ -430,20 +432,7 @@ def _cmd_check(args) -> int:
                 print(f"    FAIL {msg}")
         print("ok" if ok else "FAILED")
     else:
-        _emit_json(
-            {
-                "ok": ok,
-                "suites": [
-                    {
-                        "suite": r.suite,
-                        "passed": r.passed,
-                        "failed": r.failed,
-                        "failures": r.failures,
-                    }
-                    for r in results
-                ],
-            }
-        )
+        _emit_json({"ok": ok, "suites": [asdict(r) for r in results]})
     return 0 if ok else 3
 
 

@@ -26,10 +26,10 @@ from fractions import Fraction
 from itertools import compress
 from math import gcd, isqrt
 
-from .errors import IdentityElement, NotCoprime, OutOfRange
+from .errors import IdentityElement, NotCoprime, OutOfRange, ParamsMismatch
 from .exact import (
-    Cyclotomic, QmodZ, _factorize_cached, euler_phi, is_multiplicatively_independent,
-    multiplicative_order, root_of_unity,
+    Cyclotomic, QmodZ, _factorize_cached, _gcd_steps, carmichael, euler_phi,
+    is_multiplicatively_independent, multiplicative_order, root_of_unity,
 )
 
 # Largest |exponent| of p or q accepted from a caller.  Powers are exact
@@ -199,6 +199,11 @@ class OrbitData:
     def size(self) -> int:
         return len(self.numerators)
 
+    def require_character(self, chi: Character) -> None:
+        """Refuse a character of any lattice but this orbit's stabilizer."""
+        if chi.lattice != self.stabilizer:
+            raise ParamsMismatch(f"character lattice differs from the orbit stabilizer mod {self.denominator}")
+
 
 @dataclass(frozen=True, slots=True)
 class FixedPoints:
@@ -261,13 +266,13 @@ def stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
 
     The second basis vector is (0, c) with c = ord_r(q); the first is
     (a, b) where a is least positive with p^a in <q> mod r, and q^-b = p^a.
-    The m with p^m in <q> form aZ, which holds ord_r(p), so a is found by
-    order descent: start at m = ord_r(p) and strip each prime factor l
-    while p^(m/l) stays in <q>.  Membership and the log that gives b are
-    baby-step giant-step over ceil(sqrt(c)) powers of q.  The index a*c
-    equals the order of <p, q> in (Z/rZ)^*.  OutOfRange is raised when c,
-    or a, exceeds MAX_STABILIZER_ORDER, before any power of q is tabled in
-    the first case.
+    The m with p^m in <q> form aZ, which holds the exponent lambda(r) of
+    (Z/rZ)^*, so a is found by order descent: start at m = lambda(r) and
+    strip each prime factor l while p^(m/l) stays in <q>; ord_r(p) is never
+    computed.  Membership and the log that gives b are baby-step giant-step
+    over ceil(sqrt(c)) powers of q.  The index a*c equals the order of
+    <p, q> in (Z/rZ)^*.  OutOfRange is raised when c, or a, exceeds
+    MAX_STABILIZER_ORDER, before any power of q is tabled in the first case.
 
     >>> stabilizer_lattice(SystemParams(2, 3), 5).basis
     ((1, 1), (0, 4))
@@ -284,7 +289,7 @@ def stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
             f"denominator {r}: ord_r(q) = {c} exceeds the stabilizer limit {MAX_STABILIZER_ORDER}"
         )
     log_q = _discrete_log(q, c, r)
-    a = multiplicative_order(p, r)
+    a = carmichael(r)
     for ell in _factorize_cached(a).primes:
         while a % ell == 0 and log_q(pow(p, a // ell, r)) is not None:
             a //= ell
@@ -333,7 +338,6 @@ def orbit_of(params: SystemParams, x: SolenoidPoint) -> OrbitData:
     group; numerators are sorted.
     """
     r = x.coord.den
-    params.require_coprime(r)
     stab = stabilizer_lattice(params, r)
     count = euler_phi(r) // stab.index
     subgroup = _subgroup(params, r, stab, count)
@@ -423,11 +427,11 @@ def fixed_points(
     The fixed set is therefore { a/count : 0 <= a < count } where count is
     the largest divisor of |t| coprime to pq.
 
-    With a denominator bound, sample keeps only the fixed points whose
-    lowest-terms denominator is within the bound; count is exact either
-    way.  OutOfRange is raised for |m| or |n| above MAX_EXPONENT, for a
-    listing of more than MAX_FIXED_LISTING points, and for a bound whose
-    scan min(max_denominator, count) exceeds MAX_DENOMINATOR_SCAN.
+    The sample is one scan over the divisors d <= min(bound, count) of
+    count, each giving its lowest-terms a/d, so with no bound it lists all
+    count points.  OutOfRange is raised for |m| or |n| above MAX_EXPONENT,
+    for a listing of more than MAX_FIXED_LISTING points, and for a scan
+    min(max_denominator, count) above MAX_DENOMINATOR_SCAN.
 
     >>> fixed_points(SystemParams(2, 3), (1, 1)).count
     5
@@ -442,39 +446,32 @@ def fixed_points(
         raise IdentityElement(
             f"p^{m} q^{n} = 1, so the element acts trivially and Fix is all of X"
         )
-    t = abs(w.numerator)
-    g_ = gcd(t, params.pq)
-    while g_ > 1:
-        t //= g_
-        g_ = gcd(t, params.pq)
-    count = t
+    count = _gcd_steps(abs(w.numerator), params.pq)[1]
     if max_denominator is None:
         if count > MAX_FIXED_LISTING:
             raise OutOfRange(
                 f"{int_text(count)} fixed points exceed the listing limit {MAX_FIXED_LISTING}; "
                 "a denominator bound (--max-den) gives the exact count with a bounded list"
             )
-        sample = tuple(SolenoidPoint(QmodZ(a, count)) for a in range(count))
-    else:
-        # every fixed denominator divides count, so none lies above it
-        scan = min(max_denominator, count)
-        if scan > MAX_DENOMINATOR_SCAN:
-            raise OutOfRange(
-                f"max_denominator = {max_denominator} would scan {scan} denominators; "
-                f"the scan limit is {MAX_DENOMINATOR_SCAN}"
-            )
-        pts = []
-        for d in range(1, scan + 1):
-            if count % d == 0:
-                pts.extend(QmodZ(a, d) for a in range(d) if gcd(a, d) == 1)
-                if len(pts) > MAX_FIXED_LISTING:
-                    raise OutOfRange(
-                        f"more than {MAX_FIXED_LISTING} fixed points have a denominator <= "
-                        f"{max_denominator}, the listing limit; lower max_denominator"
-                    )
-        pts.sort(key=QmodZ.to_fraction)
-        sample = tuple(SolenoidPoint(x) for x in pts)
-    return FixedPoints(count, sample)
+        max_denominator = count
+    # every fixed denominator divides count, so none lies above it
+    scan = min(max_denominator, count)
+    if scan > MAX_DENOMINATOR_SCAN:
+        raise OutOfRange(
+            f"max_denominator = {max_denominator} would scan {scan} denominators; "
+            f"the scan limit is {MAX_DENOMINATOR_SCAN}"
+        )
+    pts = []
+    for d in range(1, scan + 1):
+        if count % d == 0:
+            pts.extend(QmodZ(a, d) for a in range(d) if gcd(a, d) == 1)
+            if len(pts) > MAX_FIXED_LISTING:
+                raise OutOfRange(
+                    f"more than {MAX_FIXED_LISTING} fixed points have a denominator <= "
+                    f"{max_denominator}, the listing limit; lower max_denominator"
+                )
+    pts.sort(key=lambda x: x.num * (count // x.den))
+    return FixedPoints(count, tuple(SolenoidPoint(x) for x in pts))
 
 
 def lift_sequence(params: SystemParams, x: SolenoidPoint, depth: int) -> tuple[SolenoidPoint, ...]:

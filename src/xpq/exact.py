@@ -644,8 +644,6 @@ class Cyclotomic:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.level == other.level:
-            return self.den == other.den and self.vec == other.vec
         a, b = self._pair(other)
         return a.den == b.den and a.vec == b.vec
 

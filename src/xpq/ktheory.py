@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 from .errors import IncompatibleMap, OutOfRange
 
@@ -194,12 +194,7 @@ class FgAbGroup:
 
     def order(self) -> int | None:
         """Number of elements, or None for infinite."""
-        if self.rank:
-            return None
-        n = 1
-        for d in self.torsion:
-            n *= d
-        return n
+        return None if self.rank else prod(self.torsion)
 
     def gen_orders(self) -> tuple[int, ...]:
         """Orders of the standard generators; 0 marks a free generator."""

@@ -35,11 +35,6 @@ from .errors import ParamsMismatch
 # ---------------------------------------------------------------------------
 
 
-def _require_stabilizer_character(orbit: OrbitData, chi: Character) -> None:
-    if chi.lattice != orbit.stabilizer:
-        raise ParamsMismatch(f"character lattice differs from the orbit stabilizer mod {orbit.denominator}")
-
-
 @dataclass(frozen=True, slots=True)
 class InfinityPoint:
     """The zero ideal; its closure is the whole space."""
@@ -54,7 +49,7 @@ class OrbitCharPoint:
     chi: Character
 
     def __post_init__(self):
-        _require_stabilizer_character(self.orbit, self.chi)
+        self.orbit.require_character(self.chi)
 
 
 PrimPoint = InfinityPoint | OrbitCharPoint
@@ -127,7 +122,7 @@ class FiniteUnion:
                 if chunk.is_empty():
                     raise ValueError("empty part in a finite union")
                 for chi in chunk.points:
-                    _require_stabilizer_character(orbit, chi)
+                    orbit.require_character(chi)
         object.__setattr__(self, "parts", parts)
 
     def is_empty(self) -> bool:
@@ -159,7 +154,7 @@ class ConstantOrbitTail:
     chi_limit: Character
 
     def __post_init__(self):
-        _require_stabilizer_character(self.orbit, self.chi_limit)
+        self.orbit.require_character(self.chi_limit)
 
 
 ESCAPING = EscapingTail()

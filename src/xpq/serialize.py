@@ -51,14 +51,19 @@ def _need(data, key, kind=None):
     return value
 
 
+def _int_value(value, what: str) -> int:
+    """value as an int: a JSON integer, or ASCII digits after an optional
+    "-" (int() alone takes floats, other scripts' digits, "_" and spaces)."""
+    if type(value) is int or isinstance(value, str) and not value.strip("-0123456789"):
+        try:
+            return int(value)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ValueError(f"{what} is not an integer")
+
+
 def _int_field(data, key) -> int:
-    value = _need(data, key)
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"key {key!r} is not an integer")
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"key {key!r} is not an integer") from None
+    return _int_value(_need(data, key), f"key {key!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +111,9 @@ def _qmodz_from_str(text) -> QmodZ:
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {type(text).__name__}")
     try:
+        # int() takes "+", "_", spaces, other digits; QmodZ.parse reads "1/" as 1
+        if text.strip("-/0123456789") or text.endswith("/"):
+            raise ValueError
         return QmodZ.parse(text)
     except (ValueError, OutOfRange):
         raise ValueError(f"bad rational {text!r}") from None
@@ -187,7 +195,8 @@ def algebra_element_from_json(data, params: SystemParams) -> GroupAlgebraElement
         text = _need(entry, "c", str)
         exponent = text.lower().partition("e")[2]
         try:
-            if exponent and abs(int(exponent)) > MAX_COEFFICIENT_EXPONENT:
+            if (not text.isascii() or "_" in text or text.split() != [text]
+                    or exponent and abs(int(exponent)) > MAX_COEFFICIENT_EXPONENT):
                 raise ValueError
             c = Fraction(text)
         except (ValueError, ZeroDivisionError):
@@ -268,7 +277,7 @@ def fg_ab_group_from_json(data) -> FgAbGroup:
 
     torsion = _need(data, "torsion", list)
     try:
-        return FgAbGroup(_int_field(data, "rank"), tuple(int(d) for d in torsion))
+        return FgAbGroup(_int_field(data, "rank"), tuple(_int_value(d, "torsion entry") for d in torsion))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad group data: {exc}") from None
 

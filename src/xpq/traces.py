@@ -59,8 +59,7 @@ class FiniteOrbitTrace:
     chi: Character
 
     def __post_init__(self):
-        if self.chi.lattice != self.orbit.stabilizer:
-            raise ParamsMismatch("character lattice differs from the orbit stabilizer")
+        self.orbit.require_character(self.chi)
 
     @property
     def params(self) -> SystemParams:

@@ -309,10 +309,13 @@ class TestFixedPoints:
 
     def test_sample_is_fixed(self):
         params = SystemParams(2, 3)
-        for mn in ((1, 1), (2, 1), (1, 2), (-1, 2), (3, -1)):
+        for mn in ((1, 1), (2, 1), (1, 2), (-1, 2), (3, -1), (5, 3)):
             fp = fixed_points(params, mn)
             for pt in fp.sample:
                 assert beta_apply(params, mn, pt) == pt
+            # the unbounded listing is the bounded scan run to count
+            for bound in (fp.count, 10**12):
+                assert fixed_points(params, mn, max_denominator=bound).sample == fp.sample
 
     def test_count_vs_brute_force(self):
         # on the sector with denominator d the pair (m, n) acts as the unit

@@ -171,11 +171,11 @@ class TestFiniteUnionValidation:
 
     def test_character_of_another_stabilizer_rejected(self):
         assert ORBIT5.stabilizer != ORBIT7.stabilizer
-        with pytest.raises(ParamsMismatch):
+        with pytest.raises(ParamsMismatch, match="stabilizer mod 5"):
             FiniteUnion(((ORBIT5, FinitePoints((CHI_I[ORBIT7],))),))
-        with pytest.raises(ParamsMismatch):
+        with pytest.raises(ParamsMismatch, match="stabilizer mod 5"):
             FiniteUnion(((ORBIT7, FULL), (ORBIT5, FinitePoints((CHI0[ORBIT5], CHI0[ORBIT7])))))
-        with pytest.raises(ParamsMismatch):
+        with pytest.raises(ParamsMismatch, match="stabilizer mod 5"):
             closure([OrbitCharPoint(ORBIT5, CHI_I[ORBIT7])])
 
     def test_point_and_tail_of_another_stabilizer_rejected(self):

@@ -92,6 +92,11 @@ class TestPqRational:
             pq_rational_from_json({"num": "1", "a": -1, "b": 0}, P23)
         with pytest.raises(ValueError):
             pq_rational_from_json({"num": "x", "a": 0, "b": 0}, P23)
+        # integer strings are ASCII digits after an optional "-"; int() alone
+        # reads "١_٢" as 12
+        for bad in ("١_٢", "1_2", " 12", "12\n", "+12", "１２", 12.0, True):
+            with pytest.raises(ValueError, match="key 'num' is not an integer"):
+                pq_rational_from_json({"num": bad, "a": 0, "b": 0}, P23)
         with pytest.raises(ValueError):
             pq_rational_from_json({"num": "1", "a": 0}, P23)
         # 2/2^1 is not in canonical form: the numerator carries a p-factor
@@ -195,6 +200,13 @@ class TestOrbit:
         with pytest.raises(ValueError):
             orbit_from_json(data)
 
+        # points are ASCII "a/b"; int() alone reads " ١/٥" as 1/5
+        for bad in (" ١/٥", "1/5 ", "1_0/5", "+1/5", "1/"):
+            data = json.loads(json.dumps(base))
+            data["orbit"][0] = bad
+            with pytest.raises(ValueError, match="bad rational"):
+                orbit_from_json(data)
+
     def test_rejects_union_of_two_orbits(self):
         # 1/20 and 1/5 generate different orbits mod 20... use a modulus
         # where the unit group splits: mod 35, orbit of 1 misses some units
@@ -245,7 +257,8 @@ class TestGroupElements:
 
     def test_bad_coefficient(self):
         good = {"g": {"x": {"num": "0", "a": 0, "b": 0}, "m": 0, "n": 0}}
-        for bad in ("x", "1/0", ""):
+        # no non-ASCII character, "_" or whitespace, which Fraction() accepts
+        for bad in ("x", "1/0", "", " 1/3", "1/3\n", "1 / 3", "1_000", "١/٣", "0.2_5"):
             data = {"terms": [dict(good, c=bad)]}
             with pytest.raises(ValueError):
                 algebra_element_from_json(data, P23)
@@ -260,6 +273,10 @@ class TestGroupElements:
         data = {"terms": [dict(good, c="0.5")]}
         a = algebra_element_from_json(data, P23)
         assert a.terms[0][1] == Fraction(1, 2)
+        for text, value in (("1/3", Fraction(1, 3)), ("-2", -2), ("0.25", Fraction(1, 4)),
+                            ("25e-3", Fraction(1, 40))):
+            data = {"terms": [dict(good, c=text)]}
+            assert algebra_element_from_json(data, P23).terms[0][1] == value
 
 
 class TestTraceSpecs:
@@ -317,6 +334,10 @@ class TestKTheory:
             fg_ab_group_from_json({"rank": 0, "torsion": [4, 2]})
         with pytest.raises(ValueError):
             fg_ab_group_from_json({"rank": "x", "torsion": []})
+        # int() would truncate 2.7 and 4.2 to the valid chain (2, 4)
+        for torsion in ([2.7, 4.2], [2.0], [True], ["٢"], [" 2"], [None]):
+            with pytest.raises(ValueError, match="torsion entry is not an integer"):
+                fg_ab_group_from_json({"rank": 1, "torsion": torsion})
 
     def test_result_shape(self):
         data = ktheory_result_to_json(k_theory_of_group(3, 5))

@@ -258,7 +258,7 @@ class TestTraceLaws:
             trace_eval(CanonicalTrace(P23), a)
 
     def test_chi_lattice_must_match_orbit(self):
-        with pytest.raises(ParamsMismatch):
+        with pytest.raises(ParamsMismatch, match="stabilizer mod 5"):
             FiniteOrbitTrace(ORBIT5, Character.trivial(ORBIT7.stabilizer))
 
 
