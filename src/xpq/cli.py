@@ -127,8 +127,9 @@ def _cmd_orbits(args) -> int:
     params = _params(args)
     bound = _max_den(args)
     count, orbits = census(params, bound)
-    # each orbit's points are one join of its numerators, the separator
-    # closing one point and opening the next
+    # each orbit's points are one join of its numerators' text from one table
+    # (each is below r <= bound), the separator closing one point and opening the next
+    text = [str(k) for k in range(bound)]
     out = sys.stdout
     if args.format == "csv":
         # what csv.writer writes: no field needs quoting
@@ -136,13 +137,13 @@ def _cmd_orbits(args) -> int:
         for orbit in orbits:
             r = orbit.denominator
             (a, b), (_, c) = orbit.stabilizer.basis
-            pts = f"/{r} ".join(map(str, orbit.numerators))
+            pts = f"/{r} ".join([text[k] for k in orbit.numerators])
             out.write(f"{r},{orbit.size},{orbit.stabilizer.index},{a},{b},{c},{pts}/{r}\n")
     elif args.format == "pretty":
         out.write(f"minimal invariant sets for p={params.p}, q={params.q}, r <= {bound}:\n")
         for orbit in orbits:
             r = orbit.denominator
-            pts = f"/{r}, ".join(map(str, orbit.numerators))
+            pts = f"/{r}, ".join([text[k] for k in orbit.numerators])
             out.write(f"  r={r}  size={orbit.size}  {{{pts}/{r}}}\n")
         out.write(f"total: {count}\n")
     else:
@@ -154,7 +155,7 @@ def _cmd_orbits(args) -> int:
         for orbit in orbits:
             r = orbit.denominator
             (a, b), (z, c) = orbit.stabilizer.basis
-            pts = f'/{r}",\n        "'.join(map(str, orbit.numerators))
+            pts = f'/{r}",\n        "'.join([text[k] for k in orbit.numerators])
             out.write(
                 f'{sep}{{\n      "orbit": [\n        "{pts}/{r}"\n      ],'
                 f'\n      "p": {params.p},\n      "q": {params.q},\n      "r": {r},'

@@ -234,6 +234,23 @@ def is_multiplicatively_independent(p: int, q: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def parse_point(text: str) -> tuple[int, int]:
+    """(a mod b, b) in lowest terms for the text "a/b", or "a" read as a/1: ASCII
+    digits, each after an optional "-".  Other text, such as "1/", "+1/5" or
+    " 1/5", is a ValueError "bad rational", and b <= 0 is OutOfRange."""
+    num, slash, den = text.partition("/")
+    try:
+        if text.strip("-/0123456789"):  # int() alone takes "+", "_", spaces, other digits
+            raise ValueError
+        n, d = int(num), int(den) if slash else 1
+    except ValueError:
+        raise ValueError(f"bad rational {text!r}") from None
+    if d <= 0:
+        raise OutOfRange(f"denominator {d} out of range; expected >= 1")
+    g = gcd(n, d)
+    return n // g % (d // g), d // g
+
+
 @dataclass(frozen=True, slots=True)
 class QmodZ:
     """A rational point of R/Z in lowest terms, 0 <= num < den.
@@ -265,9 +282,8 @@ class QmodZ:
 
     @classmethod
     def parse(cls, text: str) -> QmodZ:
-        """Parse "a/b" (or a bare integer, meaning the zero class)."""
-        num, _, den = text.partition("/")
-        return cls(int(num), int(den) if den else 1)
+        """The point "a/b", or "a" meaning the zero class, read by parse_point."""
+        return cls(*parse_point(text))
 
     def to_fraction(self) -> Fraction:
         return Fraction(self.num, self.den)

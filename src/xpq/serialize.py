@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 from .dynamics import Character, OrbitData, SolenoidPoint, SystemParams, check_exponent, orbit_of
 from .errors import OutOfRange, ParamsMismatch
-from .exact import Cyclotomic, PqRational, QmodZ
+from .exact import Cyclotomic, PqRational, QmodZ, parse_point
 
 if TYPE_CHECKING:
     from .dynamics import StabilizerLattice
@@ -108,14 +108,12 @@ def evaluation_to_json(value: Cyclotomic) -> dict:
 
 
 def _qmodz_from_str(text) -> QmodZ:
+    """QmodZ.parse of a JSON string; any other value, or b <= 0, is a ValueError."""
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {type(text).__name__}")
     try:
-        # int() takes "+", "_", spaces, other digits; QmodZ.parse reads "1/" as 1
-        if text.strip("-/0123456789") or text.endswith("/"):
-            raise ValueError
         return QmodZ.parse(text)
-    except (ValueError, OutOfRange):
+    except OutOfRange:  # parse_point refuses other text as "bad rational" itself
         raise ValueError(f"bad rational {text!r}") from None
 
 
@@ -136,6 +134,8 @@ def orbit_to_json(orbit: OrbitData) -> dict:
 
 
 def orbit_from_json(data) -> OrbitData:
+    """The orbit listed in data.  Each point is read by parse_point, with the
+    messages of _qmodz_from_str, and must reduce to denominator r exactly."""
     params = SystemParams(_int_field(data, "p"), _int_field(data, "q"))
     r = _int_field(data, "r")
     listed = _need(data, "orbit", list)
@@ -143,10 +143,14 @@ def orbit_from_json(data) -> OrbitData:
         raise ValueError("empty orbit list")
     nums = []
     for text in listed:
-        pt = _qmodz_from_str(text)
-        if pt.den != r:
+        try:
+            num, den = parse_point(text)
+        except (AttributeError, OutOfRange):  # not a string, or b <= 0
+            _qmodz_from_str(text)  # raises the message for either
+            raise
+        if den != r:
             raise ValueError(f"{text!r} is not a lowest-terms point with denominator {r}")
-        nums.append(pt.num)
+        nums.append(num)
     if len(set(nums)) != len(nums):
         raise ValueError("orbit list has duplicates")
     orbit = orbit_of(params, SolenoidPoint(QmodZ(min(nums), r)))

@@ -99,6 +99,29 @@ def reference_stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLatt
     return StabilizerLattice(((m, b), (0, dq)), m * dq)
 
 
+def reference_point_numerator(text, r: int) -> int:
+    """The numerator of one listed orbit point, decoded point by point with
+    plain int() and gcd: a string of the characters "-/0123456789" with no
+    trailing "/", int() on each side of the first "/", a denominator >= 1,
+    reduction to lowest terms, and a reduced denominator equal to r.  Raises
+    ValueError with the messages orbit_from_json gives."""
+    if not isinstance(text, str):
+        raise ValueError(f"expected a rational string, got {type(text).__name__}")
+    try:
+        if text.strip("-/0123456789") or text.endswith("/"):
+            raise ValueError
+        num, _, den = text.partition("/")
+        n, d = int(num), int(den) if den else 1
+        if d <= 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"bad rational {text!r}") from None
+    g = gcd(n % d, d)
+    if d // g != r:
+        raise ValueError(f"{text!r} is not a lowest-terms point with denominator {r}")
+    return n % d // g
+
+
 def int_det(matrix) -> int:
     """Bareiss fraction-free determinant."""
     A = [list(row) for row in matrix]

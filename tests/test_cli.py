@@ -375,29 +375,30 @@ class TestOrbitsCommand:
 
         from xpq import enumerate_minimal_sets, orbit_to_json
 
-        bound = 300
-        orbits = enumerate_minimal_sets(SystemParams(p, q), bound)
-        doc = {"count": len(orbits), "max_denominator": bound,
-               "orbits": [orbit_to_json(o) for o in orbits], "p": p, "q": q}
-        table = io.StringIO()
-        w = csv.writer(table, lineterminator="\n")
-        w.writerow(["r", "size", "index", "basis_a", "basis_b", "basis_c", "points"])
-        pretty = [f"minimal invariant sets for p={p}, q={q}, r <= {bound}:"]
-        for o in orbits:
-            (a, b), (_, c) = o.stabilizer.basis
-            pts = [f"{num}/{o.denominator}" for num in o.numerators]
-            w.writerow([o.denominator, o.size, o.stabilizer.index, a, b, c, " ".join(pts)])
-            pretty.append(f"  r={o.denominator}  size={o.size}  {{{', '.join(pts)}}}")
-        pretty.append(f"total: {len(orbits)}")
-        expected = {
-            "json": cli._dumps(doc) + "\n",
-            "csv": table.getvalue(),
-            "pretty": "\n".join(pretty) + "\n",
-        }
-        for fmt, text in expected.items():
-            argv = ["orbits", "-p", str(p), "-q", str(q), "--max-den", str(bound), "--format", fmt]
-            assert cli.main(argv) == 0
-            assert capsys.readouterr().out == text, fmt
+        # bounds 1 and 2: only the r = 1 orbit, whose numerator is 0
+        for bound in (1, 2, 300):
+            orbits = enumerate_minimal_sets(SystemParams(p, q), bound)
+            doc = {"count": len(orbits), "max_denominator": bound,
+                   "orbits": [orbit_to_json(o) for o in orbits], "p": p, "q": q}
+            table = io.StringIO()
+            w = csv.writer(table, lineterminator="\n")
+            w.writerow(["r", "size", "index", "basis_a", "basis_b", "basis_c", "points"])
+            pretty = [f"minimal invariant sets for p={p}, q={q}, r <= {bound}:"]
+            for o in orbits:
+                (a, b), (_, c) = o.stabilizer.basis
+                pts = [f"{num}/{o.denominator}" for num in o.numerators]
+                w.writerow([o.denominator, o.size, o.stabilizer.index, a, b, c, " ".join(pts)])
+                pretty.append(f"  r={o.denominator}  size={o.size}  {{{', '.join(pts)}}}")
+            pretty.append(f"total: {len(orbits)}")
+            expected = {
+                "json": cli._dumps(doc) + "\n",
+                "csv": table.getvalue(),
+                "pretty": "\n".join(pretty) + "\n",
+            }
+            for fmt, text in expected.items():
+                argv = ["orbits", "-p", str(p), "-q", str(q), "--max-den", str(bound), "--format", fmt]
+                assert cli.main(argv) == 0
+                assert capsys.readouterr().out == text, (bound, fmt)
 
     def test_dependence_warning_on_stderr(self):
         proc = run("orbits", "-p", "2", "-q", "4", "--max-den", "5")
@@ -446,6 +447,16 @@ class TestLift:
 
         for cur, nxt in zip(seq, seq[1:]):
             assert QmodZ.parse(nxt).mul_int(6) == QmodZ.parse(cur)
+
+    def test_malformed_point(self):
+        # int() alone reads "+1/1_1" as 1/11 and " ١/٥" as 1/5
+        for text in ("1/", " ١/٥", "+1/1_1", "abc"):
+            proc = run("lift", "-p", "2", "-q", "3", "--point", text, "--depth", "1")
+            assert proc.returncode == 1 and proc.stdout == "", text
+            assert proc.stderr == f"error: bad rational {text!r}\n"
+        proc = run("lift", "-p", "2", "-q", "3", "--point", "1/0")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == "error: denominator 0 out of range; expected >= 1\n"
 
 
 class TestTraceCommands:

@@ -54,8 +54,14 @@ class TestQmodZ:
         assert QmodZ.parse("5") == QmodZ(0, 1)
         assert str(QmodZ(3, 7)) == "3/7"
         assert QmodZ.parse(str(QmodZ(9, 12))) == QmodZ(9, 12)
-        with pytest.raises(ValueError):
-            QmodZ.parse("x/y")
+        assert QmodZ.parse("-4/5") == QmodZ.parse("6/5") == QmodZ(1, 5)
+        # ASCII digits after an optional "-" only; int() alone takes the last five
+        for bad in ("x/y", "1/", "--1/5", "1/2/3", "/5", "", "+1/5", "1_0/5", " 1/5", "1/5 ", "١/٥"):
+            with pytest.raises(ValueError, match="bad rational"):
+                QmodZ.parse(bad)
+        for bad in ("1/0", "1/-5"):
+            with pytest.raises(OutOfRange):
+                QmodZ.parse(bad)
 
     @given(qmodz, qmodz, qmodz)
     @settings(max_examples=200)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_algebra_element, random_group_element
+from helpers import random_algebra_element, random_group_element, reference_point_numerator
 from xpq import (
     ALL,
     EMPTY,
@@ -201,11 +201,27 @@ class TestOrbit:
             orbit_from_json(data)
 
         # points are ASCII "a/b"; int() alone reads " ١/٥" as 1/5
-        for bad in (" ١/٥", "1/5 ", "1_0/5", "+1/5", "1/"):
+        for bad in (" ١/٥", "1/5 ", "1_0/5", "+1/5", "1/", "1/-5", "/5", "1/2/3"):
             data = json.loads(json.dumps(base))
             data["orbit"][0] = bad
             with pytest.raises(ValueError, match="bad rational"):
                 orbit_from_json(data)
+
+    def test_point_decoder_matches_reference(self):
+        # 6 and 11 are 1 mod 5, so each a/5 is an orbit by itself
+        base = orbit_to_json(orbit_of(SystemParams(6, 11), SolenoidPoint.of(1, 5)))
+        corpus = ["1/5", "6/5", "-4/5", "2/10", "0/1", "1/0", "1/-5", "/5", "", "1/", "--1/5",
+                  "1/2/3", "+1/5", "1_0/5", " ١/٥", "1/5 ", "1" * 5000 + "/5", 5, None]
+        for text in corpus:
+            data = dict(base, orbit=[text])
+            try:
+                expected = reference_point_numerator(text, 5)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as info:
+                    orbit_from_json(data)
+                assert type(info.value) is type(exc) and str(info.value) == str(exc), text
+            else:
+                assert orbit_from_json(data).numerators == (expected,), text
 
     def test_rejects_union_of_two_orbits(self):
         # 1/20 and 1/5 generate different orbits mod 20... use a modulus
