@@ -190,13 +190,13 @@ def _cmd_stabilizer(args) -> int:
 
 
 def _cmd_fix(args) -> int:
-    from .dynamics import fixed_points, int_text
+    from .dynamics import fixed_points, int_text, str_digit_limit
 
     params = _params(args)
     bound = _max_den(args, required=False)
     fix = fixed_points(params, (args.m, args.n), max_denominator=bound)
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    if digits and fix.count >= 10**digits:
+    digits, limit = str_digit_limit()
+    if limit and fix.count >= limit:
         raise OutOfRange(
             f"|Fix({args.m}, {args.n})| = {int_text(fix.count)} has more than {digits} "
             "decimal digits, the limit for printing an integer (sys.get_int_max_str_digits())"

@@ -20,6 +20,7 @@ individual group elements, and backward orbits along the pq-division map.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,8 +29,8 @@ from math import gcd, isqrt
 
 from .errors import IdentityElement, NotCoprime, OutOfRange, ParamsMismatch
 from .exact import (
-    Cyclotomic, QmodZ, _factorize_cached, _gcd_steps, carmichael, euler_phi,
-    is_multiplicatively_independent, multiplicative_order, root_of_unity,
+    Cyclotomic, QmodZ, _descend, _factorize_cached, _gcd_steps, carmichael, euler_phi,
+    is_multiplicatively_independent, root_of_unity,
 )
 
 # Largest |exponent| of p or q accepted from a caller.  Powers are exact
@@ -73,6 +74,13 @@ def check_exponent(name: str, value: int) -> None:
 def int_text(n: int) -> str:
     """n in decimal, or "about 2^k" from 4096 bits on, where str() may refuse it."""
     return str(n) if n.bit_length() < 4096 else f"about 2^{n.bit_length() - 1}"
+
+
+def str_digit_limit() -> tuple[int, int | None]:
+    """(digits, 10**digits): the most decimal digits str() writes of an int,
+    sys.get_int_max_str_digits(), and the least int with more; (0, None) if none."""
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+    return digits, 10**digits if digits else None
 
 
 @dataclass(frozen=True, slots=True)
@@ -268,7 +276,8 @@ def stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
     (a, b) where a is least positive with p^a in <q> mod r, and q^-b = p^a.
     The m with p^m in <q> form aZ, which holds the exponent lambda(r) of
     (Z/rZ)^*, so a is found by order descent: start at m = lambda(r) and
-    strip each prime factor l while p^(m/l) stays in <q>; ord_r(p) is never
+    strip each prime factor l while p^(m/l) stays in <q>.  c is the same
+    descent with q^m = 1, from the same lambda(r), and ord_r(p) is never
     computed.  Membership and the log that gives b are baby-step giant-step
     over ceil(sqrt(c)) powers of q.  The index a*c equals the order of
     <p, q> in (Z/rZ)^*.  OutOfRange is raised when c, or a, exceeds
@@ -280,19 +289,15 @@ def stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
     if r < 1:
         raise OutOfRange(f"denominator {r} out of range; expected r >= 1")
     params.require_coprime(r)
-    if r == 1:
-        return StabilizerLattice(((1, 0), (0, 1)), 1)
     p, q = params.p, params.q
-    c = multiplicative_order(q, r)
+    lam = carmichael(r)
+    c = _descend(lam, lambda m: pow(q, m, r) == 1)
     if c > MAX_STABILIZER_ORDER:
         raise OutOfRange(
             f"denominator {r}: ord_r(q) = {c} exceeds the stabilizer limit {MAX_STABILIZER_ORDER}"
         )
     log_q = _discrete_log(q, c, r)
-    a = carmichael(r)
-    for ell in _factorize_cached(a).primes:
-        while a % ell == 0 and log_q(pow(p, a // ell, r)) is not None:
-            a //= ell
+    a = _descend(lam, lambda m: log_q(pow(p, m, r)) is not None)
     if a > MAX_STABILIZER_ORDER:
         raise OutOfRange(
             f"denominator {r}: no p^m with m <= {MAX_STABILIZER_ORDER} lies in <q> "

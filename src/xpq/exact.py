@@ -21,6 +21,7 @@ precision and is documented as approximate only.
 from __future__ import annotations
 
 import cmath
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -183,14 +184,17 @@ def multiplicative_order(k: int, r: int) -> int:
     """
     if r < 1:
         raise OutOfRange(f"modulus {r} out of range; expected r >= 1")
-    if r == 1:
-        return 1
     if gcd(k, r) != 1:
         raise NonInvertible(f"{k} is not a unit mod {r}")
-    e = carmichael(r)
-    for p, _ in _factorize_cached(e).pairs:
-        while e % p == 0 and pow(k, e // p, r) == 1:
-            e //= p
+    return _descend(carmichael(r), lambda m: pow(k, m, r) == 1)
+
+
+def _descend(e: int, holds: Callable[[int], bool]) -> int:
+    """e with each prime factor l stripped while holds(e / l): the divisor g
+    of e when holds(m) means g | m, as k^m = 1 does for g = ord(k)."""
+    for ell in _factorize_cached(e).primes:
+        while e % ell == 0 and holds(e // ell):
+            e //= ell
     return e
 
 
@@ -234,23 +238,6 @@ def is_multiplicatively_independent(p: int, q: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def parse_point(text: str) -> tuple[int, int]:
-    """(a mod b, b) in lowest terms for the text "a/b", or "a" read as a/1: ASCII
-    digits, each after an optional "-".  Other text, such as "1/", "+1/5" or
-    " 1/5", is a ValueError "bad rational", and b <= 0 is OutOfRange."""
-    num, slash, den = text.partition("/")
-    try:
-        if text.strip("-/0123456789"):  # int() alone takes "+", "_", spaces, other digits
-            raise ValueError
-        n, d = int(num), int(den) if slash else 1
-    except ValueError:
-        raise ValueError(f"bad rational {text!r}") from None
-    if d <= 0:
-        raise OutOfRange(f"denominator {d} out of range; expected >= 1")
-    g = gcd(n, d)
-    return n // g % (d // g), d // g
-
-
 @dataclass(frozen=True, slots=True)
 class QmodZ:
     """A rational point of R/Z in lowest terms, 0 <= num < den.
@@ -282,8 +269,17 @@ class QmodZ:
 
     @classmethod
     def parse(cls, text: str) -> QmodZ:
-        """The point "a/b", or "a" meaning the zero class, read by parse_point."""
-        return cls(*parse_point(text))
+        """The class of "a/b", or of "a" read as a/1, in ASCII digits each after
+        an optional "-", so "6/5" is 1/5.  Other text, such as "1/", "+1/5" or
+        " 1/5", is a ValueError "bad rational", and b <= 0 is OutOfRange."""
+        num, slash, den = text.partition("/")
+        try:
+            if text.strip("-/0123456789"):  # int() alone takes "+", "_", spaces, other digits
+                raise ValueError
+            n, d = int(num), int(den) if slash else 1
+        except ValueError:
+            raise ValueError(f"bad rational {text!r}") from None
+        return cls(n, d)
 
     def to_fraction(self) -> Fraction:
         return Fraction(self.num, self.den)

@@ -22,12 +22,11 @@ from the two closed-form families used to see that.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .dynamics import SystemParams
+from .dynamics import SystemParams, str_digit_limit
 from .errors import DependentParams, IdentityElement, OutOfRange, ParamsMismatch
 from .exact import PqRational, as_fraction
 
@@ -126,8 +125,7 @@ def icc_witness(params: SystemParams, g: GroupElement, count: int) -> list[Group
         def nth(k: int) -> PqRational:
             return PqRational.canonical((den - num) * k, den, params.p, params.q)
 
-    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
-    limit = 10**digits if digits else None
+    digits, limit = str_digit_limit()
     out = []
     for k in range(1, count + 1):
         x = nth(k)

@@ -7,8 +7,8 @@ do not parse) raise ValueError; domain violations discovered while
 rebuilding (bases below 2, denominators sharing a factor with pq, ...)
 surface as the usual library exceptions.  Orbits and canonical forms
 are validated by recomputation, not trusted: a parsed OrbitData is the
-library's own orbit of the least listed point, compared against the
-claimed point set and stabilizer.
+library's own orbit of the first listed point, the only one parsed; the
+list must be that orbit's own point texts, and the stabilizer its own.
 
 Big integers ride as strings ("num") so consumers that read JSON with
 53-bit floats cannot corrupt them silently; small structural integers
@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 from .dynamics import Character, OrbitData, SolenoidPoint, SystemParams, check_exponent, orbit_of
 from .errors import OutOfRange, ParamsMismatch
-from .exact import Cyclotomic, PqRational, QmodZ, parse_point
+from .exact import Cyclotomic, PqRational, QmodZ
 
 if TYPE_CHECKING:
     from .dynamics import StabilizerLattice
@@ -113,7 +113,7 @@ def _qmodz_from_str(text) -> QmodZ:
         raise ValueError(f"expected a rational string, got {type(text).__name__}")
     try:
         return QmodZ.parse(text)
-    except OutOfRange:  # parse_point refuses other text as "bad rational" itself
+    except OutOfRange:  # b <= 0; parse refuses other text as "bad rational" itself
         raise ValueError(f"bad rational {text!r}") from None
 
 
@@ -134,31 +134,31 @@ def orbit_to_json(orbit: OrbitData) -> dict:
 
 
 def orbit_from_json(data) -> OrbitData:
-    """The orbit listed in data.  Each point is read by parse_point, with the
-    messages of _qmodz_from_str, and must reduce to denominator r exactly."""
+    """The orbit listed in data.  Only the first point is parsed, by
+    _qmodz_from_str, and its denominator must be r.  The orbit is rebuilt from
+    it by orbit_of; the list must hold each of its point texts as orbit_to_json
+    writes them, once, in any order, and the stabilizer must be its own."""
     params = SystemParams(_int_field(data, "p"), _int_field(data, "q"))
     r = _int_field(data, "r")
     listed = _need(data, "orbit", list)
     if not listed:
         raise ValueError("empty orbit list")
-    nums = []
+    x = _qmodz_from_str(listed[0])
+    if x.den != r:
+        raise ValueError(f"{listed[0]!r} is not a point with denominator {r}")
+    orbit = orbit_of(params, SolenoidPoint(x))
+    own = orbit_to_json(orbit)
+    texts = own["orbit"]
+    left = set(texts)
     for text in listed:
-        try:
-            num, den = parse_point(text)
-        except (AttributeError, OutOfRange):  # not a string, or b <= 0
-            _qmodz_from_str(text)  # raises the message for either
-            raise
-        if den != r:
-            raise ValueError(f"{text!r} is not a lowest-terms point with denominator {r}")
-        nums.append(num)
-    if len(set(nums)) != len(nums):
-        raise ValueError("orbit list has duplicates")
-    orbit = orbit_of(params, SolenoidPoint(QmodZ(min(nums), r)))
-    if orbit.numerators != tuple(sorted(nums)):
-        raise ValueError(f"listed points are not one orbit mod {r}")
+        if not isinstance(text, str) or text not in left:
+            raise ValueError(f"{text!r} is listed twice in the orbit list mod {r}" if text in texts
+                             else f"{text!r} is not a point of the orbit of {x}, written a/{r}")
+        left.remove(text)
+    if left:
+        raise ValueError(f"{next(t for t in texts if t in left)!r} is missing from the orbit list mod {r}")
     stab = _need(data, "stabilizer", dict)
-    (a, b), (z, c) = orbit.stabilizer.basis
-    if _need(stab, "basis") != [[a, b], [z, c]] or _int_field(stab, "index") != orbit.stabilizer.index:
+    if _need(stab, "basis") != own["stabilizer"]["basis"] or _int_field(stab, "index") != orbit.stabilizer.index:
         raise ValueError(f"stabilizer data does not match the lattice mod {r}")
     return orbit
 

@@ -100,11 +100,13 @@ def reference_stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLatt
 
 
 def reference_point_numerator(text, r: int) -> int:
-    """The numerator of one listed orbit point, decoded point by point with
-    plain int() and gcd: a string of the characters "-/0123456789" with no
-    trailing "/", int() on each side of the first "/", a denominator >= 1,
-    reduction to lowest terms, and a reduced denominator equal to r.  Raises
-    ValueError with the messages orbit_from_json gives."""
+    """The numerator of the one-point orbit list [text] mod r, decoded with
+    plain int() and gcd by the text rule: the only texts of points with
+    denominator r are f"{a}/{r}" with 0 <= a < r and gcd(a, r) = 1 ("0/1"
+    at r = 1).  Raises ValueError with the messages orbit_from_json gives:
+    a non-string; text other than "a/b" or "a" in the characters
+    "-/0123456789" that int() reads on each side of the first "/", or with
+    b < 1; a reduced denominator other than r; and any other text."""
     if not isinstance(text, str):
         raise ValueError(f"expected a rational string, got {type(text).__name__}")
     try:
@@ -116,10 +118,13 @@ def reference_point_numerator(text, r: int) -> int:
             raise ValueError
     except ValueError:
         raise ValueError(f"bad rational {text!r}") from None
-    g = gcd(n % d, d)
+    g = gcd(n, d)
     if d // g != r:
-        raise ValueError(f"{text!r} is not a lowest-terms point with denominator {r}")
-    return n % d // g
+        raise ValueError(f"{text!r} is not a point with denominator {r}")
+    points = {f"{a}/{r}": a for a in range(r) if gcd(a, r) == 1}
+    if text not in points:
+        raise ValueError(f"{text!r} is not a point of the orbit of {n // g % r}/{r}, written a/{r}")
+    return points[text]
 
 
 def int_det(matrix) -> int:

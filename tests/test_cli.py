@@ -51,6 +51,13 @@ class TestExitCodes:
                    "--element", "{}").returncode == 1
         assert run("orbits", "-p", "2", "-q", "3", "--max-den", "7",
                    "--format", "nope").returncode == 1
+        # an orbit point that is not a string, after the first, is refused as input
+        spec = ('{"kind":"orbit_measure","orbit":{"p":2,"q":3,"r":5,"orbit":["1/5","2/5",null,"4/5"],'
+                '"stabilizer":{"basis":[[1,1],[0,4]],"index":4}}}')
+        proc = run("trace-eval", "-p", "2", "-q", "3", "--trace", spec, "--element",
+                   '{"terms":[{"g":{"x":{"num":"1","a":0,"b":0},"m":0,"n":0},"c":"1"}]}')
+        assert proc.returncode == 1 and proc.stdout == "" and "Traceback" not in proc.stderr
+        assert proc.stderr == "error: None is not a point of the orbit of 1/5, written a/5\n"
         proc = run("prim-limit", "--sequence", '{"tail":{"kind":"escaping"},"prefix":5}')
         assert proc.returncode == 1
         assert "prefix" in proc.stderr and "Traceback" not in proc.stderr
@@ -242,6 +249,24 @@ def loaded_modules(*argv):
     return int(rc), set(json.loads(names))
 
 
+class TestLimitsTable:
+    def test_readme_table_matches_constants(self):
+        # one row per MAX_* constant defined in src/xpq, with its module and value
+        import importlib
+        import re
+
+        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `(MAX_\w+)` \| `(\w+)` \| (\d+) \| .+ \|$", readme, re.MULTILINE)
+        defined = {
+            (name, path.stem)
+            for path in (SRC / "xpq").glob("*.py")
+            for name in re.findall(r"^(MAX_\w+) =", path.read_text(encoding="utf-8"), re.MULTILINE)
+        }
+        assert sorted((name, module) for name, module, _ in rows) == sorted(defined)
+        for name, module, value in rows:
+            assert getattr(importlib.import_module(f"xpq.{module}"), name) == int(value), name
+
+
 class TestStdlibOnly:
     def test_imports_without_site_packages(self):
         # -S drops site-packages, so any third-party import fails here; every
@@ -399,6 +424,18 @@ class TestOrbitsCommand:
                 argv = ["orbits", "-p", str(p), "-q", str(q), "--max-den", str(bound), "--format", fmt]
                 assert cli.main(argv) == 0
                 assert capsys.readouterr().out == text, (bound, fmt)
+
+    @pytest.mark.parametrize("p, q", [(2, 3), (5, 7), (6, 10), (4, 6), (2, 4)])
+    def test_streamed_json_decodes_to_census(self, p, q, capsys):
+        # the decoder compares each point with the text orbit_to_json writes,
+        # so a writer that drifts from it would have xpq refuse its own output
+        from xpq.dynamics import census
+
+        for bound in (1, 2, 300):
+            assert cli.main(["orbits", "-p", str(p), "-q", str(q), "--max-den", str(bound)]) == 0
+            entries = json.loads(capsys.readouterr().out)["orbits"]
+            expected = list(census(SystemParams(p, q), bound)[1])
+            assert [orbit_from_json(entry) for entry in entries] == expected, bound
 
     def test_dependence_warning_on_stderr(self):
         proc = run("orbits", "-p", "2", "-q", "4", "--max-den", "5")

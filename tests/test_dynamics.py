@@ -156,6 +156,22 @@ class TestStabilizer:
         assert stabilizer_lattice(params, 1000003).basis == ((3, 293991), (0, 333334))
         assert stabilizer_lattice(params, 999983).basis == ((1, 228506), (0, 499991))
 
+    def test_one_carmichael_per_lattice(self, monkeypatch):
+        # ord_r(q) and the least m with p^m in <q> descend from one lambda(r)
+        calls = []
+        carmichael = dynamics.carmichael
+
+        def counted(r):
+            calls.append(r)
+            return carmichael(r)
+
+        monkeypatch.setattr(dynamics, "carmichael", counted)
+        for p, q in ((2, 3), (5, 7)):
+            census(SystemParams(p, q), 1500)  # builds every lattice before returning
+            lattices = [r for r in range(1, 1501) if gcd(r, p * q) == 1]
+            assert calls == lattices, (p, q)
+            calls.clear()
+
     def test_coords(self):
         params = SystemParams(2, 3)
         lat = stabilizer_lattice(params, 5)

@@ -172,17 +172,37 @@ class TestOrbit:
 
         data = json.loads(json.dumps(base))
         data["orbit"] = ["1/5", "2/5", "3/5"]  # dropped a point
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'4/5' is missing from the orbit list mod 5"):
             orbit_from_json(data)
 
         data = json.loads(json.dumps(base))
-        data["orbit"] = ["1/5", "2/5", "3/5", "2/10"]  # not lowest terms
-        with pytest.raises(ValueError):
+        data["orbit"] = ["1/5", "2/5", "3/5", "8/10"]  # not lowest terms
+        with pytest.raises(ValueError, match="'8/10' is not a point of the orbit of 1/5"):
             orbit_from_json(data)
+
+        # text that reduces to the orbit's points is not the orbit's own text
+        data = json.loads(json.dumps(base))
+        data["orbit"] = ["2/10", "4/10", "6/10", "8/10"]
+        with pytest.raises(ValueError, match="'2/10' is not a point of the orbit of 1/5"):
+            orbit_from_json(data)
+
+        # any order is accepted
+        data = json.loads(json.dumps(base))
+        data["orbit"] = ["3/5", "1/5", "4/5", "2/5"]
+        assert orbit_from_json(data) == ORBIT5
+
+        # a value that is not a string, after the first point, is refused
+        # without a TypeError, even when it cannot be hashed
+        for bad in (5, None, [1]):
+            data = json.loads(json.dumps(base))
+            data["orbit"][2] = bad
+            with pytest.raises(ValueError, match="is not a point of the orbit of 1/5") as info:
+                orbit_from_json(data)
+            assert repr(bad) in str(info.value)
 
         data = json.loads(json.dumps(base))
         data["orbit"] = ["1/5", "2/5", "3/5", "3/5"]  # duplicate
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'3/5' is listed twice in the orbit list mod 5"):
             orbit_from_json(data)
 
         data = json.loads(json.dumps(base))
@@ -222,6 +242,21 @@ class TestOrbit:
                 assert type(info.value) is type(exc) and str(info.value) == str(exc), text
             else:
                 assert orbit_from_json(data).numerators == (expected,), text
+
+    def test_parses_one_point_per_payload(self, monkeypatch):
+        # the list is compared with the rebuilt orbit's own text, not parsed
+        data = orbit_to_json(orbit_of(SystemParams(2, 5), SolenoidPoint.of(1, 10007)))
+        assert len(data["orbit"]) == 10006
+        calls = []
+        parse = QmodZ.parse
+
+        def counted(text):
+            calls.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(QmodZ, "parse", counted)
+        assert orbit_from_json(data).size == 10006
+        assert calls == ["1/10007"]
 
     def test_rejects_union_of_two_orbits(self):
         # 1/20 and 1/5 generate different orbits mod 20... use a modulus
