@@ -20,6 +20,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .errors import OutOfRange, XpqError
 
@@ -442,7 +443,10 @@ def _cmd_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@cache
 def build_parser() -> _Parser:
+    """The xpq parser, built once per process: parse_args keeps no state
+    between calls, so main reuses it."""
     pq = argparse.ArgumentParser(add_help=False)
     pq.add_argument("-p", type=int, required=True)
     pq.add_argument("-q", type=int, required=True)

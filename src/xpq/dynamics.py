@@ -24,8 +24,9 @@ import sys
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import compress
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import IdentityElement, NotCoprime, OutOfRange, ParamsMismatch
 from .exact import (
@@ -54,10 +55,13 @@ MAX_DENOMINATOR_SCAN = 10**6
 MAX_ORBIT_DENOMINATOR = 5_000
 
 # Largest ord_r(q), and largest least m with p^m in <q>, that
-# stabilizer_lattice accepts.  The lattice holds only ceil(sqrt(ord_r(q)))
-# powers of q, so the limit is not what keeps it cheap (with the limit
-# lifted, r = 10000019, where ord_r(3) = 5000009, takes about 1 ms); it
-# bounds the diagonal entries a and c of every basis.
+# stabilizer_lattice and census accept.  Both are checked on the lattice of
+# r itself, the meet of its prime powers' lattices, so a refusal names r;
+# ord_r(q), the lcm of the prime powers' orders, is checked before any
+# power of q is tabled.  A prime power's lattice holds only
+# ceil(sqrt(ord(q))) powers of q, so the limit is not what keeps it cheap
+# (with the limit lifted, r = 10000019, where ord_r(3) = 5000009, takes
+# about 1 ms); it bounds the diagonal entries a and c of every basis.
 MAX_STABILIZER_ORDER = 10**6
 
 # Longest backward orbit lift_sequence builds: one point per step, about
@@ -269,19 +273,59 @@ def _discrete_log(g: int, c: int, r: int) -> Callable[[int], int | None]:
     return log
 
 
+def _meet(lat1: StabilizerLattice, lat2: StabilizerLattice) -> StabilizerLattice:
+    """The intersection of two lattices in Hermite form, in Hermite form.
+
+    With L_i = <(a_i, b_i), (0, c_i)>, (m, n) lies in both when m is a
+    multiple t A of A = lcm(a1, a2) and n = t (A/a_i) b_i mod c_i for both
+    i.  Those congruences agree mod g = gcd(c1, c2) exactly when g divides
+    t D, D = (A/a1) b1 - (A/a2) b2, so the least t is g / gcd(g, D), which
+    gives a; c = lcm(c1, c2), and b is the common solution mod c of
+    n = (a/a1) b1 mod c1 and n = (a/a2) b2 mod c2.  For coprime r1, r2,
+    L_(r1 r2) is the meet of L_r1 and L_r2 by the Chinese remainder theorem.
+    """
+    (a1, b1), (_, c1) = lat1.basis
+    (a2, b2), (_, c2) = lat2.basis
+    big = lcm(a1, a2)
+    g = gcd(c1, c2)
+    a = big * g // gcd(g, big // a1 * b1 - big // a2 * b2)
+    c = c1 // g * c2
+    x1, x2 = a // a1 * b1 % c1, a // a2 * b2 % c2
+    # n = x1 + c1 k with c1 k = x2 - x1 mod c2; g divides x2 - x1 by the choice of a
+    k = (x2 - x1) // g * pow(c1 // g, -1, c2 // g) % (c2 // g)
+    return StabilizerLattice(((a, (x1 + c1 * k) % c), (0, c)), a * c)
+
+
+def _check_stabilizer_limit(r: int, c: int, a: int = 1) -> None:
+    """Refuse the lattice of r when c = ord_r(q), or the least a with p^a in
+    <q>, exceeds MAX_STABILIZER_ORDER."""
+    if c > MAX_STABILIZER_ORDER:
+        raise OutOfRange(
+            f"denominator {r}: ord_r(q) = {c} exceeds the stabilizer limit {MAX_STABILIZER_ORDER}"
+        )
+    if a > MAX_STABILIZER_ORDER:
+        raise OutOfRange(
+            f"denominator {r}: no p^m with m <= {MAX_STABILIZER_ORDER} lies in <q> "
+            f"(ord_r(q) = {c}); {MAX_STABILIZER_ORDER} is the stabilizer limit"
+        )
+
+
 def stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
     """The lattice L_r = {(m, n) : p^m q^n = 1 mod r} in Hermite form.
 
     The second basis vector is (0, c) with c = ord_r(q); the first is
     (a, b) where a is least positive with p^a in <q> mod r, and q^-b = p^a.
-    The m with p^m in <q> form aZ, which holds the exponent lambda(r) of
-    (Z/rZ)^*, so a is found by order descent: start at m = lambda(r) and
-    strip each prime factor l while p^(m/l) stays in <q>.  c is the same
-    descent with q^m = 1, from the same lambda(r), and ord_r(p) is never
-    computed.  Membership and the log that gives b are baby-step giant-step
-    over ceil(sqrt(c)) powers of q.  The index a*c equals the order of
-    <p, q> in (Z/rZ)^*.  OutOfRange is raised when c, or a, exceeds
-    MAX_STABILIZER_ORDER, before any power of q is tabled in the first case.
+    The index a*c equals the order of <p, q> in (Z/rZ)^*.
+
+    L_r is the meet (_meet) of the lattices of the prime powers l^k that
+    make up r (of r itself at r = 1).  Each of those is built from
+    lambda(l^k), the exponent of (Z/l^kZ)^*: the m with p^m in <q> form aZ,
+    which holds lambda, so a is found by order descent, from m = lambda
+    stripping each prime factor while p^(m/l) stays in <q>; c is the same
+    descent with q^m = 1.  Membership and the log that gives b are
+    baby-step giant-step over ceil(sqrt(c)) powers of q.  OutOfRange is
+    raised when c, or a, of r exceeds MAX_STABILIZER_ORDER; the first is
+    checked before any power of q is tabled.
 
     >>> stabilizer_lattice(SystemParams(2, 3), 5).basis
     ((1, 1), (0, 4))
@@ -290,21 +334,20 @@ def stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
         raise OutOfRange(f"denominator {r} out of range; expected r >= 1")
     params.require_coprime(r)
     p, q = params.p, params.q
-    lam = carmichael(r)
-    c = _descend(lam, lambda m: pow(q, m, r) == 1)
-    if c > MAX_STABILIZER_ORDER:
-        raise OutOfRange(
-            f"denominator {r}: ord_r(q) = {c} exceeds the stabilizer limit {MAX_STABILIZER_ORDER}"
-        )
-    log_q = _discrete_log(q, c, r)
-    a = _descend(lam, lambda m: log_q(pow(p, m, r)) is not None)
-    if a > MAX_STABILIZER_ORDER:
-        raise OutOfRange(
-            f"denominator {r}: no p^m with m <= {MAX_STABILIZER_ORDER} lies in <q> "
-            f"(ord_r(q) = {c}); {MAX_STABILIZER_ORDER} is the stabilizer limit"
-        )
-    b = -log_q(pow(p, a, r)) % c
-    return StabilizerLattice(((a, b), (0, c)), a * c)
+    parts = []
+    for s in [ell**k for ell, k in _factorize_cached(r).pairs] or [1]:
+        lam = carmichael(s)
+        parts.append((s, lam, _descend(lam, lambda m: pow(q, m, s) == 1)))
+    c = lcm(*[cs for _, _, cs in parts])
+    _check_stabilizer_limit(r, c)
+    lattices = []
+    for s, lam, cs in parts:
+        log_q = _discrete_log(q, cs, s)
+        a = _descend(lam, lambda m: log_q(pow(p, m, s)) is not None)
+        lattices.append(StabilizerLattice(((a, -log_q(pow(p, a, s)) % cs), (0, cs)), a * cs))
+    lat = reduce(_meet, lattices)
+    _check_stabilizer_limit(r, c, lat.basis[0][0])
+    return lat
 
 
 def _units(r: int) -> list[int]:
@@ -388,17 +431,38 @@ def census(params: SystemParams, max_denominator: int) -> tuple[int, Iterator[Or
     count is the sum of phi(r) / index(L_r) over them; the orbits are then
     built r by r as the iterator is read, so at most one denominator's
     orbits are held at a time.
+
+    A smallest-prime-factor sieve up to the bound splits each r into l^k m
+    with l its least prime factor and m coprime to l.  Only r = 1 and the
+    prime powers go to stabilizer_lattice; any other r takes L_r as the
+    _meet of L_(l^k) and L_m, and phi(r) as phi(l^k) phi(m), both built
+    before r, under the same MAX_STABILIZER_ORDER check.
     """
     if not 1 <= max_denominator <= MAX_ORBIT_DENOMINATOR:
         raise OutOfRange(
             f"max_denominator = {max_denominator} out of range; "
             f"expected 1 <= max_denominator <= {MAX_ORBIT_DENOMINATOR}"
         )
-    per_r = []
-    for r in range(1, max_denominator + 1):
-        if gcd(r, params.pq) == 1:
-            stab = stabilizer_lattice(params, r)
-            per_r.append((r, stab, euler_phi(r) // stab.index))
+    spf = list(range(max_denominator + 1))
+    for i in range(isqrt(max_denominator), 1, -1):  # the least divisor i > 1 is written last
+        spf[i * i :: i] = [i] * len(range(i * i, max_denominator + 1, i))
+    table: list[tuple[StabilizerLattice, int] | None] = [None] * (max_denominator + 1)
+    table[1] = (stabilizer_lattice(params, 1), 1)
+    per_r = [(1, table[1][0], 1)]
+    for r in range(2, max_denominator + 1):
+        if gcd(r, params.pq) != 1:
+            continue
+        ell = s = spf[r]
+        while r // s % ell == 0:
+            s *= ell
+        if s == r:
+            stab, phi = stabilizer_lattice(params, r), r - r // ell
+        else:
+            (lat1, phi1), (lat2, phi2) = table[s], table[r // s]
+            stab, phi = _meet(lat1, lat2), phi1 * phi2
+            _check_stabilizer_limit(r, stab.basis[1][1], stab.basis[0][0])
+        table[r] = stab, phi
+        per_r.append((r, stab, phi // stab.index))
     count = sum(k for _, _, k in per_r)
     return count, (orbit for r, stab, k in per_r for orbit in _orbits_mod(params, r, stab, k))
 

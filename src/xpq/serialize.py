@@ -117,6 +117,19 @@ def _qmodz_from_str(text) -> QmodZ:
         raise ValueError(f"bad rational {text!r}") from None
 
 
+def _coord_from_json(text, field: str) -> QmodZ:
+    """A character coordinate in the text str(QmodZ) writes, "a/b" with
+    0 <= a < b in lowest terms, or zero as "0"; any other value, such as
+    "6/5", "-4/5", "2/10" or "1", is a ValueError naming the field."""
+    try:
+        x = _qmodz_from_str(text)
+    except ValueError:
+        x = None
+    if x is None or text not in (str(x), "0"):
+        raise ValueError(f"{field} = {text!r} is not written a/b with 0 <= a < b in lowest terms")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # orbits
 # ---------------------------------------------------------------------------
@@ -219,7 +232,7 @@ def _chi_to_json(chi: Character) -> dict:
 
 
 def _chi_from_json(data, lattice: StabilizerLattice) -> Character:
-    return Character(lattice, _qmodz_from_str(_need(data, "t1")), _qmodz_from_str(_need(data, "t2")))
+    return Character(lattice, *(_coord_from_json(_need(data, t), t) for t in ("t1", "t2")))
 
 
 def trace_spec_to_json(spec: TraceSpec) -> dict:
@@ -340,7 +353,7 @@ def closed_set_from_json(data) -> ClosedSetDesc:
         for pair in part:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise ValueError(f"bad character pair {pair!r}")
-            points.append(Character(orbit.stabilizer, _qmodz_from_str(pair[0]), _qmodz_from_str(pair[1])))
+            points.append(Character(orbit.stabilizer, *map(_coord_from_json, pair, ("t1", "t2"))))
         parts.append((orbit, FinitePoints(tuple(points))))
     return FiniteUnion(tuple(parts))
 

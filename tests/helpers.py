@@ -10,7 +10,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 from math import gcd, lcm, prod
+from unittest import mock
 
 from xpq import (
     CanonicalTrace,
@@ -22,10 +24,12 @@ from xpq import (
     PqRational,
     StabilizerLattice,
     SystemParams,
+    euler_phi,
     group_mul,
     multiplicative_order,
     root_of_unity,
 )
+from xpq import dynamics
 from xpq.dynamics import MAX_STABILIZER_ORDER
 
 
@@ -97,6 +101,36 @@ def reference_stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLatt
     j = qpow_index[pm]
     b = (dq - j) % dq
     return StabilizerLattice(((m, b), (0, dq)), m * dq)
+
+
+def reference_meet(lat1: StabilizerLattice, lat2: StabilizerLattice) -> StabilizerLattice:
+    """The Hermite basis of the intersection of two lattices, by search: c
+    is the least n > 0 with (0, n) in both, a the least m > 0 with some
+    (m, n), 0 <= n < c, in both, and b the least such n for m = a."""
+    def both(m, n):
+        return lat1.contains(m, n) and lat2.contains(m, n)
+
+    c = next(n for n in count(1) if both(0, n))
+    a = next(m for m in count(1) if any(both(m, n) for n in range(c)))
+    b = next(n for n in range(c) if both(a, n))
+    return StabilizerLattice(((a, b), (0, c)), a * c)
+
+
+def census_mismatches(params: SystemParams, max_denominator: int) -> list[int]:
+    """The r at which census(params, max_denominator) differs from the
+    reference: a lattice other than reference_stabilizer_lattice, an orbit
+    count other than phi(r) / index, a wrong list of r, or a wrong total
+    (reported as r = 0).  _orbits_mod is replaced while the census is read,
+    so no orbit is built."""
+    with mock.patch.object(dynamics, "_orbits_mod", lambda params, r, stab, k: [(r, stab, k)]):
+        total, rows = dynamics.census(params, max_denominator)
+        rows = list(rows)
+    listed = [r for r, _, _ in rows]
+    if listed != [r for r in range(1, max_denominator + 1) if gcd(r, params.pq) == 1]:
+        return listed
+    bad = [r for r, stab, k in rows
+           if stab != reference_stabilizer_lattice(params, r) or k * stab.index != euler_phi(r)]
+    return bad + [0] * (total != sum(k for _, _, k in rows))
 
 
 def reference_point_numerator(text, r: int) -> int:

@@ -179,6 +179,34 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and "max_denominator = 5001" in err and "5000" in err
 
+    def test_composite_stabilizer_limit_names_r(self, monkeypatch, capsys):
+        # r = 35 is the meet of L_5 and L_7, each within the lowered limit;
+        # the meet is not, and the refusal names 35 in stabilizer and in the
+        # census, where p and q hold every prime below 35 but 5 and 7
+        import xpq.dynamics
+
+        for limit, argv, message in (
+            (6, ["stabilizer", "-p", "2", "-q", "3", "-r", "35"], "ord_r(q) = 12 exceeds the stabilizer limit 6"),
+            (5, ["orbits", "-p", "1716", "-q", "126894749", "--max-den", "35"],
+             "ord_r(q) = 6 exceeds the stabilizer limit 5"),
+            (5, ["stabilizer", "-p", "858", "-q", "6678671", "-r", "35"],
+             "no p^m with m <= 5 lies in <q> (ord_r(q) = 2); 5 is the stabilizer limit"),
+            (5, ["orbits", "-p", "858", "-q", "6678671", "--max-den", "35"],
+             "no p^m with m <= 5 lies in <q> (ord_r(q) = 2); 5 is the stabilizer limit"),
+        ):
+            monkeypatch.setattr(xpq.dynamics, "MAX_STABILIZER_ORDER", limit)
+            assert cli.main(argv) == 2
+            assert capsys.readouterr() == ("", f"error: denominator 35: {message}\n"), argv
+            monkeypatch.setattr(xpq.dynamics, "MAX_STABILIZER_ORDER", limit + 7)
+            assert cli.main(argv) == 0, argv
+            capsys.readouterr()
+
+    def test_character_text_refused(self, capsys):
+        # a character coordinate has one text, a/b with 0 <= a < b in lowest terms
+        spec = GOLDEN_SPEC5.replace('"t2":"1/4"', '"t2":"6/5"')
+        assert cli.main(["trace-eval", "-p", "2", "-q", "3", "--trace", spec, "--element", GOLDEN_UNIT11]) == 1
+        assert capsys.readouterr() == ("", "error: t2 = '6/5' is not written a/b with 0 <= a < b in lowest terms\n")
+
     def test_missing_bound_is_usage_error(self):
         proc = run("orbits", "-p", "2", "-q", "3")
         assert proc.returncode == 1
@@ -1029,3 +1057,19 @@ class TestGoldenCorpus:
         assert cli.main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_parser_reused_across_calls(self, capsys):
+        # main reuses one parser per process: a second pass over the corpus,
+        # after a refused subcommand, prints what the first printed
+        def one_pass():
+            results = []
+            for argv, _ in GOLDEN:
+                code = cli.main(argv)
+                results.append((code, *capsys.readouterr()))
+            return results
+
+        first = one_pass()
+        assert cli.main(["frobnicate"]) == 1
+        assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+        assert one_pass() == first
+        assert cli.build_parser() is cli.build_parser()

@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from helpers import naive_orbit, reference_stabilizer_lattice
+from helpers import census_mismatches, naive_orbit, reference_meet, reference_stabilizer_lattice
 from xpq import (
     IdentityElement,
     NotCoprime,
@@ -30,8 +30,10 @@ from xpq.dynamics import (
     MAX_LIFT_DEPTH,
     MAX_ORBIT_DENOMINATOR,
     MAX_STABILIZER_ORDER,
+    StabilizerLattice,
 )
 from xpq import dynamics
+from xpq.exact import factorize
 
 
 class TestSystemParams:
@@ -157,7 +159,8 @@ class TestStabilizer:
         assert stabilizer_lattice(params, 999983).basis == ((1, 228506), (0, 499991))
 
     def test_one_carmichael_per_lattice(self, monkeypatch):
-        # ord_r(q) and the least m with p^m in <q> descend from one lambda(r)
+        # census builds L_1 and each prime power's lattice from one lambda;
+        # every other r is the meet of two lattices built before it
         calls = []
         carmichael = dynamics.carmichael
 
@@ -168,9 +171,29 @@ class TestStabilizer:
         monkeypatch.setattr(dynamics, "carmichael", counted)
         for p, q in ((2, 3), (5, 7)):
             census(SystemParams(p, q), 1500)  # builds every lattice before returning
-            lattices = [r for r in range(1, 1501) if gcd(r, p * q) == 1]
+            lattices = [r for r in range(1, 1501)
+                        if gcd(r, p * q) == 1 and (r == 1 or len(factorize(r).pairs) == 1)]
             assert calls == lattices, (p, q)
             calls.clear()
+
+    def test_meet_matches_membership(self):
+        # random Hermite pairs with a, c <= 12: the meet holds exactly the
+        # points of a box that lie in both, and is the reference's basis
+        rng = random.Random(18)
+        for _ in range(300):
+            lat1, lat2 = (StabilizerLattice(((a, rng.randrange(c)), (0, c)), a * c)
+                          for a, c in [(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(2)])
+            meet = dynamics._meet(lat1, lat2)
+            assert meet == reference_meet(lat1, lat2), (lat1, lat2)
+            for m in range(-15, 16):
+                for n in range(-15, 16):
+                    assert meet.contains(m, n) == (lat1.contains(m, n) and lat2.contains(m, n))
+
+    def test_census_matches_reference(self):
+        # census folds L_r from prime powers over a sieve; the reference
+        # builds every r on its own.  The CI workflow runs this at N = 5000.
+        for p, q in ((2, 3), (5, 7), (4, 6), (6, 10), (4, 8)):
+            assert census_mismatches(SystemParams(p, q), 1500) == [], (p, q)
 
     def test_coords(self):
         params = SystemParams(2, 3)

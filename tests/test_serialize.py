@@ -373,6 +373,42 @@ class TestTraceSpecs:
         assert round_trips_as_json(data)
 
 
+class TestCharacterCoordinates:
+    # t1 and t2 have the one text str(QmodZ) writes, a/b with 0 <= a < b in
+    # lowest terms, with zero also as "0"; text that only reduces to such a
+    # point is refused, naming the field, in every payload with a character
+    REFUSED = ("6/5", "-4/5", "2/10", "1", "0/5", "-0", "1/4 ", "", 5, None)
+    ACCEPTED = {"0/1": QmodZ(0, 1), "1/4": QmodZ(1, 4), "0": QmodZ(0, 1), "3/4": QmodZ(3, 4)}
+
+    @staticmethod
+    def decoders(t1, t2):
+        orbit = orbit_to_json(ORBIT5)
+        chi = {"t1": t1, "t2": t2}
+        return (
+            lambda: trace_spec_from_json({"kind": "finite_orbit", "orbit": orbit, "chi": chi}).chi,
+            lambda: prim_point_from_json({"kind": "orbit_char", "orbit": orbit, "chi": chi}).chi,
+            lambda: sequence_desc_from_json(
+                {"prefix": [], "tail": {"kind": "constant_orbit", "orbit": orbit, "chi_limit": chi}}
+            ).tail.chi_limit,
+            lambda: closed_set_from_json(
+                {"kind": "union", "parts": [{"orbit": orbit, "part": [[t1, t2]]}]}
+            ).parts[0][1].points[0],
+        )
+
+    def test_refused(self):
+        for text in self.REFUSED:
+            for field, pair in (("t1", (text, "0/1")), ("t2", ("1/4", text))):
+                for decode in self.decoders(*pair):
+                    with pytest.raises(ValueError, match=f"^{field} = .* is not written a/b with 0 <= a < b"):
+                        decode()
+
+    def test_accepted(self):
+        for text, value in self.ACCEPTED.items():
+            for decode in self.decoders(text, "1/2"):
+                chi = decode()
+                assert (chi.t1, chi.t2) == (value, QmodZ(1, 2)), text
+
+
 class TestKTheory:
     def test_group_round_trip(self):
         for g in (FgAbGroup.free(2), FgAbGroup(1, (2, 6)), FgAbGroup.trivial()):
