@@ -123,6 +123,8 @@ def _max_den(args, required: bool = True) -> int | None:
 
 
 def _cmd_orbits(args) -> int:
+    from operator import itemgetter
+
     from .dynamics import census
 
     params = _params(args)
@@ -131,6 +133,11 @@ def _cmd_orbits(args) -> int:
     # each orbit's points are one join of its numerators' text from one table
     # (each is below r <= bound), the separator closing one point and opening the next
     text = [str(k) for k in range(bound)]
+
+    def points(nums: tuple[int, ...], sep: str) -> str:
+        # itemgetter of a single index returns the bare str, which join would split
+        return sep.join(itemgetter(*nums)(text)) if len(nums) > 1 else text[nums[0]]
+
     out = sys.stdout
     if args.format == "csv":
         # what csv.writer writes: no field needs quoting
@@ -138,13 +145,13 @@ def _cmd_orbits(args) -> int:
         for orbit in orbits:
             r = orbit.denominator
             (a, b), (_, c) = orbit.stabilizer.basis
-            pts = f"/{r} ".join([text[k] for k in orbit.numerators])
+            pts = points(orbit.numerators, f"/{r} ")
             out.write(f"{r},{orbit.size},{orbit.stabilizer.index},{a},{b},{c},{pts}/{r}\n")
     elif args.format == "pretty":
         out.write(f"minimal invariant sets for p={params.p}, q={params.q}, r <= {bound}:\n")
         for orbit in orbits:
             r = orbit.denominator
-            pts = f"/{r}, ".join([text[k] for k in orbit.numerators])
+            pts = points(orbit.numerators, f"/{r}, ")
             out.write(f"  r={r}  size={orbit.size}  {{{pts}/{r}}}\n")
         out.write(f"total: {count}\n")
     else:
@@ -156,7 +163,7 @@ def _cmd_orbits(args) -> int:
         for orbit in orbits:
             r = orbit.denominator
             (a, b), (z, c) = orbit.stabilizer.basis
-            pts = f'/{r}",\n        "'.join([text[k] for k in orbit.numerators])
+            pts = points(orbit.numerators, f'/{r}",\n        "')
             out.write(
                 f'{sep}{{\n      "orbit": [\n        "{pts}/{r}"\n      ],'
                 f'\n      "p": {params.p},\n      "q": {params.q},\n      "r": {r},'

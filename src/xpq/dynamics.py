@@ -317,15 +317,19 @@ def stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
     (a, b) where a is least positive with p^a in <q> mod r, and q^-b = p^a.
     The index a*c equals the order of <p, q> in (Z/rZ)^*.
 
-    L_r is the meet (_meet) of the lattices of the prime powers l^k that
-    make up r (of r itself at r = 1).  Each of those is built from
-    lambda(l^k), the exponent of (Z/l^kZ)^*: the m with p^m in <q> form aZ,
-    which holds lambda, so a is found by order descent, from m = lambda
-    stripping each prime factor while p^(m/l) stays in <q>; c is the same
-    descent with q^m = 1.  Membership and the log that gives b are
-    baby-step giant-step over ceil(sqrt(c)) powers of q.  OutOfRange is
-    raised when c, or a, of r exceeds MAX_STABILIZER_ORDER; the first is
-    checked before any power of q is tabled.
+    L_r is the meet (_meet) of the lattices of the prime powers s = l^k
+    that make up r (of r itself at r = 1).  Each of those is built from
+    lambda(s), the exponent of (Z/sZ)^*: c = ord_s(q) by order descent,
+    from m = lambda stripping each prime factor while q^(m/l) = 1.  For
+    odd s the unit group is cyclic, so p^m lies in <q> exactly when
+    (p^m)^c = 1, and a = ord_s(p) / gcd(ord_s(p), c), with ord_s(p) by the
+    same descent.  For s = 2^k, whose unit group is not cyclic from k = 3
+    on, the m with p^m in <q> form aZ, which holds lambda, so a is the
+    descent that strips a prime factor while p^(m/l) stays in <q>, tested
+    by baby-step giant-step over ceil(sqrt(c)) powers of q.  The one log
+    that gives b is that baby-step giant-step.  OutOfRange is raised when
+    c, or a, of r exceeds MAX_STABILIZER_ORDER; the first is checked
+    before any power of q is tabled.
 
     >>> stabilizer_lattice(SystemParams(2, 3), 5).basis
     ((1, 1), (0, 4))
@@ -343,36 +347,36 @@ def stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
     lattices = []
     for s, lam, cs in parts:
         log_q = _discrete_log(q, cs, s)
-        a = _descend(lam, lambda m: log_q(pow(p, m, s)) is not None)
+        if s % 2:  # (Z/sZ)^* is cyclic, so p^m lies in <q> exactly when (p^m)^cs = 1
+            order_p = _descend(lam, lambda m: pow(p, m, s) == 1)
+            a = order_p // gcd(order_p, cs)
+        else:
+            a = _descend(lam, lambda m: log_q(pow(p, m, s)) is not None)
         lattices.append(StabilizerLattice(((a, -log_q(pow(p, a, s)) % cs), (0, cs)), a * cs))
     lat = reduce(_meet, lattices)
     _check_stabilizer_limit(r, c, lat.basis[0][0])
     return lat
 
 
-def _units(r: int) -> list[int]:
-    """The units mod r in increasing order ([0] at r = 1): a bytearray mask
-    with the multiples of each prime factor of r cleared, read by compress."""
+def _unit_mask(r: int) -> bytearray:
+    """A bytearray of length r holding 1 at each unit mod r (at 0 when r = 1)
+    and 0 elsewhere: the multiples of each prime factor of r cleared."""
     mask = bytearray(b"\x01") * r
     for ell in _factorize_cached(r).primes:
         mask[::ell] = bytes((r - 1) // ell + 1)
-    return list(compress(range(r), mask))
+    return mask
 
 
-def _subgroup(params: SystemParams, r: int, stab: StabilizerLattice, count: int) -> list[int]:
+def _subgroup(params: SystemParams, r: int, stab: StabilizerLattice) -> list[int]:
     """The subgroup <p, q> of (Z/rZ)^*, sorted: the numerators of the orbit
-    of 1/r (of 0/1 at r = 1), given the orbit count phi(r) / index(stab).
+    of 1/r.
 
-    With one orbit, <p, q> is the whole unit group, read off by _units
-    with no products and no sort.  Otherwise it is {p^i q^j : (i, j) in
-    [0, a) x [0, c)}, where ((a, b), (0, c)) is the Hermite basis of its
-    stabilizer lattice.  These a*c elements are distinct (p^i q^j =
-    p^i' q^j' with |i - i'| < a puts p^(i - i') in <q>, so i = i', and
-    then j = j' below c = ord_r(q)), and there are index(L_r) = |<p, q>|
-    of them.
+    It is {p^i q^j : (i, j) in [0, a) x [0, c)}, where ((a, b), (0, c)) is
+    the Hermite basis of its stabilizer lattice.  These a*c elements are
+    distinct (p^i q^j = p^i' q^j' with |i - i'| < a puts p^(i - i') in <q>,
+    so i = i', and then j = j' below c = ord_r(q)), and there are
+    index(L_r) = |<p, q>| of them.
     """
-    if count == 1:
-        return _units(r)
     (a, _), (_, c) = stab.basis
     q_powers = _powers(params.q, c, r)
     return sorted([u * x % r for u in _powers(params.p, a, r) for x in q_powers])
@@ -382,44 +386,41 @@ def orbit_of(params: SystemParams, x: SolenoidPoint) -> OrbitData:
     """The finite orbit of a rational point under multiplication by p and q.
 
     The orbit of a/r is the coset a<p, q> of the subgroup built from the
-    stabilizer basis, or all units mod r when <p, q> is the whole unit
-    group; numerators are sorted.
+    stabilizer basis, or all units mod r, read off the unit mask, when
+    <p, q> is the whole unit group; numerators are sorted.
     """
     r = x.coord.den
     stab = stabilizer_lattice(params, r)
-    count = euler_phi(r) // stab.index
-    subgroup = _subgroup(params, r, stab, count)
-    if count > 1:
+    if stab.index == euler_phi(r):
+        nums = list(compress(range(r), _unit_mask(r)))
+    else:
         a0 = x.coord.num
-        subgroup = sorted([a0 * h % r for h in subgroup])
-    return OrbitData(params, r, tuple(subgroup), stab)
+        nums = sorted([a0 * h % r for h in _subgroup(params, r, stab)])
+    return OrbitData(params, r, tuple(nums), stab)
 
 
 def _orbits_mod(params: SystemParams, r: int, stab: StabilizerLattice, count: int) -> Iterator[OrbitData]:
     """Every orbit with denominator r, in order of least numerator, given
     the stabilizer lattice stab of r and the orbit count phi(r) / index(stab).
 
-    The first orbit is the sorted subgroup <p, q> itself, the orbit of 1;
-    with count 1 it is all the units and the only orbit.  Each later one
-    is the coset a0<p, q> of the least unit a0 not yet covered; a0 times
-    the sorted subgroup, reduced mod r, is a few ascending runs, which
-    sorted() merges cheaply.  The scan stops after count orbits.
+    One unit mask of r tracks the units not yet covered.  The first orbit
+    is the sorted subgroup <p, q> itself, the orbit of 1; each later one is
+    the coset a0<p, q> of the least uncovered unit a0, found in the mask;
+    a0 times the sorted subgroup, reduced mod r, is a few ascending runs,
+    which sorted() merges cheaply.  Each orbit built clears its points in
+    the mask, and the last orbit is what is left, read off the mask in
+    increasing order; with count 1 that is all the units.
     """
-    subgroup = _subgroup(params, r, stab, count)
-    yield OrbitData(params, r, tuple(subgroup), stab)
-    if count == 1:
-        return
-    left = count - 1
-    seen = set(subgroup)
+    mask = _unit_mask(r)
+    subgroup = _subgroup(params, r, stab) if count > 1 else []
     a0 = 1
-    while left:
-        a0 += 1
-        if a0 in seen or gcd(a0, r) != 1:
-            continue
-        nums = tuple(sorted([a0 * h % r for h in subgroup]))
-        yield OrbitData(params, r, nums, stab)
-        left -= 1
-        seen.update(nums)
+    for _ in range(count - 1):
+        nums = sorted([a0 * h % r for h in subgroup]) if a0 > 1 else subgroup
+        for x in nums:
+            mask[x] = 0
+        yield OrbitData(params, r, tuple(nums), stab)
+        a0 = mask.find(1, a0)
+    yield OrbitData(params, r, tuple(compress(range(r), mask)), stab)
 
 
 def census(params: SystemParams, max_denominator: int) -> tuple[int, Iterator[OrbitData]]:
@@ -434,9 +435,12 @@ def census(params: SystemParams, max_denominator: int) -> tuple[int, Iterator[Or
 
     A smallest-prime-factor sieve up to the bound splits each r into l^k m
     with l its least prime factor and m coprime to l.  Only r = 1 and the
-    prime powers go to stabilizer_lattice; any other r takes L_r as the
-    _meet of L_(l^k) and L_m, and phi(r) as phi(l^k) phi(m), both built
-    before r, under the same MAX_STABILIZER_ORDER check.
+    prime powers go to stabilizer_lattice, where an odd prime power, whose
+    unit group is cyclic, finds a from ord(p) and ord(q) by pow tests alone
+    and a power of 2 by the log-membership descent; any other r takes L_r
+    as the _meet of L_(l^k) and L_m, and phi(r) as phi(l^k) phi(m), both
+    built before r, under the same MAX_STABILIZER_ORDER check.  The orbits
+    of each r are read off one unit mask (_orbits_mod).
     """
     if not 1 <= max_denominator <= MAX_ORBIT_DENOMINATOR:
         raise OutOfRange(

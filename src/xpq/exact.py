@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import cmath
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -52,14 +52,15 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 @dataclass(frozen=True, slots=True)
 class Factorization:
-    """Prime factorization n = prod(prime^exp), pairs sorted by prime."""
+    """Prime factorization n = prod(prime^exp), pairs sorted by prime;
+    primes, the primes of pairs in order, is built once."""
 
     n: int
     pairs: tuple[tuple[int, int], ...]
+    primes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.pairs)
+    def __post_init__(self):
+        object.__setattr__(self, "primes", tuple(p for p, _ in self.pairs))
 
 
 def _is_probable_prime(n: int) -> bool:

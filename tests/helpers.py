@@ -14,6 +14,8 @@ from itertools import count
 from math import gcd, lcm, prod
 from unittest import mock
 
+import pytest
+
 from xpq import (
     CanonicalTrace,
     Cyclotomic,
@@ -114,6 +116,52 @@ def reference_meet(lat1: StabilizerLattice, lat2: StabilizerLattice) -> Stabiliz
     a = next(m for m in count(1) if any(both(m, n) for n in range(c)))
     b = next(n for n in range(c) if both(a, n))
     return StabilizerLattice(((a, b), (0, c)), a * c)
+
+
+def sympy_stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
+    """L_r from sympy's n_order and discrete_log, a second oracle: c is
+    ord_r(q), a the least divisor m of ord_r(p) with p^m in <q> (the m with
+    p^m in <q> form aZ, which holds ord_r(p)), and b = -log_q(p^a) mod c.
+    Skips the calling test where sympy is not installed."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.ntheory import discrete_log, n_order
+
+    p, q = params.p, params.q
+    c = n_order(q, r)
+
+    def log_q(x: int) -> int | None:
+        try:
+            return discrete_log(r, x, q)
+        except ValueError:  # "Log does not exist": x is not in <q>
+            return None
+
+    a, j = next((m, j) for m in sympy.divisors(n_order(p, r))
+                if (j := log_q(pow(p, m, r))) is not None)
+    return StabilizerLattice(((a, -j % c), (0, c)), a * c)
+
+
+def orbit_mismatches(params: SystemParams, max_denominator: int) -> list[int]:
+    """The r at which the orbits of census(params, max_denominator) differ
+    from the partition of the units mod r into BFS closures (naive_orbit),
+    each sorted, listed in increasing order of least numerator; r = 0 is
+    reported when the census count differs from the number of orbits."""
+    total, orbits = dynamics.census(params, max_denominator)
+    by_r: dict[int, list[tuple[int, ...]]] = {}
+    for orbit in orbits:
+        by_r.setdefault(orbit.denominator, []).append(orbit.numerators)
+    bad = [r for r in by_r if gcd(r, params.pq) != 1]
+    for r in range(1, max_denominator + 1):
+        if gcd(r, params.pq) != 1:
+            continue
+        expected, covered = [], set()
+        for a in range(r):
+            if gcd(a, r) == 1 and a not in covered:
+                orbit = naive_orbit(params.p, params.q, r, a)
+                covered |= orbit
+                expected.append(tuple(sorted(orbit)))
+        if by_r.get(r) != expected:
+            bad.append(r)
+    return bad + [0] * (total != sum(map(len, by_r.values())))
 
 
 def census_mismatches(params: SystemParams, max_denominator: int) -> list[int]:

@@ -418,11 +418,12 @@ class TestOrbitsCommand:
         assert proc.returncode == 0 and "1/5" in proc.stdout
 
     @pytest.mark.parametrize(
-        "p, q", [(2, 3), (5, 7), (6, 10), (4, 6), (2, 4), (1000000007, 998244353)]
+        "p, q", [(2, 3), (5, 7), (6, 10), (4, 6), (2, 4), (1000000007, 998244353), (12, 23)]
     )
     def test_streamed_output_matches_generic_writers(self, p, q, capsys):
         # the per-orbit templates against _dumps(orbit_to_json(orbit)) (inside
-        # the whole document), csv.writer and the per-orbit pretty line
+        # the whole document), csv.writer and the per-orbit pretty line; at
+        # (12, 23) the orbits mod 11 are the single points 1/11, ..., 10/11
         import csv
         import io
 

@@ -4,7 +4,9 @@ from math import gcd
 
 import pytest
 
-from helpers import census_mismatches, naive_orbit, reference_meet, reference_stabilizer_lattice
+from helpers import (
+    census_mismatches, naive_orbit, reference_meet, reference_stabilizer_lattice, sympy_stabilizer_lattice,
+)
 from xpq import (
     IdentityElement,
     NotCoprime,
@@ -158,6 +160,17 @@ class TestStabilizer:
         assert stabilizer_lattice(params, 1000003).basis == ((3, 293991), (0, 333334))
         assert stabilizer_lattice(params, 999983).basis == ((1, 228506), (0, 499991))
 
+    def test_matches_sympy(self):
+        # sympy's n_order and discrete_log as a second oracle on every odd
+        # prime power and every power of 2 up to 3000 coprime to pq, so both
+        # the order descent of a cyclic (Z/sZ)^* and the log descent of
+        # s = 2^k run ((2, 3) has no power of 2)
+        for p, q in ((2, 3), (5, 7), (3, 5)):
+            params = SystemParams(p, q)
+            for s in range(2, 3001):
+                if gcd(s, p * q) == 1 and len(factorize(s).pairs) == 1:
+                    assert stabilizer_lattice(params, s) == sympy_stabilizer_lattice(params, s), (p, q, s)
+
     def test_one_carmichael_per_lattice(self, monkeypatch):
         # census builds L_1 and each prime power's lattice from one lambda;
         # every other r is the meet of two lattices built before it
@@ -274,18 +287,23 @@ class TestOrbits:
         # (2, 4) is dependent and (4, 6), (6, 10) share a prime.  The range
         # holds the prime powers 9, 25, 27, 49, 121, 125, 243 and 343, and
         # composite r such as 35 at (2, 3) and 12 at (5, 7), where <p, q> is
-        # the whole unit group
-        for p, q in ((2, 3), (5, 7), (6, 10), (4, 6), (2, 4)):
+        # the whole unit group; at (12, 23), p = q = 1 mod 11, so every orbit
+        # mod 11 is one point.  Each r's orbits come in increasing order of
+        # least numerator.
+        for p, q in ((2, 3), (5, 7), (6, 10), (4, 6), (2, 4), (12, 23)):
             by_r: dict[int, set] = {}
+            least: dict[int, list] = {}
             for o in enumerate_minimal_sets(SystemParams(p, q), 349):
                 assert list(o.numerators) == sorted(set(o.numerators))
                 by_r.setdefault(o.denominator, set()).add(frozenset(o.numerators))
+                least.setdefault(o.denominator, []).append(o.numerators[0])
             for r in range(1, 350):
                 if gcd(r, p * q) != 1:
                     assert r not in by_r
                     continue
                 units = [a for a in range(r) if gcd(a, r) == 1]
                 assert by_r[r] == {naive_orbit(p, q, r, a) for a in units}
+                assert least[r] == sorted(least[r]), (p, q, r)
 
     def test_enumerate_bound(self, monkeypatch):
         # refused before any stabilizer lattice is built
