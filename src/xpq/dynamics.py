@@ -358,11 +358,12 @@ def stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
     return lat
 
 
-def _unit_mask(r: int) -> bytearray:
+def _unit_mask(r: int, primes: tuple[int, ...]) -> bytearray:
     """A bytearray of length r holding 1 at each unit mod r (at 0 when r = 1)
-    and 0 elsewhere: the multiples of each prime factor of r cleared."""
+    and 0 elsewhere: the multiples of each prime factor of r, given in
+    primes, cleared."""
     mask = bytearray(b"\x01") * r
-    for ell in _factorize_cached(r).primes:
+    for ell in primes:
         mask[::ell] = bytes((r - 1) // ell + 1)
     return mask
 
@@ -392,16 +393,19 @@ def orbit_of(params: SystemParams, x: SolenoidPoint) -> OrbitData:
     r = x.coord.den
     stab = stabilizer_lattice(params, r)
     if stab.index == euler_phi(r):
-        nums = list(compress(range(r), _unit_mask(r)))
+        nums = list(compress(range(r), _unit_mask(r, _factorize_cached(r).primes)))
     else:
         a0 = x.coord.num
         nums = sorted([a0 * h % r for h in _subgroup(params, r, stab)])
     return OrbitData(params, r, tuple(nums), stab)
 
 
-def _orbits_mod(params: SystemParams, r: int, stab: StabilizerLattice, count: int) -> Iterator[OrbitData]:
+def _orbits_mod(
+    params: SystemParams, r: int, stab: StabilizerLattice, count: int, primes: tuple[int, ...]
+) -> Iterator[OrbitData]:
     """Every orbit with denominator r, in order of least numerator, given
-    the stabilizer lattice stab of r and the orbit count phi(r) / index(stab).
+    the stabilizer lattice stab of r, the orbit count phi(r) / index(stab)
+    and the prime factors of r.
 
     One unit mask of r tracks the units not yet covered.  The first orbit
     is the sorted subgroup <p, q> itself, the orbit of 1; each later one is
@@ -411,7 +415,7 @@ def _orbits_mod(params: SystemParams, r: int, stab: StabilizerLattice, count: in
     the mask, and the last orbit is what is left, read off the mask in
     increasing order; with count 1 that is all the units.
     """
-    mask = _unit_mask(r)
+    mask = _unit_mask(r, primes)
     subgroup = _subgroup(params, r, stab) if count > 1 else []
     a0 = 1
     for _ in range(count - 1):
@@ -439,8 +443,9 @@ def census(params: SystemParams, max_denominator: int) -> tuple[int, Iterator[Or
     unit group is cyclic, finds a from ord(p) and ord(q) by pow tests alone
     and a power of 2 by the log-membership descent; any other r takes L_r
     as the _meet of L_(l^k) and L_m, and phi(r) as phi(l^k) phi(m), both
-    built before r, under the same MAX_STABILIZER_ORDER check.  The orbits
-    of each r are read off one unit mask (_orbits_mod).
+    built before r, under the same MAX_STABILIZER_ORDER check, and the
+    primes of r as l and those of m, so no r is factored for its unit
+    mask.  The orbits of each r are read off that mask (_orbits_mod).
     """
     if not 1 <= max_denominator <= MAX_ORBIT_DENOMINATOR:
         raise OutOfRange(
@@ -450,9 +455,9 @@ def census(params: SystemParams, max_denominator: int) -> tuple[int, Iterator[Or
     spf = list(range(max_denominator + 1))
     for i in range(isqrt(max_denominator), 1, -1):  # the least divisor i > 1 is written last
         spf[i * i :: i] = [i] * len(range(i * i, max_denominator + 1, i))
-    table: list[tuple[StabilizerLattice, int] | None] = [None] * (max_denominator + 1)
-    table[1] = (stabilizer_lattice(params, 1), 1)
-    per_r = [(1, table[1][0], 1)]
+    table: list[tuple[StabilizerLattice, int, tuple[int, ...]] | None] = [None] * (max_denominator + 1)
+    table[1] = (stabilizer_lattice(params, 1), 1, ())
+    per_r = [(1, table[1][0], 1, ())]
     for r in range(2, max_denominator + 1):
         if gcd(r, params.pq) != 1:
             continue
@@ -460,15 +465,15 @@ def census(params: SystemParams, max_denominator: int) -> tuple[int, Iterator[Or
         while r // s % ell == 0:
             s *= ell
         if s == r:
-            stab, phi = stabilizer_lattice(params, r), r - r // ell
+            stab, phi, primes = stabilizer_lattice(params, r), r - r // ell, (ell,)
         else:
-            (lat1, phi1), (lat2, phi2) = table[s], table[r // s]
-            stab, phi = _meet(lat1, lat2), phi1 * phi2
+            (lat1, phi1, _), (lat2, phi2, rest) = table[s], table[r // s]
+            stab, phi, primes = _meet(lat1, lat2), phi1 * phi2, (ell, *rest)
             _check_stabilizer_limit(r, stab.basis[1][1], stab.basis[0][0])
-        table[r] = stab, phi
-        per_r.append((r, stab, phi // stab.index))
-    count = sum(k for _, _, k in per_r)
-    return count, (orbit for r, stab, k in per_r for orbit in _orbits_mod(params, r, stab, k))
+        table[r] = stab, phi, primes
+        per_r.append((r, stab, phi // stab.index, primes))
+    count = sum(k for _, _, k, _ in per_r)
+    return count, (orbit for row in per_r for orbit in _orbits_mod(params, *row))
 
 
 def enumerate_minimal_sets(params: SystemParams, max_denominator: int) -> list[OrbitData]:

@@ -337,6 +337,20 @@ def _gcd_steps(t: int, k: int) -> tuple[int, int]:
     return steps, t
 
 
+def _den_form(den: int, p: int, q: int) -> tuple[int, int, int] | None:
+    """(f, a, b) with 1/den = f / (p^a q^b) in canonical form for every
+    numerator coprime to den, or None when den divides no power of pq."""
+    # the part of den prime to p needs q^b, and b is minimal
+    b, rest = _gcd_steps(_gcd_steps(den, p)[1], q)
+    if rest != 1:
+        return None
+    qb = q**b
+    g = gcd(qb, den)
+    den //= g
+    a, _ = _gcd_steps(den, p)  # what q^b leaves of den divides a power of p
+    return (qb // g) * (p**a // den), a, b
+
+
 def as_fraction(x) -> Fraction:
     """x as a Fraction, for an exact rational x such as an int or a Fraction.
 
@@ -382,15 +396,11 @@ class PqRational:
         g = gcd(num, den)
         num //= g
         den //= g
-        # the part of den prime to p needs q^b, and b is minimal
-        b, rest = _gcd_steps(_gcd_steps(den, p)[1], q)
-        if rest != 1:
+        form = _den_form(den, p, q)
+        if form is None:
             raise OutOfRange(f"{num}/{den} is not an element of Z[1/{p * q}]")
-        qb = q**b
-        g = gcd(qb, den)
-        den //= g
-        a, _ = _gcd_steps(den, p)  # what q^b leaves of den divides a power of p
-        return cls(num * (qb // g) * (p**a // den), a, b)
+        f, a, b = form
+        return cls(num * f, a, b)
 
     @classmethod
     def from_fraction(cls, value, p: int, q: int) -> PqRational:

@@ -11,9 +11,11 @@ instead), the numerators are added, and PqRational.canonical brings the
 sum to canonical form by gcd steps, so neither p nor q is ever factored.
 An element of Q[G] holds integer numerators over one denominator, as
 Cyclotomic does; terms hands its coefficients out as Fractions.  A
-product writes the ring parts of all its pairs over one p^A q^B, adds
-coefficients per (numerator, m, n) and canonicalizes each distinct
-nonzero sum once.
+product writes the ring parts of all its pairs over one p^A q^B and adds
+coefficients per (numerator, m, n).  The canonical form of num / p^A q^B
+is (num / g) f / p^a q^b with g = gcd(num, p^A q^B) and (f, a, b) the
+canonical form of 1 / (p^A q^B / g), so the gcd steps run once per
+distinct g, not once per term.
 
 For multiplicatively independent p, q every nontrivial conjugacy class
 is infinite; icc_witness produces arbitrarily many distinct conjugates
@@ -28,7 +30,7 @@ from math import gcd, lcm
 
 from .dynamics import SystemParams, str_digit_limit
 from .errors import DependentParams, IdentityElement, OutOfRange, ParamsMismatch
-from .exact import PqRational, as_fraction
+from .exact import PqRational, _den_form, as_fraction
 
 # Most conjugates icc_witness lists.  The k-th conjugate of (x, m, n) with
 # x != 0 is (p^k x, m, n), so the listing grows quadratically with count.
@@ -252,12 +254,20 @@ class GroupAlgebraElement:
             for num2, m2, n2, k2 in right:
                 key = (num1 + lift * num2, m1 + m2, n1 + n2)
                 acc[key] = acc.get(key, 0) + k1 * k2
-        # over one denominator, distinct keys are distinct group elements
+        # over one denominator, distinct keys are distinct group elements;
+        # num / p^A q^B is (num / g) f / p^a q^b with g = gcd(num, p^A q^B)
+        # and (f, a, b) the canonical form of 1 / (p^A q^B / g), one per g
         den = p**A * q**B
-        return self._normalised(params, self.den * other.den, (
-            (GroupElement(PqRational.canonical(num, den, p, q), m, n), k)
-            for (num, m, n), k in acc.items() if k
-        ))
+        forms: dict[int, tuple[int, int, int]] = {}
+        out = []
+        for (num, m, n), k in acc.items():
+            if k:
+                g = gcd(num, den)
+                if (form := forms.get(g)) is None:
+                    form = forms[g] = _den_form(den // g, p, q)
+                f, a, b = form
+                out.append((GroupElement(PqRational(num // g * f, a, b), m, n), k))
+        return self._normalised(params, self.den * other.den, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):

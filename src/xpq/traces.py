@@ -10,7 +10,10 @@ Three families are representable:
 
   where <a/r, y> pairs a solenoid point with a ring element through the
   inverse of p^alpha q^beta mod r.  Values live in Q(zeta_lcm(r, k)) for
-  chi of level k, so everything stays exact.
+  chi of level k, so everything stays exact.  trace_eval sums the integer
+  numerators per pairing factor and twist and, for several such keys,
+  writes the whole sum as one integer vector at the lcm of the levels
+  each summand has alone (see trace_eval), reduced once.
 
 * ``CanonicalTrace(params)``: u_e -> 1 and u_g -> 0 for g != e; this is
   the trace of the left regular representation.
@@ -36,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .dynamics import Character, OrbitData, SolenoidPoint, SystemParams
 from .errors import OutOfRange, ParamsMismatch, RangeTooSmall
@@ -49,8 +53,6 @@ MAX_MOMENT_RANGE = 1000
 # trace): at r = 10007 and n_max = 1000 that is 2 * 10^7 coefficients, 10 s,
 # 1.2 GB and 150 MB of JSON.  The limit admits n_max = 49 at r = 10007.
 MAX_MOMENT_COEFFICIENTS = 10**6
-# The character twist of a term under the orbit measure trace.
-_UNTWISTED = QmodZ(0, 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,19 +123,50 @@ def _orbit_mean(orbit: OrbitData, w: int):
     return Cyclotomic(r, counts, orbit.size)
 
 
-def _twisted_mean(orbit: OrbitData, texp: QmodZ, w: int):
-    mean = _orbit_mean(orbit, w)
-    if texp.is_zero():
-        return mean
-    return root_of_unity(texp) * mean
+def _mean_sum(orbit: OrbitData, K: int, sums: dict[tuple[int, int], int], den: int) -> Cyclotomic:
+    # sum over keys (w, e) of (k / den) zeta_K^e times the mean at w, as one
+    # integer vector at the lcm L of the levels the summands have alone
+    r = orbit.denominator
+    parts, levels, D = [], [], 1
+    for (w, e), k in sums.items():
+        mean = _orbit_mean(orbit, w)
+        d = K // gcd(e, K)  # the level of the twist e/K
+        check_level(d)
+        rational = mean.is_rational()
+        # the twist -1 is rational: a sign on a mean that is not
+        level = r if d == 1 or (d == 2 and not rational) else d if rational else lcm(d, r)
+        check_level(level)
+        levels.append(level)
+        parts.append((mean, e, d, k))
+        D = lcm(D, mean.den)
+    L = 1
+    for level in levels:  # in the order the summands would be added
+        L = lcm(L, level)
+        check_level(L)
+    # zeta_r^i is zeta_L^(i L/r); a rational mean has only i = 0, even when
+    # r does not divide L.  The twist -1 is a sign, as L may be odd.
+    step = L // r
+    acc = [0] * L
+    for mean, e, d, k in parts:
+        c = k * (D // mean.den) * (-1 if d == 2 else 1)
+        shift = e * L // K if d > 2 else 0
+        for i, x in enumerate(mean.vec):
+            if x:
+                acc[(i * step + shift) % L] += c * x
+    return Cyclotomic(L, acc, D * den)
 
 
 def trace_eval(spec: TraceSpec, a: GroupAlgebraElement) -> Cyclotomic:
     """Evaluate the trace on an algebra element, exactly.
 
-    The result is a cyclotomic number; its level divides
-    lcm(orbit denominator, character level).  Terms with equal pairing
-    factor w and twist share one summand, at the level it has alone.
+    Terms with equal pairing factor w and twist chi(m, n) = e/K mod 1
+    (K the lcm of the character's denominators) add their numerators into
+    one key (w, e).  One key gives the orbit mean at w, times zeta_K^e,
+    scaled.  Several keys are summed into one integer vector at the lcm L
+    of the levels each summand has alone: r untwisted; d for a twist of
+    level d over a rational mean; r for the twist -1 over any other mean;
+    lcm(d, r) otherwise.  The level of the result is that L, which divides
+    lcm(orbit denominator, character level).
     """
     params = spec.params
     if params != a.params:
@@ -145,21 +178,34 @@ def trace_eval(spec: TraceSpec, a: GroupAlgebraElement) -> Cyclotomic:
         return Cyclotomic.from_fraction(a.coefficient(GroupElement.identity()))
     orbit = spec.orbit
     r = orbit.denominator
-    sums: dict[tuple[int, QmodZ], int] = {}
+    finite = isinstance(spec, FiniteOrbitTrace)
+    K, e1, e2 = 1, 0, 0  # the orbit measure is untwisted
+    if finite:
+        t1, t2 = spec.chi.t1, spec.chi.t2
+        K = lcm(t1.den, t2.den)
+        e1, e2 = t1.num * (K // t1.den), t2.num * (K // t2.den)
+    sums: dict[tuple[int, int], int] = {}
     for g, k in a.nums:
-        if isinstance(spec, FiniteOrbitTrace):
+        if finite:
             coords = orbit.stabilizer.coords(g.m, g.n)
             if coords is None:
                 continue
-            texp = spec.chi.t1.mul_int(coords[0]) + spec.chi.t2.mul_int(coords[1])
+            e = (e1 * coords[0] + e2 * coords[1]) % K
         elif g.m or g.n:
             continue
         else:
-            texp = _UNTWISTED
-        key = (_pair_mult(params, r, g.x), texp)
+            e = 0
+        key = (_pair_mult(params, r, g.x), e)
         sums[key] = sums.get(key, 0) + k
-    values = [_twisted_mean(orbit, texp, w).scaled(Fraction(k, a.den)) for (w, texp), k in sums.items()]
-    return sum(values[1:], values[0]) if values else Cyclotomic.zero()
+    if not sums:
+        return Cyclotomic.zero()
+    if len(sums) > 1:
+        return _mean_sum(orbit, K, sums, a.den)
+    [((w, e), k)] = sums.items()
+    mean = _orbit_mean(orbit, w)
+    if e:
+        mean = root_of_unity(QmodZ(e, K)) * mean
+    return mean.scaled(Fraction(k, a.den))
 
 
 @dataclass(frozen=True, slots=True)

@@ -167,18 +167,19 @@ def orbit_mismatches(params: SystemParams, max_denominator: int) -> list[int]:
 def census_mismatches(params: SystemParams, max_denominator: int) -> list[int]:
     """The r at which census(params, max_denominator) differs from the
     reference: a lattice other than reference_stabilizer_lattice, an orbit
-    count other than phi(r) / index, a wrong list of r, or a wrong total
-    (reported as r = 0).  _orbits_mod is replaced while the census is read,
-    so no orbit is built."""
-    with mock.patch.object(dynamics, "_orbits_mod", lambda params, r, stab, k: [(r, stab, k)]):
+    count other than phi(r) / index, prime factors other than those of r, a
+    wrong list of r, or a wrong total (reported as r = 0).  _orbits_mod is
+    replaced while the census is read, so no orbit is built."""
+    with mock.patch.object(dynamics, "_orbits_mod", lambda params, *row: [row]):
         total, rows = dynamics.census(params, max_denominator)
         rows = list(rows)
-    listed = [r for r, _, _ in rows]
+    listed = [r for r, _, _, _ in rows]
     if listed != [r for r in range(1, max_denominator + 1) if gcd(r, params.pq) == 1]:
         return listed
-    bad = [r for r, stab, k in rows
-           if stab != reference_stabilizer_lattice(params, r) or k * stab.index != euler_phi(r)]
-    return bad + [0] * (total != sum(k for _, _, k in rows))
+    bad = [r for r, stab, k, primes in rows
+           if stab != reference_stabilizer_lattice(params, r) or k * stab.index != euler_phi(r)
+           or primes != tuple(_prime_factors(r))]
+    return bad + [0] * (total != sum(k for _, _, k, _ in rows))
 
 
 def reference_point_numerator(text, r: int) -> int:

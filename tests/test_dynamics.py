@@ -289,7 +289,8 @@ class TestOrbits:
         # composite r such as 35 at (2, 3) and 12 at (5, 7), where <p, q> is
         # the whole unit group; at (12, 23), p = q = 1 mod 11, so every orbit
         # mod 11 is one point.  Each r's orbits come in increasing order of
-        # least numerator.
+        # least numerator.  The BFS closures partition the units, so one BFS
+        # per orbit, from the least unit not yet covered, gives the partition.
         for p, q in ((2, 3), (5, 7), (6, 10), (4, 6), (2, 4), (12, 23)):
             by_r: dict[int, set] = {}
             least: dict[int, list] = {}
@@ -301,8 +302,13 @@ class TestOrbits:
                 if gcd(r, p * q) != 1:
                     assert r not in by_r
                     continue
-                units = [a for a in range(r) if gcd(a, r) == 1]
-                assert by_r[r] == {naive_orbit(p, q, r, a) for a in units}
+                partition, covered = set(), set()
+                for a in range(r):
+                    if gcd(a, r) == 1 and a not in covered:
+                        orbit = naive_orbit(p, q, r, a)
+                        covered |= orbit
+                        partition.add(orbit)
+                assert by_r[r] == partition
                 assert least[r] == sorted(least[r]), (p, q, r)
 
     def test_enumerate_bound(self, monkeypatch):

@@ -205,6 +205,44 @@ class TestTraceEvalAgainstReference:
             assert same_representation(got, reference_trace_eval(spec, a))
         assert not trace_eval(OrbitMeasureTrace(orbit), unit(translation(1))).is_rational()
 
+    def test_seeded_sums_on_the_lattice(self):
+        # every (m, n) is an integer combination of the stabilizer basis of
+        # the orbit of 1/23, whose mean is not rational at w != 0, so each
+        # term is twisted; the ring parts 0, 23 and -46 give the rational
+        # mean 1.  Characters of level 2, 3, 4, 6 and 12 mix keys of levels
+        # 2, 3, 4, 6, 12, 23 and their lcms, odd ones such as 69 included, where
+        # the twist -1 is a sign and not a shift by half the level.  Each
+        # element also holds pairs of terms with one key and opposite
+        # coefficients: u_(y, v) and u_(y + 23, v + 12 v0) pair alike and
+        # have the same twist, so their key sums to 0.
+        orbit = ORBIT23
+        (a0, b0), (_, c0) = orbit.stabilizer.basis
+        chars = [(QmodZ(1, 2), QmodZ(0, 1)), (QmodZ(0, 1), QmodZ(1, 2)), (QmodZ(1, 2), QmodZ(1, 3)),
+                 (QmodZ(2, 3), QmodZ(1, 3)), (QmodZ(1, 4), QmodZ(1, 2)), (QmodZ(1, 6), QmodZ(0, 1)),
+                 (QmodZ(5, 6), QmodZ(1, 4)), (QmodZ(5, 12), QmodZ(7, 12))]
+        specs = [FiniteOrbitTrace(orbit, Character(orbit.stabilizer, t1, t2)) for t1, t2 in chars]
+        rng = random.Random(2302)
+        levels = set()
+        for _ in range(40):
+            terms = []
+            for _ in range(rng.randint(2, 6)):
+                i, j = rng.randint(-3, 3), rng.randint(-3, 3)
+                m, n = i * a0, i * b0 + j * c0
+                num = rng.choice((0, 23, -46)) if rng.random() < 0.3 else rng.randint(-12, 12)
+                y = Fraction(num, 2 ** rng.randint(0, 2) * 3 ** rng.randint(0, 2))
+                c = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))
+                terms.append((GroupElement(PqRational.from_fraction(y, 2, 3), m, n), c))
+                if rng.random() < 0.5:
+                    y2, m2, n2 = y + 23, m + 12 * a0, n + 12 * b0
+                    terms.append((GroupElement(PqRational.from_fraction(y2, 2, 3), m2, n2), -c))
+            x = GroupAlgebraElement.from_terms(P23, terms)
+            for el in (x, x.star() * x):
+                for spec in specs:
+                    got = trace_eval(spec, el)
+                    levels.add(got.level)
+                    assert same_representation(got, reference_trace_eval(spec, el))
+        assert {23, 46, 69, 92, 138, 276} <= levels
+
     def test_character_level_beyond_limit_is_named(self):
         big = MAX_CYCLOTOMIC_LEVEL + 1
         chi = Character(ORBIT7.stabilizer, QmodZ(1, big), QmodZ(0, 1))
