@@ -614,6 +614,9 @@ class Cyclotomic:
         return other + (-self)
 
     def __mul__(self, other):
+        """A rational factor acts as a scalar: the product keeps the other
+        factor's level (the left one's when both are rational).  Otherwise
+        both factors are lifted to the lcm of their levels."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -715,3 +718,14 @@ def root_of_unity(t: QmodZ) -> Cyclotomic:
     """
     check_level(t.den)
     return Cyclotomic(t.den, [0] * t.num + [1])
+
+
+def twisted_level(d: int, c: Cyclotomic) -> int:
+    """The level of root_of_unity(t) * c for t of order d >= 2, by the
+    level rule of ``Cyclotomic.__mul__``: the root is rational (it is -1)
+    for d = 2, so the level is c's own for d = 2 over an irrational c, d
+    over a rational c, and lcm(d, c.level) otherwise.
+    """
+    if c.is_rational():
+        return d
+    return c.level if d == 2 else lcm(d, c.level)

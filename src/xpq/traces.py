@@ -11,9 +11,8 @@ Three families are representable:
   where <a/r, y> pairs a solenoid point with a ring element through the
   inverse of p^alpha q^beta mod r.  Values live in Q(zeta_lcm(r, k)) for
   chi of level k, so everything stays exact.  trace_eval sums the integer
-  numerators per pairing factor and twist and, for several such keys,
-  writes the whole sum as one integer vector at the lcm of the levels
-  each summand has alone (see trace_eval), reduced once.
+  numerators per pairing factor and twist, and writes the sum over these
+  keys as one integer vector, reduced once (see trace_eval).
 
 * ``CanonicalTrace(params)``: u_e -> 1 and u_g -> 0 for g != e; this is
   the trace of the left regular representation.
@@ -43,7 +42,7 @@ from math import gcd, lcm
 
 from .dynamics import Character, OrbitData, SolenoidPoint, SystemParams
 from .errors import OutOfRange, ParamsMismatch, RangeTooSmall
-from .exact import Cyclotomic, PqRational, QmodZ, check_level, euler_phi, root_of_unity
+from .exact import Cyclotomic, PqRational, QmodZ, check_level, euler_phi, twisted_level
 from .groupalg import GroupAlgebraElement, GroupElement
 
 # Largest n_max moments accepts.
@@ -125,16 +124,15 @@ def _orbit_mean(orbit: OrbitData, w: int):
 
 def _mean_sum(orbit: OrbitData, K: int, sums: dict[tuple[int, int], int], den: int) -> Cyclotomic:
     # sum over keys (w, e) of (k / den) zeta_K^e times the mean at w, as one
-    # integer vector at the lcm L of the levels the summands have alone
+    # integer vector at the lcm L of the levels the summands have alone; no
+    # keys give 0 at level 1
     r = orbit.denominator
     parts, levels, D = [], [], 1
     for (w, e), k in sums.items():
         mean = _orbit_mean(orbit, w)
-        d = K // gcd(e, K)  # the level of the twist e/K
+        d = K // gcd(e, K)  # the order of the twist e/K
         check_level(d)
-        rational = mean.is_rational()
-        # the twist -1 is rational: a sign on a mean that is not
-        level = r if d == 1 or (d == 2 and not rational) else d if rational else lcm(d, r)
+        level = r if d == 1 else twisted_level(d, mean)
         check_level(level)
         levels.append(level)
         parts.append((mean, e, d, k))
@@ -161,12 +159,11 @@ def trace_eval(spec: TraceSpec, a: GroupAlgebraElement) -> Cyclotomic:
 
     Terms with equal pairing factor w and twist chi(m, n) = e/K mod 1
     (K the lcm of the character's denominators) add their numerators into
-    one key (w, e).  One key gives the orbit mean at w, times zeta_K^e,
-    scaled.  Several keys are summed into one integer vector at the lcm L
-    of the levels each summand has alone: r untwisted; d for a twist of
-    level d over a rational mean; r for the twist -1 over any other mean;
-    lcm(d, r) otherwise.  The level of the result is that L, which divides
-    lcm(orbit denominator, character level).
+    one key (w, e).  One untwisted key gives the orbit mean at w, scaled.
+    Otherwise the keys are summed into one integer vector at the lcm L of
+    the levels each summand has alone: r, the orbit denominator, untwisted,
+    and ``exact.twisted_level`` for a twist.  The result has level L, which
+    divides lcm(r, character level).
     """
     params = spec.params
     if params != a.params:
@@ -197,15 +194,13 @@ def trace_eval(spec: TraceSpec, a: GroupAlgebraElement) -> Cyclotomic:
             e = 0
         key = (_pair_mult(params, r, g.x), e)
         sums[key] = sums.get(key, 0) + k
-    if not sums:
-        return Cyclotomic.zero()
-    if len(sums) > 1:
-        return _mean_sum(orbit, K, sums, a.den)
-    [((w, e), k)] = sums.items()
-    mean = _orbit_mean(orbit, w)
-    if e:
-        mean = root_of_unity(QmodZ(e, K)) * mean
-    return mean.scaled(Fraction(k, a.den))
+    if len(sums) == 1:
+        # every value of moments is one untwisted unit: the cached mean, with no
+        # O(r) pass over it
+        [((w, e), k)] = sums.items()
+        if not e:
+            return _orbit_mean(orbit, w).scaled(Fraction(k, a.den))
+    return _mean_sum(orbit, K, sums, a.den)
 
 
 @dataclass(frozen=True, slots=True)

@@ -31,7 +31,7 @@ from xpq import (
     root_of_unity,
 )
 
-from xpq.exact import MAX_CYCLOTOMIC_LEVEL, check_level
+from xpq.exact import MAX_CYCLOTOMIC_LEVEL, check_level, twisted_level
 
 qmodz = st.builds(QmodZ, st.integers(-300, 300), st.integers(1, 120))
 
@@ -104,10 +104,20 @@ class TestPqRational:
             PqRational.from_fraction(Fraction(1, 5), 2, 3)
         with pytest.raises(OutOfRange):
             PqRational.from_fraction(Fraction(1, 3), 2, 5)
-        for num, den, p, q in ((3, 14, 4, 6), (1, 9, 4, 8), (7, 98, 12, 18)):
+        # num/den is reduced first, and the message names the reduced pair
+        cases = [
+            (3, 14, 4, 6, "3/14 is not an element of Z[1/24]"),
+            (6, 28, 4, 6, "3/14 is not an element of Z[1/24]"),
+            (1, 9, 4, 8, "1/9 is not an element of Z[1/32]"),
+            (1, 5, 2, 3, "1/5 is not an element of Z[1/6]"),
+            (7, 98, 12, 18, "1/14 is not an element of Z[1/216]"),
+            (-9, 84, 6, 10, "-3/28 is not an element of Z[1/60]"),
+        ]
+        for num, den, p, q, text in cases:
             assert reference_pq_rational(Fraction(num, den), p, q) is None
-            with pytest.raises(OutOfRange, match="is not an element of Z"):
+            with pytest.raises(OutOfRange) as err:
                 PqRational.canonical(num, den, p, q)
+            assert str(err.value) == text
 
     def test_shared_base_factor(self):
         # p = 4 and q = 8 overlap in the prime 2; q-powers are only spent
@@ -349,6 +359,19 @@ class TestCyclotomic:
         assert z6**6 == Cyclotomic.one()
         z2 = root_of_unity(QmodZ(1, 2))
         assert z2 * z3 == root_of_unity(QmodZ(5, 6))
+
+    def test_twisted_level_is_the_product_level(self):
+        # rational values at levels 1 and 23, irrational ones at 4, 23 and 46
+        values = [Cyclotomic.from_fraction(Fraction(-2, 3)), Cyclotomic(23, [5]), root_of_unity(QmodZ(1, 4)),
+                  root_of_unity(QmodZ(3, 23)), Cyclotomic(46, [1, 0, 2], 7)]
+        levels = set()
+        for d in (2, 3, 4, 6, 12, 23):
+            for t in (QmodZ(i, d) for i in range(1, d) if gcd(i, d) == 1):
+                for c in values:
+                    level = twisted_level(d, c)
+                    assert level == (root_of_unity(t) * c).level
+                    levels.add(level)
+        assert {2, 3, 4, 12, 23, 46, 69, 92, 138} <= levels
 
     def test_vanishing_sums(self):
         for n in (2, 3, 5, 6, 12):

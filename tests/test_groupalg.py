@@ -355,42 +355,6 @@ def with_overlap(rng: random.Random, a: GroupAlgebraElement, b: GroupAlgebraElem
     return b + GroupAlgebraElement.from_terms(a.params, extra)
 
 
-class TestProductOverOneDenominator:
-    """A product puts every ring part over one p^A q^B and reads each
-    canonical form off gcd(numerator, p^A q^B); at (4, 6) and (6, 10) p and
-    q share a prime, so those gcds mix powers of both."""
-
-    @pytest.mark.parametrize("p, q", [(4, 6), (6, 10), (2, 3)])
-    def test_product_is_sum_of_unit_products(self, p, q):
-        params = SystemParams(p, q)
-        rng = random.Random(f"one-denominator:{p}:{q}")
-        exponents = set()
-        for _ in range(60):
-            a, b = wide_element(rng, params, 5), wide_element(rng, params, 5)
-            total = GroupAlgebraElement.zero(params)
-            for g, c in a.terms:
-                for h, d in b.terms:
-                    total = total + GroupAlgebraElement.unit(params, group_mul(params, g, h)).scaled(c * d)
-            prod = a * b
-            assert (prod.den, prod.nums) == (total.den, total.nums)
-            exponents |= {(g.x.a, g.x.b) for g, _ in prod.nums}
-        assert len(exponents) > 5
-
-    def test_canonical_refusal_text(self):
-        # num/den is reduced first, and the message names the reduced pair
-        cases = [
-            (3, 14, 4, 6, "3/14 is not an element of Z[1/24]"),
-            (6, 28, 4, 6, "3/14 is not an element of Z[1/24]"),
-            (1, 5, 2, 3, "1/5 is not an element of Z[1/6]"),
-            (7, 98, 12, 18, "1/14 is not an element of Z[1/216]"),
-            (-9, 84, 6, 10, "-3/28 is not an element of Z[1/60]"),
-        ]
-        for num, den, p, q, text in cases:
-            with pytest.raises(OutOfRange) as err:
-                PqRational.canonical(num, den, p, q)
-            assert str(err.value) == text
-
-
 class TestAlgebraAgainstReference:
     """+, -, scaled, star and negation against the Fraction loops in
     helpers, compared term by term, with the stored form checked."""

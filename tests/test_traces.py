@@ -191,6 +191,8 @@ class TestTraceEvalAgainstReference:
         cases = [
             # the twist -1 is rational, so the value stays at level 23
             (FiniteOrbitTrace(orbit, chi_half), at_v(1), 23),
+            # the rational mean 1 times the rational twist -1 takes the twist's level
+            (FiniteOrbitTrace(orbit, chi_half), at_v(0), 2),
             # <z, 0> = 0 makes the orbit mean 1, so the value is zeta_3 at level 3
             (FiniteOrbitTrace(orbit, chi_third), at_v(0), 3),
             # u_(0, v) and u_(23, v) cancel at level 3; the level-3 zero still
