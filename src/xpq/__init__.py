@@ -36,18 +36,18 @@ _EXPORTS = {
         "multiplicative_order", "root_of_unity",
     ),
     "groupalg": (
-        "GroupAlgebraElement", "GroupElement", "alpha_apply", "conjugated", "group_inv",
-        "group_mul", "icc_witness",
+        "GroupAlgebraElement", "GroupElement", "alpha_apply", "group_inv", "group_mul",
+        "icc_witness",
     ),
     "ktheory": (
         "FgAbGroup", "FgAbMap", "KTheoryResult", "SNFResult", "k_theory_of_group",
         "map_cokernel", "map_kernel", "mult_map_ker_coker", "pv_assemble", "smith_normal_form",
     ),
     "primspace": (
-        "ALL", "EMPTY", "ESCAPING", "FULL", "INFINITY", "AllClosedSet", "ConstantOrbitTail",
-        "EscapingTail", "FinitePoints", "FiniteUnion", "FullTorus", "InfinityPoint",
-        "OrbitCharPoint", "SequenceDesc", "closed_intersection", "closed_union", "closure",
-        "contains_point", "limit_set", "specializes",
+        "ALL", "EMPTY", "ESCAPING", "FULL", "INFINITY", "AllClosedSet", "EscapingTail",
+        "FinitePoints", "FiniteUnion", "FullTorus", "InfinityPoint", "OrbitCharPoint",
+        "SequenceDesc", "closed_intersection", "closed_union", "closure", "contains_point",
+        "limit_set", "specializes",
     ),
     "serialize": (
         "algebra_element_from_json", "algebra_element_to_json", "closed_set_from_json",

@@ -22,6 +22,7 @@ from .dynamics import (
     SystemParams,
     beta_apply,
     census,
+    check_orbit_bound,
     enumerate_minimal_sets,
     fixed_points,
     is_invariant_set,
@@ -41,7 +42,6 @@ from .primspace import (
     ALL,
     ESCAPING,
     INFINITY,
-    ConstantOrbitTail,
     OrbitCharPoint,
     SequenceDesc,
     closed_intersection,
@@ -159,8 +159,9 @@ def _check_dynamics(params: SystemParams, rng: random.Random, bound: int, trials
             seen.update(orbit.numerators)
         want = {a for a in range(r) if gcd(a, r) == 1} if r > 1 else {0}
         res.record(seen == want, f"cover mod {r}")
+    denominators = _coprime_denominators(params, bound)
     for _ in range(trials):
-        r = rng.choice(_coprime_denominators(params, bound))
+        r = rng.choice(denominators)
         x = SolenoidPoint(QmodZ(rng.randrange(r), r))
         g1 = (rng.randint(-4, 4), rng.randint(-4, 4))
         g2 = (rng.randint(-4, 4), rng.randint(-4, 4))
@@ -311,7 +312,7 @@ def _check_primspace(params: SystemParams, rng: random.Random, bound: int, trial
             continue
         res.record(not specializes(pt, INFINITY), "closed points stay closed")
         single = closure([pt])
-        res.record(single == limit_set(SequenceDesc(ConstantOrbitTail(pt.orbit, pt.chi))), "limit matches closure")
+        res.record(single == limit_set(SequenceDesc(pt)), "limit matches closure")
     res.record(limit_set(SequenceDesc(ESCAPING)) == ALL, "escaping limit")
     res.record(closure([INFINITY]) == ALL, "dense point closure")
     finite_pts = [pt for pt in points if isinstance(pt, OrbitCharPoint)]
@@ -344,9 +345,11 @@ def run_checks(
     max_denominator: int = 30,
     trials: int = 25,
 ) -> list[CheckResult]:
-    """Run one named suite, or all of them; deterministic for a fixed seed."""
+    """Run one named suite, or all of them; deterministic for a fixed seed.
+    trials and max_denominator are checked before any suite runs."""
     if not 0 <= trials <= MAX_TRIALS:
         raise OutOfRange(f"trials = {trials} out of range; expected 0 <= trials <= {MAX_TRIALS}")
+    check_orbit_bound(max_denominator)
     names = list(_SUITES) if suite == "all" else [suite]
     out = []
     for name in names:

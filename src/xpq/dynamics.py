@@ -54,14 +54,11 @@ MAX_DENOMINATOR_SCAN = 10**6
 # output, which grow as N^2.
 MAX_ORBIT_DENOMINATOR = 5_000
 
-# Largest ord_r(q), and largest least m with p^m in <q>, that
-# stabilizer_lattice and census accept.  Both are checked on the lattice of
-# r itself, the meet of its prime powers' lattices, so a refusal names r;
-# ord_r(q), the lcm of the prime powers' orders, is checked before any
-# power of q is tabled.  A prime power's lattice holds only
-# ceil(sqrt(ord(q))) powers of q, so the limit is not what keeps it cheap
-# (with the limit lifted, r = 10000019, where ord_r(3) = 5000009, takes
-# about 1 ms); it bounds the diagonal entries a and c of every basis.
+# Largest diagonal entry c = ord_r(q) or a of a stabilizer basis that
+# stabilizer_lattice and census accept; where each is checked is stated at
+# stabilizer_lattice.  The limit bounds the size of a basis, not the work
+# of building it: with it lifted, r = 10000019, where ord_r(3) = 5000009,
+# takes about 1 ms.
 MAX_STABILIZER_ORDER = 10**6
 
 # Longest backward orbit lift_sequence builds: one point per step, about
@@ -73,6 +70,15 @@ def check_exponent(name: str, value: int) -> None:
     """Refuse an exponent beyond MAX_EXPONENT before any power is computed."""
     if abs(value) > MAX_EXPONENT:
         raise OutOfRange(f"exponent {name} = {value} out of range; |{name}| must be <= {MAX_EXPONENT}")
+
+
+def check_orbit_bound(max_denominator: int) -> None:
+    """Refuse a denominator bound outside [1, MAX_ORBIT_DENOMINATOR] before any work."""
+    if not 1 <= max_denominator <= MAX_ORBIT_DENOMINATOR:
+        raise OutOfRange(
+            f"max_denominator = {max_denominator} out of range; "
+            f"expected 1 <= max_denominator <= {MAX_ORBIT_DENOMINATOR}"
+        )
 
 
 def int_text(n: int) -> str:
@@ -133,21 +139,21 @@ class SolenoidPoint:
 
 @dataclass(frozen=True, slots=True)
 class StabilizerLattice:
-    """A finite-index sublattice of Z^2 in row Hermite form.
-
-    basis = ((a, b), (0, c)) with a, c > 0 and 0 <= b < c; the index in
-    Z^2 is a*c.
-    """
+    """A finite-index sublattice of Z^2 in row Hermite form:
+    basis = ((a, b), (0, c)) with a, c > 0 and 0 <= b < c."""
 
     basis: tuple[tuple[int, int], tuple[int, int]]
-    index: int
 
     def __post_init__(self):
         (a, b), (z, c) = self.basis
         if z != 0 or a <= 0 or c <= 0 or not 0 <= b < c:
             raise ValueError(f"basis {self.basis} is not in row Hermite form")
-        if self.index != a * c:
-            raise ValueError(f"index {self.index} != {a}*{c}")
+
+    @property
+    def index(self) -> int:
+        """The index a*c in Z^2."""
+        (a, _), (_, c) = self.basis
+        return a * c
 
     def coords(self, m: int, n: int) -> tuple[int, int] | None:
         """Coordinates of (m, n) in the basis, or None if outside the lattice."""
@@ -293,7 +299,7 @@ def _meet(lat1: StabilizerLattice, lat2: StabilizerLattice) -> StabilizerLattice
     x1, x2 = a // a1 * b1 % c1, a // a2 * b2 % c2
     # n = x1 + c1 k with c1 k = x2 - x1 mod c2; g divides x2 - x1 by the choice of a
     k = (x2 - x1) // g * pow(c1 // g, -1, c2 // g) % (c2 // g)
-    return StabilizerLattice(((a, (x1 + c1 * k) % c), (0, c)), a * c)
+    return StabilizerLattice(((a, (x1 + c1 * k) % c), (0, c)))
 
 
 def _check_stabilizer_limit(r: int, c: int, a: int = 1) -> None:
@@ -327,9 +333,12 @@ def stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
     on, the m with p^m in <q> form aZ, which holds lambda, so a is the
     descent that strips a prime factor while p^(m/l) stays in <q>, tested
     by baby-step giant-step over ceil(sqrt(c)) powers of q.  The one log
-    that gives b is that baby-step giant-step.  OutOfRange is raised when
-    c, or a, of r exceeds MAX_STABILIZER_ORDER; the first is checked
-    before any power of q is tabled.
+    that gives b is that baby-step giant-step.
+
+    OutOfRange, naming r, is raised when c or a of r itself exceeds
+    MAX_STABILIZER_ORDER: c = ord_r(q), the lcm of the prime powers'
+    orders, before any power of q is tabled, and a after the meet.  census
+    applies the same check to every lattice it meets.
 
     >>> stabilizer_lattice(SystemParams(2, 3), 5).basis
     ((1, 1), (0, 4))
@@ -347,12 +356,12 @@ def stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
     lattices = []
     for s, lam, cs in parts:
         log_q = _discrete_log(q, cs, s)
-        if s % 2:  # (Z/sZ)^* is cyclic, so p^m lies in <q> exactly when (p^m)^cs = 1
+        if s % 2:
             order_p = _descend(lam, lambda m: pow(p, m, s) == 1)
             a = order_p // gcd(order_p, cs)
         else:
             a = _descend(lam, lambda m: log_q(pow(p, m, s)) is not None)
-        lattices.append(StabilizerLattice(((a, -log_q(pow(p, a, s)) % cs), (0, cs)), a * cs))
+        lattices.append(StabilizerLattice(((a, -log_q(pow(p, a, s)) % cs), (0, cs))))
     lat = reduce(_meet, lattices)
     _check_stabilizer_limit(r, c, lat.basis[0][0])
     return lat
@@ -431,27 +440,18 @@ def census(params: SystemParams, max_denominator: int) -> tuple[int, Iterator[Or
     """The number of finite minimal invariant sets with denominator <= the
     bound, and an iterator over them in the order of enumerate_minimal_sets.
 
-    A bound outside [1, MAX_ORBIT_DENOMINATOR] is refused before any
-    lattice is built.  The stabilizer lattices of all r come first, and the
-    count is the sum of phi(r) / index(L_r) over them; the orbits are then
-    built r by r as the iterator is read, so at most one denominator's
-    orbits are held at a time.
+    The bound is checked first (check_orbit_bound).  The lattices of all r
+    come next, and the count is the sum of phi(r) / index(L_r) over them;
+    the orbits are built r by r as the iterator is read (_orbits_mod), so
+    at most one denominator's orbits are held at a time.
 
-    A smallest-prime-factor sieve up to the bound splits each r into l^k m
-    with l its least prime factor and m coprime to l.  Only r = 1 and the
-    prime powers go to stabilizer_lattice, where an odd prime power, whose
-    unit group is cyclic, finds a from ord(p) and ord(q) by pow tests alone
-    and a power of 2 by the log-membership descent; any other r takes L_r
-    as the _meet of L_(l^k) and L_m, and phi(r) as phi(l^k) phi(m), both
-    built before r, under the same MAX_STABILIZER_ORDER check, and the
-    primes of r as l and those of m, so no r is factored for its unit
-    mask.  The orbits of each r are read off that mask (_orbits_mod).
+    A smallest-prime-factor sieve splits each r into l^k m, l its least
+    prime factor and m coprime to l.  r = 1 and the prime powers go to
+    stabilizer_lattice; any other r takes the _meet of the lattices of l^k
+    and m, built before it, and its phi and primes from theirs, so no r is
+    factored.
     """
-    if not 1 <= max_denominator <= MAX_ORBIT_DENOMINATOR:
-        raise OutOfRange(
-            f"max_denominator = {max_denominator} out of range; "
-            f"expected 1 <= max_denominator <= {MAX_ORBIT_DENOMINATOR}"
-        )
+    check_orbit_bound(max_denominator)
     spf = list(range(max_denominator + 1))
     for i in range(isqrt(max_denominator), 1, -1):  # the least divisor i > 1 is written last
         spf[i * i :: i] = [i] * len(range(i * i, max_denominator + 1, i))
@@ -482,8 +482,7 @@ def enumerate_minimal_sets(params: SystemParams, max_denominator: int) -> list[O
     These are exactly the <p, q>-orbits on lowest-terms numerators mod r
     for each r coprime to pq, plus the fixed point {0} (the r = 1 entry).
     Ordered by (r, least numerator); numerators within an orbit are sorted.
-    This is the census of the bound as a list; a bound above
-    MAX_ORBIT_DENOMINATOR is refused before any orbit is built.
+    This is the census of the bound as a list.
     """
     return list(census(params, max_denominator)[1])
 

@@ -55,7 +55,6 @@ class Factorization:
     """Prime factorization n = prod(prime^exp), pairs sorted by prime;
     primes, the primes of pairs in order, is built once."""
 
-    n: int
     pairs: tuple[tuple[int, int], ...]
     primes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
@@ -139,7 +138,7 @@ def factorize(n: int) -> Factorization:
             )
         else:
             _factor_into(m, acc)
-    return Factorization(n, tuple(sorted(acc.items())))
+    return Factorization(tuple(sorted(acc.items())))
 
 
 _factorize_cached = lru_cache(maxsize=4096)(factorize)
@@ -532,9 +531,9 @@ class Cyclotomic:
     # --- constructors ----------------------------------------------------
 
     @classmethod
-    def from_fraction(cls, x, level: int = 1) -> Cyclotomic:
+    def from_fraction(cls, x) -> Cyclotomic:
         x = as_fraction(x)
-        return cls(level, [x.numerator], x.denominator)
+        return cls(1, [x.numerator], x.denominator)
 
     @classmethod
     def zero(cls) -> Cyclotomic:

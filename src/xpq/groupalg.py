@@ -92,11 +92,6 @@ def group_inv(params: SystemParams, g: GroupElement) -> GroupElement:
     return GroupElement(_canonical(params, -num, a, b), -g.m, -g.n)
 
 
-def conjugated(params: SystemParams, h: GroupElement, g: GroupElement) -> GroupElement:
-    """h g h^(-1)."""
-    return group_mul(params, group_mul(params, h, g), group_inv(params, h))
-
-
 def icc_witness(params: SystemParams, g: GroupElement, count: int) -> list[GroupElement]:
     """count pairwise distinct conjugates of a nontrivial element.
 

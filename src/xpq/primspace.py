@@ -146,26 +146,16 @@ class EscapingTail:
     """The orbits leave every finite collection."""
 
 
-@dataclass(frozen=True, slots=True)
-class ConstantOrbitTail:
-    """The orbit is eventually B and the characters converge to chi_limit."""
-
-    orbit: OrbitData
-    chi_limit: Character
-
-    def __post_init__(self):
-        self.orbit.require_character(self.chi_limit)
-
-
 ESCAPING = EscapingTail()
 
 
 @dataclass(frozen=True, slots=True)
 class SequenceDesc:
-    """A sequence of closed points, described by its tail behaviour; the
-    finite prefix never affects the limit set."""
+    """A sequence of closed points, described by its tail behaviour: ESCAPING,
+    or the point (B, chi) when the orbit is eventually B and the characters
+    converge to chi.  The finite prefix never affects the limit set."""
 
-    tail: EscapingTail | ConstantOrbitTail
+    tail: EscapingTail | OrbitCharPoint
     prefix: tuple[PrimPoint, ...] = field(default=())
 
 
@@ -218,13 +208,10 @@ def limit_set(seq: SequenceDesc) -> ClosedSetDesc:
     """All points the sequence converges to.
 
     An escaping sequence converges to every point of the space at once;
-    a sequence with eventually constant orbit converges exactly to that
-    orbit paired with the character limit.
+    a sequence with eventually constant orbit converges exactly to its
+    tail point.
     """
-    tail = seq.tail
-    if isinstance(tail, EscapingTail):
-        return ALL
-    return FiniteUnion(((tail.orbit, FinitePoints((tail.chi_limit,))),))
+    return ALL if isinstance(seq.tail, EscapingTail) else closure([seq.tail])
 
 
 def closed_union(a: ClosedSetDesc, b: ClosedSetDesc) -> ClosedSetDesc:

@@ -333,7 +333,7 @@ def closed_set_to_json(desc: ClosedSetDesc) -> dict:
 
 
 def closed_set_from_json(data) -> ClosedSetDesc:
-    from .primspace import ALL, FinitePoints, FiniteUnion, FullTorus
+    from .primspace import ALL, FULL, FinitePoints, FiniteUnion
 
     kind = _need(data, "kind", str)
     if kind == "all":
@@ -345,7 +345,7 @@ def closed_set_from_json(data) -> ClosedSetDesc:
         orbit = orbit_from_json(_need(entry, "orbit", dict))
         part = _need(entry, "part")
         if part == "full":
-            parts.append((orbit, FullTorus()))
+            parts.append((orbit, FULL))
             continue
         if not isinstance(part, list):
             raise ValueError("part must be \"full\" or a list of character pairs")
@@ -371,11 +371,11 @@ def prim_point_to_json(pt: PrimPoint) -> dict:
 
 
 def prim_point_from_json(data) -> PrimPoint:
-    from .primspace import InfinityPoint, OrbitCharPoint
+    from .primspace import INFINITY, OrbitCharPoint
 
     kind = _need(data, "kind", str)
     if kind == "infinity":
-        return InfinityPoint()
+        return INFINITY
     if kind != "orbit_char":
         raise ValueError(f"unknown point kind {kind!r}")
     orbit = orbit_from_json(_need(data, "orbit", dict))
@@ -392,7 +392,7 @@ def sequence_desc_to_json(seq: SequenceDesc) -> dict:
         tail_data = {
             "kind": "constant_orbit",
             "orbit": orbit_to_json(tail.orbit),
-            "chi_limit": _chi_to_json(tail.chi_limit),
+            "chi_limit": _chi_to_json(tail.chi),
         }
     return {
         "prefix": [prim_point_to_json(pt) for pt in seq.prefix],
@@ -401,15 +401,15 @@ def sequence_desc_to_json(seq: SequenceDesc) -> dict:
 
 
 def sequence_desc_from_json(data) -> SequenceDesc:
-    from .primspace import ConstantOrbitTail, EscapingTail, SequenceDesc
+    from .primspace import ESCAPING, OrbitCharPoint, SequenceDesc
 
     tail_data = _need(data, "tail", dict)
     kind = _need(tail_data, "kind", str)
     if kind == "escaping":
-        tail = EscapingTail()
+        tail = ESCAPING
     elif kind == "constant_orbit":
         orbit = orbit_from_json(_need(tail_data, "orbit", dict))
-        tail = ConstantOrbitTail(orbit, _chi_from_json(_need(tail_data, "chi_limit", dict), orbit.stabilizer))
+        tail = OrbitCharPoint(orbit, _chi_from_json(_need(tail_data, "chi_limit", dict), orbit.stabilizer))
     else:
         raise ValueError(f"unknown tail kind {kind!r}")
     entries = _need(data, "prefix", list) if "prefix" in data else []

@@ -8,12 +8,14 @@ in the package cannot hide in its own oracle.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
 from math import gcd, lcm, prod
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from xpq import (
@@ -82,7 +84,7 @@ def reference_stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLatt
         raise OutOfRange(f"denominator {r} out of range; expected r >= 1")
     params.require_coprime(r)
     if r == 1:
-        return StabilizerLattice(((1, 0), (0, 1)), 1)
+        return StabilizerLattice(((1, 0), (0, 1)))
     p, q = params.p, params.q
     dq = multiplicative_order(q, r)
     if dq > MAX_STABILIZER_ORDER:
@@ -102,7 +104,7 @@ def reference_stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLatt
     # q^j = p^m means p^m q^(dq - j) = 1, so the lattice point is (m, dq - j)
     j = qpow_index[pm]
     b = (dq - j) % dq
-    return StabilizerLattice(((m, b), (0, dq)), m * dq)
+    return StabilizerLattice(((m, b), (0, dq)))
 
 
 def reference_meet(lat1: StabilizerLattice, lat2: StabilizerLattice) -> StabilizerLattice:
@@ -115,7 +117,7 @@ def reference_meet(lat1: StabilizerLattice, lat2: StabilizerLattice) -> Stabiliz
     c = next(n for n in count(1) if both(0, n))
     a = next(m for m in count(1) if any(both(m, n) for n in range(c)))
     b = next(n for n in range(c) if both(a, n))
-    return StabilizerLattice(((a, b), (0, c)), a * c)
+    return StabilizerLattice(((a, b), (0, c)))
 
 
 def sympy_stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
@@ -137,7 +139,7 @@ def sympy_stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
 
     a, j = next((m, j) for m in sympy.divisors(n_order(p, r))
                 if (j := log_q(pow(p, m, r))) is not None)
-    return StabilizerLattice(((a, -j % c), (0, c)), a * c)
+    return StabilizerLattice(((a, -j % c), (0, c)))
 
 
 def orbit_mismatches(params: SystemParams, max_denominator: int) -> list[int]:
@@ -441,25 +443,35 @@ def dense_cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def dense_reduce_mod_cyclotomic(vec: list[int], n: int) -> list[int]:
-    """The remainder of vec mod Phi_n by long division, top coefficient
-    first, padded to phi(n) coefficients."""
+def dense_reducer_mod_cyclotomic(n: int, count: int) -> Callable[[list[int]], list[int]]:
+    """A function taking an integer vector of length <= count, low degree
+    first, to its remainder mod Phi_n, padded to phi(n) coefficients.
+
+    It reads x^k mod Phi_n off a table of count int64 rows, each x times
+    the row before with its top coefficient removed by one step of long
+    division by Phi_n, and takes one dot product per vector, after checking
+    that no partial sum can leave int64."""
     phi = dense_cyclotomic_polynomial(n)
     d = len(phi) - 1
-    vec = list(vec)
-    if len(vec) <= d:
-        return vec + [0] * (d - len(vec))
-    for i in range(len(vec) - 1, d - 1, -1):
-        c = vec[i]
+    row = [1] + [0] * (d - 1)
+    rows = []
+    for _ in range(count):
+        rows.append(row)
+        c = row[-1]
+        row = [0] + row[:-1]
         if c:
-            vec[i] = 0
-            base = i - d
-            for j in range(d):
-                pj = phi[j]
-                if pj:
-                    vec[base + j] -= c * pj
-    del vec[d:]
-    return vec
+            row = [x - c * pj for x, pj in zip(row, phi)]
+    table = np.array(rows, dtype=np.int64).reshape(count, d)
+    top = int(np.abs(table).max(initial=0))
+
+    def reduce(vec: list[int]) -> list[int]:
+        assert len(vec) <= count
+        v = np.array(vec, dtype=np.int64)
+        bound = int(np.abs(v).max(initial=0)) * top * len(vec)
+        assert bound < 2**63, f"int64 dot could overflow: |sum| <= {bound}"
+        return (v @ table[: len(vec)]).tolist()
+
+    return reduce
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from xpq import (
     INFINITY,
     CanonicalTrace,
     Character,
-    ConstantOrbitTail,
     Cyclotomic,
     FgAbGroup,
     FiniteOrbitTrace,
@@ -325,7 +324,7 @@ def test_criterion_10_ideal_space_topology():
         # limit rules
         ok = ok and limit_set(SequenceDesc(ESCAPING)) == ALL
         for x in points[:20]:
-            got = limit_set(SequenceDesc(ConstantOrbitTail(x.orbit, x.chi)))
+            got = limit_set(SequenceDesc(x))
             ok = ok and got == closure([x])
     report(10, "closure/specialization/limit laws hold exactly over orbits r <= 50", ok, t.elapsed, 60.0)
 

@@ -179,6 +179,19 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and "max_denominator = 5001" in err and "5000" in err
 
+    def test_check_bound_refused_before_any_suite(self, monkeypatch, capsys):
+        def entered(*args):
+            raise AssertionError("a suite ran")
+
+        monkeypatch.setattr(xpq.checks, "_SUITES", dict.fromkeys(xpq.checks._SUITES, entered))
+        for argv, bound in ((["check", "all", "--max-den", "0", "--trials", "1000"], 0),
+                            (["check", "exact", "--max-den", "0"], 0),
+                            (["check", "ktheory", "--max-den", "-7"], -7),
+                            (["check", "primspace", "--max-den", "5001"], 5001)):
+            assert cli.main(argv) == 2, argv
+            out, err = capsys.readouterr()
+            assert out == "" and f"max_denominator = {bound} out of range" in err and "5000" in err
+
     def test_composite_stabilizer_limit_names_r(self, monkeypatch, capsys):
         # r = 35 is the meet of L_5 and L_7, each within the lowered limit;
         # the meet is not, and the refusal names 35 in stabilizer and in the

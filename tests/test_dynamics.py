@@ -194,7 +194,7 @@ class TestStabilizer:
         # points of a box that lie in both, and is the reference's basis
         rng = random.Random(18)
         for _ in range(300):
-            lat1, lat2 = (StabilizerLattice(((a, rng.randrange(c)), (0, c)), a * c)
+            lat1, lat2 = (StabilizerLattice(((a, rng.randrange(c)), (0, c)))
                           for a, c in [(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(2)])
             meet = dynamics._meet(lat1, lat2)
             assert meet == reference_meet(lat1, lat2), (lat1, lat2)

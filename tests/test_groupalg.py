@@ -23,7 +23,6 @@ from xpq import (
     PqRational,
     SystemParams,
     alpha_apply,
-    conjugated,
     group_inv,
     group_mul,
     icc_witness,
@@ -114,14 +113,14 @@ class TestGroupLaw:
         g = elem(1, 0, 0, 0, 0)
         for k in range(-3, 4):
             h = elem(0, 0, 0, k, 0)
-            got = conjugated(P23, h, g)
+            got = group_mul(P23, group_mul(P23, h, g), group_inv(P23, h))
             want_x = PqRational.from_fraction(Fraction(2) ** k, 2, 3)
             assert got == GroupElement(want_x, 0, 0)
         # conjugating a scaling by a translation shears the offset
         g = elem(0, 0, 0, 1, 1)
         for k in range(-3, 4):
             h = elem(k, 0, 0, 0, 0)
-            got = conjugated(P23, h, g)
+            got = group_mul(P23, group_mul(P23, h, g), group_inv(P23, h))
             want_x = PqRational.from_fraction(k * (1 - Fraction(6)), 2, 3)
             assert got == GroupElement(want_x, 1, 1)
 
@@ -131,7 +130,7 @@ class TestGroupLaw:
             g = random_group_element(rng, P23)
             h = random_group_element(rng, P23)
             sandwich = group_mul(P23, group_mul(P23, h, g), group_inv(P23, h))
-            assert conjugated(P23, h, g) == sandwich
+            assert group_mul(P23, sandwich, h) == group_mul(P23, h, g)
 
 
 class TestIccWitness:

@@ -10,7 +10,6 @@ from xpq import (
     FULL,
     INFINITY,
     Character,
-    ConstantOrbitTail,
     FinitePoints,
     FiniteUnion,
     OrbitCharPoint,
@@ -131,21 +130,19 @@ class TestSequences:
             assert contains_point(limit_set(seq), target)
 
     def test_constant_orbit(self):
-        seq = SequenceDesc(ConstantOrbitTail(ORBIT5, CHI_I[ORBIT5]))
+        seq = SequenceDesc(pt(ORBIT5, CHI_I))
         got = limit_set(seq)
         assert got == FiniteUnion(((ORBIT5, FinitePoints((CHI_I[ORBIT5],))),))
         assert contains_point(got, pt(ORBIT5, CHI_I))
         assert not contains_point(got, INFINITY)
 
     def test_prefix_ignored(self):
-        bare = SequenceDesc(ConstantOrbitTail(ORBIT5, CHI0[ORBIT5]))
-        decorated = SequenceDesc(
-            ConstantOrbitTail(ORBIT5, CHI0[ORBIT5]), prefix=(INFINITY, pt(ORBIT7))
-        )
+        bare = SequenceDesc(pt(ORBIT5))
+        decorated = SequenceDesc(pt(ORBIT5), prefix=(INFINITY, pt(ORBIT7)))
         assert limit_set(bare) == limit_set(decorated)
 
     def test_limit_set_is_closure_of_limit_points(self):
-        seq = SequenceDesc(ConstantOrbitTail(ORBIT7, CHI0[ORBIT7]))
+        seq = SequenceDesc(pt(ORBIT7))
         assert limit_set(seq) == closure([pt(ORBIT7, CHI0)])
 
 
@@ -183,9 +180,9 @@ class TestFiniteUnionValidation:
         with pytest.raises(ParamsMismatch, match="stabilizer mod 5"):
             OrbitCharPoint(ORBIT5, trivial7)
         with pytest.raises(ParamsMismatch, match="stabilizer mod 5"):
-            ConstantOrbitTail(ORBIT5, trivial7)
+            SequenceDesc(OrbitCharPoint(ORBIT5, trivial7))
         assert OrbitCharPoint(ORBIT7, trivial7).chi == trivial7
-        assert ConstantOrbitTail(ORBIT7, trivial7).chi_limit == trivial7
+        assert SequenceDesc(OrbitCharPoint(ORBIT7, trivial7)).tail.chi == trivial7
 
     def test_finite_points_dedup_and_sort(self):
         fp = FinitePoints((CHI_I[ORBIT5], CHI0[ORBIT5], CHI_I[ORBIT5]))

@@ -13,7 +13,6 @@ from xpq import (
     INFINITY,
     CanonicalTrace,
     Character,
-    ConstantOrbitTail,
     Cyclotomic,
     FinitePoints,
     FiniteUnion,
@@ -389,7 +388,7 @@ class TestCharacterCoordinates:
             lambda: prim_point_from_json({"kind": "orbit_char", "orbit": orbit, "chi": chi}).chi,
             lambda: sequence_desc_from_json(
                 {"prefix": [], "tail": {"kind": "constant_orbit", "orbit": orbit, "chi_limit": chi}}
-            ).tail.chi_limit,
+            ).tail.chi,
             lambda: closed_set_from_json(
                 {"kind": "union", "parts": [{"orbit": orbit, "part": [[t1, t2]]}]}
             ).parts[0][1].points[0],
@@ -461,6 +460,10 @@ class TestPrimSpace:
         data = closed_set_to_json(FiniteUnion(((ORBIT5, FULL),)))
         assert data["kind"] == "union"
         assert data["parts"][0]["part"] == "full"
+        # the decoders hand back the module's markers, not new instances
+        assert closed_set_from_json(data).parts[0][1] is FULL
+        assert prim_point_from_json({"kind": "infinity"}) is INFINITY
+        assert sequence_desc_from_json({"tail": {"kind": "escaping"}}).tail is ESCAPING
 
     def test_prim_point_round_trip(self):
         pts = [
@@ -478,7 +481,7 @@ class TestPrimSpace:
         seqs = [
             SequenceDesc(ESCAPING),
             SequenceDesc(
-                ConstantOrbitTail(ORBIT5, Character(ORBIT5.stabilizer, QmodZ(0, 1), QmodZ(1, 4))),
+                OrbitCharPoint(ORBIT5, Character(ORBIT5.stabilizer, QmodZ(0, 1), QmodZ(1, 4))),
                 prefix=(INFINITY, OrbitCharPoint(ORBIT7, Character.trivial(ORBIT7.stabilizer))),
             ),
         ]
@@ -487,7 +490,7 @@ class TestPrimSpace:
             assert sequence_desc_from_json(data) == seq
             assert round_trips_as_json(data)
         back = sequence_desc_from_json(sequence_desc_to_json(seqs[1]))
-        assert back.tail.chi_limit.lattice == ORBIT5.stabilizer
+        assert back.tail.chi.lattice == ORBIT5.stabilizer
         assert back.prefix[1].chi.lattice == ORBIT7.stabilizer
 
     def test_bad_closed_set(self):
