@@ -425,8 +425,6 @@ def _cmd_mult_indep(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from dataclasses import asdict
-
     from .checks import run_checks
 
     params = _params(args)
@@ -441,7 +439,9 @@ def _cmd_check(args) -> int:
                 print(f"    FAIL {msg}")
         print("ok" if ok else "FAILED")
     else:
-        _emit_json({"ok": ok, "suites": [asdict(r) for r in results]})
+        suites = [{"suite": r.suite, "passed": r.passed, "failed": r.failed, "failures": r.failures}
+                  for r in results]
+        _emit_json({"ok": ok, "suites": suites})
     return 0 if ok else 3
 
 

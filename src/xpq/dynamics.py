@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
@@ -30,7 +29,7 @@ from math import gcd, isqrt, lcm
 
 from .errors import IdentityElement, NotCoprime, OutOfRange, ParamsMismatch
 from .exact import (
-    Cyclotomic, QmodZ, _descend, _factorize_cached, _gcd_steps, carmichael, euler_phi,
+    Cyclotomic, QmodZ, Record, _descend, _factorize_cached, _gcd_steps, carmichael, euler_phi,
     is_multiplicatively_independent, root_of_unity,
 )
 
@@ -93,22 +92,21 @@ def str_digit_limit() -> tuple[int, int | None]:
     return digits, 10**digits if digits else None
 
 
-@dataclass(frozen=True, slots=True)
-class SystemParams:
+class SystemParams(Record):
     """The pair of multiplication bases, with independence precomputed.
 
     Operations that need multiplicative independence state so; everything
     else runs for any p, q >= 2 (the CLI warns on dependent pairs).
     """
 
-    p: int
-    q: int
-    mult_indep: bool = field(init=False)
+    __slots__ = ("p", "q", "mult_indep")
 
-    def __post_init__(self):
-        if self.p < 2 or self.q < 2:
-            raise OutOfRange(f"bases ({self.p}, {self.q}) must both be >= 2")
-        object.__setattr__(self, "mult_indep", is_multiplicatively_independent(self.p, self.q))
+    def __init__(self, p: int, q: int):
+        if p < 2 or q < 2:
+            raise OutOfRange(f"bases ({p}, {q}) must both be >= 2")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "mult_indep", is_multiplicatively_independent(p, q))
 
     @property
     def pq(self) -> int:
@@ -119,15 +117,14 @@ class SystemParams:
             raise NotCoprime(f"denominator {den} shares a factor with pq = {self.pq}")
 
 
-@dataclass(frozen=True, slots=True)
-class SolenoidPoint:
+class SolenoidPoint(Record):
     """A rational point of the solenoid, identified by its circle coordinate.
 
     Rational points with denominator coprime to pq lift uniquely to the
     solenoid, so the single coordinate is faithful.
     """
 
-    coord: QmodZ
+    __slots__ = ("coord",)
 
     @classmethod
     def of(cls, num: int, den: int) -> SolenoidPoint:
@@ -137,17 +134,17 @@ class SolenoidPoint:
         return str(self.coord)
 
 
-@dataclass(frozen=True, slots=True)
-class StabilizerLattice:
+class StabilizerLattice(Record):
     """A finite-index sublattice of Z^2 in row Hermite form:
     basis = ((a, b), (0, c)) with a, c > 0 and 0 <= b < c."""
 
-    basis: tuple[tuple[int, int], tuple[int, int]]
+    __slots__ = ("basis",)
 
-    def __post_init__(self):
-        (a, b), (z, c) = self.basis
+    def __init__(self, basis: tuple[tuple[int, int], tuple[int, int]]):
+        (a, b), (z, c) = basis
         if z != 0 or a <= 0 or c <= 0 or not 0 <= b < c:
-            raise ValueError(f"basis {self.basis} is not in row Hermite form")
+            raise ValueError(f"basis {basis} is not in row Hermite form")
+        object.__setattr__(self, "basis", basis)
 
     @property
     def index(self) -> int:
@@ -170,17 +167,19 @@ class StabilizerLattice:
         return self.coords(m, n) is not None
 
 
-@dataclass(frozen=True, slots=True)
-class Character:
+class Character(Record):
     """A character of a stabilizer lattice with rational coordinates.
 
     (t1, t2) are the values (as elements of Q/Z, i.e. exponents) on the
     two Hermite basis vectors of the lattice.
     """
 
-    lattice: StabilizerLattice
-    t1: QmodZ
-    t2: QmodZ
+    __slots__ = ("lattice", "t1", "t2")
+
+    def __init__(self, lattice: StabilizerLattice, t1: QmodZ, t2: QmodZ):
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "t1", t1)
+        object.__setattr__(self, "t2", t2)
 
     @classmethod
     def trivial(cls, lattice: StabilizerLattice) -> Character:
@@ -201,17 +200,20 @@ class Character:
         return root_of_unity(self.exponent(m, n))
 
 
-@dataclass(frozen=True, slots=True)
-class OrbitData:
+class OrbitData(Record):
     """A finite orbit: the sorted numerators a of all points a/r in lowest
     terms reachable from one of them under multiplication by p and q,
     together with the common stabilizer lattice.  len(numerators) equals
     stabilizer.index."""
 
-    params: SystemParams
-    denominator: int
-    numerators: tuple[int, ...]
-    stabilizer: StabilizerLattice
+    __slots__ = ("params", "denominator", "numerators", "stabilizer")
+
+    def __init__(self, params: SystemParams, denominator: int, numerators: tuple[int, ...],
+                 stabilizer: StabilizerLattice):
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "denominator", denominator)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "stabilizer", stabilizer)
 
     @property
     def size(self) -> int:
@@ -223,13 +225,11 @@ class OrbitData:
             raise ParamsMismatch(f"character lattice differs from the orbit stabilizer mod {self.denominator}")
 
 
-@dataclass(frozen=True, slots=True)
-class FixedPoints:
+class FixedPoints(Record):
     """Fixed-point data of one group element: the exact count and the
     points themselves (possibly restricted to a denominator bound)."""
 
-    count: int
-    sample: tuple[SolenoidPoint, ...]
+    __slots__ = ("count", "sample")
 
 
 def beta_apply(params: SystemParams, g: tuple[int, int], x: SolenoidPoint) -> SolenoidPoint:
@@ -477,13 +477,9 @@ def census(params: SystemParams, max_denominator: int) -> tuple[int, Iterator[Or
 
 
 def enumerate_minimal_sets(params: SystemParams, max_denominator: int) -> list[OrbitData]:
-    """All finite minimal invariant sets with denominator <= the bound.
-
-    These are exactly the <p, q>-orbits on lowest-terms numerators mod r
-    for each r coprime to pq, plus the fixed point {0} (the r = 1 entry).
-    Ordered by (r, least numerator); numerators within an orbit are sorted.
-    This is the census of the bound as a list.
-    """
+    """All finite minimal invariant sets with denominator <= the bound, the
+    orbits of the module docstring with {0} as the r = 1 entry, ordered by
+    (r, least numerator): the census of the bound as a list."""
     return list(census(params, max_denominator)[1])
 
 

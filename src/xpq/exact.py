@@ -12,23 +12,21 @@ plus the small amount of multiplicative number theory needed to work in
 (Z/rZ)^*: factorization, Euler phi, Carmichael lambda, multiplicative
 orders, and multiplicative independence of two integer bases.
 
-All values are immutable and all arithmetic is arbitrary precision; the
-only approximate operation in the whole module is ``Cyclotomic.approx``,
-which embeds into the complex numbers at zeta_N = e^(2*pi*i/N) in double
-precision and is documented as approximate only.
+All values are immutable, the records among them on the Record base,
+and all arithmetic is arbitrary precision; the only approximate
+operation in the whole module is ``Cyclotomic.approx``.
 """
 
 from __future__ import annotations
 
 import cmath
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
 from numbers import Rational
-from operator import add, sub
+from operator import add, attrgetter, sub
 
 from .errors import FactorizationTooHard, NonInvertible, OutOfRange
 
@@ -45,21 +43,67 @@ MAX_CYCLOTOMIC_LEVEL = 10**6
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+class Record:
+    """Base of the immutable value records: the fields are __slots__, and
+    _fields (all of __slots__ unless a class says otherwise) names those
+    that equality, hash and repr use.  Records of one class are equal when
+    their field tuples are, the hash is that tuple's, and repr is
+    Name(field=value!r, ...).  A field is set once, by __init__ through
+    object.__setattr__; the shared __init__ takes exactly the fields, and a
+    record that validates or has defaults writes its own.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        fields = cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        get = attrgetter(*fields) if fields else lambda self: ()
+        # attrgetter of one name returns the bare value, not a 1-tuple
+        cls._key = staticmethod(get if len(fields) != 1 else lambda self: (get(self),))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs:  # the fields after the positional ones, in order, while given
+            args += tuple(kwargs.pop(name) for name in fields[len(args):] if name in kwargs)
+        if len(args) != len(fields) or kwargs:
+            raise TypeError(f"{type(self).__name__}() takes exactly the fields {fields}")
+        for name, value in zip(fields, args):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        key = self._key
+        return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # factorization and multiplicative structure of (Z/rZ)^*
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Factorization:
+class Factorization(Record):
     """Prime factorization n = prod(prime^exp), pairs sorted by prime;
-    primes, the primes of pairs in order, is built once."""
+    primes, the primes of pairs in order, is built once and is not a
+    compared field."""
 
-    pairs: tuple[tuple[int, int], ...]
-    primes: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("pairs", "primes")
+    _fields = ("pairs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "primes", tuple(p for p, _ in self.pairs))
+    def __init__(self, pairs: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "primes", tuple(p for p, _ in pairs))
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -238,8 +282,7 @@ def is_multiplicatively_independent(p: int, q: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class QmodZ:
+class QmodZ(Record):
     """A rational point of R/Z in lowest terms, 0 <= num < den.
 
     The constructor canonicalizes, so QmodZ(7, 5) == QmodZ(2, 5) and the
@@ -251,16 +294,15 @@ class QmodZ:
     QmodZ(num=2, den=5)
     """
 
-    num: int
-    den: int
+    __slots__ = ("num", "den")
 
-    def __post_init__(self):
-        if self.den <= 0:
-            raise OutOfRange(f"denominator {self.den} out of range; expected >= 1")
-        n = self.num % self.den
-        g = gcd(n, self.den)
-        object.__setattr__(self, "num", n // g)
-        object.__setattr__(self, "den", self.den // g)
+    def __init__(self, num: int, den: int):
+        if den <= 0:
+            raise OutOfRange(f"denominator {den} out of range; expected >= 1")
+        num %= den
+        g = gcd(num, den)
+        object.__setattr__(self, "num", num // g)
+        object.__setattr__(self, "den", den // g)
 
     @classmethod
     def from_fraction(cls, x) -> QmodZ:
@@ -361,8 +403,7 @@ def as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-@dataclass(frozen=True, slots=True)
-class PqRational:
+class PqRational(Record):
     """Element num / (p^a * q^b) of Z[1/pq].
 
     Canonical form: a = 0 or p does not divide num, and b = 0 or q does
@@ -372,9 +413,12 @@ class PqRational:
     from_int; the raw constructor trusts its inputs.
     """
 
-    num: int
-    a: int
-    b: int
+    __slots__ = ("num", "a", "b")
+
+    def __init__(self, num: int, a: int, b: int):
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     @classmethod
     def from_int(cls, n: int) -> PqRational:

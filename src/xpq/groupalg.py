@@ -10,12 +10,9 @@ denominator p^a q^b (a negative power of p or q multiplies the numerator
 instead), the numerators are added, and PqRational.canonical brings the
 sum to canonical form by gcd steps, so neither p nor q is ever factored.
 An element of Q[G] holds integer numerators over one denominator, as
-Cyclotomic does; terms hands its coefficients out as Fractions.  A
-product writes the ring parts of all its pairs over one p^A q^B and adds
-coefficients per (numerator, m, n).  The canonical form of num / p^A q^B
-is (num / g) f / p^a q^b with g = gcd(num, p^A q^B) and (f, a, b) the
-canonical form of 1 / (p^A q^B / g), so the gcd steps run once per
-distinct g, not once per term.
+Cyclotomic does (GroupAlgebraElement); a product writes the ring parts of
+all its pairs over one p^A q^B and runs the gcd steps once per distinct
+gcd of a numerator with p^A q^B, not once per term (its __mul__).
 
 For multiplicatively independent p, q every nontrivial conjugacy class
 is infinite; icc_witness produces arbitrarily many distinct conjugates
@@ -24,24 +21,31 @@ from the two closed-form families used to see that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 from .dynamics import SystemParams, str_digit_limit
 from .errors import DependentParams, IdentityElement, OutOfRange, ParamsMismatch
-from .exact import PqRational, _den_form, as_fraction
+from .exact import PqRational, Record, _den_form, as_fraction
 
 # Most conjugates icc_witness lists.  The k-th conjugate of (x, m, n) with
 # x != 0 is (p^k x, m, n), so the listing grows quadratically with count.
 MAX_CONJUGATES = 1000
 
 
-@dataclass(frozen=True, slots=True)
-class GroupElement:
-    x: PqRational
-    m: int
-    n: int
+class GroupElement(Record):
+    __slots__ = ("x", "m", "n")
+    __hash__ = Record.__hash__  # a class that defines __eq__ has None here otherwise
+
+    def __init__(self, x: PqRational, m: int, n: int):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other):  # Record's rule inline, integers first: Q[G] loops compare many
+        if other.__class__ is self.__class__:
+            return self.m == other.m and self.n == other.n and self.x == other.x
+        return NotImplemented
 
     @classmethod
     def identity(cls) -> GroupElement:
@@ -135,8 +139,7 @@ def icc_witness(params: SystemParams, g: GroupElement, count: int) -> list[Group
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class GroupAlgebraElement:
+class GroupAlgebraElement(Record):
     """Finitely supported rational combination sum c_g u_g in Q[G].
 
     Stored as integer numerators over one denominator: c_g = k_g / den
@@ -147,9 +150,7 @@ class GroupAlgebraElement:
     the arithmetic operators.
     """
 
-    params: SystemParams
-    den: int
-    nums: tuple[tuple[GroupElement, int], ...]
+    __slots__ = ("params", "den", "nums")
 
     @classmethod
     def _normalised(cls, params: SystemParams, den: int, nums) -> GroupAlgebraElement:

@@ -5,15 +5,9 @@ Groups are recorded by isomorphism type (free rank plus an ascending
 divisibility chain of torsion orders); maps are integer matrices on the
 standard generators, free generators first.  Kernels and cokernels are
 computed through integer presentation matrices and Smith normal form
-over arbitrary-precision integers, so no generator words survive; the
-isomorphism type is the contract.  For f with matrix F, the matrix
-P = [F | target relation columns] presents coker f, and
-
-    ker f = ker P / im Psi,   Psi(r) = (r, y),  y_i = -(F r)_i / d_i,
-
-over the source relation columns r and the torsion generators i (of
-order d_i) of the target; ker P is saturated, so the SNF of Psi and the
-rank of P give the kernel.  No integer is ever factored.
+over arbitrary-precision integers (map_cokernel, map_kernel), so no
+generator words survive; the isomorphism type is the contract.  No
+integer is ever factored.
 
 The crossed-product K-theory is assembled from the Pimsner-Voiculescu
 sequence of the outer Z-action on the coefficient algebra, which is the
@@ -36,10 +30,10 @@ form as an independent cross-check.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from math import gcd, prod
 
 from .errors import IncompatibleMap, OutOfRange
+from .exact import Record
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -49,14 +43,11 @@ Matrix = tuple[tuple[int, ...], ...]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class SNFResult:
+class SNFResult(Record):
     """U * A * V = D with U, V unimodular and D = diag(d_1 | d_2 | ...),
     entries nonnegative."""
 
-    U: Matrix
-    D: Matrix
-    V: Matrix
+    __slots__ = ("U", "D", "V")
 
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.D[i][i] for i in range(min(len(self.D), len(self.V))))
@@ -151,21 +142,20 @@ def smith_normal_form(matrix) -> SNFResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class FgAbGroup:
+class FgAbGroup(Record):
     """Isomorphism type Z^rank (+) Z/d_1 (+) ... with d_1 | d_2 | ..., d_i >= 2."""
 
-    rank: int
-    torsion: tuple[int, ...] = ()
+    __slots__ = ("rank", "torsion")
 
-    def __post_init__(self):
-        if self.rank < 0:
-            raise ValueError(f"rank {self.rank} negative")
+    def __init__(self, rank: int, torsion: tuple[int, ...] = ()):
+        if rank < 0:
+            raise ValueError(f"rank {rank} negative")
         prev = 1
-        for d in self.torsion:
+        for d in torsion:
             if d < 2 or d % prev:
-                raise ValueError(f"torsion {self.torsion} is not a divisibility chain")
+                raise ValueError(f"torsion {torsion} is not a divisibility chain")
             prev = d
+        super().__init__(rank, torsion)
 
     @classmethod
     def free(cls, rank: int) -> FgAbGroup:
@@ -210,29 +200,27 @@ class FgAbGroup:
         return " + ".join(parts) if parts else "0"
 
 
-@dataclass(frozen=True, slots=True)
-class FgAbMap:
+class FgAbMap(Record):
     """Homomorphism given on standard generators; column j is the image of
     the j-th source generator in target coordinates."""
 
-    source: FgAbGroup
-    target: FgAbGroup
-    matrix: Matrix
+    __slots__ = ("source", "target", "matrix")
 
-    def __post_init__(self):
-        s = len(self.source.gen_orders())
-        t = len(self.target.gen_orders())
-        if len(self.matrix) != t or any(len(row) != s for row in self.matrix):
-            raise ValueError(f"matrix shape {len(self.matrix)}x? does not match {t}x{s}")
-        for j, dj in enumerate(self.source.gen_orders()):
+    def __init__(self, source: FgAbGroup, target: FgAbGroup, matrix: Matrix):
+        s = len(source.gen_orders())
+        t = len(target.gen_orders())
+        if len(matrix) != t or any(len(row) != s for row in matrix):
+            raise ValueError(f"matrix shape {len(matrix)}x? does not match {t}x{s}")
+        for j, dj in enumerate(source.gen_orders()):
             if dj == 0:
                 continue
-            for i, di in enumerate(self.target.gen_orders()):
-                e = self.matrix[i][j] * dj
+            for i, di in enumerate(target.gen_orders()):
+                e = matrix[i][j] * dj
                 if (di == 0 and e != 0) or (di != 0 and e % di):
                     raise IncompatibleMap(
                         f"column {j} of order {dj} maps outside the target relations"
                     )
+        super().__init__(source, target, matrix)
 
     @classmethod
     def identity(cls, group: FgAbGroup) -> FgAbMap:
@@ -345,23 +333,14 @@ def pv_assemble(
     return K0, K1
 
 
-@dataclass(frozen=True, slots=True)
-class KTheoryResult:
-    K0: FgAbGroup
-    K1: FgAbGroup
-    closed_form: FgAbGroup
-    torsion_gcd: int
-    matches: bool
+class KTheoryResult(Record):
+    __slots__ = ("K0", "K1", "closed_form", "torsion_gcd", "matches")
 
 
 def k_theory_of_group(p: int, q: int) -> KTheoryResult:
-    """K-theory of C*(Z[1/pq] x| Z^2), assembled and cross-checked.
-
-    The coefficient algebra of the outer Z-action is C*(BS(1, pq)) with
-    K_0 = Z and K_1 = Z (+) Z/(pq-1)Z; the action is the identity on K_0
-    and fixes the free part of K_1 while multiplying the torsion part by
-    p.  The closed form Z^2 (+) Z/gcd(p-1, q-1)Z comes out because
-    gcd(p-1, pq-1) = gcd(p-1, q-1).
+    """K-theory of C*(Z[1/pq] x| Z^2), assembled by pv_assemble from the
+    coefficient data in the module docstring and cross-checked against the
+    closed form, which comes out because gcd(p-1, pq-1) = gcd(p-1, q-1).
 
     >>> str(k_theory_of_group(2, 3).K0)
     'Z^2'

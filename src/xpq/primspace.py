@@ -24,10 +24,9 @@ Everything here is a pure function over immutable descriptions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .dynamics import Character, OrbitData
 from .errors import ParamsMismatch
+from .exact import Record
 
 
 # ---------------------------------------------------------------------------
@@ -35,21 +34,21 @@ from .errors import ParamsMismatch
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class InfinityPoint:
+class InfinityPoint(Record):
     """The zero ideal; its closure is the whole space."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True)
-class OrbitCharPoint:
+
+class OrbitCharPoint(Record):
     """A closed point: a finite orbit together with a character of its
     stabilizer lattice, written in the Hermite basis coordinates."""
 
-    orbit: OrbitData
-    chi: Character
+    __slots__ = ("orbit", "chi")
 
-    def __post_init__(self):
-        self.orbit.require_character(self.chi)
+    def __init__(self, orbit: OrbitData, chi: Character):
+        orbit.require_character(chi)
+        super().__init__(orbit, chi)
 
 
 PrimPoint = InfinityPoint | OrbitCharPoint
@@ -62,25 +61,26 @@ INFINITY = InfinityPoint()
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class AllClosedSet:
+class AllClosedSet(Record):
     """The whole space."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True)
-class FullTorus:
+
+class FullTorus(Record):
     """Every character of one orbit's stabilizer."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True, slots=True)
-class FinitePoints:
+
+class FinitePoints(Record):
     """A finite set of characters, kept sorted and duplicate-free."""
 
-    points: tuple[Character, ...]
+    __slots__ = ("points",)
 
-    def __post_init__(self):
-        canon = sorted(set(self.points), key=lambda chi: (chi.t1.to_fraction(), chi.t2.to_fraction()))
-        object.__setattr__(self, "points", tuple(canon))
+    def __init__(self, points: tuple[Character, ...]):
+        canon = sorted(set(points), key=lambda chi: (chi.t1.to_fraction(), chi.t2.to_fraction()))
+        super().__init__(tuple(canon))
 
     def is_empty(self) -> bool:
         return not self.points
@@ -91,20 +91,15 @@ T2Closed = FullTorus | FinitePoints
 FULL = FullTorus()
 
 
-def _orbit_key(orbit: OrbitData):
-    return (orbit.denominator, orbit.numerators[0])
-
-
-@dataclass(frozen=True, slots=True)
-class FiniteUnion:
+class FiniteUnion(Record):
     """A finite union of per-orbit closed sets; the empty union is the
     empty set.  Orbits are pairwise distinct, every part is nonempty, and
     every listed character is one of its orbit's stabilizer lattice."""
 
-    parts: tuple[tuple[OrbitData, T2Closed], ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(sorted(self.parts, key=lambda part: _orbit_key(part[0])))
+    def __init__(self, parts: tuple[tuple[OrbitData, T2Closed], ...]):
+        parts = tuple(sorted(parts, key=lambda part: (part[0].denominator, part[0].numerators[0])))
         seen = set()
         params = None
         for orbit, chunk in parts:
@@ -123,7 +118,7 @@ class FiniteUnion:
                     raise ValueError("empty part in a finite union")
                 for chi in chunk.points:
                     orbit.require_character(chi)
-        object.__setattr__(self, "parts", parts)
+        super().__init__(parts)
 
     def is_empty(self) -> bool:
         return not self.parts
@@ -141,22 +136,24 @@ EMPTY = FiniteUnion(())
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class EscapingTail:
+class EscapingTail(Record):
     """The orbits leave every finite collection."""
+
+    __slots__ = ()
 
 
 ESCAPING = EscapingTail()
 
 
-@dataclass(frozen=True, slots=True)
-class SequenceDesc:
+class SequenceDesc(Record):
     """A sequence of closed points, described by its tail behaviour: ESCAPING,
     or the point (B, chi) when the orbit is eventually B and the characters
     converge to chi.  The finite prefix never affects the limit set."""
 
-    tail: EscapingTail | OrbitCharPoint
-    prefix: tuple[PrimPoint, ...] = field(default=())
+    __slots__ = ("tail", "prefix")
+
+    def __init__(self, tail: EscapingTail | OrbitCharPoint, prefix: tuple[PrimPoint, ...] = ()):
+        super().__init__(tail, prefix)
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +162,8 @@ class SequenceDesc:
 
 
 def closure(points) -> ClosedSetDesc:
-    """Smallest closed set containing the given points.
-
-    Infinity is dense, so any occurrence forces the whole space; the
-    orbit-character points are closed, so without infinity the closure
-    is just the finite union of what was given.
-    """
+    """Smallest closed set containing the given points: the whole space
+    if infinity, a dense point, is among them, else their finite union."""
     pts = tuple(points)
     if any(isinstance(pt, InfinityPoint) for pt in pts):
         return ALL
@@ -205,12 +198,8 @@ def contains_point(desc: ClosedSetDesc, pt: PrimPoint) -> bool:
 
 
 def limit_set(seq: SequenceDesc) -> ClosedSetDesc:
-    """All points the sequence converges to.
-
-    An escaping sequence converges to every point of the space at once;
-    a sequence with eventually constant orbit converges exactly to its
-    tail point.
-    """
+    """All points the sequence converges to, by the dichotomy in the
+    module docstring."""
     return ALL if isinstance(seq.tail, EscapingTail) else closure([seq.tail])
 
 

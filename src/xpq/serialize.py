@@ -6,9 +6,7 @@ Structural problems (wrong shape, corrupt orbit lists, characters that
 do not parse) raise ValueError; domain violations discovered while
 rebuilding (bases below 2, denominators sharing a factor with pq, ...)
 surface as the usual library exceptions.  Orbits and canonical forms
-are validated by recomputation, not trusted: a parsed OrbitData is the
-library's own orbit of the first listed point, the only one parsed; the
-list must be that orbit's own point texts, and the stabilizer its own.
+are validated by recomputation, not trusted (see orbit_from_json).
 
 Big integers ride as strings ("num") so consumers that read JSON with
 53-bit floats cannot corrupt them silently; small structural integers

@@ -10,9 +10,7 @@ Three families are representable:
 
   where <a/r, y> pairs a solenoid point with a ring element through the
   inverse of p^alpha q^beta mod r.  Values live in Q(zeta_lcm(r, k)) for
-  chi of level k, so everything stays exact.  trace_eval sums the integer
-  numerators per pairing factor and twist, and writes the sum over these
-  keys as one integer vector, reduced once (see trace_eval).
+  chi of level k, so everything stays exact (see trace_eval).
 
 * ``CanonicalTrace(params)``: u_e -> 1 and u_g -> 0 for g != e; this is
   the trace of the left regular representation.
@@ -25,24 +23,23 @@ of the lattice; irrational characters exist mathematically but are not
 representable in exact arithmetic, which is why "all representable
 specs" below always means rational character data.
 
-The finite-orbit and orbit-measure traces are never faithful: the
-witness u_(r,0,0) - u_e is nonzero yet tau(a* a) = 0 for every character
-chi.  Whether the canonical trace is the unique faithful extreme trace
-overall is equivalent to the times-p, times-q measure rigidity
-conjecture of Furstenberg; among the traces representable here it is
-the only faithful one, and the acceptance suite checks exactly that.
+The finite-orbit and orbit-measure traces are never faithful
+(nonfaithful_witness).  Whether the canonical trace is the unique
+faithful extreme trace overall is equivalent to the times-p, times-q
+measure rigidity conjecture of Furstenberg; among the traces
+representable here it is the only faithful one, and the acceptance
+suite checks exactly that.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
 from .dynamics import Character, OrbitData, SolenoidPoint, SystemParams
 from .errors import OutOfRange, ParamsMismatch, RangeTooSmall
-from .exact import Cyclotomic, PqRational, QmodZ, check_level, euler_phi, twisted_level
+from .exact import Cyclotomic, PqRational, QmodZ, Record, check_level, euler_phi, twisted_level
 from .groupalg import GroupAlgebraElement, GroupElement
 
 # Largest n_max moments accepts.
@@ -54,27 +51,24 @@ MAX_MOMENT_RANGE = 1000
 MAX_MOMENT_COEFFICIENTS = 10**6
 
 
-@dataclass(frozen=True, slots=True)
-class FiniteOrbitTrace:
-    orbit: OrbitData
-    chi: Character
+class FiniteOrbitTrace(Record):
+    __slots__ = ("orbit", "chi")
 
-    def __post_init__(self):
-        self.orbit.require_character(self.chi)
+    def __init__(self, orbit: OrbitData, chi: Character):
+        orbit.require_character(chi)
+        super().__init__(orbit, chi)
 
     @property
     def params(self) -> SystemParams:
         return self.orbit.params
 
 
-@dataclass(frozen=True, slots=True)
-class CanonicalTrace:
-    params: SystemParams
+class CanonicalTrace(Record):
+    __slots__ = ("params",)
 
 
-@dataclass(frozen=True, slots=True)
-class OrbitMeasureTrace:
-    orbit: OrbitData
+class OrbitMeasureTrace(Record):
+    __slots__ = ("orbit",)
 
     @property
     def params(self) -> SystemParams:
@@ -208,8 +202,7 @@ def trace_eval(spec: TraceSpec, a: GroupAlgebraElement) -> Cyclotomic:
     return _mean_sum(orbit, K, sums, a.den)
 
 
-@dataclass(frozen=True, slots=True)
-class MomentSequence:
+class MomentSequence(Record):
     """Exact moment data value(n) = tau(u_(n,0,0)) for |n| <= n_max.
 
     For an orbit trace these are the moments of the invariant measure
@@ -217,9 +210,7 @@ class MomentSequence:
     value(-n) = conj(value(n)).
     """
 
-    spec: TraceSpec
-    n_max: int
-    values: tuple
+    __slots__ = ("spec", "n_max", "values")
 
     def value(self, n: int) -> Cyclotomic:
         if abs(n) > self.n_max:

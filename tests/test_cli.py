@@ -277,12 +277,16 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def loaded_modules(*argv):
     """Exit code of `xpq ARGV...` run in-process by a fresh interpreter, and the
-    xpq modules it loaded; with no argv only `import xpq.cli` runs."""
+    xpq modules it loaded, with dataclasses and inspect among them if it loaded
+    those and the bare interpreter had not; with no argv only `import xpq.cli` runs."""
     code = (
-        "import json, sys\n"
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "import json\n"
         "from xpq.cli import main\n"
         "rc = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
-        "print(rc, json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'xpq')), file=sys.stderr)"
+        "names = [m for m in sys.modules if m.split('.')[0] == 'xpq' or m in {'dataclasses', 'inspect'} - bare]\n"
+        "print(rc, json.dumps(sorted(names)), file=sys.stderr)"
     )
     proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(SRC)})
@@ -337,12 +341,15 @@ class TestLazyImports:
             from xpq import no_such_name  # noqa: F401
 
     def test_modules_loaded_per_command(self):
+        # the sets compared hold dataclasses or inspect when a command loads
+        # them, so every command below loads neither
         assert loaded_modules() == (0, self.BASE)
         assert loaded_modules("frobnicate") == (1, self.BASE)  # argparse refusal
         assert loaded_modules("mult-indep", "-p", "2", "-q", "3") == (0, self.BASE | {"xpq.exact"})
         # none of these loads xpq.traces, xpq.groupalg or xpq.checks, and only the
         # prim-* commands load xpq.primspace
         core = self.BASE | {"xpq.exact", "xpq.dynamics"}
+        algebra = {"xpq.serialize", "xpq.traces", "xpq.groupalg"}
         for argv, extra in (
             (["lemma36", "-m", "4", "-n", "6"], {"xpq.ktheory", "xpq.serialize"}),
             (["ktheory", "-p", "2", "-q", "3"], {"xpq.ktheory", "xpq.serialize"}),
@@ -351,6 +358,10 @@ class TestLazyImports:
             (["lift", "-p", "2", "-q", "3", "--point", "1/5"], set()),
             (["prim-closure", "--points", GOLDEN_POINTS], {"xpq.primspace", "xpq.serialize"}),
             (["prim-limit", "--sequence", GOLDEN_SEQUENCE], {"xpq.primspace", "xpq.serialize"}),
+            (["trace-eval", "-p", "2", "-q", "3", "--trace", GOLDEN_SPEC5, "--element", GOLDEN_ELEMENT], algebra),
+            (["moments", "-p", "2", "-q", "3", "--trace", GOLDEN_SPEC5, "--n-max", "4"], algebra),
+            (["check", "all", "--trials", "2", "--max-den", "8"],
+             algebra - {"xpq.serialize"} | {"xpq.checks", "xpq.ktheory", "xpq.primspace"}),
         ):
             assert loaded_modules(*argv) == (0, core | extra), argv
 
