@@ -12,6 +12,7 @@ submodule, and ``xpq.trace_eval`` imports ``xpq.traces`` when it is first
 read.
 """
 
+import sys
 from importlib import import_module
 
 __version__ = "0.1.0"
@@ -72,12 +73,13 @@ __all__ = sorted(_MODULE_OF)
 
 def __getattr__(name):
     # looked up on every access and never stored here, so the package
-    # always shows the submodule's current binding of the name
+    # always shows the submodule's current binding of the name; the
+    # submodule is imported on first use and read from sys.modules after
     try:
         module = _MODULE_OF[name]
     except KeyError:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    return getattr(import_module(module), name)
+    return getattr(sys.modules.get(module) or import_module(module), name)
 
 
 def __dir__():

@@ -53,6 +53,11 @@ MAX_DENOMINATOR_SCAN = 10**6
 # output, which grow as N^2.
 MAX_ORBIT_DENOMINATOR = 5_000
 
+# Every numerator a census point can have, 0 <= a < MAX_ORBIT_DENOMINATOR:
+# _orbits_mod reads the last orbit of each r from here, so its points share
+# these ints instead of allocating one per point.
+_NUMERATORS = tuple(range(MAX_ORBIT_DENOMINATOR))
+
 # Largest diagonal entry c = ord_r(q) or a of a stabilizer basis that
 # stabilizer_lattice and census accept; where each is checked is stated at
 # stabilizer_lattice.  The limit bounds the size of a basis, not the work
@@ -104,9 +109,10 @@ class SystemParams(Record):
     def __init__(self, p: int, q: int):
         if p < 2 or q < 2:
             raise OutOfRange(f"bases ({p}, {q}) must both be >= 2")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "mult_indep", is_multiplicatively_independent(p, q))
+        set_p, set_q, set_mult_indep = self._setters
+        set_p(self, p)
+        set_q(self, q)
+        set_mult_indep(self, is_multiplicatively_independent(p, q))
 
     @property
     def pq(self) -> int:
@@ -144,7 +150,8 @@ class StabilizerLattice(Record):
         (a, b), (z, c) = basis
         if z != 0 or a <= 0 or c <= 0 or not 0 <= b < c:
             raise ValueError(f"basis {basis} is not in row Hermite form")
-        object.__setattr__(self, "basis", basis)
+        (set_basis,) = self._setters
+        set_basis(self, basis)
 
     @property
     def index(self) -> int:
@@ -177,9 +184,10 @@ class Character(Record):
     __slots__ = ("lattice", "t1", "t2")
 
     def __init__(self, lattice: StabilizerLattice, t1: QmodZ, t2: QmodZ):
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "t1", t1)
-        object.__setattr__(self, "t2", t2)
+        set_lattice, set_t1, set_t2 = self._setters
+        set_lattice(self, lattice)
+        set_t1(self, t1)
+        set_t2(self, t2)
 
     @classmethod
     def trivial(cls, lattice: StabilizerLattice) -> Character:
@@ -210,10 +218,11 @@ class OrbitData(Record):
 
     def __init__(self, params: SystemParams, denominator: int, numerators: tuple[int, ...],
                  stabilizer: StabilizerLattice):
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "numerators", numerators)
-        object.__setattr__(self, "stabilizer", stabilizer)
+        set_params, set_denominator, set_numerators, set_stabilizer = self._setters
+        set_params(self, params)
+        set_denominator(self, denominator)
+        set_numerators(self, numerators)
+        set_stabilizer(self, stabilizer)
 
     @property
     def size(self) -> int:
@@ -388,8 +397,8 @@ def _subgroup(params: SystemParams, r: int, stab: StabilizerLattice) -> list[int
     index(L_r) = |<p, q>| of them.
     """
     (a, _), (_, c) = stab.basis
-    q_powers = _powers(params.q, c, r)
-    return sorted([u * x % r for u in _powers(params.p, a, r) for x in q_powers])
+    q_powers = _powers(params.q, c, r)  # the row of u = p^0 as it is
+    return sorted(q_powers + [u * x % r for u in _powers(params.p, a, r)[1:] for x in q_powers])
 
 
 def orbit_of(params: SystemParams, x: SolenoidPoint) -> OrbitData:
@@ -422,7 +431,8 @@ def _orbits_mod(
     a0 times the sorted subgroup, reduced mod r, is a few ascending runs,
     which sorted() merges cheaply.  Each orbit built clears its points in
     the mask, and the last orbit is what is left, read off the mask in
-    increasing order; with count 1 that is all the units.
+    increasing order from _NUMERATORS, so r <= MAX_ORBIT_DENOMINATOR; with
+    count 1 that is all the units.
     """
     mask = _unit_mask(r, primes)
     subgroup = _subgroup(params, r, stab) if count > 1 else []
@@ -433,7 +443,7 @@ def _orbits_mod(
             mask[x] = 0
         yield OrbitData(params, r, tuple(nums), stab)
         a0 = mask.find(1, a0)
-    yield OrbitData(params, r, tuple(compress(range(r), mask)), stab)
+    yield OrbitData(params, r, tuple(compress(_NUMERATORS, mask)), stab)
 
 
 def census(params: SystemParams, max_denominator: int) -> tuple[int, Iterator[OrbitData]]:

@@ -48,15 +48,19 @@ class Record:
     _fields (all of __slots__ unless a class says otherwise) names those
     that equality, hash and repr use.  Records of one class are equal when
     their field tuples are, the hash is that tuple's, and repr is
-    Name(field=value!r, ...).  A field is set once, by __init__ through
-    object.__setattr__; the shared __init__ takes exactly the fields, and a
-    record that validates or has defaults writes its own.
+    Name(field=value!r, ...).  A field is set once, by __init__, through
+    its slot's own setter: _setters holds the member descriptors' __set__,
+    bound once per class in __slots__ order.  The shared __init__ takes
+    exactly the fields; a record that validates, has defaults or keeps a
+    slot outside _fields writes its own, which validates before the first
+    set.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         fields = cls._fields = cls.__dict__.get("_fields", cls.__slots__)
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
         get = attrgetter(*fields) if fields else lambda self: ()
         # attrgetter of one name returns the bare value, not a 1-tuple
         cls._key = staticmethod(get if len(fields) != 1 else lambda self: (get(self),))
@@ -67,8 +71,8 @@ class Record:
             args += tuple(kwargs.pop(name) for name in fields[len(args):] if name in kwargs)
         if len(args) != len(fields) or kwargs:
             raise TypeError(f"{type(self).__name__}() takes exactly the fields {fields}")
-        for name, value in zip(fields, args):
-            object.__setattr__(self, name, value)
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
 
     def __eq__(self, other):
         key = self._key
@@ -102,8 +106,9 @@ class Factorization(Record):
     _fields = ("pairs",)
 
     def __init__(self, pairs: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "primes", tuple(p for p, _ in pairs))
+        set_pairs, set_primes = self._setters
+        set_pairs(self, pairs)
+        set_primes(self, tuple(p for p, _ in pairs))
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -301,8 +306,9 @@ class QmodZ(Record):
             raise OutOfRange(f"denominator {den} out of range; expected >= 1")
         num %= den
         g = gcd(num, den)
-        object.__setattr__(self, "num", num // g)
-        object.__setattr__(self, "den", den // g)
+        set_num, set_den = self._setters
+        set_num(self, num // g)
+        set_den(self, den // g)
 
     @classmethod
     def from_fraction(cls, x) -> QmodZ:
@@ -416,9 +422,10 @@ class PqRational(Record):
     __slots__ = ("num", "a", "b")
 
     def __init__(self, num: int, a: int, b: int):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        set_num, set_a, set_b = self._setters
+        set_num(self, num)
+        set_a(self, a)
+        set_b(self, b)
 
     @classmethod
     def from_int(cls, n: int) -> PqRational:

@@ -21,6 +21,7 @@ from the two closed-form families used to see that.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -38,9 +39,10 @@ class GroupElement(Record):
     __hash__ = Record.__hash__  # a class that defines __eq__ has None here otherwise
 
     def __init__(self, x: PqRational, m: int, n: int):
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
+        set_x, set_m, set_n = self._setters
+        set_x(self, x)
+        set_m(self, m)
+        set_n(self, n)
 
     def __eq__(self, other):  # Record's rule inline, integers first: Q[G] loops compare many
         if other.__class__ is self.__class__:
@@ -139,6 +141,10 @@ def icc_witness(params: SystemParams, g: GroupElement, count: int) -> list[Group
     return out
 
 
+def _term_key(term: tuple[GroupElement, int]) -> tuple[int, int, int, int, int]:
+    return term[0].sort_key()
+
+
 class GroupAlgebraElement(Record):
     """Finitely supported rational combination sum c_g u_g in Q[G].
 
@@ -156,7 +162,7 @@ class GroupAlgebraElement(Record):
     def _normalised(cls, params: SystemParams, den: int, nums) -> GroupAlgebraElement:
         # from (g, k) pairs with distinct g over den >= 1: drop k = 0, sort,
         # and divide den and every k by their gcd
-        nums = sorted(((g, k) for g, k in nums if k), key=lambda t: t[0].sort_key())
+        nums = sorted(((g, k) for g, k in nums if k), key=_term_key)
         c = gcd(den, *(k for _, k in nums))
         if c > 1:
             den //= c
@@ -188,9 +194,10 @@ class GroupAlgebraElement(Record):
         return tuple((g, Fraction(k, self.den)) for g, k in self.nums)
 
     def coefficient(self, g: GroupElement) -> Fraction:
-        for h, k in self.nums:
-            if h == g:
-                return Fraction(k, self.den)
+        nums = self.nums
+        i = bisect_left(nums, g.sort_key(), key=_term_key)
+        if i < len(nums) and nums[i][0] == g:
+            return Fraction(nums[i][1], self.den)
         return Fraction(0)
 
     def support_size(self) -> int:

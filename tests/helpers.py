@@ -155,15 +155,21 @@ def orbit_mismatches(params: SystemParams, max_denominator: int) -> list[int]:
     for r in range(1, max_denominator + 1):
         if gcd(r, params.pq) != 1:
             continue
-        expected, covered = [], set()
-        for a in range(r):
-            if gcd(a, r) == 1 and a not in covered:
-                orbit = naive_orbit(params.p, params.q, r, a)
-                covered |= orbit
-                expected.append(tuple(sorted(orbit)))
-        if by_r.get(r) != expected:
+        if by_r.get(r) != naive_partition(params, r):
             bad.append(r)
     return bad + [0] * (total != sum(map(len, by_r.values())))
+
+
+def naive_partition(params: SystemParams, r: int) -> list[tuple[int, ...]]:
+    """The units mod r (0 at r = 1) split into BFS closures (naive_orbit),
+    each sorted, listed in increasing order of least numerator."""
+    parts, covered = [], set()
+    for a in range(r):
+        if gcd(a, r) == 1 and a not in covered:
+            orbit = naive_orbit(params.p, params.q, r, a)
+            covered |= orbit
+            parts.append(tuple(sorted(orbit)))
+    return parts
 
 
 def census_mismatches(params: SystemParams, max_denominator: int) -> list[int]:

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from helpers import (
-    census_mismatches, naive_orbit, reference_meet, reference_stabilizer_lattice, sympy_stabilizer_lattice,
+    census_mismatches, naive_orbit, naive_partition, reference_meet, reference_stabilizer_lattice, sympy_stabilizer_lattice,
 )
 from xpq import (
     IdentityElement,
@@ -344,6 +344,18 @@ class TestOrbits:
                 assert [(o.denominator, o.numerators[0]) for o in listed] == sorted(
                     (o.denominator, o.numerators[0]) for o in listed
                 )
+
+    @pytest.mark.parametrize("p, q, r", [(3, 7, MAX_ORBIT_DENOMINATOR), (2, 3, 4999), (5, 7, 109), (2, 3, 5),
+                                         (2, 3, 1)])
+    def test_orbits_mod_matches_the_naive_partition(self, p, q, r):
+        # 5000 and 4999 are the top r of the census table at their pairs, so
+        # the last orbit is read up to the last numerator; at r = 109 and 5
+        # the lattice has a = 1, so the subgroup is the powers of q alone
+        params = SystemParams(p, q)
+        stab = stabilizer_lattice(params, r)
+        orbits = list(dynamics._orbits_mod(params, r, stab, euler_phi(r) // stab.index, factorize(r).primes))
+        assert [o.numerators for o in orbits] == naive_partition(params, r)
+        assert all((o.params, o.denominator, o.stabilizer) == (params, r, stab) for o in orbits)
 
     def test_is_invariant_set(self):
         params = SystemParams(2, 3)

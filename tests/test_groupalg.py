@@ -194,6 +194,24 @@ class TestAlgebra:
         assert a.coefficient(g) == Fraction(1, 2)
         assert a.coefficient(h) == 0
 
+    @pytest.mark.parametrize("where", ["absent", "first", "last"])
+    def test_coefficient_matches_a_linear_scan(self, where):
+        # the identity, sort key (0, 0, 0, 0, 0), absent between terms below
+        # and above it, or first or last with every other key above or below
+        e = GroupElement.identity()
+        below = [elem(-3, 0, 0, 0, 0), elem(0, 0, 0, 0, -1), elem(-1, 2, 0, 1, 1)]
+        above = [elem(1, 0, 0, 0, 0), elem(0, 0, 0, 2, 0), elem(5, 1, 1, -1, 2)]
+        others = {"absent": below + above, "first": above, "last": below}[where]
+        terms = [(g, Fraction(k, 3)) for k, g in enumerate(others, 1)]
+        if where != "absent":
+            terms.append((e, Fraction(-7, 2)))
+        a = GroupAlgebraElement.from_terms(P23, terms)
+        assert (a.nums[0][0] == e, a.nums[-1][0] == e) == (where == "first", where == "last")
+        probes = [e, *others, elem(2, 0, 0, 0, 0), elem(-5, 0, 0, 0, 0), elem(0, 0, 0, 0, 1)]
+        for g in probes:
+            assert a.coefficient(g) == next((c for h, c in a.terms if h == g), 0)
+        assert GroupAlgebraElement.zero(P23).coefficient(e) == 0
+
     def test_unit_and_zero(self):
         e = GroupAlgebraElement.unit(P23, GroupElement.identity())
         z = GroupAlgebraElement.zero(P23)

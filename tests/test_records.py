@@ -1,5 +1,6 @@
 """The record contract: every value record compares, hashes and prints as a
-frozen record of its fields would, and refuses a wrong argument count."""
+frozen record of its fields would, sets every slot once through the slot's
+own setter, and refuses a wrong argument count."""
 
 import pytest
 
@@ -13,7 +14,7 @@ from xpq.dynamics import (
     SystemParams,
     orbit_of,
 )
-from xpq.exact import Cyclotomic, Factorization, PqRational, QmodZ
+from xpq.exact import Cyclotomic, Factorization, PqRational, QmodZ, Record
 from xpq.groupalg import GroupAlgebraElement, GroupElement
 from xpq.ktheory import FgAbGroup, FgAbMap, KTheoryResult, SNFResult, k_theory_of_group, smith_normal_form
 from xpq.primspace import (
@@ -106,11 +107,19 @@ class TestRecordContract:
         body = ", ".join(f"{f}={getattr(x, f)!r}" for f in fields)
         assert repr(x) == f"{cls.__name__}({body})"
 
+    def test_setters_cover_the_slots_in_order(self, cls, args, other, fields, required, frozen):
+        assert [(s.__self__.__objclass__, s.__self__.__name__) for s in cls._setters] == [
+            (cls, name) for name in cls.__slots__
+        ]
+        x = cls(*args)
+        if len(args) == len(fields):  # each field reads back as given
+            assert tuple(getattr(x, f) for f in fields) == args
+
     def test_fields_are_frozen(self, cls, args, other, fields, required, frozen):
         x = cls(*args)
         assert not hasattr(x, "__dict__")
         for name in cls.__slots__:
-            value = getattr(x, name)
+            value = getattr(x, name)  # every slot is set by __init__
             if frozen:
                 with pytest.raises(AttributeError):
                     setattr(x, name, value)
@@ -126,6 +135,10 @@ class TestRecordContract:
         if required:
             with pytest.raises(TypeError):
                 cls(*args[: required - 1])
+
+
+def test_every_record_class_has_a_case():
+    assert {case[0] for case in CASES} == set(Record.__subclasses__())
 
 
 def test_field_free_records_differ_by_class():
