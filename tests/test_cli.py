@@ -1071,6 +1071,24 @@ GOLDEN = [
         ["trace-eval", "-p", "4", "-q", "6", "--trace", GOLDEN_SPEC7_46, "--element", GOLDEN_MERGING_46],
         "195d6ded4af8c7423c086f8536efc352b98cfa733b49b1b95524e5bf85b5582c",
     ),
+    # the four below were recorded while each check suite still tallied into
+    # a mutable result, before the suites yielded their verdicts
+    (
+        ["check", "traces", "-p", "4", "-q", "6"],
+        "9aee335077cdb9e85cda431a9b9dd65c28b025746bb3d829311808377781cec3",
+    ),
+    (
+        ["check", "ktheory", "-p", "4", "-q", "6"],
+        "1b4572f712f6123149dd30b53238ae0964117f358dd38094486dbabc022e8147",
+    ),
+    (
+        ["check", "primspace", "-p", "4", "-q", "6"],
+        "5954f2f910e25fabe1b818aebda68e995af71b9ee2e576abc7930a62852eccc7",
+    ),
+    (
+        ["check", "all", "-p", "6", "-q", "10", "--trials", "200", "--seed", "1"],
+        "adfd96ad818c07aa8e40e9517d25c83ccc3670f2624907d1b990002e61aebc17",
+    ),
 ]
 
 
