@@ -23,7 +23,7 @@ _EXPORTS = {
     "dynamics": (
         "Character", "FixedPoints", "OrbitData", "SolenoidPoint", "StabilizerLattice",
         "SystemParams", "beta_apply", "census", "enumerate_minimal_sets", "fixed_points",
-        "is_invariant_set", "lift_sequence", "orbit_of", "stabilizer_lattice",
+        "lift_sequence", "orbit_of", "stabilizer_lattice",
     ),
     "errors": (
         "DependentParams", "FactorizationTooHard", "IdentityElement", "IncompatibleMap",
@@ -32,7 +32,7 @@ _EXPORTS = {
     ),
     "exact": (
         "Cyclotomic", "Factorization", "PqRational", "QmodZ", "carmichael",
-        "cyclotomic_polynomial", "divisors", "euler_phi", "factorize",
+        "cyclotomic_polynomial", "euler_phi", "factorize",
         "is_multiplicatively_independent", "multiplicative_dependence_witness",
         "multiplicative_order", "root_of_unity",
     ),
@@ -62,7 +62,7 @@ _EXPORTS = {
     "traces": (
         "CanonicalTrace", "FiniteOrbitTrace", "MomentSequence", "OrbitMeasureTrace", "TraceSpec",
         "average_over_character_level", "check_pq_invariance", "moments", "nonfaithful_witness",
-        "pairing", "trace_eval",
+        "trace_eval",
     ),
 }
 

@@ -4,12 +4,14 @@ Each suite re-verifies a slice of the library against brute force or
 against algebraic laws, using only the standard library, a seeded RNG,
 and configurable bounds.  They are smoke tests for an installed copy,
 not a replacement for the test suite; every suite is deterministic for
-a fixed seed.
+a fixed seed.  A suite yields one (ok, label) verdict per property it
+tests, and run_checks tallies each suite's verdicts into a CheckResult.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from fractions import Fraction
 from itertools import groupby
 from math import gcd
@@ -67,26 +69,17 @@ MAX_TRIALS = 1000
 
 
 class CheckResult(Record):
+    """One suite's tally: the verdicts that passed, those that failed, and
+    the labels of the first 20 failures, in the order the suite gave them."""
+
     __slots__ = ("suite", "passed", "failed", "failures")
-    # the suites tally into it, so it is mutable and unhashable
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(self, suite: str, passed: int = 0, failed: int = 0, failures: list[str] | None = None):
-        super().__init__(suite, passed, failed, [] if failures is None else failures)
-
-    def record(self, ok: bool, label: str):
-        if ok:
-            self.passed += 1
-        else:
-            self.failed += 1
-            if len(self.failures) < 20:
-                self.failures.append(label)
 
     @property
     def ok(self) -> bool:
         return self.failed == 0
+
+
+Verdicts = Iterator[tuple[bool, str]]
 
 
 def _random_qmodz(rng: random.Random) -> QmodZ:
@@ -120,17 +113,16 @@ def _coprime_denominators(params: SystemParams, bound: int):
 # ---------------------------------------------------------------------------
 
 
-def _check_exact(params: SystemParams, rng: random.Random, bound: int, trials: int) -> CheckResult:
-    res = CheckResult("exact")
+def _check_exact(params: SystemParams, rng: random.Random, bound: int, trials: int) -> Verdicts:
     for _ in range(trials):
         x, y, z = (_random_qmodz(rng) for _ in range(3))
-        res.record((x + y) + z == x + (y + z), f"assoc {x} {y} {z}")
-        res.record(x + (-x) == QmodZ(0, 1), f"inverse {x}")
-        res.record(x + y == y + x, f"comm {x} {y}")
+        yield (x + y) + z == x + (y + z), f"assoc {x} {y} {z}"
+        yield x + (-x) == QmodZ(0, 1), f"inverse {x}"
+        yield x + y == y + x, f"comm {x} {y}"
     for _ in range(trials):
         f = Fraction(rng.randint(-50, 50), params.p ** rng.randint(0, 3) * params.q ** rng.randint(0, 3))
         back = PqRational.from_fraction(f, params.p, params.q).to_fraction(params.p, params.q)
-        res.record(back == f, f"round-trip {f}")
+        yield back == f, f"round-trip {f}"
     for r in _coprime_denominators(params, min(bound, 40)):
         if r == 1:
             continue
@@ -140,26 +132,24 @@ def _check_exact(params: SystemParams, rng: random.Random, bound: int, trials: i
             while acc != 1:
                 acc = acc * base % r
                 naive += 1
-            res.record(d == naive, f"order({base}, {r})")
+            yield d == naive, f"order({base}, {r})"
     for _ in range(trials):
         t = _random_qmodz(rng)
-        res.record(root_of_unity(t) ** t.den == Cyclotomic.one(), f"zeta^den {t}")
-    return res
+        yield root_of_unity(t) ** t.den == Cyclotomic.one(), f"zeta^den {t}"
 
 
-def _check_dynamics(params: SystemParams, rng: random.Random, bound: int, trials: int) -> CheckResult:
-    res = CheckResult("dynamics")
+def _check_dynamics(params: SystemParams, rng: random.Random, bound: int, trials: int) -> Verdicts:
     for r, orbits in groupby(census(params, bound)[1], key=attrgetter("denominator")):
         seen: set[int] = set()
         for orbit in orbits:
             s = set(orbit.numerators)
-            res.record(orbit.size == orbit.stabilizer.index, f"size mod {r}")
-            res.record({a * params.p % r for a in s} == s and {a * params.q % r for a in s} == s,
-                       f"invariance mod {r}")
-            res.record(seen.isdisjoint(orbit.numerators), f"disjoint mod {r}")
+            yield orbit.size == orbit.stabilizer.index, f"size mod {r}"
+            yield ({a * params.p % r for a in s} == s and {a * params.q % r for a in s} == s,
+                   f"invariance mod {r}")
+            yield seen.isdisjoint(orbit.numerators), f"disjoint mod {r}"
             seen.update(orbit.numerators)
         want = {a for a in range(r) if gcd(a, r) == 1} if r > 1 else {0}
-        res.record(seen == want, f"cover mod {r}")
+        yield seen == want, f"cover mod {r}"
     denominators = _coprime_denominators(params, bound)
     for _ in range(trials):
         r = rng.choice(denominators)
@@ -168,49 +158,45 @@ def _check_dynamics(params: SystemParams, rng: random.Random, bound: int, trials
         g2 = (rng.randint(-4, 4), rng.randint(-4, 4))
         lhs = beta_apply(params, (g1[0] + g2[0], g1[1] + g2[1]), x)
         rhs = beta_apply(params, g1, beta_apply(params, g2, x))
-        res.record(lhs == rhs, f"action law {g1} {g2} {x}")
+        yield lhs == rhs, f"action law {g1} {g2} {x}"
         lifted = lift_sequence(params, x, 3)
-        res.record(
+        yield (
             all(b.coord.mul_int(params.pq) == a.coord for a, b in zip(lifted, lifted[1:])),
             f"lift {x}",
         )
     for mn in ((1, 1), (2, 1), (1, 2)):
         fix = fixed_points(params, mn, max_denominator=bound)
-        res.record(
+        yield (
             all(beta_apply(params, mn, pt) == pt for pt in fix.sample),
             f"fixed points {mn}",
         )
-    return res
 
 
-def _check_groupalg(params: SystemParams, rng: random.Random, bound: int, trials: int) -> CheckResult:
-    res = CheckResult("groupalg")
+def _check_groupalg(params: SystemParams, rng: random.Random, bound: int, trials: int) -> Verdicts:
     for _ in range(trials):
         g, h, k = (_random_group_element(rng, params) for _ in range(3))
-        res.record(
+        yield (
             group_mul(params, group_mul(params, g, h), k)
             == group_mul(params, g, group_mul(params, h, k)),
             "assoc",
         )
-        res.record(group_mul(params, g, group_inv(params, g)).is_identity(), "inverse")
+        yield group_mul(params, g, group_inv(params, g)).is_identity(), "inverse"
     if params.mult_indep:
         for _ in range(trials):
             g = _random_group_element(rng, params)
             if g.is_identity():
                 continue
             found = icc_witness(params, g, 6)
-            res.record(len(set(found)) == 6, f"icc {g}")
+            yield len(set(found)) == 6, f"icc {g}"
     for _ in range(trials):
         a = _random_algebra_element(rng, params)
         b = _random_algebra_element(rng, params)
         c = _random_algebra_element(rng, params)
-        res.record(a * (b + c) == a * b + a * c, "distributive")
-        res.record((a * b).star() == b.star() * a.star(), "star anti-multiplicative")
-    return res
+        yield a * (b + c) == a * b + a * c, "distributive"
+        yield (a * b).star() == b.star() * a.star(), "star anti-multiplicative"
 
 
-def _check_traces(params: SystemParams, rng: random.Random, bound: int, trials: int) -> CheckResult:
-    res = CheckResult("traces")
+def _check_traces(params: SystemParams, rng: random.Random, bound: int, trials: int) -> Verdicts:
     orbits = enumerate_minimal_sets(params, min(bound, 15))
     unit = GroupAlgebraElement.unit(params, GroupElement.identity())
     specs = [CanonicalTrace(params)]
@@ -219,23 +205,22 @@ def _check_traces(params: SystemParams, rng: random.Random, bound: int, trials: 
         lat = orbit.stabilizer
         specs.append(FiniteOrbitTrace(orbit, Character(lat, QmodZ(1, 4), QmodZ(0, 1))))
     for spec in specs:
-        res.record(trace_eval(spec, unit) == Cyclotomic.one(), "normalization")
+        yield trace_eval(spec, unit) == Cyclotomic.one(), "normalization"
         for _ in range(max(1, trials // 4)):
             a = _random_algebra_element(rng, params)
             v = trace_eval(spec, a.star() * a).approx()
-            res.record(v.real >= -_TOL and abs(v.imag) <= _TOL, "positivity")
-            res.record(trace_eval(spec, a.star()) == trace_eval(spec, a).conj(), "hermitian")
+            yield v.real >= -_TOL and abs(v.imag) <= _TOL, "positivity"
+            yield trace_eval(spec, a.star()) == trace_eval(spec, a).conj(), "hermitian"
         seq = moments(spec, max(params.p, params.q) + 2)
-        res.record(check_pq_invariance(seq, params), "moment invariance")
+        yield check_pq_invariance(seq, params), "moment invariance"
     for orbit in orbits:
         if orbit.denominator == 1:
             continue
         w = nonfaithful_witness(orbit)
         spec = OrbitMeasureTrace(orbit)
-        res.record(trace_eval(spec, w.star() * w).is_zero(), f"witness mod {orbit.denominator}")
+        yield trace_eval(spec, w.star() * w).is_zero(), f"witness mod {orbit.denominator}"
         canon = trace_eval(CanonicalTrace(params), w.star() * w)
-        res.record(canon == Cyclotomic.from_fraction(2), "witness canonical")
-    return res
+        yield canon == Cyclotomic.from_fraction(2), "witness canonical"
 
 
 def _int_det(matrix) -> int:
@@ -262,8 +247,7 @@ def _int_det(matrix) -> int:
     return sign * A[-1][-1]
 
 
-def _check_ktheory(params: SystemParams, rng: random.Random, bound: int, trials: int) -> CheckResult:
-    res = CheckResult("ktheory")
+def _check_ktheory(params: SystemParams, rng: random.Random, bound: int, trials: int) -> Verdicts:
     for _ in range(trials):
         m = rng.randint(1, 5)
         n = rng.randint(1, 5)
@@ -276,57 +260,54 @@ def _check_ktheory(params: SystemParams, rng: random.Random, bound: int, trials:
             ]
             for i in range(m)
         ]
-        res.record(prod == [list(row) for row in snf.D], "U A V = D")
-        res.record(abs(_int_det(snf.U)) == 1 and abs(_int_det(snf.V)) == 1, "unimodular")
+        yield prod == [list(row) for row in snf.D], "U A V = D"
+        yield abs(_int_det(snf.U)) == 1 and abs(_int_det(snf.V)) == 1, "unimodular"
         diag = snf.diagonal()
         chain = all(
             diag[i + 1] % diag[i] == 0 for i in range(len(diag) - 1) if diag[i]
         ) and all(d >= 0 for d in diag)
-        res.record(chain, "divisibility chain")
+        yield chain, "divisibility chain"
     for _ in range(trials):
         mm = rng.randint(1, 40)
         nn = rng.randint(1, 40)
         ker, cok = mult_map_ker_coker(mm, nn)
         g = gcd(mm, nn)
         want = (0, ()) if g == 1 or nn == 1 else (0, (g,))
-        res.record((ker.rank, ker.torsion) == want, f"kernel x{mm} on Z/{nn}")
-        res.record((cok.rank, cok.torsion) == want, f"cokernel x{mm} on Z/{nn}")
+        yield (ker.rank, ker.torsion) == want, f"kernel x{mm} on Z/{nn}"
+        yield (cok.rank, cok.torsion) == want, f"cokernel x{mm} on Z/{nn}"
     for p in range(2, 8):
         for q in range(2, 8):
             r = k_theory_of_group(p, q)
-            res.record(r.matches and r.K0 == r.K1, f"K-theory ({p}, {q})")
-    return res
+            yield r.matches and r.K0 == r.K1, f"K-theory ({p}, {q})"
 
 
-def _check_primspace(params: SystemParams, rng: random.Random, bound: int, trials: int) -> CheckResult:
-    res = CheckResult("primspace")
+def _check_primspace(params: SystemParams, rng: random.Random, bound: int, trials: int) -> Verdicts:
     orbits = enumerate_minimal_sets(params, min(bound, 25))
     points = [INFINITY]
     for orbit in orbits:
         (a, _), (_, c) = orbit.stabilizer.basis
-        res.record(a > 0 and c > 0, f"rank-2 stabilizer mod {orbit.denominator}")
+        yield a > 0 and c > 0, f"rank-2 stabilizer mod {orbit.denominator}"
         points.append(OrbitCharPoint(orbit, Character.trivial(orbit.stabilizer)))
         points.append(OrbitCharPoint(orbit, Character(orbit.stabilizer, QmodZ(1, 2), QmodZ(1, 3))))
     for pt in points:
-        res.record(specializes(INFINITY, pt), "infinity is dense")
+        yield specializes(INFINITY, pt), "infinity is dense"
         if not isinstance(pt, OrbitCharPoint):
             continue
-        res.record(not specializes(pt, INFINITY), "closed points stay closed")
+        yield not specializes(pt, INFINITY), "closed points stay closed"
         single = closure([pt])
-        res.record(single == limit_set(SequenceDesc(pt)), "limit matches closure")
-    res.record(limit_set(SequenceDesc(ESCAPING)) == ALL, "escaping limit")
-    res.record(closure([INFINITY]) == ALL, "dense point closure")
+        yield single == limit_set(SequenceDesc(pt)), "limit matches closure"
+    yield limit_set(SequenceDesc(ESCAPING)) == ALL, "escaping limit"
+    yield closure([INFINITY]) == ALL, "dense point closure"
     finite_pts = [pt for pt in points if isinstance(pt, OrbitCharPoint)]
     for _ in range(trials):
         xs = rng.sample(finite_pts, min(3, len(finite_pts)))
         ys = rng.sample(finite_pts, min(2, len(finite_pts)))
         a, b = closure(xs), closure(ys)
-        res.record(closed_union(a, a) == a, "union idempotent")
-        res.record(closed_intersection(a, closed_union(a, b)) == a, "absorption")
-        res.record(closed_union(a, b) == closed_union(b, a), "union commutes")
-        res.record(closed_intersection(ALL, a) == a, "top element")
-        res.record(closure(xs + ys) == closed_union(a, b), "closure additive")
-    return res
+        yield closed_union(a, a) == a, "union idempotent"
+        yield closed_intersection(a, closed_union(a, b)) == a, "absorption"
+        yield closed_union(a, b) == closed_union(b, a), "union commutes"
+        yield closed_intersection(ALL, a) == a, "top element"
+        yield closure(xs + ys) == closed_union(a, b), "closure additive"
 
 
 _SUITES = {
@@ -352,8 +333,18 @@ def run_checks(
         raise OutOfRange(f"trials = {trials} out of range; expected 0 <= trials <= {MAX_TRIALS}")
     check_orbit_bound(max_denominator)
     names = list(_SUITES) if suite == "all" else [suite]
-    out = []
-    for name in names:
-        rng = random.Random(f"{seed}:{name}")
-        out.append(_SUITES[name](params, rng, max_denominator, trials))
-    return out
+    return [_tally(name, _SUITES[name](params, random.Random(f"{seed}:{name}"), max_denominator, trials))
+            for name in names]
+
+
+def _tally(suite: str, verdicts: Verdicts) -> CheckResult:
+    passed = failed = 0
+    failures = []
+    for ok, label in verdicts:
+        if ok:
+            passed += 1
+        else:
+            failed += 1
+            if failed <= 20:
+                failures.append(label)
+    return CheckResult(suite, passed, failed, tuple(failures))

@@ -493,13 +493,6 @@ def enumerate_minimal_sets(params: SystemParams, max_denominator: int) -> list[O
     return list(census(params, max_denominator)[1])
 
 
-def is_invariant_set(params: SystemParams, points) -> bool:
-    """Whether a finite set of SolenoidPoints is invariant, i.e. both
-    multiplication by p and by q permute it."""
-    b = {x.coord for x in points}
-    return {x.mul_int(params.p) for x in b} == b and {x.mul_int(params.q) for x in b} == b
-
-
 def fixed_points(
     params: SystemParams, g: tuple[int, int], max_denominator: int | None = None
 ) -> FixedPoints:

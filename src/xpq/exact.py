@@ -12,9 +12,9 @@ plus the small amount of multiplicative number theory needed to work in
 (Z/rZ)^*: factorization, Euler phi, Carmichael lambda, multiplicative
 orders, and multiplicative independence of two integer bases.
 
-All values are immutable, the records among them on the Record base,
-and all arithmetic is arbitrary precision; the only approximate
-operation in the whole module is ``Cyclotomic.approx``.
+All values are immutable records on the Record base, and all arithmetic
+is arbitrary precision; the only approximate operation in the whole
+module is ``Cyclotomic.approx``.
 """
 
 from __future__ import annotations
@@ -193,14 +193,6 @@ def factorize(n: int) -> Factorization:
 _factorize_cached = lru_cache(maxsize=4096)(factorize)
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, sorted increasingly."""
-    out = [1]
-    for p, e in _factorize_cached(n).pairs:
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
 def euler_phi(n: int) -> int:
     phi = 1
     for p, e in _factorize_cached(n).pairs:
@@ -311,11 +303,6 @@ class QmodZ(Record):
         set_den(self, den // g)
 
     @classmethod
-    def from_fraction(cls, x) -> QmodZ:
-        x = Fraction(x)
-        return cls(x.numerator, x.denominator)
-
-    @classmethod
     def parse(cls, text: str) -> QmodZ:
         """The class of "a/b", or of "a" read as a/1, in ASCII digits each after
         an optional "-", so "6/5" is 1/5.  Other text, such as "1/", "+1/5" or
@@ -345,18 +332,6 @@ class QmodZ(Record):
     def mul_int(self, k: int) -> QmodZ:
         """The class of k*x; multiplication by k on R/Z."""
         return QmodZ(self.num * k, self.den)
-
-    def mul_inverse(self, k: int) -> QmodZ:
-        """The class y with k*y = x, for k invertible mod den.
-
-        >>> QmodZ(1, 7).mul_inverse(6)
-        QmodZ(num=6, den=7)
-        """
-        try:
-            w = pow(k, -1, self.den)
-        except ValueError:
-            raise NonInvertible(f"{k} is not invertible mod {self.den}") from None
-        return QmodZ(self.num * w, self.den)
 
     def is_zero(self) -> bool:
         return self.num == 0
@@ -542,7 +517,7 @@ def _reduce_mod_cyclotomic(vec: list[int], level: int) -> list[int]:
     return list(map(sub, vec[:phi], low))
 
 
-class Cyclotomic:
+class Cyclotomic(Record):
     """Element of Q(zeta_N), written in the power basis 1, z, ..., z^(phi(N)-1)
     modulo Phi_N, where z = zeta_N = e^(2*pi*i/N).
 
@@ -551,7 +526,9 @@ class Cyclotomic:
     Arithmetic between different levels lifts both operands to the lcm
     level, and equality compares after such a lift, so values that agree
     as complex numbers compare equal even when constructed at different
-    levels.  Because of that, instances are intentionally unhashable.
+    levels.  Because of that, instances are intentionally unhashable: the
+    Record base gives them frozen slots, and equality, hash and repr are
+    their own.
 
     Coordinates are stored as an integer vector over a common positive
     denominator with content coprime to it; `coeffs` exposes them as
@@ -575,9 +552,10 @@ class Cyclotomic:
         if g > 1:
             den //= g
             v = [c // g for c in v]
-        self.level = level
-        self.den = den
-        self.vec = tuple(v)
+        set_level, set_den, set_vec = self._setters
+        set_level(self, level)
+        set_den(self, den)
+        set_vec(self, tuple(v))
 
     # --- constructors ----------------------------------------------------
 

@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .dynamics import Character, OrbitData, SolenoidPoint, SystemParams
+from .dynamics import Character, OrbitData, SystemParams
 from .errors import OutOfRange, ParamsMismatch, RangeTooSmall
 from .exact import Cyclotomic, PqRational, QmodZ, Record, check_level, euler_phi, twisted_level
 from .groupalg import GroupAlgebraElement, GroupElement
@@ -76,21 +76,6 @@ class OrbitMeasureTrace(Record):
 
 
 TraceSpec = FiniteOrbitTrace | CanonicalTrace | OrbitMeasureTrace
-
-
-def pairing(params: SystemParams, z: SolenoidPoint, y: PqRational) -> QmodZ:
-    """The duality pairing <z, y> in Q/Z between a solenoid point with
-    denominator r coprime to pq and an element of Z[1/pq].
-
-    For z = a/r and y = num/(p^alpha q^beta) this is
-    a * num * (p^alpha q^beta)^(-1) mod r, over r.
-
-    >>> pairing(SystemParams(2, 3), SolenoidPoint.of(1, 5), PqRational(1, 1, 1))
-    QmodZ(num=1, den=5)
-    """
-    r = z.coord.den
-    params.require_coprime(r)
-    return QmodZ(z.coord.num * _pair_mult(params, r, y), r)
 
 
 def _pair_mult(params: SystemParams, r: int, y: PqRational) -> int:

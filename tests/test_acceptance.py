@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 import numpy as np
+from sympy import divisors
 
 from helpers import naive_orbit, random_algebra_element, random_group_element
 from xpq import (
@@ -39,7 +40,6 @@ from xpq import (
     closed_union,
     closure,
     contains_point,
-    divisors,
     enumerate_minimal_sets,
     euler_phi,
     fixed_points,

@@ -226,13 +226,26 @@ class TestExitCodes:
         assert "max-den" in proc.stderr or "XPQ_MAX_DENOMINATOR" in proc.stderr
 
     def test_check_failure_returns_3(self, monkeypatch, capsys):
-        failing = CheckResult("exact", passed=1, failed=2, failures=["a", "b"])
+        failing = CheckResult("exact", passed=1, failed=2, failures=("a", "b"))
         monkeypatch.setattr(xpq.checks, "run_checks", lambda *a, **k: [failing])
         rc = cli.main(["check", "exact"])
         assert rc == 3
         data = json.loads(capsys.readouterr().out)
         assert data["ok"] is False
         assert data["suites"][0]["failures"] == ["a", "b"]
+
+    def test_check_lists_the_first_20_failures(self, monkeypatch, capsys):
+        def suite(params, rng, bound, trials):
+            for i in range(25):
+                yield True, f"pass {i}"
+                yield False, f"fail {i}"
+
+        monkeypatch.setitem(xpq.checks._SUITES, "exact", suite)
+        first = tuple(f"fail {i}" for i in range(20))
+        assert run_checks("exact", SystemParams(2, 3)) == [CheckResult("exact", 25, 25, first)]
+        assert cli.main(["check", "exact"]) == 3
+        data = json.loads(capsys.readouterr().out)
+        assert data == {"ok": False, "suites": [{"suite": "exact", "passed": 25, "failed": 25, "failures": list(first)}]}
 
     def test_trials_limit(self):
         from xpq.checks import MAX_TRIALS

