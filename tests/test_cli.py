@@ -850,6 +850,14 @@ GOLDEN_MERGING_46 = (
     '{"g":{"x":{"num":"0","a":0,"b":0},"m":0,"n":0},"c":"2"},'
     '{"g":{"x":{"num":"-7","a":0,"b":2},"m":0,"n":2},"c":"-1/4"}]}'
 )
+# the orbit of 1/23, the 11 quadratic residues mod 23, and the unit at
+# (1, 0, 0), whose trace over that orbit is a Gaussian period
+GOLDEN_MEASURE23 = (
+    '{"kind":"orbit_measure","orbit":{"p":2,"q":3,"r":23,'
+    '"orbit":["1/23","2/23","3/23","4/23","6/23","8/23","9/23","12/23","13/23","16/23","18/23"],'
+    '"stabilizer":{"basis":[[1,4],[0,11]],"index":11}}}'
+)
+GOLDEN_UNIT100 = '{"terms":[{"g":{"x":{"num":"1","a":0,"b":0},"m":0,"n":0},"c":"1"}]}'
 GOLDEN = [
     (
         ["orbits", "-p", "2", "-q", "3", "--max-den", "40"],
@@ -1101,6 +1109,17 @@ GOLDEN = [
     (
         ["check", "all", "-p", "6", "-q", "10", "--trials", "200", "--seed", "1"],
         "adfd96ad818c07aa8e40e9517d25c83ccc3670f2624907d1b990002e61aebc17",
+    ),
+    # the two below were recorded before the (orbit, character) payload had
+    # one encoder; their values are irrational, so str() writes z and z^i
+    (
+        ["moments", "-p", "2", "-q", "3", "--trace", GOLDEN_MEASURE23, "--n-max", "2", "--format", "csv"],
+        "0c742e4e81d54927646aa812bf1c4c4daabfc3cb73891ed76cf1478b2c65cc4b",
+    ),
+    (
+        ["trace-eval", "-p", "2", "-q", "3", "--trace", GOLDEN_MEASURE23, "--element", GOLDEN_UNIT100,
+         "--format", "pretty"],
+        "08a2d05fe0398d55750e76e5401f81546cfa7fce34b99a804422793ea42cbb65",
     ),
 ]
 
