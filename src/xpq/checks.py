@@ -328,7 +328,10 @@ def run_checks(
     trials: int = 25,
 ) -> list[CheckResult]:
     """Run one named suite, or all of them; deterministic for a fixed seed.
-    trials and max_denominator are checked before any suite runs."""
+    A suite name that is neither "all" nor a key of _SUITES is a ValueError;
+    the name, trials and max_denominator are checked before any suite runs."""
+    if suite != "all" and suite not in _SUITES:
+        raise ValueError(f"unknown suite {suite!r}; expected all or one of {', '.join(_SUITES)}")
     if not 0 <= trials <= MAX_TRIALS:
         raise OutOfRange(f"trials = {trials} out of range; expected 0 <= trials <= {MAX_TRIALS}")
     check_orbit_bound(max_denominator)

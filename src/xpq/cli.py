@@ -98,23 +98,19 @@ def _params(args):
 
 
 def _max_den(args, required: bool = True) -> int | None:
+    """--max-den, else XPQ_MAX_DENOMINATOR; the command's own library call
+    checks the range."""
     if args.max_den is not None:
-        bound = args.max_den
-    else:
-        text = os.environ.get(ENV_MAX_DENOMINATOR)
-        if text is None:
-            if not required:
-                return None
-            raise ValueError(
-                f"no denominator bound: pass --max-den or set {ENV_MAX_DENOMINATOR}"
-            )
-        try:
-            bound = int(text)
-        except ValueError:
-            raise ValueError(f"{ENV_MAX_DENOMINATOR}={text!r} is not an integer") from None
-    if bound < 1:
-        raise ValueError(f"denominator bound {bound} must be >= 1")
-    return bound
+        return args.max_den
+    text = os.environ.get(ENV_MAX_DENOMINATOR)
+    if text is None:
+        if not required:
+            return None
+        raise ValueError(f"no denominator bound: pass --max-den or set {ENV_MAX_DENOMINATOR}")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{ENV_MAX_DENOMINATOR}={text!r} is not an integer") from None
 
 
 # ---------------------------------------------------------------------------
@@ -516,12 +512,7 @@ def build_parser() -> _Parser:
     add("mult-indep", _cmd_mult_indep, [pq], "multiplicative dependence test")
 
     sp = add("check", _cmd_check, [], "run property suites against the library")
-    sp.add_argument(
-        "suite",
-        nargs="?",
-        default="all",
-        choices=("all", "exact", "dynamics", "groupalg", "traces", "ktheory", "primspace"),
-    )
+    sp.add_argument("suite", nargs="?", default="all", help="one suite of xpq.checks, or all (the default)")
     sp.add_argument("-p", type=int, default=2)
     sp.add_argument("-q", type=int, default=3)
     sp.add_argument("--max-den", type=int, default=30)

@@ -21,7 +21,7 @@ individual group elements, and backward orbits along the pq-division map.
 from __future__ import annotations
 
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
@@ -376,7 +376,7 @@ def stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
     return lat
 
 
-def _unit_mask(r: int, primes: tuple[int, ...]) -> bytearray:
+def _unit_mask(r: int, primes: Iterable[int]) -> bytearray:
     """A bytearray of length r holding 1 at each unit mod r (at 0 when r = 1)
     and 0 elsewhere: the multiples of each prime factor of r, given in
     primes, cleared."""
@@ -411,7 +411,7 @@ def orbit_of(params: SystemParams, x: SolenoidPoint) -> OrbitData:
     r = x.coord.den
     stab = stabilizer_lattice(params, r)
     if stab.index == euler_phi(r):
-        nums = list(compress(range(r), _unit_mask(r, _factorize_cached(r).primes)))
+        nums = list(compress(range(r), _unit_mask(r, [ell for ell, _ in _factorize_cached(r).pairs])))
     else:
         a0 = x.coord.num
         nums = sorted([a0 * h % r for h in _subgroup(params, r, stab)])
@@ -506,8 +506,9 @@ def fixed_points(
     The sample is one scan over the divisors d <= min(bound, count) of
     count, each giving its lowest-terms a/d, so with no bound it lists all
     count points.  OutOfRange is raised for |m| or |n| above MAX_EXPONENT,
-    for a listing of more than MAX_FIXED_LISTING points, and for a scan
-    min(max_denominator, count) above MAX_DENOMINATOR_SCAN.
+    for a max_denominator below 1, for a listing of more than
+    MAX_FIXED_LISTING points, and for a scan min(max_denominator, count)
+    above MAX_DENOMINATOR_SCAN.
 
     >>> fixed_points(SystemParams(2, 3), (1, 1)).count
     5
@@ -515,6 +516,8 @@ def fixed_points(
     m, n = g
     check_exponent("m", m)
     check_exponent("n", n)
+    if max_denominator is not None and max_denominator < 1:
+        raise OutOfRange(f"max_denominator = {max_denominator} out of range; expected max_denominator >= 1")
     if (m, n) == (0, 0):
         raise IdentityElement("(0, 0) fixes every point")
     w = Fraction(params.p) ** m * Fraction(params.q) ** n - 1

@@ -44,29 +44,26 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class Record:
-    """Base of the immutable value records: the fields are __slots__, and
-    _fields (all of __slots__ unless a class says otherwise) names those
-    that equality, hash and repr use.  Records of one class are equal when
-    their field tuples are, the hash is that tuple's, and repr is
-    Name(field=value!r, ...).  A field is set once, by __init__, through
-    its slot's own setter: _setters holds the member descriptors' __set__,
-    bound once per class in __slots__ order.  The shared __init__ takes
-    exactly the fields; a record that validates, has defaults or keeps a
-    slot outside _fields writes its own, which validates before the first
-    set.
+    """Base of the immutable value records: the fields are __slots__.
+    Records of one class are equal when their field tuples are, the hash is
+    that tuple's, and repr is Name(field=value!r, ...).  A field is set
+    once, by __init__, through its slot's own setter: _setters holds the
+    member descriptors' __set__, bound once per class in __slots__ order.
+    The shared __init__ takes exactly the fields; a record that validates
+    or has defaults writes its own, which validates before the first set.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        fields = cls._fields = cls.__dict__.get("_fields", cls.__slots__)
-        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+        fields = cls.__slots__
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in fields)
         get = attrgetter(*fields) if fields else lambda self: ()
         # attrgetter of one name returns the bare value, not a 1-tuple
         cls._key = staticmethod(get if len(fields) != 1 else lambda self: (get(self),))
 
     def __init__(self, *args, **kwargs):
-        fields = self._fields
+        fields = self.__slots__
         if kwargs:  # the fields after the positional ones, in order, while given
             args += tuple(kwargs.pop(name) for name in fields[len(args):] if name in kwargs)
         if len(args) != len(fields) or kwargs:
@@ -82,7 +79,7 @@ class Record:
         return hash(self._key(self))
 
     def __repr__(self):
-        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({body})"
 
     def __setattr__(self, name, value):
@@ -98,17 +95,9 @@ class Record:
 
 
 class Factorization(Record):
-    """Prime factorization n = prod(prime^exp), pairs sorted by prime;
-    primes, the primes of pairs in order, is built once and is not a
-    compared field."""
+    """Prime factorization n = prod(prime^exp), pairs sorted by prime."""
 
-    __slots__ = ("pairs", "primes")
-    _fields = ("pairs",)
-
-    def __init__(self, pairs: tuple[tuple[int, int], ...]):
-        set_pairs, set_primes = self._setters
-        set_pairs(self, pairs)
-        set_primes(self, tuple(p for p, _ in pairs))
+    __slots__ = ("pairs",)
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -233,7 +222,7 @@ def multiplicative_order(k: int, r: int) -> int:
 def _descend(e: int, holds: Callable[[int], bool]) -> int:
     """e with each prime factor l stripped while holds(e / l): the divisor g
     of e when holds(m) means g | m, as k^m = 1 does for g = ord(k)."""
-    for ell in _factorize_cached(e).primes:
+    for ell, _ in _factorize_cached(e).pairs:
         while e % ell == 0 and holds(e // ell):
             e //= ell
     return e
@@ -460,7 +449,7 @@ def _binomial_factors(N: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     # mul when mu(s) = 1.  The level is checked before N is factored.
     check_level(N)
     mul, div = [N], []
-    for p in _factorize_cached(N).primes:
+    for p, _ in _factorize_cached(N).pairs:
         mul, div = mul + [d // p for d in div], div + [d // p for d in mul]
     return euler_phi(N), tuple(mul), tuple(div)
 

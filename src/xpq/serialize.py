@@ -28,7 +28,6 @@ from .errors import OutOfRange, ParamsMismatch
 from .exact import Cyclotomic, PqRational, QmodZ
 
 if TYPE_CHECKING:
-    from .dynamics import StabilizerLattice
     from .groupalg import GroupAlgebraElement, GroupElement
     from .ktheory import FgAbGroup, KTheoryResult
     from .primspace import ClosedSetDesc, PrimPoint, SequenceDesc
@@ -225,23 +224,23 @@ def algebra_element_from_json(data, params: SystemParams) -> GroupAlgebraElement
 # ---------------------------------------------------------------------------
 
 
-def _chi_to_json(chi: Character) -> dict:
-    return {"t1": str(chi.t1), "t2": str(chi.t2)}
+def _orbit_chi_to_json(kind: str, orbit: OrbitData, chi: Character, key: str = "chi") -> dict:
+    """The payload of an orbit with a character of its stabilizer lattice,
+    the character under key ("chi_limit" in a constant-orbit tail)."""
+    return {"kind": kind, "orbit": orbit_to_json(orbit), key: {"t1": str(chi.t1), "t2": str(chi.t2)}}
 
 
-def _chi_from_json(data, lattice: StabilizerLattice) -> Character:
-    return Character(lattice, *(_coord_from_json(_need(data, t), t) for t in ("t1", "t2")))
+def _chi_from_json(data, key: str, orbit: OrbitData) -> Character:
+    """The character data[key] of the stabilizer lattice of an orbit already decoded."""
+    chi = _need(data, key, dict)
+    return Character(orbit.stabilizer, *(_coord_from_json(_need(chi, t), t) for t in ("t1", "t2")))
 
 
 def trace_spec_to_json(spec: TraceSpec) -> dict:
     from .traces import CanonicalTrace, FiniteOrbitTrace, OrbitMeasureTrace
 
     if isinstance(spec, FiniteOrbitTrace):
-        return {
-            "kind": "finite_orbit",
-            "orbit": orbit_to_json(spec.orbit),
-            "chi": _chi_to_json(spec.chi),
-        }
+        return _orbit_chi_to_json("finite_orbit", spec.orbit, spec.chi)
     if isinstance(spec, CanonicalTrace):
         return {"kind": "canonical"}
     if isinstance(spec, OrbitMeasureTrace):
@@ -266,7 +265,7 @@ def trace_spec_from_json(data, params: SystemParams | None = None) -> TraceSpec:
             )
         if kind == "orbit_measure":
             return OrbitMeasureTrace(orbit)
-        return FiniteOrbitTrace(orbit, _chi_from_json(_need(data, "chi", dict), orbit.stabilizer))
+        return FiniteOrbitTrace(orbit, _chi_from_json(data, "chi", orbit))
     raise ValueError(f"unknown trace kind {kind!r}")
 
 
@@ -361,11 +360,7 @@ def prim_point_to_json(pt: PrimPoint) -> dict:
 
     if isinstance(pt, InfinityPoint):
         return {"kind": "infinity"}
-    return {
-        "kind": "orbit_char",
-        "orbit": orbit_to_json(pt.orbit),
-        "chi": _chi_to_json(pt.chi),
-    }
+    return _orbit_chi_to_json("orbit_char", pt.orbit, pt.chi)
 
 
 def prim_point_from_json(data) -> PrimPoint:
@@ -377,7 +372,7 @@ def prim_point_from_json(data) -> PrimPoint:
     if kind != "orbit_char":
         raise ValueError(f"unknown point kind {kind!r}")
     orbit = orbit_from_json(_need(data, "orbit", dict))
-    return OrbitCharPoint(orbit, _chi_from_json(_need(data, "chi", dict), orbit.stabilizer))
+    return OrbitCharPoint(orbit, _chi_from_json(data, "chi", orbit))
 
 
 def sequence_desc_to_json(seq: SequenceDesc) -> dict:
@@ -387,11 +382,7 @@ def sequence_desc_to_json(seq: SequenceDesc) -> dict:
     if isinstance(tail, EscapingTail):
         tail_data = {"kind": "escaping"}
     else:
-        tail_data = {
-            "kind": "constant_orbit",
-            "orbit": orbit_to_json(tail.orbit),
-            "chi_limit": _chi_to_json(tail.chi),
-        }
+        tail_data = _orbit_chi_to_json("constant_orbit", tail.orbit, tail.chi, "chi_limit")
     return {
         "prefix": [prim_point_to_json(pt) for pt in seq.prefix],
         "tail": tail_data,
@@ -407,7 +398,7 @@ def sequence_desc_from_json(data) -> SequenceDesc:
         tail = ESCAPING
     elif kind == "constant_orbit":
         orbit = orbit_from_json(_need(tail_data, "orbit", dict))
-        tail = OrbitCharPoint(orbit, _chi_from_json(_need(tail_data, "chi_limit", dict), orbit.stabilizer))
+        tail = OrbitCharPoint(orbit, _chi_from_json(tail_data, "chi_limit", orbit))
     else:
         raise ValueError(f"unknown tail kind {kind!r}")
     entries = _need(data, "prefix", list) if "prefix" in data else []

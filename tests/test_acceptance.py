@@ -5,7 +5,6 @@ exact values (tolerances appear only where floating point is itself the
 subject, pinned at 1e-9), and enforces the stated runtime budget.
 """
 
-import itertools
 import random
 import time
 from fractions import Fraction

@@ -21,7 +21,6 @@ from xpq import (
     closed_set_from_json,
     orbit_from_json,
     run_checks,
-    trace_spec_from_json,
 )
 
 BASE = [sys.executable, "-m", "xpq.cli"]
@@ -246,6 +245,45 @@ class TestExitCodes:
         assert cli.main(["check", "exact"]) == 3
         data = json.loads(capsys.readouterr().out)
         assert data == {"ok": False, "suites": [{"suite": "exact", "passed": 25, "failed": 25, "failures": list(first)}]}
+        assert cli.main(["check", "exact", "--format", "pretty"]) == 3
+        fails = "".join(f"    FAIL {label}\n" for label in first)
+        assert capsys.readouterr() == ("exact: 25 passed, 25 failed\n" + fails + "FAILED\n", "")
+
+    def test_unknown_suite_names_the_suites(self, capsys):
+        # refused before the trials and the bound, which are out of range too
+        message = "unknown suite 'nope'; expected all or one of exact, dynamics, groupalg, traces, ktheory, primspace"
+        with pytest.raises(ValueError) as info:
+            run_checks("nope", SystemParams(2, 3), max_denominator=0, trials=-1)
+        assert str(info.value) == message
+        assert cli.main(["check", "nope", "--trials", "-1"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [["orbits", "-p", "2", "-q", "3"],
+                                      ["fix", "-p", "2", "-q", "3", "-m", "1", "-n", "1"]])
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_orbit_bound_below_1_is_out_of_range(self, argv, bound, monkeypatch, capsys):
+        # from --max-den and from the environment alike: exit 2, naming the field
+        assert cli.main([*argv, "--max-den", bound]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: max_denominator = {bound} out of range")
+        monkeypatch.setenv(cli.ENV_MAX_DENOMINATOR, bound)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == (out, err)
+
+    def test_input_refusals_and_pretty_lines(self, tmp_path, monkeypatch, capsys):
+        missing = tmp_path / "missing.json"
+        assert cli.main(["moments", "-p", "2", "-q", "3", "--trace", f"@{missing}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: cannot read {missing}: ")
+        assert cli.main(["prim-closure", "--points", "{}"]) == 1
+        assert capsys.readouterr() == ("", "error: --points expects a JSON list of points\n")
+        assert cli.main(["prim-closure", "--points", "[]", "--format", "pretty"]) == 0
+        assert capsys.readouterr() == ("empty set\n", "")
+        assert cli.main(["mult-indep", "-p", "4", "-q", "8", "--format", "pretty"]) == 0
+        assert capsys.readouterr() == ("4^3 = 8^2\n", "")
+        monkeypatch.setenv(cli.ENV_MAX_DENOMINATOR, "abc")
+        assert cli.main(["orbits", "-p", "2", "-q", "3"]) == 1
+        assert capsys.readouterr() == ("", "error: XPQ_MAX_DENOMINATOR='abc' is not an integer\n")
 
     def test_trials_limit(self):
         from xpq.checks import MAX_TRIALS
@@ -736,7 +774,9 @@ class TestMiscCommands:
         assert all(s["failed"] == 0 for s in data["suites"])
 
     def test_check_unknown_suite(self):
-        assert run("check", "nope").returncode == 1
+        proc = run("check", "nope")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error: unknown suite 'nope'; expected all or one of exact, ")
 
     def test_help(self):
         proc = run("--help")

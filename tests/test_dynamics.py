@@ -352,7 +352,8 @@ class TestOrbits:
         # the lattice has a = 1, so the subgroup is the powers of q alone
         params = SystemParams(p, q)
         stab = stabilizer_lattice(params, r)
-        orbits = list(dynamics._orbits_mod(params, r, stab, euler_phi(r) // stab.index, factorize(r).primes))
+        orbits = list(dynamics._orbits_mod(params, r, stab, euler_phi(r) // stab.index,
+                                              tuple(ell for ell, _ in factorize(r).pairs)))
         assert [o.numerators for o in orbits] == naive_partition(params, r)
         assert all((o.params, o.denominator, o.stabilizer) == (params, r, stab) for o in orbits)
 

@@ -11,7 +11,6 @@ from helpers import (
     mat_mul,
     product_group,
     quotient_type,
-    subgroup_generated,
     subgroup_type,
 )
 from xpq import (

@@ -138,6 +138,15 @@ def test_every_record_class_has_a_case():
     assert {case[0] for case in CASES} == set(Record.__subclasses__())
 
 
+def test_the_compared_fields_are_the_slots():
+    # equality, hash and repr read __slots__, so no record keeps a slot they skip
+    assert Factorization.__slots__ == ("pairs",)
+    for cls, _, _, fields, _, _ in CASES:
+        assert not hasattr(cls, "_fields"), cls.__name__
+        if cls is not Cyclotomic:  # its own repr shows coeffs, read off den and vec
+            assert fields == cls.__slots__, cls.__name__
+
+
 def test_field_free_records_differ_by_class():
     assert INFINITY != ALL and ALL != FULL and FULL != ESCAPING
     assert INFINITY == InfinityPoint() and hash(INFINITY) == hash(())

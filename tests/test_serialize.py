@@ -169,6 +169,9 @@ class TestOrbit:
     def test_rejects_corruption(self):
         base = orbit_to_json(ORBIT5)
 
+        with pytest.raises(ValueError, match="^empty orbit list$"):
+            orbit_from_json(dict(base, orbit=[]))
+
         data = json.loads(json.dumps(base))
         data["orbit"] = ["1/5", "2/5", "3/5"]  # dropped a point
         with pytest.raises(ValueError, match="'4/5' is missing from the orbit list mod 5"):
@@ -498,3 +501,60 @@ class TestPrimSpace:
             closed_set_from_json({"kind": "everything"})
         with pytest.raises(ValueError):
             closed_set_from_json({"kind": "union"})
+        orbit = orbit_to_json(ORBIT5)
+        with pytest.raises(ValueError, match='^part must be "full" or a list of character pairs$'):
+            closed_set_from_json({"kind": "union", "parts": [{"orbit": orbit, "part": "half"}]})
+        for pair in (["1/4"], ["1/4", "1/2", "0"], "1/4"):
+            with pytest.raises(ValueError, match=r"^bad character pair "):
+                closed_set_from_json({"kind": "union", "parts": [{"orbit": orbit, "part": [pair]}]})
+
+    def test_unknown_kinds(self):
+        with pytest.raises(ValueError, match="^unknown point kind 'cusp'$"):
+            prim_point_from_json({"kind": "cusp"})
+        with pytest.raises(ValueError, match="^unknown tail kind 'spiral'$"):
+            sequence_desc_from_json({"tail": {"kind": "spiral"}})
+
+
+class TestOrbitCharacterPayloads:
+    # a finite-orbit trace, a closed point (B, chi) and a constant-orbit tail
+    # carry one payload: the orbit, and the character under chi or chi_limit
+    CHI = Character(ORBIT5.stabilizer, QmodZ(1, 3), QmodZ(1, 4))
+    WRITTEN = {"orbit": orbit_to_json(ORBIT5), "chi": {"t1": "1/3", "t2": "1/4"}}
+
+    def payloads(self):
+        tail = sequence_desc_to_json(SequenceDesc(OrbitCharPoint(ORBIT5, self.CHI)))["tail"]
+        return (
+            ("finite_orbit", "chi", trace_spec_to_json(FiniteOrbitTrace(ORBIT5, self.CHI)), trace_spec_from_json),
+            ("orbit_char", "chi", prim_point_to_json(OrbitCharPoint(ORBIT5, self.CHI)), prim_point_from_json),
+            ("constant_orbit", "chi_limit", tail, lambda data: sequence_desc_from_json({"tail": data})),
+        )
+
+    def test_one_payload(self):
+        for kind, key, data, _ in self.payloads():
+            assert data == {"kind": kind, "orbit": self.WRITTEN["orbit"], key: self.WRITTEN["chi"]}
+
+    def test_orbit_decoded_once_and_first(self, monkeypatch):
+        import xpq.serialize
+
+        calls = []
+        monkeypatch.setattr(xpq.serialize, "orbit_of", lambda *a: calls.append(a) or orbit_of(*a))
+        for kind, key, data, decode in self.payloads():
+            calls.clear()
+            decode(data)
+            assert len(calls) == 1, kind
+            # a corrupt orbit is reported before a missing character
+            bad = dict(data, orbit=dict(data["orbit"], r=7))
+            del bad[key]
+            with pytest.raises(ValueError, match="is not a point with denominator 7"):
+                decode(bad)
+            del data[key]
+            with pytest.raises(ValueError, match=f"^missing key {key!r}$"):
+                decode(data)
+
+    def test_params_checked_before_the_character(self):
+        data = trace_spec_to_json(FiniteOrbitTrace(ORBIT5, self.CHI))
+        data["chi"]["t1"] = "6/5"
+        with pytest.raises(ParamsMismatch):
+            trace_spec_from_json(data, SystemParams(2, 5))
+        with pytest.raises(ValueError, match="^t1 = '6/5'"):
+            trace_spec_from_json(data, P23)

@@ -27,7 +27,6 @@ from xpq import (
     nonfaithful_witness,
     orbit_of,
     root_of_unity,
-    stabilizer_lattice,
     trace_eval,
 )
 from xpq.exact import MAX_CYCLOTOMIC_LEVEL
