@@ -34,12 +34,12 @@ suite checks exactly that.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from itertools import compress
 from math import gcd, lcm
 
 from .dynamics import Character, OrbitData, SystemParams
 from .errors import OutOfRange, ParamsMismatch, RangeTooSmall
-from .exact import Cyclotomic, PqRational, QmodZ, Record, check_level, euler_phi, twisted_level
+from .exact import Cyclotomic, PqRational, QmodZ, Record, _factorize_cached, check_level, euler_phi, twisted_level
 from .groupalg import GroupAlgebraElement, GroupElement
 
 # Largest n_max moments accepts.
@@ -84,17 +84,18 @@ def _pair_mult(params: SystemParams, r: int, y: PqRational) -> int:
     return y.num * pow(base, -1, r) % r
 
 
-# Bounded so that a long-lived process does not keep every (orbit, w) it
-# ever saw.  4096 holds the whole working set of a repeated trace_moments
-# mix (1,640 keys, each hit again on every later round; a bound of 1024 lost
-# about 20% of its speed to eviction), while mixes over ever new orbits,
-# which grow by about 145 keys per 20 ops of algebra_positivity and hit
-# within an op, now stop growing there.
-@lru_cache(maxsize=4096)
-def _orbit_mean(orbit: OrbitData, w: int):
-    # (1/|B|) sum over numerators a of zeta_r^(w a), exact at level r
+def _orbit_mean(orbit: OrbitData, w: int) -> Cyclotomic:
+    # (1/|B|) sum over numerators a of zeta_r^(w a), exact at level r.  When
+    # the orbit is every unit mod r this is the Ramanujan sum c_r(w) / phi(r)
+    # = mu(s) / phi(s), s = r / gcd(w, r) (Ramanujan, Trans. Cambridge Phil.
+    # Soc. 22, 1918); any other orbit is summed point by point.
     r = orbit.denominator
     check_level(r)
+    if orbit.size == euler_phi(r):
+        s = r // gcd(w, r)
+        pairs = _factorize_cached(s).pairs
+        mu = 0 if any(e > 1 for _, e in pairs) else (-1) ** len(pairs)
+        return Cyclotomic(r, [mu], euler_phi(s))
     counts = [0] * r
     for a in orbit.numerators:
         counts[w * a % r] += 1
@@ -104,7 +105,8 @@ def _orbit_mean(orbit: OrbitData, w: int):
 def _mean_sum(orbit: OrbitData, K: int, sums: dict[tuple[int, int], int], den: int) -> Cyclotomic:
     # sum over keys (w, e) of (k / den) zeta_K^e times the mean at w, as one
     # integer vector at the lcm L of the levels the summands have alone; no
-    # keys give 0 at level 1
+    # keys give 0 at level 1.  Each summand keeps its mean's den and nonzero
+    # coordinates only, so memory does not grow as keys x phi(r).
     r = orbit.denominator
     parts, levels, D = [], [], 1
     for (w, e), k in sums.items():
@@ -114,7 +116,8 @@ def _mean_sum(orbit: OrbitData, K: int, sums: dict[tuple[int, int], int], den: i
         level = r if d == 1 else twisted_level(d, mean)
         check_level(level)
         levels.append(level)
-        parts.append((mean, e, d, k))
+        vec = mean.vec
+        parts.append((mean.den, [(i, vec[i]) for i in compress(range(len(vec)), vec)], e, d, k))
         D = lcm(D, mean.den)
     L = 1
     for level in levels:  # in the order the summands would be added
@@ -124,12 +127,11 @@ def _mean_sum(orbit: OrbitData, K: int, sums: dict[tuple[int, int], int], den: i
     # r does not divide L.  The twist -1 is a sign, as L may be odd.
     step = L // r
     acc = [0] * L
-    for mean, e, d, k in parts:
-        c = k * (D // mean.den) * (-1 if d == 2 else 1)
+    for mean_den, nonzero, e, d, k in parts:
+        c = k * (D // mean_den) * (-1 if d == 2 else 1)
         shift = e * L // K if d > 2 else 0
-        for i, x in enumerate(mean.vec):
-            if x:
-                acc[(i * step + shift) % L] += c * x
+        for i, x in nonzero:
+            acc[(i * step + shift) % L] += c * x
     return Cyclotomic(L, acc, D * den)
 
 
@@ -174,13 +176,11 @@ def trace_eval(spec: TraceSpec, a: GroupAlgebraElement) -> Cyclotomic:
         key = (_pair_mult(params, r, g.x), e)
         sums[key] = sums.get(key, 0) + k
     if len(sums) == 1:
-        # every value of moments is one untwisted unit: the cached mean, with no
-        # O(r) pass over it.  _mean_sum fills a length-L vector even for a
-        # rational mean, so the Ramanujan closed form mu(s)/phi(s) of a
-        # single-orbit mean does not make this branch redundant: without it,
-        # 160 warm benchmark trace_moments ops took 17% longer on a 2-core
-        # x86 host.  Moving the branch into moments keeps a second path all
-        # the same, and sends single-key values of products through _mean_sum.
+        # every value of moments is one untwisted unit: the orbit mean, scaled,
+        # with no length-L vector from _mean_sum.  Measured without this
+        # branch on a 2-core x86 host: benchmark trace_moments p50 rose
+        # 15-20%, and in-process moments over a two-coset orbit at r = 10007,
+        # (2, 3), took 2-3 times as long.
         [((w, e), k)] = sums.items()
         if not e:
             return _orbit_mean(orbit, w).scaled(Fraction(k, a.den))

@@ -33,7 +33,7 @@ from xpq import (
     multiplicative_order,
     root_of_unity,
 )
-from xpq import dynamics
+from xpq import dynamics, traces
 from xpq.dynamics import MAX_STABILIZER_ORDER
 
 
@@ -553,6 +553,33 @@ def reference_star(a: GroupAlgebraElement) -> GroupAlgebraElement:
     return _merged(a.params, terms)
 
 
+def reference_orbit_mean(orbit, w: int) -> Cyclotomic:
+    """The mean of zeta_r^(w a) over the orbit numerators a, r the orbit
+    denominator, summed point by point at level r."""
+    r = orbit.denominator
+    counts = [0] * r
+    for num in orbit.numerators:
+        counts[w * num % r] += 1
+    return Cyclotomic(r, counts, orbit.size)
+
+
+def orbit_mean_mismatches(params: SystemParams, max_denominator: int) -> list[tuple[int, int]]:
+    """The (r, w) at which traces._orbit_mean differs from
+    reference_orbit_mean in level, den or vec, for every w mod r at every
+    r <= the bound whose units form one orbit (the census orbit of size
+    phi(r)), where _orbit_mean takes the Ramanujan sum."""
+    bad = []
+    for orbit in dynamics.census(params, max_denominator)[1]:
+        r = orbit.denominator
+        if orbit.size != euler_phi(r):
+            continue
+        for w in range(r):
+            got, want = traces._orbit_mean(orbit, w), reference_orbit_mean(orbit, w)
+            if (got.level, got.den, got.vec) != (want.level, want.den, want.vec):
+                bad.append((r, w))
+    return bad
+
+
 def reference_trace_eval(spec, a: GroupAlgebraElement) -> Cyclotomic:
     """The trace of a as a per-term sum: the value on each unitary u_g is
     built on its own as a Cyclotomic, scaled by its Fraction coefficient
@@ -577,13 +604,8 @@ def reference_trace_eval(spec, a: GroupAlgebraElement) -> Cyclotomic:
                 continue
             else:
                 twist = None
-            orbit = spec.orbit
-            r = orbit.denominator
-            w = g.x.num * pow(p**g.x.a * q**g.x.b, -1, r) % r
-            counts = [0] * r
-            for num in orbit.numerators:
-                counts[w * num % r] += 1
-            v = Cyclotomic(r, counts, orbit.size)
+            r = spec.orbit.denominator
+            v = reference_orbit_mean(spec.orbit, g.x.num * pow(p**g.x.a * q**g.x.b, -1, r) % r)
             if twist is not None and not twist.is_zero():
                 v = root_of_unity(twist) * v
         v = v.scaled(c)

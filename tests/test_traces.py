@@ -1,10 +1,16 @@
 import cmath
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from helpers import random_algebra_element, random_group_element, reference_trace_eval
+from helpers import (
+    orbit_mean_mismatches,
+    random_algebra_element,
+    random_group_element,
+    reference_trace_eval,
+)
 from xpq import (
     CanonicalTrace,
     Character,
@@ -137,8 +143,9 @@ class TestWorkedValues:
         assert trace_eval(spec, unit(GroupElement(PqRational(0, 0, 0), 1, 1))).is_zero()
 
     def test_cached_value_refuses_assignment(self):
-        # trace_eval hands out the orbit-mean cache's own value, so a value
-        # that took an assignment would change every later evaluation
+        # a value that trace_eval hands out is frozen; when orbit means were
+        # kept in a cache, an assignment to one changed every later evaluation
+        # of that mean, and a later shared value must not reopen that
         spec = OrbitMeasureTrace(ORBIT5)
         val = trace_eval(spec, unit(translation(1)))
         with pytest.raises(AttributeError):
@@ -256,6 +263,27 @@ class TestTraceEvalAgainstReference:
                     levels.add(got.level)
                     assert same_representation(got, reference_trace_eval(spec, el))
         assert {23, 46, 69, 92, 138, 276} <= levels
+
+    @pytest.mark.parametrize("pq", [(2, 3), (5, 7), (2, 5), (4, 6)])
+    def test_single_orbit_means_match_the_point_loop(self, pq):
+        # every w at every r <= 150 whose units form one orbit: the Ramanujan
+        # sum mu(s) / phi(s) against the mean summed point by point
+        assert orbit_mean_mismatches(SystemParams(*pq), 150) == []
+
+    def test_many_keys_do_not_hold_a_dense_mean_each(self):
+        # the orbit of 1/20011 is all 20010 units; 100 untwisted keys, each
+        # held as its dense mean of 20010 slots, would take 16 MB at once
+        orbit = orbit_of(P23, SolenoidPoint.of(1, 20011))
+        assert orbit.size == 20010
+        a = GroupAlgebraElement.from_terms(P23, [(translation(w), 1) for w in range(1, 101)])
+        tracemalloc.start()
+        try:
+            value = trace_eval(OrbitMeasureTrace(orbit), a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value.level == 20011 and value.to_fraction() == Fraction(-100, 20010)
+        assert peak < 4_000_000
 
     def test_character_level_beyond_limit_is_named(self):
         big = MAX_CYCLOTOMIC_LEVEL + 1
