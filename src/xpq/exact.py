@@ -23,7 +23,7 @@ import cmath
 from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from math import gcd, lcm
 from numbers import Rational
 from operator import add, attrgetter, sub
@@ -492,13 +492,13 @@ def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
 
 
 def _reduce_mod_cyclotomic(vec: list[int], level: int) -> list[int]:
-    # the remainder of vec mod Phi_level, as phi(level) coefficients
+    # the remainder of vec mod Phi_level, as at most phi(level) coefficients
     if level == 1:
         return [sum(vec)]
     phi, mul, div = _binomial_factors(level)
     extra = len(vec) - phi
     if extra <= 0:
-        return vec + [0] * -extra
+        return vec
     # Phi_N is palindromic, so reversing vec = quo * Phi_N + rem turns the
     # quotient into the power series rev(vec) / Phi_N, truncated at its length
     quo = _binomials(vec[phi:][::-1], div, mul)[::-1]
@@ -519,9 +519,10 @@ class Cyclotomic(Record):
     Record base gives them frozen slots, and equality, hash and repr are
     their own.
 
-    Coordinates are stored as an integer vector over a common positive
-    denominator with content coprime to it; `coeffs` exposes them as
-    Fractions.
+    Coordinates are stored as an integer vector `vec` over a common
+    positive denominator with content coprime to it.  `vec` has no trailing
+    zero and len(vec) <= phi(level), so a rational value is (c,) and zero
+    is (); `coeffs` gives all phi(level) coordinates as Fractions.
     """
 
     __slots__ = ("level", "den", "vec")
@@ -530,6 +531,8 @@ class Cyclotomic(Record):
         if den == 0:
             raise ZeroDivisionError("zero denominator")
         v = _reduce_mod_cyclotomic(list(vec), level)
+        while v and not v[-1]:
+            v.pop()
         if den < 0:
             den = -den
             v = [-c for c in v]
@@ -565,18 +568,19 @@ class Cyclotomic(Record):
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(c, self.den) for c in self.vec)
+        pad = (Fraction(0),) * (euler_phi(self.level) - len(self.vec))
+        return tuple(Fraction(c, self.den) for c in self.vec) + pad
 
     def is_zero(self) -> bool:
-        return not any(self.vec)
+        return not self.vec
 
     def is_rational(self) -> bool:
-        return not any(self.vec[1:])
+        return len(self.vec) <= 1
 
     def to_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self!r} is not rational")
-        return Fraction(self.vec[0], self.den)
+        return Fraction(sum(self.vec), self.den)
 
     def lifted(self, level: int) -> Cyclotomic:
         """The same value rewritten at a multiple of the current level."""
@@ -611,7 +615,7 @@ class Cyclotomic(Record):
         a, b = self._pair(other)
         d = lcm(a.den, b.den)
         ka, kb = d // a.den, d // b.den
-        return Cyclotomic(a.level, [x * ka + y * kb for x, y in zip(a.vec, b.vec)], d)
+        return Cyclotomic(a.level, [x * ka + y * kb for x, y in zip_longest(a.vec, b.vec, fillvalue=0)], d)
 
     __radd__ = __add__
 

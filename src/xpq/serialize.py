@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from .dynamics import Character, OrbitData, SolenoidPoint, SystemParams, check_exponent, orbit_of
 from .errors import OutOfRange, ParamsMismatch
-from .exact import Cyclotomic, PqRational, QmodZ
+from .exact import Cyclotomic, PqRational, QmodZ, euler_phi
 
 if TYPE_CHECKING:
     from .groupalg import GroupAlgebraElement, GroupElement
@@ -91,10 +91,10 @@ def pq_rational_from_json(data, params: SystemParams) -> PqRational:
 def cyclotomic_to_json(value: Cyclotomic) -> dict:
     # the same strings as str(c) for c in value.coeffs, without a Fraction per zero
     z = value.approx()
-    den = value.den
+    den, vec = value.den, value.vec
     return {
         "level": value.level,
-        "coeffs": [str(Fraction(c, den)) if c else "0" for c in value.vec],
+        "coeffs": [str(Fraction(c, den)) if c else "0" for c in vec] + ["0"] * (euler_phi(value.level) - len(vec)),
         "approx": {"re": z.real, "im": z.imag},
     }
 

@@ -44,10 +44,12 @@ from .groupalg import GroupAlgebraElement, GroupElement
 
 # Largest n_max moments accepts.
 MAX_MOMENT_RANGE = 1000
-# Most coefficients a moment sequence may hold.  It holds 2 n_max + 1 values
-# with phi(r) coefficients each, r the orbit denominator (1 for the canonical
-# trace): at r = 10007 and n_max = 1000 that is 2 * 10^7 coefficients, 10 s,
-# 1.2 GB and 150 MB of JSON.  The limit admits n_max = 49 at r = 10007.
+# Most coefficients a moment sequence may write.  Its JSON lists 2 n_max + 1
+# values with phi(r) coefficients each, r the orbit denominator (1 for the
+# canonical trace), so the limit bounds the written JSON: at r = 10007 and
+# n_max = 1000 that is 2 * 10^7 coefficients and 150 MB.  Irrational values
+# hold up to phi(r) coordinates each, and there it would also be 10 s and
+# 1.2 GB; a rational value holds one.  The limit admits n_max = 49 at r = 10007.
 MAX_MOMENT_COEFFICIENTS = 10**6
 
 
@@ -124,12 +126,16 @@ def _mean_sum(orbit: OrbitData, K: int, sums: dict[tuple[int, int], int], den: i
         L = lcm(L, level)
         check_level(L)
     # zeta_r^i is zeta_L^(i L/r); a rational mean has only i = 0, even when
-    # r does not divide L.  The twist -1 is a sign, as L may be odd.
+    # r does not divide L.  The twist -1 is a sign, as L may be odd.  acc
+    # grows to the largest index written, so rational sums stay short: the
+    # indices rise with i until they pass L, and nonzero ends at the top i.
     step = L // r
-    acc = [0] * L
+    acc = []
     for mean_den, nonzero, e, d, k in parts:
         c = k * (D // mean_den) * (-1 if d == 2 else 1)
         shift = e * L // K if d > 2 else 0
+        if nonzero:
+            acc += [0] * (min(L, nonzero[-1][0] * step + shift + 1) - len(acc))
         for i, x in nonzero:
             acc[(i * step + shift) % L] += c * x
     return Cyclotomic(L, acc, D * den)
@@ -177,10 +183,11 @@ def trace_eval(spec: TraceSpec, a: GroupAlgebraElement) -> Cyclotomic:
         sums[key] = sums.get(key, 0) + k
     if len(sums) == 1:
         # every value of moments is one untwisted unit: the orbit mean, scaled,
-        # with no length-L vector from _mean_sum.  Measured without this
-        # branch on a 2-core x86 host: benchmark trace_moments p50 rose
-        # 15-20%, and in-process moments over a two-coset orbit at r = 10007,
-        # (2, 3), took 2-3 times as long.
+        # with no index pairs from _mean_sum.  Measured without this branch
+        # on a 2-core x86 host, in-process moments(n_max = 49) of the orbit
+        # measure of 1/10007 took 0.09-0.12 -> 0.21-0.27 s at (2, 3), whose
+        # two cosets give dense Gaussian periods; at (2, 5), every value
+        # rational, 0.8-1.3 ms either way.
         [((w, e), k)] = sums.items()
         if not e:
             return _orbit_mean(orbit, w).scaled(Fraction(k, a.den))

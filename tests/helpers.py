@@ -7,6 +7,7 @@ in the package cannot hide in its own oracle.
 
 from __future__ import annotations
 
+import cmath
 import random
 from collections.abc import Callable
 from fractions import Fraction
@@ -35,6 +36,7 @@ from xpq import (
 )
 from xpq import dynamics, traces
 from xpq.dynamics import MAX_STABILIZER_ORDER
+from xpq.serialize import cyclotomic_to_json
 
 
 def naive_order(base: int, r: int) -> int:
@@ -478,6 +480,115 @@ def dense_reducer_mod_cyclotomic(n: int, count: int) -> Callable[[list[int]], li
         return (v @ table[: len(vec)]).tolist()
 
     return reduce
+
+
+def _dense_level_mismatches(n: int, rng: random.Random):
+    # the checks of cyclotomic_mismatches at one level n; a reference value
+    # is (nums, den), all phi(n) numerators over den > 0, content coprime to den
+    phi, m = euler_phi(n), 2 * n
+    reduce_n = dense_reducer_mod_cyclotomic(n, max(n + 1, 2 * phi - 1))
+    reduce_m = dense_reducer_mod_cyclotomic(m, 2 * phi)
+
+    def dense(vec, den, reduce=reduce_n):
+        nums = reduce(list(vec))
+        g = gcd(den, *nums)
+        return [c // g for c in nums], den // g
+
+    def fracs(ref):
+        return tuple(Fraction(c, ref[1]) for c in ref[0])
+
+    def sum_of(r1, r2):
+        d = lcm(r1[1], r2[1])
+        return dense([a * (d // r1[1]) + b * (d // r2[1]) for a, b in zip(r1[0], r2[0])], d)
+
+    def product_of(r1, r2):
+        out = [0] * (2 * phi - 1)
+        for i, a in enumerate(r1[0]):
+            for j, b in enumerate(r2[0]):
+                out[i + j] += a * b
+        return dense(out, r1[1] * r2[1])
+
+    def approx_of(ref):
+        out = 0j  # every coordinate in index order, zeros skipped
+        for i, c in enumerate(ref[0]):
+            if c:
+                out += c * cmath.exp(2j * cmath.pi * i / n)
+        return out / ref[1]
+
+    def rand():
+        return [rng.randint(-9, 9) for _ in range(phi)]
+
+    top = rand()
+    den = rng.randint(2, 6)
+    cancel = [rng.randint(-9, 9) for _ in range(phi - 1)] + [-top[-1]]
+    specs = [
+        ([], 1),  # zero
+        ([0] * phi, 7),  # zero written out
+        ([rng.randint(-9, 9)], rng.randint(1, 6)),  # rational
+        ([rng.randint(1, 9), rng.randint(1, 9)], rng.randint(1, 6)),  # irrational when phi > 1
+        (rand(), rng.randint(1, 6)),
+        (rand(), 1),
+        (top, den),
+        (cancel, den),  # top + cancel loses its top coordinate
+        ([3] + [0] * (n - 1) + [-3], 5),  # 3 (1 - z^n) = 0
+    ]
+    values = [(Cyclotomic(n, vec, d), dense(vec, d)) for vec, d in specs]
+    f = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    others = values + [(Cyclotomic.from_fraction(f), dense([f.numerator], f.denominator))]
+
+    for x, rx in values:
+        want = fracs(rx)
+        rational = not any(rx[0][1:])
+        if x.level != n or x.coeffs != want:
+            yield "coeffs"
+        if x.vec[-1:] == (0,) or len(x.vec) > phi:
+            yield "trailing zero"
+        if x.is_zero() != (not any(rx[0])):
+            yield "is_zero"
+        if x.is_rational() != rational:
+            yield "is_rational"
+        try:
+            if x.to_fraction() != want[0] or not rational:
+                yield "to_fraction"
+        except ValueError:  # the one outcome for an irrational value
+            if rational:
+                yield "to_fraction"
+        if x.approx() != approx_of(rx):
+            yield "approx"
+        if cyclotomic_to_json(x)["coeffs"] != [str(c) for c in want]:
+            yield "json"
+        mirrored = [0] * n
+        for i, c in enumerate(rx[0]):
+            mirrored[(n - i) % n] += c
+        y = x.conj()
+        if y.level != n or y.coeffs != fracs(dense(mirrored, rx[1])):
+            yield "conj"
+        spread = [0] * (2 * phi - 1)
+        spread[::2] = rx[0]
+        y = x.lifted(m)
+        if y.level != m or y.coeffs != fracs(dense(spread, rx[1], reduce_m)) or y != x or x != y:
+            yield "lifted"
+        for z, rz in others:
+            if (x + z).level != n or (x + z).coeffs != fracs(sum_of(rx, rz)):
+                yield "+"
+            if (x * z).level != n or (x * z).coeffs != fracs(product_of(rx, rz)):
+                yield "*"
+            if (x == z) != (want == fracs(rz)) or (y == z) != (want == fracs(rz)):
+                yield "=="
+
+
+def cyclotomic_mismatches(levels, seed: int = 0) -> list[tuple[int, str]]:
+    """The (level, check) pairs at which Cyclotomic differs from a dense
+    reference that holds every value as all phi(n) numerators, reduced by
+    dense_reducer_mod_cyclotomic.  At each level n it builds zero (empty
+    and written out), a rational, a + b z, random values, a pair whose sum
+    cancels the top coordinate and 3 (1 - z^n), and checks coeffs, the
+    stored vector (no trailing zero, at most phi(n) entries), is_zero,
+    is_rational, to_fraction, approx (bit for bit against the sum over
+    all coordinates in index order), the JSON coefficients, conj, lifted
+    to 2n, and +, * and == with every value and a level-1 rational."""
+    rng = random.Random(seed)
+    return [(n, what) for n in levels for what in _dense_level_mismatches(n, rng)]
 
 
 # ---------------------------------------------------------------------------

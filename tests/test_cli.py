@@ -213,6 +213,18 @@ class TestExitCodes:
             assert cli.main(argv) == 0, argv
             capsys.readouterr()
 
+    def test_out_of_memory_is_one_line(self, monkeypatch, capsys):
+        import xpq.traces
+
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(xpq.traces, "moments", exhausted)
+        assert cli.main(["moments", "-p", "2", "-q", "3", "--trace", '{"kind": "canonical"}']) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: out of memory in moments\n"
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
     def test_character_text_refused(self, capsys):
         # a character coordinate has one text, a/b with 0 <= a < b in lowest terms
         spec = GOLDEN_SPEC5.replace('"t2":"1/4"', '"t2":"6/5"')

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    cyclotomic_mismatches,
     dense_cyclotomic_polynomial,
     dense_reducer_mod_cyclotomic,
     naive_order,
@@ -327,8 +328,9 @@ class TestCyclotomicPolynomials:
             reduce = dense_reducer_mod_cyclotomic(n, 2 * euler_phi(n) + 1)
             for length in range(1, 2 * euler_phi(n) + 2):
                 vec = [rng.randint(-9, 9) for _ in range(length)]
-                got = Cyclotomic(n, vec).vec  # den 1 leaves the remainder as it is
-                assert list(got) == reduce(vec), (n, length)
+                got = Cyclotomic(n, vec)  # den 1 leaves the remainder as it is
+                assert [c.numerator for c in got.coeffs] == reduce(vec), (n, length)
+                assert not got.vec or got.vec[-1], (n, length)
 
     def test_level_limit(self):
         check_level(MAX_CYCLOTOMIC_LEVEL)
@@ -362,6 +364,11 @@ class TestCyclotomic:
             finally:
                 tracemalloc.stop()
             assert peak < 10**6
+
+    def test_against_dense_reference(self):
+        # zero, rational, random and top-cancelling values at every level up
+        # to 60 and at a prime, a prime power and a level with four primes
+        assert cyclotomic_mismatches(sorted({*range(1, 61), 97, 243, 840})) == []
 
     def test_roots_of_unity(self):
         assert root_of_unity(QmodZ(0, 1)) == Cyclotomic.one()

@@ -285,6 +285,22 @@ class TestTraceEvalAgainstReference:
         assert value.level == 20011 and value.to_fraction() == Fraction(-100, 20010)
         assert peak < 4_000_000
 
+    def test_rational_moments_hold_one_coordinate_each(self):
+        # the orbit of 1/10007 at (2, 5) is all 10006 units, so each of the 99
+        # values is a Ramanujan sum; 99 values of phi(r) slots held 7.9 MB
+        orbit = orbit_of(SystemParams(2, 5), SolenoidPoint.of(1, 10007))
+        assert orbit.size == 10006
+        spec = OrbitMeasureTrace(orbit)
+        moments(spec, 1)  # fills the factorization cache, which outlives the sequence
+        tracemalloc.start()
+        try:
+            seq = moments(spec, 49)  # the largest n_max the limit admits at r = 10007
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert [v.to_fraction() for _, v in seq.items()][48:51] == [Fraction(-1, 10006), 1, Fraction(-1, 10006)]
+        assert held < 1_000_000
+
     def test_character_level_beyond_limit_is_named(self):
         big = MAX_CYCLOTOMIC_LEVEL + 1
         chi = Character(ORBIT7.stabilizer, QmodZ(1, big), QmodZ(0, 1))
