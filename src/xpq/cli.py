@@ -268,15 +268,15 @@ def _cmd_trace_eval(args) -> int:
 
 
 def _cmd_moments(args) -> int:
-    from .serialize import moments_to_json, trace_spec_from_json
+    from .serialize import evaluation_to_json, trace_spec_from_json, trace_spec_to_json
     from .traces import moments
 
     params = _params(args)
     spec = trace_spec_from_json(_load_json(args.trace), params)
     seq = moments(spec, args.n_max)
+    out = sys.stdout
     if args.format == "csv":
         # what csv.writer writes: no field needs quoting
-        out = sys.stdout
         out.write("n,re,im,exact\n")
         for n, v in seq.items():
             z = v.approx()
@@ -287,7 +287,14 @@ def _cmd_moments(args) -> int:
             z = v.approx()
             print(f"  n={n:+d}  {z.real:+.6f}{z.imag:+.6f}i  ({v})")
     else:
-        _emit_json(moments_to_json(seq))
+        # the document _emit_json(serialize.moments_to_json(seq)) would write,
+        # one value's text at a time: "values" is its last key and never empty
+        out.write(f'{{\n  "n_max": {seq.n_max},\n  "trace": {_dumps(trace_spec_to_json(spec), "  ")},\n  "values": [')
+        sep = "\n    "
+        for n, v in seq.items():
+            out.write(sep + _dumps({"n": n, **evaluation_to_json(v)}, "    "))
+            sep = ",\n    "
+        out.write("\n  ]\n}\n")
     return 0
 
 
@@ -540,6 +547,10 @@ def main(argv=None) -> int:
         return 2
     except MemoryError:
         print(f"error: out of memory in {args.command}", file=sys.stderr)
+        return 2
+    except OverflowError:
+        # an exact value whose float approximation is beyond the float range
+        print(f"error: a value is outside the float range in {args.command}", file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

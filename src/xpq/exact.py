@@ -678,12 +678,10 @@ class Cyclotomic(Record):
 
     def conj(self) -> Cyclotomic:
         """Complex conjugate; sends zeta_N to zeta_N^(N-1)."""
-        N = self.level
-        out = [0] * N
-        for i, c in enumerate(self.vec):
-            if c:
-                out[(N - i) % N] += c
-        return Cyclotomic(N, out, self.den)
+        vec = self.vec
+        if len(vec) <= 1:
+            return self  # a rational value is its own conjugate
+        return Cyclotomic(self.level, [vec[0], *[0] * (self.level - len(vec)), *vec[:0:-1]], self.den)
 
     # --- comparison and display --------------------------------------------
 

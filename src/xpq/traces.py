@@ -34,8 +34,9 @@ suite checks exactly that.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
+from itertools import repeat
 from math import gcd, lcm
+from operator import add, mul
 
 from .dynamics import Character, OrbitData, SystemParams
 from .errors import OutOfRange, ParamsMismatch, RangeTooSmall
@@ -46,10 +47,11 @@ from .groupalg import GroupAlgebraElement, GroupElement
 MAX_MOMENT_RANGE = 1000
 # Most coefficients a moment sequence may write.  Its JSON lists 2 n_max + 1
 # values with phi(r) coefficients each, r the orbit denominator (1 for the
-# canonical trace), so the limit bounds the written JSON: at r = 10007 and
-# n_max = 1000 that is 2 * 10^7 coefficients and 150 MB.  Irrational values
-# hold up to phi(r) coordinates each, and there it would also be 10 s and
-# 1.2 GB; a rational value holds one.  The limit admits n_max = 49 at r = 10007.
+# canonical trace), so the limit caps the time and the written JSON: at
+# r = 10007 and n_max = 1000 that would be 2 * 10^7 coefficients and 150 MB.
+# Memory holds the sequence (up to phi(r) coordinates per irrational value,
+# one per rational value) and the text of one value at a time, as the JSON
+# is written value by value.  The limit admits n_max = 49 at r = 10007.
 MAX_MOMENT_COEFFICIENTS = 10**6
 
 
@@ -107,37 +109,36 @@ def _orbit_mean(orbit: OrbitData, w: int) -> Cyclotomic:
 def _mean_sum(orbit: OrbitData, K: int, sums: dict[tuple[int, int], int], den: int) -> Cyclotomic:
     # sum over keys (w, e) of (k / den) zeta_K^e times the mean at w, as one
     # integer vector at the lcm L of the levels the summands have alone; no
-    # keys give 0 at level 1.  Each summand keeps its mean's den and nonzero
-    # coordinates only, so memory does not grow as keys x phi(r).
+    # keys give 0 at level 1.  Each summand keeps its mean's den and trimmed
+    # vec only, so memory does not grow as keys x phi(r).
     r = orbit.denominator
-    parts, levels, D = [], [], 1
+    parts, D, L = [], 1, 1
     for (w, e), k in sums.items():
         mean = _orbit_mean(orbit, w)
         d = K // gcd(e, K)  # the order of the twist e/K
         check_level(d)
         level = r if d == 1 else twisted_level(d, mean)
         check_level(level)
-        levels.append(level)
-        vec = mean.vec
-        parts.append((mean.den, [(i, vec[i]) for i in compress(range(len(vec)), vec)], e, d, k))
-        D = lcm(D, mean.den)
-    L = 1
-    for level in levels:  # in the order the summands would be added
-        L = lcm(L, level)
+        L = lcm(L, level)  # in the order the summands would be added
         check_level(L)
-    # zeta_r^i is zeta_L^(i L/r); a rational mean has only i = 0, even when
-    # r does not divide L.  The twist -1 is a sign, as L may be odd.  acc
-    # grows to the largest index written, so rational sums stay short: the
-    # indices rise with i until they pass L, and nonzero ends at the top i.
-    step = L // r
+        if mean.vec:  # a zero mean adds nothing
+            parts.append((mean.den, mean.vec, e, d, k))
+            D = lcm(D, mean.den)
+    # zeta_r^i is zeta_L^(i step + shift) for the twist zeta_L^shift; a
+    # rational mean has only i = 0, even when r does not divide L.  The twist
+    # -1 is a sign, as L may be odd.  The indices rise with i until they reach
+    # L at i = top and wrap once, so each vec is added by two strided slices;
+    # acc grows to the largest index written, so rational sums stay short.
+    step = max(L // r, 1)
     acc = []
-    for mean_den, nonzero, e, d, k in parts:
+    for mean_den, vec, e, d, k in parts:
         c = k * (D // mean_den) * (-1 if d == 2 else 1)
         shift = e * L // K if d > 2 else 0
-        if nonzero:
-            acc += [0] * (min(L, nonzero[-1][0] * step + shift + 1) - len(acc))
-        for i, x in nonzero:
-            acc[(i * step + shift) % L] += c * x
+        acc += [0] * (min(L, (len(vec) - 1) * step + shift + 1) - len(acc))
+        top = (L - shift + step - 1) // step
+        for s, part in ((shift, vec[:top]), (top * step + shift - L, vec[top:])):
+            t = s + len(part) * step
+            acc[s:t:step] = map(add, acc[s:t:step], map(mul, part, repeat(c)))
     return Cyclotomic(L, acc, D * den)
 
 
@@ -183,11 +184,11 @@ def trace_eval(spec: TraceSpec, a: GroupAlgebraElement) -> Cyclotomic:
         sums[key] = sums.get(key, 0) + k
     if len(sums) == 1:
         # every value of moments is one untwisted unit: the orbit mean, scaled,
-        # with no index pairs from _mean_sum.  Measured without this branch
-        # on a 2-core x86 host, in-process moments(n_max = 49) of the orbit
-        # measure of 1/10007 took 0.09-0.12 -> 0.21-0.27 s at (2, 3), whose
-        # two cosets give dense Gaussian periods; at (2, 5), every value
-        # rational, 0.8-1.3 ms either way.
+        # with no vector built by _mean_sum.  Measured without this branch on
+        # a 2-core x86 host, in-process moments(n_max = 49) of the orbit
+        # measure at (2, 3), whose two cosets give dense Gaussian periods,
+        # took 96-106 -> 153-167 ms at 1/10007 and 87-91 -> 153-229 ms at
+        # 1/9973 (medians of 5 calls, three alternated rounds).
         [((w, e), k)] = sums.items()
         if not e:
             return _orbit_mean(orbit, w).scaled(Fraction(k, a.den))

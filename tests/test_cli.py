@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,11 +17,18 @@ import xpq.checks
 import xpq.cli as cli
 from xpq import (
     CheckResult,
+    OrbitMeasureTrace,
     OutOfRange,
+    SolenoidPoint,
     SystemParams,
     closed_set_from_json,
+    moments,
+    moments_to_json,
     orbit_from_json,
+    orbit_of,
     run_checks,
+    trace_spec_from_json,
+    trace_spec_to_json,
 )
 
 BASE = [sys.executable, "-m", "xpq.cli"]
@@ -224,6 +232,17 @@ class TestExitCodes:
         out, err = capsys.readouterr()
         assert out == "" and err == "error: out of memory in moments\n"
         assert "Traceback" not in err and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "pretty"])
+    @pytest.mark.parametrize("c", ["1e400", "1e-400"])
+    def test_value_outside_the_float_range_is_one_line(self, capsys, c, fmt):
+        # both coefficients are within the decimal exponent limit, but 10^400
+        # is no float, so neither is the approximation of the value
+        element = '{"terms":[{"g":{"x":{"num":"0","a":0,"b":0},"m":0,"n":0},"c":"%s"}]}' % c
+        argv = ["trace-eval", "-p", "2", "-q", "3", "--format", fmt, "--trace", '{"kind":"canonical"}',
+                "--element", element]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", "error: a value is outside the float range in trace-eval\n")
 
     def test_character_text_refused(self, capsys):
         # a character coordinate has one text, a/b with 0 <= a < b in lowest terms
@@ -667,6 +686,29 @@ class TestTraceCommands:
         assert len(lines) == 14
         row5 = dict(zip(lines[0].split(","), lines[12].split(",")))
         assert row5["n"] == "5" and float(row5["re"]) == 1.0
+
+    def test_moments_json_is_the_library_document(self, capsys):
+        P = SystemParams(2, 3)
+        for spec, n_max in (('{"kind":"canonical"}', 0), (self.SPEC5, 6), (GOLDEN_MEASURE7, 3)):
+            assert cli.main(["moments", "-p", "2", "-q", "3", "--trace", spec, "--n-max", str(n_max)]) == 0
+            seq = moments(trace_spec_from_json(json.loads(spec), P), n_max)
+            assert capsys.readouterr().out == cli._dumps(moments_to_json(seq)) + "\n"
+
+    def test_moments_json_holds_one_value_text_at_a_time(self, tmp_path, monkeypatch):
+        # 99 values of 10006 coefficients each, 15.1 MB of JSON; the whole
+        # document as one string peaked at 54.4 MB
+        orbit = orbit_of(SystemParams(2, 5), SolenoidPoint.of(1, 10007))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(trace_spec_to_json(OrbitMeasureTrace(orbit))))
+        with open(os.devnull, "w") as devnull:
+            monkeypatch.setattr(sys, "stdout", devnull)
+            tracemalloc.start()
+            try:
+                code = cli.main(["moments", "-p", "2", "-q", "5", "--trace", f"@{spec}", "--n-max", "49"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0 and peak < 10_000_000
 
     def test_invariance(self):
         data = run_json(

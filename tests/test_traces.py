@@ -285,6 +285,30 @@ class TestTraceEvalAgainstReference:
         assert value.level == 20011 and value.to_fraction() == Fraction(-100, 20010)
         assert peak < 4_000_000
 
+    def test_twisted_dense_means_add_without_a_pair_per_coordinate(self):
+        # the orbit of 1/10007 at (2, 3) has two cosets, so every mean is a
+        # dense Gaussian period; 40 untwisted keys and 40 twisted by 1/3 sum
+        # at level 30021 and wrap past it.  One (index, value) pair per
+        # coordinate of each mean peaked at 39.5 MB.
+        orbit = orbit_of(P23, SolenoidPoint.of(1, 10007))
+        assert orbit.size == 5003
+        (m, n), _ = orbit.stabilizer.basis
+        spec = FiniteOrbitTrace(orbit, Character(orbit.stabilizer, QmodZ(1, 3), QmodZ(0, 1)))
+        a = GroupAlgebraElement.from_terms(
+            P23,
+            [(translation(w), 1) for w in range(1, 41)]
+            + [(GroupElement(PqRational.from_int(w), m, n), 1) for w in range(1, 41)],
+        )
+        tracemalloc.start()
+        try:
+            value = trace_eval(spec, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value.level == 30021
+        assert same_representation(value, reference_trace_eval(spec, a))
+        assert peak < 15_000_000
+
     def test_rational_moments_hold_one_coordinate_each(self):
         # the orbit of 1/10007 at (2, 5) is all 10006 units, so each of the 99
         # values is a Ramanujan sum; 99 values of phi(r) slots held 7.9 MB
