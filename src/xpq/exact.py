@@ -699,13 +699,26 @@ class Cyclotomic(Record):
 
         Approximate only; every exact statement in this package is made
         through the exact representation, never through this embedding.
+        A coordinate or den too large for a float is handled by dividing
+        each coordinate by den exactly (int / int rounds correctly) before
+        it scales its root; OverflowError remains for a coordinate whose
+        quotient is past the float range or rounds a nonzero value to 0.
         """
-        N = self.level
+        N, den = self.level, self.den
         out = 0j
+        try:
+            for i, c in enumerate(self.vec):
+                if c:
+                    out += c * cmath.exp(2j * cmath.pi * i / N)
+            return out / den
+        except OverflowError:
+            out = 0j
         for i, c in enumerate(self.vec):
             if c:
-                out += c * cmath.exp(2j * cmath.pi * i / N)
-        return out / self.den
+                if not (x := c / den):
+                    raise OverflowError(f"coordinate {i} of the value rounds to 0.0")
+                out += x * cmath.exp(2j * cmath.pi * i / N)
+        return out
 
     def __repr__(self):
         return f"Cyclotomic(level={self.level}, coeffs={self.coeffs!r})"

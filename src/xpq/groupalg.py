@@ -10,8 +10,12 @@ denominator p^a q^b (a negative power of p or q multiplies the numerator
 instead), the numerators are added, and PqRational.canonical brings the
 sum to canonical form by gcd steps, so neither p nor q is ever factored.
 An element of Q[G] holds integer numerators over one denominator, as
-Cyclotomic does (GroupAlgebraElement); a product writes the ring parts of
-all its pairs over one p^A q^B and runs the gcd steps once per distinct
+Cyclotomic does, each keyed by its group element's row (num, a, b, m, n),
+the tuple GroupElement.sort_key() gives (GroupAlgebraElement).  Sums,
+negation, scaling, star and products work on those integers alone; a
+GroupElement is built only at the edges, by from_terms and unit taking
+elements in and by terms handing them out.  A product writes the ring parts
+of all its pairs over one p^A q^B and runs the gcd steps once per distinct
 gcd of a numerator with p^A q^B, not once per term (its __mul__).
 
 For multiplicatively independent p, q every nontrivial conjugacy class
@@ -24,6 +28,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 
 from .dynamics import SystemParams, str_digit_limit
 from .errors import DependentParams, IdentityElement, OutOfRange, ParamsMismatch
@@ -36,18 +41,12 @@ MAX_CONJUGATES = 1000
 
 class GroupElement(Record):
     __slots__ = ("x", "m", "n")
-    __hash__ = Record.__hash__  # a class that defines __eq__ has None here otherwise
 
     def __init__(self, x: PqRational, m: int, n: int):
         set_x, set_m, set_n = self._setters
         set_x(self, x)
         set_m(self, m)
         set_n(self, n)
-
-    def __eq__(self, other):  # Record's rule inline, integers first: Q[G] loops compare many
-        if other.__class__ is self.__class__:
-            return self.m == other.m and self.n == other.n and self.x == other.x
-        return NotImplemented
 
     @classmethod
     def identity(cls) -> GroupElement:
@@ -141,48 +140,65 @@ def icc_witness(params: SystemParams, g: GroupElement, count: int) -> list[Group
     return out
 
 
-def _term_key(term: tuple[GroupElement, int]) -> tuple[int, int, int, int, int]:
-    return term[0].sort_key()
-
-
 class GroupAlgebraElement(Record):
     """Finitely supported rational combination sum c_g u_g in Q[G].
 
     Stored as integer numerators over one denominator: c_g = k_g / den
-    for (g, k_g) in nums.  nums is sorted by GroupElement.sort_key() with
-    no zero numerator, and gcd(den, k_g...) = 1 with den >= 1, so equal
-    elements compare and hash equal structurally.  terms hands out the
-    coefficients as Fractions.  Build through unit / zero / from_terms or
-    the arithmetic operators.
+    for (row, k_g) in nums, where row = (num, a, b, m, n) is the integer
+    row of g = (num / p^a q^b, m, n), its GroupElement.sort_key().  nums is
+    sorted by plain tuple order with no zero numerator, and
+    gcd(den, k_g...) = 1 with den >= 1, so equal elements compare and hash
+    equal structurally.  No GroupElement is stored: from_terms and unit take
+    them in, terms hands them out with Fraction coefficients, and coefficient
+    looks one up.  Build through unit / zero / from_terms or the arithmetic
+    operators.
     """
 
     __slots__ = ("params", "den", "nums")
 
     @classmethod
     def _normalised(cls, params: SystemParams, den: int, nums) -> GroupAlgebraElement:
-        # from (g, k) pairs with distinct g over den >= 1: drop k = 0, sort,
-        # and divide den and every k by their gcd
-        nums = sorted(((g, k) for g, k in nums if k), key=_term_key)
+        # from (row, k) pairs with distinct rows over den >= 1: drop k = 0,
+        # sort (distinct rows never compare their k), and divide den and
+        # every k by their gcd
+        nums = sorted(filter(itemgetter(1), nums))
         c = gcd(den, *(k for _, k in nums))
         if c > 1:
             den //= c
-            nums = [(g, k // c) for g, k in nums]
+            nums = [(row, k // c) for row, k in nums]
         return cls(params, den, tuple(nums))
+
+    @classmethod
+    def _over(cls, params: SystemParams, A: int, B: int, den: int, nums) -> GroupAlgebraElement:
+        # from ((num, m, n), k) pairs over den whose ring parts num / p^A q^B
+        # are all over one p^A q^B, so distinct keys are distinct group
+        # elements: num / p^A q^B is (num / g) f / p^a q^b with
+        # g = gcd(num, p^A q^B) and (f, a, b) the canonical form of
+        # 1 / (p^A q^B / g), found once per g
+        p, q = params.p, params.q
+        D = p**A * q**B
+        forms: dict[int, tuple[int, int, int]] = {}
+        rows = []
+        for (num, m, n), k in nums:
+            g = gcd(num, D)
+            f, a, b = forms.get(g) or forms.setdefault(g, _den_form(D // g, p, q))
+            rows.append(((num // g * f, a, b, m, n), k))
+        return cls._normalised(params, den, rows)
 
     @classmethod
     def from_terms(cls, params: SystemParams, terms) -> GroupAlgebraElement:
         """sum c u_g over (g, c) in terms, with c an int or a Fraction;
         repeated group elements add up."""
-        terms = [(g, as_fraction(c)) for g, c in terms]
+        terms = [(g.sort_key(), as_fraction(c)) for g, c in terms]
         den = lcm(*(c.denominator for _, c in terms))
-        acc: dict[GroupElement, int] = {}
-        for g, c in terms:
-            acc[g] = acc.get(g, 0) + c.numerator * (den // c.denominator)
+        acc: dict[tuple, int] = {}
+        for row, c in terms:
+            acc[row] = acc.get(row, 0) + c.numerator * (den // c.denominator)
         return cls._normalised(params, den, acc.items())
 
     @classmethod
     def unit(cls, params: SystemParams, g: GroupElement) -> GroupAlgebraElement:
-        return cls(params, 1, ((g, 1),))
+        return cls(params, 1, ((g.sort_key(), 1),))
 
     @classmethod
     def zero(cls, params: SystemParams) -> GroupAlgebraElement:
@@ -190,13 +206,17 @@ class GroupAlgebraElement(Record):
 
     @property
     def terms(self) -> tuple[tuple[GroupElement, Fraction], ...]:
-        """The (g, c_g) pairs in sort_key() order, c_g a nonzero Fraction."""
-        return tuple((g, Fraction(k, self.den)) for g, k in self.nums)
+        """The (g, c_g) pairs in sort_key() order, c_g a nonzero Fraction;
+        terms with one numerator share one Fraction."""
+        fractions = {k: Fraction(k, self.den) for k in {k for _, k in self.nums}}
+        return tuple(
+            (GroupElement(PqRational(num, a, b), m, n), fractions[k]) for (num, a, b, m, n), k in self.nums
+        )
 
     def coefficient(self, g: GroupElement) -> Fraction:
-        nums = self.nums
-        i = bisect_left(nums, g.sort_key(), key=_term_key)
-        if i < len(nums) and nums[i][0] == g:
+        nums, row = self.nums, g.sort_key()
+        i = bisect_left(nums, (row,))  # (row,) sorts before (row, k)
+        if i < len(nums) and nums[i][0] == row:
             return Fraction(nums[i][1], self.den)
         return Fraction(0)
 
@@ -215,13 +235,13 @@ class GroupAlgebraElement(Record):
             return NotImplemented
         self._check_params(other)
         den = lcm(self.den, other.den)
-        acc = {g: k * (den // self.den) for g, k in self.nums}
-        for g, k in other.nums:
-            acc[g] = acc.get(g, 0) + k * (den // other.den)
+        acc = {row: k * (den // self.den) for row, k in self.nums}
+        for row, k in other.nums:
+            acc[row] = acc.get(row, 0) + k * (den // other.den)
         return self._normalised(self.params, den, acc.items())
 
     def __neg__(self) -> GroupAlgebraElement:
-        return GroupAlgebraElement(self.params, self.den, tuple((g, -k) for g, k in self.nums))
+        return GroupAlgebraElement(self.params, self.den, tuple((row, -k) for row, k in self.nums))
 
     def __sub__(self, other: GroupAlgebraElement) -> GroupAlgebraElement:
         if not isinstance(other, GroupAlgebraElement):
@@ -241,36 +261,22 @@ class GroupAlgebraElement(Record):
         # Every ring part x1 + p^m1 q^n1 x2 goes over one p^A q^B:
         # x1 = n1 / p^a1 q^b1 and p^m1 q^n1 x2 = n2 p^(m1 - a2) q^(n1 - b2)
         # need A >= a1 and A >= a2 - m1 for every pair, and likewise B.
-        a2 = max(g.x.a for g, _ in right)
-        b2 = max(g.x.b for g, _ in right)
-        A = max(max(g.x.a for g, _ in left), a2 - min(g.m for g, _ in left), 0)
-        B = max(max(g.x.b for g, _ in left), b2 - min(g.n for g, _ in left), 0)
+        a2 = max(row[1] for row, _ in right)
+        b2 = max(row[2] for row, _ in right)
+        A = max(max(row[1] for row, _ in left), a2 - min(row[3] for row, _ in left), 0)
+        B = max(max(row[2] for row, _ in left), b2 - min(row[4] for row, _ in left), 0)
         # the right numerators over p^a2 q^b2 with the largest a2, b2 there;
         # per left term, its numerator over p^A q^B and the factor that
         # lifts the right ones there
-        right = [(g.x.num * p ** (a2 - g.x.a) * q ** (b2 - g.x.b), g.m, g.n, k) for g, k in right]
+        right = [(num * p ** (a2 - a) * q ** (b2 - b), m, n, k) for (num, a, b, m, n), k in right]
         acc: dict[tuple[int, int, int], int] = {}
-        for g, k1 in left:
-            x1, m1, n1 = g.x, g.m, g.n
-            num1 = x1.num * p ** (A - x1.a) * q ** (B - x1.b)
+        for (num1, a1, b1, m1, n1), k1 in left:
+            num1 *= p ** (A - a1) * q ** (B - b1)
             lift = p ** (A - a2 + m1) * q ** (B - b2 + n1)
             for num2, m2, n2, k2 in right:
                 key = (num1 + lift * num2, m1 + m2, n1 + n2)
                 acc[key] = acc.get(key, 0) + k1 * k2
-        # over one denominator, distinct keys are distinct group elements;
-        # num / p^A q^B is (num / g) f / p^a q^b with g = gcd(num, p^A q^B)
-        # and (f, a, b) the canonical form of 1 / (p^A q^B / g), one per g
-        den = p**A * q**B
-        forms: dict[int, tuple[int, int, int]] = {}
-        out = []
-        for (num, m, n), k in acc.items():
-            if k:
-                g = gcd(num, den)
-                if (form := forms.get(g)) is None:
-                    form = forms[g] = _den_form(den // g, p, q)
-                f, a, b = form
-                out.append((GroupElement(PqRational(num // g * f, a, b), m, n), k))
-        return self._normalised(params, self.den * other.den, out)
+        return self._over(params, A, B, self.den * other.den, acc.items())
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -281,11 +287,16 @@ class GroupAlgebraElement(Record):
         """c times self, for c an int or a Fraction."""
         c = as_fraction(c)
         return self._normalised(
-            self.params, self.den * c.denominator, ((g, k * c.numerator) for g, k in self.nums)
+            self.params, self.den * c.denominator, ((row, k * c.numerator) for row, k in self.nums)
         )
 
     def star(self) -> GroupAlgebraElement:
         """The adjoint: sum conj(c_g) u_(g^-1); rational conjugation is trivial.
         g -> g^-1 is injective, so no terms merge and den stays."""
-        params = self.params
-        return self._normalised(params, self.den, ((group_inv(params, g), k) for g, k in self.nums))
+        # group_inv on each row: g^-1 = (-p^-m q^-n x, -m, -n), whose ring
+        # part -num / p^(a + m) q^(b + n) goes over one p^A q^B
+        p, q, nums = self.params.p, self.params.q, self.nums
+        A = max([a + m for (_, a, _, m, _), _ in nums] + [0])
+        B = max([b + n for (_, _, b, _, n), _ in nums] + [0])
+        inverses = (((-num * p ** (A - a - m) * q ** (B - b - n), -m, -n), k) for (num, a, b, m, n), k in nums)
+        return self._over(self.params, A, B, self.den, inverses)

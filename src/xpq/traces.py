@@ -82,10 +82,11 @@ class OrbitMeasureTrace(Record):
 TraceSpec = FiniteOrbitTrace | CanonicalTrace | OrbitMeasureTrace
 
 
-def _pair_mult(params: SystemParams, r: int, y: PqRational) -> int:
-    # the factor w with <a/r, y> = a*w/r; r is coprime to pq by contract
-    base = pow(params.p, y.a, r) * pow(params.q, y.b, r) % r
-    return y.num * pow(base, -1, r) % r
+def _pair_mult(params: SystemParams, r: int, num: int, a: int, b: int) -> int:
+    # the factor w with <z/r, y> = z*w/r for y = num / p^a q^b; r is coprime
+    # to pq by contract
+    base = pow(params.p, a, r) * pow(params.q, b, r) % r
+    return num * pow(base, -1, r) % r
 
 
 def _orbit_mean(orbit: OrbitData, w: int) -> Cyclotomic:
@@ -170,17 +171,17 @@ def trace_eval(spec: TraceSpec, a: GroupAlgebraElement) -> Cyclotomic:
         K = lcm(t1.den, t2.den)
         e1, e2 = t1.num * (K // t1.den), t2.num * (K // t2.den)
     sums: dict[tuple[int, int], int] = {}
-    for g, k in a.nums:
+    for (num, ya, yb, m, n), k in a.nums:
         if finite:
-            coords = orbit.stabilizer.coords(g.m, g.n)
+            coords = orbit.stabilizer.coords(m, n)
             if coords is None:
                 continue
             e = (e1 * coords[0] + e2 * coords[1]) % K
-        elif g.m or g.n:
+        elif m or n:
             continue
         else:
             e = 0
-        key = (_pair_mult(params, r, g.x), e)
+        key = (_pair_mult(params, r, num, ya, yb), e)
         sums[key] = sums.get(key, 0) + k
     if len(sums) == 1:
         # every value of moments is one untwisted unit: the orbit mean, scaled,

@@ -30,6 +30,7 @@ from xpq import (
     StabilizerLattice,
     SystemParams,
     euler_phi,
+    group_inv,
     group_mul,
     multiplicative_order,
     root_of_unity,
@@ -662,6 +663,28 @@ def reference_star(a: GroupAlgebraElement) -> GroupAlgebraElement:
         y = -Fraction(g.x.num, p**g.x.a * q**g.x.b) / (Fraction(p) ** g.m * Fraction(q) ** g.n)
         terms.append((GroupElement(PqRational(*reference_pq_rational(y, p, q)), -g.m, -g.n), c))
     return _merged(a.params, terms)
+
+
+def algebra_mismatches(params: SystemParams, count: int, seed: int = 0) -> list[tuple[int, str]]:
+    """The (i, operation) pairs at which the i-th random pair a, b gives an
+    a * b, a.star() or a + b whose terms differ from reference_product, from
+    the adjoint built through group_inv term by term, or from reference_sum.
+    b takes minus some of a's terms, so that a + b cancels and merges."""
+    rng = random.Random(seed)
+    bad = []
+    for i in range(count):
+        a = random_algebra_element(rng, params, support=6)
+        b = random_algebra_element(rng, params, support=6)
+        b = GroupAlgebraElement.from_terms(params, [*b.terms, *((g, -c) for g, c in a.terms if rng.random() < 0.5)])
+        star = GroupAlgebraElement.from_terms(params, [(group_inv(params, g), c) for g, c in a.terms])
+        for name, got, want in (
+            ("a * b", a * b, reference_product(a, b)),
+            ("a.star()", a.star(), star),
+            ("a + b", a + b, reference_sum(a, b)),
+        ):
+            if got.terms != want.terms:
+                bad.append((i, name))
+    return bad
 
 
 def reference_orbit_mean(orbit, w: int) -> Cyclotomic:

@@ -244,6 +244,18 @@ class TestExitCodes:
         assert cli.main(argv) == 2
         assert capsys.readouterr() == ("", "error: a value is outside the float range in trace-eval\n")
 
+    @pytest.mark.parametrize("c, approx", [("1e-310", 1e-310), ("1." + "0" * 399 + "1", 1.0)])
+    def test_float_value_over_a_den_past_the_float_range(self, capsys, c, approx):
+        # 10^310 and 10^400 are no floats, but each value is one: its
+        # approximation is the exact quotient, correctly rounded
+        element = '{"terms":[{"g":{"x":{"num":"0","a":0,"b":0},"m":0,"n":0},"c":"%s"}]}' % c
+        argv = ["trace-eval", "-p", "2", "-q", "3", "--trace", '{"kind":"canonical"}', "--element", element]
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and json.loads(out)["value"]["approx"] == {"re": approx, "im": 0.0}
+        assert cli.main([*argv, "--format", "pretty"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_character_text_refused(self, capsys):
         # a character coordinate has one text, a/b with 0 <= a < b in lowest terms
         spec = GOLDEN_SPEC5.replace('"t2":"1/4"', '"t2":"6/5"')

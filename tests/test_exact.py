@@ -435,6 +435,18 @@ class TestCyclotomic:
                 want = cmath.exp(2j * cmath.pi * j / n)
                 assert abs(root_of_unity(QmodZ(j, n)).approx() - want) < 1e-12
 
+    def test_approx_past_the_float_range_of_den(self):
+        # den or a coordinate beyond 2^1024 while the value is a float: each
+        # coordinate is divided by den exactly; a nonzero value that rounds
+        # to 0.0, or a quotient past the range, still raises OverflowError
+        assert Cyclotomic.from_fraction(Fraction(1, 10**310)).approx() == 1e-310
+        assert Cyclotomic.from_fraction(1 + Fraction(1, 10**400)).approx() == 1.0
+        z = root_of_unity(QmodZ(1, 4)).scaled(Fraction(10**400 - 1, 10**400))
+        assert abs(z.approx() - 1j) < 1e-12
+        for value in (Fraction(1, 10**400), Fraction(10**400, 3)):
+            with pytest.raises(OverflowError):
+                Cyclotomic.from_fraction(value).approx()
+
     def test_ring_laws(self):
         rng = random.Random(3)
 

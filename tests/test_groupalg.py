@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from helpers import (
+    algebra_mismatches,
     random_algebra_element,
     random_group_element,
     reference_pq_rational,
@@ -206,7 +207,8 @@ class TestAlgebra:
         if where != "absent":
             terms.append((e, Fraction(-7, 2)))
         a = GroupAlgebraElement.from_terms(P23, terms)
-        assert (a.nums[0][0] == e, a.nums[-1][0] == e) == (where == "first", where == "last")
+        row = e.sort_key()  # nums holds each element as its row
+        assert (a.nums[0][0] == row, a.nums[-1][0] == row) == (where == "first", where == "last")
         probes = [e, *others, elem(2, 0, 0, 0, 0), elem(-5, 0, 0, 0, 0), elem(0, 0, 0, 0, 1)]
         for g in probes:
             assert a.coefficient(g) == next((c for h, c in a.terms if h == g), 0)
@@ -342,11 +344,14 @@ class TestProductAgainstReference:
 
 def assert_normal_form(a: GroupAlgebraElement) -> None:
     # the stored form: den >= 1, numerators nonzero and coprime to den as a
-    # whole, group elements strictly increasing by sort_key()
+    # whole, rows (num, a, b, m, n) of ints, strictly increasing, each the
+    # sort_key() of its group element
     assert a.den >= 1 and gcd(a.den, *(k for _, k in a.nums)) == 1
     assert all(isinstance(k, int) and k for _, k in a.nums)
-    keys = [g.sort_key() for g, _ in a.nums]
-    assert all(s < t for s, t in zip(keys, keys[1:]))
+    rows = [row for row, _ in a.nums]
+    assert all(s < t for s, t in zip(rows, rows[1:]))
+    assert all(len(row) == 5 and all(type(v) is int for v in row) for row in rows)
+    assert rows == [g.sort_key() for g, _ in a.terms]
 
 
 PAIRS = [(2, 3), (5, 7), (4, 6), (6, 10), (2, 4)]
@@ -435,6 +440,62 @@ class TestAlgebraAgainstReference:
             prod = a.star() * b
             assert prod.terms == reference_product(a.star(), b).terms
             assert_normal_form(prod)
+
+
+class TestRowForm:
+    """The stored rows (num, a, b, m, n) against the GroupElement and
+    Fraction objects that from_terms takes in and terms hands out."""
+
+    @pytest.mark.parametrize("p, q", PAIRS)
+    def test_rows_round_trip_through_terms(self, p, q):
+        params = SystemParams(p, q)
+        rng = random.Random(500 * p + q)
+        for _ in range(60):
+            a = wide_element(rng, params, 6)
+            b = with_overlap(rng, a, wide_element(rng, params, 6))
+            for x in (a, a.star(), a * b):
+                assert GroupAlgebraElement.from_terms(params, x.terms) == x
+                terms = x.terms
+                assert all(type(g) is GroupElement and type(g.x) is PqRational for g, _ in terms)
+                assert all(type(c) is Fraction and c != 0 for _, c in terms)
+                keys = [g.sort_key() for g, _ in terms]
+                assert keys == sorted(keys) == [row for row, _ in x.nums]
+                assert [c for _, c in terms] == [Fraction(k, x.den) for _, k in x.nums]
+
+    @pytest.mark.parametrize("p, q", PAIRS)
+    def test_one_element_three_ways_hashes_equal(self, p, q):
+        # a product, the same element rebuilt from its terms through
+        # from_terms, and its double adjoint
+        params = SystemParams(p, q)
+        rng = random.Random(600 * p + q)
+        for _ in range(60):
+            a = wide_element(rng, params, 5)
+            prod = a.star() * wide_element(rng, params, 5)
+            rebuilt = GroupAlgebraElement.from_terms(params, reference_product(a.star(), prod).terms)
+            built = (a.star() * prod, rebuilt, (a.star() * prod).star().star())
+            assert built[0] == built[1] == built[2]
+            assert len({hash(x) for x in built}) == 1
+
+    @pytest.mark.parametrize("p, q", PAIRS)
+    def test_coefficient_on_every_row_and_absent_keys(self, p, q):
+        params = SystemParams(p, q)
+        rng = random.Random(700 * p + q)
+        for _ in range(60):
+            a = wide_element(rng, params, 6)
+            prod = a.star() * a
+            scan = dict(prod.terms)
+            probes = [g for g, _ in prod.terms] + [random_group_element(rng, params) for _ in range(10)]
+            probes += [group_mul(params, g, elem(1, 0, 0, 0, 0)) for g, _ in a.terms]
+            probes += [GroupElement.identity()]
+            for g in probes:
+                assert prod.coefficient(g) == scan.get(g, 0)
+            assert any(g not in scan for g in probes)
+
+
+    @pytest.mark.parametrize("p, q", PAIRS)
+    def test_operations_match_the_references(self, p, q):
+        # the sweep a CI step runs at 2000 pairs per (p, q), here at 150
+        assert algebra_mismatches(SystemParams(p, q), 150, seed=p * q) == []
 
 
 class TestExactCoefficients:

@@ -89,9 +89,10 @@ class TestPairing:
 
     def test_worked(self):
         # inverse of 6 mod 5 is 1, so 1/6 pairs 1/5 to 1/5; 1/2 pairs via inv(2)=3
-        assert _pair_mult(P23, 5, PqRational(1, 1, 1)) == 1
-        assert _pair_mult(P23, 5, PqRational(1, 1, 0)) == 3
-        assert _pair_mult(P23, 5, PqRational(0, 0, 0)) == 0
+        # y = num / p^a q^b passes as its integers (num, a, b)
+        assert _pair_mult(P23, 5, 1, 1, 1) == 1
+        assert _pair_mult(P23, 5, 1, 1, 0) == 3
+        assert _pair_mult(P23, 5, 0, 0, 0) == 0
 
     def test_bilinear_in_y(self):
         rng = random.Random(41)
@@ -103,7 +104,8 @@ class TestPairing:
             s = PqRational.from_fraction(
                 y1.to_fraction(2, 3) + y2.to_fraction(2, 3), 2, 3
             )
-            assert a * _pair_mult(P23, r, s) % r == a * (_pair_mult(P23, r, y1) + _pair_mult(P23, r, y2)) % r
+            w = [_pair_mult(P23, r, y.num, y.a, y.b) for y in (s, y1, y2)]
+            assert a * w[0] % r == a * (w[1] + w[2]) % r
 
 
 class TestWorkedValues:
