@@ -482,7 +482,7 @@ def build_parser() -> _Parser:
     sp = add("fix", _cmd_fix, [pq], "fixed points of one group element")
     sp.add_argument("-m", type=int, required=True)
     sp.add_argument("-n", type=int, required=True)
-    sp.add_argument("--max-den", type=int, default=None, help="bound for the listed points")
+    sp.add_argument("--max-den", type=int, default=None, help=f"bound for the listed points (default ${ENV_MAX_DENOMINATOR})")
 
     sp = add("lift", _cmd_lift, [pq], "backward orbit under division by pq")
     sp.add_argument("--point", required=True, help='rational point "a/r", r coprime to pq')

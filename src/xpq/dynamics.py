@@ -24,7 +24,7 @@ import sys
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
+from itertools import compress, islice
 from math import gcd, isqrt, lcm
 
 from .errors import IdentityElement, NotCoprime, OutOfRange, ParamsMismatch
@@ -408,8 +408,13 @@ def orbit_of(params: SystemParams, x: SolenoidPoint) -> OrbitData:
     stabilizer basis, or all units mod r, read off the unit mask, when
     <p, q> is the whole unit group; numerators are sorted.
     """
+    return _build_orbit(params, x, stabilizer_lattice(params, x.coord.den))
+
+
+def _build_orbit(params: SystemParams, x: SolenoidPoint, stab: StabilizerLattice) -> OrbitData:
+    """The orbit of x, given the stabilizer lattice stab of its denominator
+    (orbit_of)."""
     r = x.coord.den
-    stab = stabilizer_lattice(params, r)
     if stab.index == euler_phi(r):
         nums = list(compress(range(r), _unit_mask(r, [ell for ell, _ in _factorize_cached(r).pairs])))
     else:
@@ -543,7 +548,8 @@ def fixed_points(
     pts = []
     for d in range(1, scan + 1):
         if count % d == 0:
-            pts.extend(QmodZ(a, d) for a in range(d) if gcd(a, d) == 1)
+            # at most one point past the limit is built
+            pts.extend(islice((QmodZ(a, d) for a in range(d) if gcd(a, d) == 1), MAX_FIXED_LISTING + 1 - len(pts)))
             if len(pts) > MAX_FIXED_LISTING:
                 raise OutOfRange(
                     f"more than {MAX_FIXED_LISTING} fixed points have a denominator <= "

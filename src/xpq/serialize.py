@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .dynamics import Character, OrbitData, SolenoidPoint, SystemParams, check_exponent, orbit_of
+from .dynamics import Character, OrbitData, SolenoidPoint, SystemParams, _build_orbit, check_exponent, stabilizer_lattice
 from .errors import OutOfRange, ParamsMismatch
 from .exact import Cyclotomic, PqRational, QmodZ, euler_phi
 
@@ -145,9 +145,11 @@ def orbit_to_json(orbit: OrbitData) -> dict:
 
 def orbit_from_json(data) -> OrbitData:
     """The orbit listed in data.  Only the first point is parsed, by
-    _qmodz_from_str, and its denominator must be r.  The orbit is rebuilt from
-    it by orbit_of; the list must hold each of its point texts as orbit_to_json
-    writes them, once, in any order, and the stabilizer must be its own."""
+    _qmodz_from_str, and its denominator must be r.  The list must have
+    index(L_r) entries, checked against the stabilizer lattice before any
+    point is built; the orbit is then rebuilt from the first point, and the
+    list must hold each of its point texts as orbit_to_json writes them,
+    once, in any order, and the stabilizer must be its own."""
     params = SystemParams(_int_field(data, "p"), _int_field(data, "q"))
     r = _int_field(data, "r")
     listed = _need(data, "orbit", list)
@@ -156,7 +158,10 @@ def orbit_from_json(data) -> OrbitData:
     x = _qmodz_from_str(listed[0])
     if x.den != r:
         raise ValueError(f"{listed[0]!r} is not a point with denominator {r}")
-    orbit = orbit_of(params, SolenoidPoint(x))
+    lattice = stabilizer_lattice(params, r)
+    if len(listed) != lattice.index:
+        raise ValueError(f"the orbit list mod {r} has {len(listed)} entries, not index(L_r) = {lattice.index}")
+    orbit = _build_orbit(params, SolenoidPoint(x), lattice)
     own = orbit_to_json(orbit)
     texts = own["orbit"]
     left = set(texts)
@@ -165,8 +170,6 @@ def orbit_from_json(data) -> OrbitData:
             raise ValueError(f"{text!r} is listed twice in the orbit list mod {r}" if text in texts
                              else f"{text!r} is not a point of the orbit of {x}, written a/{r}")
         left.remove(text)
-    if left:
-        raise ValueError(f"{next(t for t in texts if t in left)!r} is missing from the orbit list mod {r}")
     stab = _need(data, "stabilizer", dict)
     if _need(stab, "basis") != own["stabilizer"]["basis"] or _int_field(stab, "index") != orbit.stabilizer.index:
         raise ValueError(f"stabilizer data does not match the lattice mod {r}")

@@ -148,11 +148,10 @@ def trace_eval(spec: TraceSpec, a: GroupAlgebraElement) -> Cyclotomic:
 
     Terms with equal pairing factor w and twist chi(m, n) = e/K mod 1
     (K the lcm of the character's denominators) add their numerators into
-    one key (w, e).  One untwisted key gives the orbit mean at w, scaled.
-    Otherwise the keys are summed into one integer vector at the lcm L of
-    the levels each summand has alone: r, the orbit denominator, untwisted,
-    and ``exact.twisted_level`` for a twist.  The result has level L, which
-    divides lcm(r, character level).
+    one key (w, e).  The keys are summed into one integer vector at the lcm
+    L of the levels each summand has alone: r, the orbit denominator,
+    untwisted, and ``exact.twisted_level`` for a twist.  The result has
+    level L, which divides lcm(r, character level).
     """
     params = spec.params
     if params != a.params:
@@ -183,16 +182,6 @@ def trace_eval(spec: TraceSpec, a: GroupAlgebraElement) -> Cyclotomic:
             e = 0
         key = (_pair_mult(params, r, num, ya, yb), e)
         sums[key] = sums.get(key, 0) + k
-    if len(sums) == 1:
-        # every value of moments is one untwisted unit: the orbit mean, scaled,
-        # with no vector built by _mean_sum.  Measured without this branch on
-        # a 2-core x86 host, in-process moments(n_max = 49) of the orbit
-        # measure at (2, 3), whose two cosets give dense Gaussian periods,
-        # took 96-106 -> 153-167 ms at 1/10007 and 87-91 -> 153-229 ms at
-        # 1/9973 (medians of 5 calls, three alternated rounds).
-        [((w, e), k)] = sums.items()
-        if not e:
-            return _orbit_mean(orbit, w).scaled(Fraction(k, a.den))
     return _mean_sum(orbit, K, sums, a.den)
 
 
@@ -216,6 +205,13 @@ class MomentSequence(Record):
 
 
 def moments(spec: TraceSpec, n_max: int) -> MomentSequence:
+    """The moments tau(u_(n,0,0)) for |n| <= n_max, read without building
+    the units.  A unit with (m, n) = (0, 0) has character value 1 and pairing
+    factor n mod r, so an orbit trace gives the orbit mean at n mod r, as
+    trace_eval does on that unit; the canonical trace gives 1 at n = 0 and 0
+    elsewhere.  Both limits, MAX_MOMENT_RANGE and MAX_MOMENT_COEFFICIENTS,
+    are checked before any value is computed.
+    """
     if not 0 <= n_max <= MAX_MOMENT_RANGE:
         raise OutOfRange(f"n_max = {n_max} out of range; expected 0 <= n_max <= {MAX_MOMENT_RANGE}")
     r = 1 if isinstance(spec, CanonicalTrace) else spec.orbit.denominator
@@ -225,11 +221,11 @@ def moments(spec: TraceSpec, n_max: int) -> MomentSequence:
             f"n_max = {n_max} at r = {r} asks for (2 n_max + 1) phi(r) = {size} coefficients; "
             f"the limit is {MAX_MOMENT_COEFFICIENTS}"
         )
-    params = spec.params
-    vals = []
-    for n in range(-n_max, n_max + 1):
-        g = GroupElement(PqRational.from_int(n), 0, 0)
-        vals.append(trace_eval(spec, GroupAlgebraElement.unit(params, g)))
+    indices = range(-n_max, n_max + 1)
+    if isinstance(spec, CanonicalTrace):
+        vals = [Cyclotomic.from_fraction(int(n == 0)) for n in indices]
+    else:
+        vals = [_orbit_mean(spec.orbit, n % r) for n in indices]
     return MomentSequence(spec, n_max, tuple(vals))
 
 

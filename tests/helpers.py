@@ -21,12 +21,15 @@ import pytest
 
 from xpq import (
     CanonicalTrace,
+    Character,
     Cyclotomic,
     FiniteOrbitTrace,
     GroupAlgebraElement,
     GroupElement,
+    OrbitMeasureTrace,
     OutOfRange,
     PqRational,
+    QmodZ,
     StabilizerLattice,
     SystemParams,
     euler_phi,
@@ -711,6 +714,41 @@ def orbit_mean_mismatches(params: SystemParams, max_denominator: int) -> list[tu
             got, want = traces._orbit_mean(orbit, w), reference_orbit_mean(orbit, w)
             if (got.level, got.den, got.vec) != (want.level, want.den, want.vec):
                 bad.append((r, w))
+    return bad
+
+
+def orbit_specs(orbit) -> list:
+    """The orbit measure and the finite-orbit traces of the trivial
+    character and of (1/2, 1/3) on the orbit."""
+    return [OrbitMeasureTrace(orbit)] + [
+        FiniteOrbitTrace(orbit, Character(orbit.stabilizer, t1, t2))
+        for t1, t2 in ((QmodZ(0, 1), QmodZ(0, 1)), (QmodZ(1, 2), QmodZ(1, 3)))
+    ]
+
+
+def unit_moment_mismatches(spec, n_max: int) -> list[int]:
+    """The n at which traces.moments(spec, n_max).value(n) differs from
+    trace_eval on the unit u_(n,0,0) in level, den or vec."""
+    bad = []
+    for n, got in traces.moments(spec, n_max).items():
+        u = GroupAlgebraElement.unit(spec.params, GroupElement(PqRational.from_int(n), 0, 0))
+        want = traces.trace_eval(spec, u)
+        if (got.level, got.den, got.vec) != (want.level, want.den, want.vec):
+            bad.append(n)
+    return bad
+
+
+def moment_mismatches(params: SystemParams, max_denominator: int) -> list[tuple[str, int, int, int]]:
+    """The (trace type, r, least numerator, n) at which unit_moment_mismatches
+    finds a moment that is not its unit evaluation: the canonical trace
+    (r = 1, numerator 0) with n_max = 4, and every census orbit up to the
+    bound under its orbit_specs, with n_max = r // 2, so that n meets every
+    residue mod r."""
+    bad = [("CanonicalTrace", 1, 0, n) for n in unit_moment_mismatches(CanonicalTrace(params), 4)]
+    for orbit in dynamics.census(params, max_denominator)[1]:
+        r, a0 = orbit.denominator, orbit.numerators[0]
+        for spec in orbit_specs(orbit):
+            bad += [(type(spec).__name__, r, a0, n) for n in unit_moment_mismatches(spec, r // 2)]
     return bad
 
 

@@ -620,6 +620,20 @@ class TestStabilizerAndFix:
         assert data["complete"] is True
         assert data["points"] == ["0/1", "1/5", "2/5", "3/5", "4/5"]
 
+    def test_fix_listing_limit_builds_no_point_past_it(self, capsys):
+        # 2^19 - 1 = 524287 is prime, so one denominator holds 524286 points;
+        # listed in full before the limit was checked, they peaked at 63.6 MB
+        tracemalloc.start()
+        try:
+            code = cli.main(["fix", "-p", "2", "-q", "3", "-m", "19", "-n", "0", "--max-den", "1000000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        message = ("error: more than 100000 fixed points have a denominator <= 1000000, "
+                   "the listing limit; lower max_denominator\n")
+        assert (code, capsys.readouterr()) == (2, ("", message))
+        assert peak < 20_000_000
+
 
 class TestLift:
     def test_lift(self):
@@ -721,6 +735,27 @@ class TestTraceCommands:
             finally:
                 tracemalloc.stop()
         assert code == 0 and peak < 10_000_000
+
+    def test_orbit_list_is_counted_before_the_orbit_is_built(self, capsys):
+        # at (2, 3) r = 37119307289 has lattice ((1718, 463860), (0, 900232)),
+        # each entry under the stabilizer limit but of index 1,546,598,576;
+        # built before the list was counted, the orbit ran out of memory
+        orbit = ('{"p":2,"q":3,"r":37119307289,"orbit":["1/37119307289"],'
+                 '"stabilizer":{"basis":[[1718,463860],[0,900232]],"index":1546598576}}')
+        spec = f'{{"kind":"orbit_measure","orbit":{orbit}}}'
+        points = f'[{{"kind":"orbit_char","orbit":{orbit},"chi":{{"t1":"0/1","t2":"0/1"}}}}]'
+        message = "error: the orbit list mod 37119307289 has 1 entries, not index(L_r) = 1546598576\n"
+        for argv in (["trace-eval", "-p", "2", "-q", "3", "--trace", spec, "--element", self.U1],
+                     ["prim-closure", "--points", points]):
+            start = time.perf_counter()
+            tracemalloc.start()
+            try:
+                code = cli.main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (code, capsys.readouterr()) == (1, ("", message))
+            assert time.perf_counter() - start < 1 and peak < 5_000_000
 
     def test_invariance(self):
         data = run_json(

@@ -174,7 +174,10 @@ class TestOrbit:
 
         data = json.loads(json.dumps(base))
         data["orbit"] = ["1/5", "2/5", "3/5"]  # dropped a point
-        with pytest.raises(ValueError, match="'4/5' is missing from the orbit list mod 5"):
+        with pytest.raises(ValueError, match=r"^the orbit list mod 5 has 3 entries, not index\(L_r\) = 4$"):
+            orbit_from_json(data)
+        data["orbit"] = ["1/5", "2/5", "3/5", "4/5", "4/5"]  # one entry too many
+        with pytest.raises(ValueError, match=r"^the orbit list mod 5 has 5 entries, not index\(L_r\) = 4$"):
             orbit_from_json(data)
 
         data = json.loads(json.dumps(base))
@@ -537,11 +540,13 @@ class TestOrbitCharacterPayloads:
         import xpq.serialize
 
         calls = []
-        monkeypatch.setattr(xpq.serialize, "orbit_of", lambda *a: calls.append(a) or orbit_of(*a))
+        for name in ("stabilizer_lattice", "_build_orbit"):
+            f = getattr(xpq.serialize, name)
+            monkeypatch.setattr(xpq.serialize, name, lambda *a, f=f, name=name: calls.append(name) or f(*a))
         for kind, key, data, decode in self.payloads():
             calls.clear()
             decode(data)
-            assert len(calls) == 1, kind
+            assert calls == ["stabilizer_lattice", "_build_orbit"], kind
             # a corrupt orbit is reported before a missing character
             bad = dict(data, orbit=dict(data["orbit"], r=7))
             del bad[key]

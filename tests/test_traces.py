@@ -7,9 +7,11 @@ import pytest
 
 from helpers import (
     orbit_mean_mismatches,
+    orbit_specs,
     random_algebra_element,
     random_group_element,
     reference_trace_eval,
+    unit_moment_mismatches,
 )
 from xpq import (
     CanonicalTrace,
@@ -398,6 +400,22 @@ class TestMoments:
                 assert v == Cyclotomic.one()
             else:
                 assert v.is_zero()
+
+    @pytest.mark.parametrize("pq, a0, r, n_max", [
+        ((2, 3), 0, 1, 6),  # r = 1
+        ((2, 3), 1, 5, 12),  # a single-orbit prime
+        ((2, 3), 1, 35, 20),  # a composite r whose units form one orbit
+        ((2, 3), 7, 95, 50),  # a composite r with two orbits
+        ((2, 3), 1, 10007, 12),  # two cosets: dense Gaussian periods
+        ((4, 6), 1, 35, 20),  # the shared prime 2
+    ])
+    def test_values_are_unit_evaluations(self, pq, a0, r, n_max):
+        # moments reads the orbit means directly; each value must still be
+        # the trace of u_(n,0,0), by level, denominator and vector
+        params = SystemParams(*pq)
+        orbit = orbit_of(params, SolenoidPoint.of(a0, r))
+        for spec in [CanonicalTrace(params), *orbit_specs(orbit)]:
+            assert unit_moment_mismatches(spec, n_max) == []
 
     def test_out_of_range(self):
         seq = moments(CanonicalTrace(P23), 5)
