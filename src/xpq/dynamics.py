@@ -170,9 +170,6 @@ class StabilizerLattice(Record):
             return None
         return c1, rest // c
 
-    def contains(self, m: int, n: int) -> bool:
-        return self.coords(m, n) is not None
-
 
 class Character(Record):
     """A character of a stabilizer lattice with rational coordinates.

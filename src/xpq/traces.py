@@ -33,7 +33,9 @@ suite checks exactly that.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from fractions import Fraction
+from functools import partial
 from itertools import repeat
 from math import gcd, lcm
 from operator import add, mul
@@ -49,9 +51,10 @@ MAX_MOMENT_RANGE = 1000
 # values with phi(r) coefficients each, r the orbit denominator (1 for the
 # canonical trace), so the limit caps the time and the written JSON: at
 # r = 10007 and n_max = 1000 that would be 2 * 10^7 coefficients and 150 MB.
-# Memory holds the sequence (up to phi(r) coordinates per irrational value,
-# one per rational value) and the text of one value at a time, as the JSON
-# is written value by value.  The limit admits n_max = 49 at r = 10007.
+# Memory holds the sequence, one vector per distinct period (values of equal
+# period share one; up to phi(r) coordinates for an irrational period, one
+# for a rational one), and the text of one value at a time, as the JSON is
+# written value by value.  The limit admits n_max = 49 at r = 10007.
 MAX_MOMENT_COEFFICIENTS = 10**6
 
 
@@ -90,10 +93,17 @@ def _pair_mult(params: SystemParams, r: int, num: int, a: int, b: int) -> int:
 
 
 def _orbit_mean(orbit: OrbitData, w: int) -> Cyclotomic:
-    # (1/|B|) sum over numerators a of zeta_r^(w a), exact at level r.  When
-    # the orbit is every unit mod r this is the Ramanujan sum c_r(w) / phi(r)
-    # = mu(s) / phi(s), s = r / gcd(w, r) (Ramanujan, Trans. Cambridge Phil.
-    # Soc. 22, 1918); any other orbit is summed point by point.
+    """(1/|B|) sum over the numerators a of zeta_r^(w a), exact at level r.
+
+    This is a Gaussian period, so it depends only on the <p, q>-orbit of w
+    in Z/r (Gauss, Disquisitiones art. 343 ff.): with g = gcd(w, r) and
+    s = r / g, w <p, q> is g times a coset of <p, q> in the units mod s.
+    The period of w is the least positive member of that orbit (r for
+    w = 0); _periods computes it, and equal periods give equal means.
+    When the orbit is every unit mod r the period is g, and the mean is the
+    Ramanujan sum c_r(w) / phi(r) = mu(s) / phi(s) (Ramanujan, Trans.
+    Cambridge Phil. Soc. 22, 1918); any other orbit is summed point by point.
+    """
     r = orbit.denominator
     check_level(r)
     if orbit.size == euler_phi(r):
@@ -107,22 +117,58 @@ def _orbit_mean(orbit: OrbitData, w: int) -> Cyclotomic:
     return Cyclotomic(r, counts, orbit.size)
 
 
+def _periods(orbit: OrbitData) -> Callable[[int], int]:
+    # w -> its period (see _orbit_mean) for 0 <= w < r.  For an orbit of
+    # every unit that is gcd(w, r).  Else the orbit of w is w H, H = <p, q>
+    # mod r being the numerators over the first one; each orbit met is
+    # labelled with its least member once, in a table that lives as long as
+    # the function: O(|B|) per orbit met, at most phi(r) for the orbits of
+    # one gcd(w, r).  Nothing of size r is built, so the level is not checked.
+    r = orbit.denominator
+    if orbit.size == euler_phi(r):
+        return partial(gcd, r)
+    least: dict[int, int] = {}
+    inv = pow(orbit.numerators[0], -1, r)
+
+    def period(w: int) -> int:
+        low = least.get(w)
+        if low is None:
+            x = w * inv % r
+            members = {x * a % r for a in orbit.numerators}
+            low = min(members) or r  # the orbit {0} is labelled r
+            least.update(dict.fromkeys(members, low))
+        return low
+
+    return period
+
+
 def _mean_sum(orbit: OrbitData, K: int, sums: dict[tuple[int, int], int], den: int) -> Cyclotomic:
     # sum over keys (w, e) of (k / den) zeta_K^e times the mean at w, as one
     # integer vector at the lcm L of the levels the summands have alone; no
-    # keys give 0 at level 1.  Each summand keeps its mean's den and trimmed
-    # vec only, so memory does not grow as keys x phi(r).
+    # keys give 0 at level 1.  Keys of equal (period, e) add their k first;
+    # each period's mean is built at most once, and only for a key whose k is
+    # not 0 or whose twist needs the mean's rationality for its level.  Each
+    # summand keeps its mean's den and trimmed vec only, so memory does not
+    # grow as keys x phi(r).
     r = orbit.denominator
-    parts, D, L = [], 1, 1
+    period, keyed = _periods(orbit), {}
     for (w, e), k in sums.items():
-        mean = _orbit_mean(orbit, w)
+        key = (period(w), e)
+        keyed[key] = keyed.get(key, 0) + k
+    means: dict[int, Cyclotomic] = {}
+    parts, D, L = [], 1, 1
+    for (w, e), k in keyed.items():
         d = K // gcd(e, K)  # the order of the twist e/K
+        if k or d > 1:  # else the level is r and nothing is added
+            mean = means.get(w)
+            if mean is None:
+                mean = means[w] = _orbit_mean(orbit, w)
         check_level(d)
         level = r if d == 1 else twisted_level(d, mean)
         check_level(level)
         L = lcm(L, level)  # in the order the summands would be added
         check_level(L)
-        if mean.vec:  # a zero mean adds nothing
+        if k and mean.vec:  # a zero sum or a zero mean adds nothing
             parts.append((mean.den, mean.vec, e, d, k))
             D = lcm(D, mean.den)
     # zeta_r^i is zeta_L^(i step + shift) for the twist zeta_L^shift; a
@@ -148,10 +194,12 @@ def trace_eval(spec: TraceSpec, a: GroupAlgebraElement) -> Cyclotomic:
 
     Terms with equal pairing factor w and twist chi(m, n) = e/K mod 1
     (K the lcm of the character's denominators) add their numerators into
-    one key (w, e).  The keys are summed into one integer vector at the lcm
-    L of the levels each summand has alone: r, the orbit denominator,
-    untwisted, and ``exact.twisted_level`` for a twist.  The result has
-    level L, which divides lcm(r, character level).
+    one key (w, e), and keys with equal period (see _orbit_mean) and e into
+    one key (period, e).  Each key whose numerators do not sum to 0 adds
+    its period's mean once.  The keys are summed into one integer vector at
+    the lcm L of the levels each key has alone, zero sums included: r, the
+    orbit denominator, untwisted, and ``exact.twisted_level`` for a twist.
+    The result has level L, which divides lcm(r, character level).
     """
     params = spec.params
     if params != a.params:
@@ -169,18 +217,26 @@ def trace_eval(spec: TraceSpec, a: GroupAlgebraElement) -> Cyclotomic:
         t1, t2 = spec.chi.t1, spec.chi.t2
         K = lcm(t1.den, t2.den)
         e1, e2 = t1.num * (K // t1.den), t2.num * (K // t2.den)
+        (ba, bb), (_, bc) = orbit.stabilizer.basis
+    factors: dict[tuple[int, int], int] = {}  # (a, b) -> _pair_mult of 1 / p^a q^b
     sums: dict[tuple[int, int], int] = {}
     for (num, ya, yb, m, n), k in a.nums:
-        if finite:
-            coords = orbit.stabilizer.coords(m, n)
-            if coords is None:
+        if finite:  # the coordinates of (m, n), as StabilizerLattice.coords
+            if m % ba:
                 continue
-            e = (e1 * coords[0] + e2 * coords[1]) % K
+            c1 = m // ba
+            rest = n - c1 * bb
+            if rest % bc:
+                continue
+            e = (e1 * c1 + e2 * (rest // bc)) % K
         elif m or n:
             continue
         else:
             e = 0
-        key = (_pair_mult(params, r, num, ya, yb), e)
+        f = factors.get((ya, yb))
+        if f is None:
+            f = factors[ya, yb] = _pair_mult(params, r, 1, ya, yb)
+        key = (num * f % r, e)
         sums[key] = sums.get(key, 0) + k
     return _mean_sum(orbit, K, sums, a.den)
 
@@ -208,9 +264,10 @@ def moments(spec: TraceSpec, n_max: int) -> MomentSequence:
     """The moments tau(u_(n,0,0)) for |n| <= n_max, read without building
     the units.  A unit with (m, n) = (0, 0) has character value 1 and pairing
     factor n mod r, so an orbit trace gives the orbit mean at n mod r, as
-    trace_eval does on that unit; the canonical trace gives 1 at n = 0 and 0
-    elsewhere.  Both limits, MAX_MOMENT_RANGE and MAX_MOMENT_COEFFICIENTS,
-    are checked before any value is computed.
+    trace_eval does on that unit, and values of equal period (see
+    _orbit_mean) are one shared Cyclotomic; the canonical trace gives 1 at
+    n = 0 and 0 elsewhere.  Both limits, MAX_MOMENT_RANGE and
+    MAX_MOMENT_COEFFICIENTS, are checked before any value is computed.
     """
     if not 0 <= n_max <= MAX_MOMENT_RANGE:
         raise OutOfRange(f"n_max = {n_max} out of range; expected 0 <= n_max <= {MAX_MOMENT_RANGE}")
@@ -225,7 +282,10 @@ def moments(spec: TraceSpec, n_max: int) -> MomentSequence:
     if isinstance(spec, CanonicalTrace):
         vals = [Cyclotomic.from_fraction(int(n == 0)) for n in indices]
     else:
-        vals = [_orbit_mean(spec.orbit, n % r) for n in indices]
+        period = _periods(spec.orbit)
+        keys = [period(n % r) for n in indices]
+        means = {w: _orbit_mean(spec.orbit, w) for w in set(keys)}
+        vals = [means[w] for w in keys]
     return MomentSequence(spec, n_max, tuple(vals))
 
 

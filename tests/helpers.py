@@ -118,7 +118,7 @@ def reference_meet(lat1: StabilizerLattice, lat2: StabilizerLattice) -> Stabiliz
     is the least n > 0 with (0, n) in both, a the least m > 0 with some
     (m, n), 0 <= n < c, in both, and b the least such n for m = a."""
     def both(m, n):
-        return lat1.contains(m, n) and lat2.contains(m, n)
+        return lat1.coords(m, n) is not None and lat2.coords(m, n) is not None
 
     c = next(n for n in count(1) if both(0, n))
     a = next(m for m in count(1) if any(both(m, n) for n in range(c)))
@@ -700,20 +700,42 @@ def reference_orbit_mean(orbit, w: int) -> Cyclotomic:
     return Cyclotomic(r, counts, orbit.size)
 
 
-def orbit_mean_mismatches(params: SystemParams, max_denominator: int) -> list[tuple[int, int]]:
-    """The (r, w) at which traces._orbit_mean differs from
-    reference_orbit_mean in level, den or vec, for every w mod r at every
-    r <= the bound whose units form one orbit (the census orbit of size
-    phi(r)), where _orbit_mean takes the Ramanujan sum."""
+def reference_periods(params: SystemParams, r: int) -> list[int]:
+    """The least positive member of the <p, q>-orbit of each w mod r (r for
+    the orbit {0}), by BFS over multiplication by p and q on Z/r."""
+    least = [0] * r
+    for w in range(r):
+        if least[w]:
+            continue
+        seen, todo = {w}, [w]
+        while todo:
+            x = todo.pop()
+            for y in (x * params.p % r, x * params.q % r):
+                if y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+        low = min((x or r) for x in seen)
+        for x in seen:
+            least[x] = low
+    return least
+
+
+def orbit_mean_mismatches(params: SystemParams, max_denominator: int) -> list[tuple[int, int, int]]:
+    """The (r, least numerator, w) at which traces._orbit_mean at w or at the
+    period that traces._periods gives w differs from reference_orbit_mean at
+    w in level, den or vec, or that period is not the one reference_periods
+    finds, for every w mod r on every census orbit up to the bound: single
+    orbits (the Ramanujan sum) and orbits of several cosets alike."""
     bad = []
     for orbit in dynamics.census(params, max_denominator)[1]:
-        r = orbit.denominator
-        if orbit.size != euler_phi(r):
-            continue
+        r, a0 = orbit.denominator, orbit.numerators[0]
+        period, least = traces._periods(orbit), reference_periods(params, r)
         for w in range(r):
-            got, want = traces._orbit_mean(orbit, w), reference_orbit_mean(orbit, w)
-            if (got.level, got.den, got.vec) != (want.level, want.den, want.vec):
-                bad.append((r, w))
+            want = reference_orbit_mean(orbit, w)
+            want = (want.level, want.den, want.vec)
+            got = [traces._orbit_mean(orbit, v) for v in (w, period(w))]
+            if period(w) != least[w] or any((g.level, g.den, g.vec) != want for g in got):
+                bad.append((r, a0, w))
     return bad
 
 
@@ -769,7 +791,7 @@ def reference_trace_eval(spec, a: GroupAlgebraElement) -> Cyclotomic:
             v = Cyclotomic.one()
         else:
             if isinstance(spec, FiniteOrbitTrace):
-                if not spec.orbit.stabilizer.contains(g.m, g.n):
+                if spec.orbit.stabilizer.coords(g.m, g.n) is None:
                     continue
                 twist = spec.chi.exponent(g.m, g.n)
             elif (g.m, g.n) != (0, 0):
@@ -783,3 +805,54 @@ def reference_trace_eval(spec, a: GroupAlgebraElement) -> Cyclotomic:
         v = v.scaled(c)
         total = v if total is None else total + v
     return Cyclotomic.zero() if total is None else total
+
+
+def trace_mismatches(params: SystemParams, max_denominator: int, count: int,
+                     seed: int = 0) -> list[tuple[int, int, int, int]]:
+    """The (r, least numerator, trace index, element index) at which
+    trace_eval differs from reference_trace_eval in level, den or vec, on
+    count random elements a and on a.star() * a, over every census orbit up
+    to the bound that is not every unit mod r or whose r is composite.  The
+    traces are the orbit measure (index 0) and the characters (0, 0),
+    (1/2, 0) and (1/3, 1/4), of orders 1, 2 and 12.  Most terms lie on the
+    stabilizer lattice, some at (0, 0) and some off it.  Half the terms c
+    u_(y, m, n) come with -c u_(y', m, n) for y' one of y + r (the same
+    pairing factor), p y and q y (the same period), so that keys summing to
+    0, twisted ones included, occur."""
+    p, q = params.p, params.q
+    rng = random.Random(seed)
+    bad = []
+    for orbit in dynamics.census(params, max_denominator)[1]:
+        r, a0 = orbit.denominator, orbit.numerators[0]
+        if orbit.size == euler_phi(r) and _prime_factors(r) == [r]:
+            continue
+        specs = [OrbitMeasureTrace(orbit)] + [
+            FiniteOrbitTrace(orbit, Character(orbit.stabilizer, t1, t2))
+            for t1, t2 in ((QmodZ(0, 1), QmodZ(0, 1)), (QmodZ(1, 2), QmodZ(0, 1)), (QmodZ(1, 3), QmodZ(1, 4)))
+        ]
+        (ba, bb), (_, bc) = orbit.stabilizer.basis
+        for i in range(count):
+            terms = []
+            for _ in range(rng.randint(1, 5)):
+                u = rng.random()
+                if u < 0.25:
+                    m, n = 0, 0
+                elif u < 0.85:
+                    j, k = rng.randint(-2, 2), rng.randint(-2, 2)
+                    m, n = j * ba, j * bb + k * bc
+                else:
+                    m, n = rng.randint(-3, 3), rng.randint(-3, 3)
+                y = Fraction(rng.randint(-2 * r, 2 * r), p ** rng.randint(0, 2) * q ** rng.randint(0, 2))
+                c = Fraction(rng.choice((-3, -1, 1, 2)), rng.randint(1, 3))
+                terms.append((y, m, n, c))
+                if rng.random() < 0.5:
+                    terms.append((rng.choice((y + r, p * y, q * y)), m, n, -c))
+            a = GroupAlgebraElement.from_terms(
+                params, [(GroupElement(PqRational.from_fraction(y, p, q), m, n), c) for y, m, n, c in terms]
+            )
+            for el in (a, a.star() * a):
+                for j, spec in enumerate(specs):
+                    got, want = traces.trace_eval(spec, el), reference_trace_eval(spec, el)
+                    if (got.level, got.den, got.vec) != (want.level, want.den, want.vec):
+                        bad.append((r, a0, j, i))
+    return bad

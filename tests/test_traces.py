@@ -2,6 +2,7 @@ import cmath
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -10,7 +11,9 @@ from helpers import (
     orbit_specs,
     random_algebra_element,
     random_group_element,
+    reference_orbit_mean,
     reference_trace_eval,
+    trace_mismatches,
     unit_moment_mismatches,
 )
 from xpq import (
@@ -37,6 +40,7 @@ from xpq import (
     root_of_unity,
     trace_eval,
 )
+from xpq import traces
 from xpq.exact import MAX_CYCLOTOMIC_LEVEL
 from xpq.traces import MAX_MOMENT_COEFFICIENTS, MAX_MOMENT_RANGE, _pair_mult
 
@@ -270,9 +274,17 @@ class TestTraceEvalAgainstReference:
 
     @pytest.mark.parametrize("pq", [(2, 3), (5, 7), (2, 5), (4, 6)])
     def test_single_orbit_means_match_the_point_loop(self, pq):
-        # every w at every r <= 150 whose units form one orbit: the Ramanujan
-        # sum mu(s) / phi(s) against the mean summed point by point
+        # every w on every census orbit r <= 150: where the units form one
+        # orbit, the Ramanujan sum mu(s) / phi(s), and on any orbit the mean
+        # at w's period, against the mean summed point by point at w; and
+        # the period against the least member of w's orbit found by BFS
         assert orbit_mean_mismatches(SystemParams(*pq), 150) == []
+
+    @pytest.mark.parametrize("pq", [(2, 3), (5, 7), (2, 5), (4, 6)])
+    def test_sums_by_period_match_the_reference(self, pq):
+        # orbits of several cosets and composite r <= 40, with keys that sum
+        # to 0 under twists of order 1, 2 and 12
+        assert trace_mismatches(SystemParams(*pq), 40, 3) == []
 
     def test_many_keys_do_not_hold_a_dense_mean_each(self):
         # the orbit of 1/20011 is all 20010 units; 100 untwisted keys, each
@@ -337,6 +349,54 @@ class TestTraceEvalAgainstReference:
         with pytest.raises(OutOfRange, match=f"level {big} out of range") as err:
             trace_eval(FiniteOrbitTrace(ORBIT7, chi), a)
         assert str(7 * big) not in str(err.value)
+
+
+class TestMeansByPeriod:
+    """The work trace_eval and moments do, counted as calls of _orbit_mean:
+    one per period, none for a key whose numerators sum to 0."""
+
+    @staticmethod
+    def counted():
+        return mock.patch.object(traces, "_orbit_mean", wraps=traces._orbit_mean)
+
+    def test_units_on_two_cosets_build_two_means(self):
+        # the orbit of 1/10007 at (2, 3) is one of two cosets of <2, 3>, so the
+        # 1000 units give two periods; a mean per unit took 2.4 s
+        orbit = orbit_of(P23, SolenoidPoint.of(1, 10007))
+        spec = OrbitMeasureTrace(orbit)
+        a = GroupAlgebraElement.from_terms(P23, [(translation(w), 1) for w in range(1, 1001)])
+        with self.counted() as mean:
+            value = trace_eval(spec, a)
+        assert mean.call_count <= 2
+        # the orbit is the subgroup H itself; w in H has the mean at 1, any
+        # other w the mean at the least non-member
+        inside = set(orbit.numerators)
+        n_in = sum(w in inside for w in range(1, 1001))
+        other = next(w for w in range(2, 10007) if w not in inside)
+        want = (reference_orbit_mean(orbit, 1).scaled(n_in)
+                + reference_orbit_mean(orbit, other).scaled(1000 - n_in))
+        assert 0 < n_in < 1000 and same_representation(value, want)
+
+    def test_witness_builds_no_mean(self):
+        # w* w = 2 u_e - u_(r,0,0) - u_(-r,0,0): its one key sums to 0
+        for orbit in (ORBIT5, ORBIT23, orbit_of(P23, SolenoidPoint.of(7, 95))):
+            w = nonfaithful_witness(orbit)
+            ww = w.star() * w
+            for spec in orbit_specs(orbit):
+                with self.counted() as mean:
+                    value = trace_eval(spec, ww)
+                assert mean.call_count == 0
+                assert value.is_zero() and value.level == orbit.denominator
+
+    def test_moments_on_two_cosets_build_three_means(self):
+        # n = 0 and the two cosets of <2, 3> mod 10007; equal values are one object
+        orbit = orbit_of(P23, SolenoidPoint.of(1, 10007))
+        spec = OrbitMeasureTrace(orbit)
+        with self.counted() as mean:
+            seq = moments(spec, 49)
+        assert mean.call_count == 3
+        assert len({id(v) for v in seq.values}) == 3
+        assert unit_moment_mismatches(spec, 49) == []
 
 
 class TestTraceLaws:
