@@ -274,25 +274,30 @@ def _cmd_moments(args) -> int:
     params = _params(args)
     spec = trace_spec_from_json(_load_json(args.trace), params)
     seq = moments(spec, args.n_max)
+    # values of equal period are one shared Cyclotomic (traces.moments), so
+    # each object is encoded once, keyed by id while seq holds it: the call
+    # holds one encoding per distinct period
+    distinct = {id(v): v for v in seq.values}
     out = sys.stdout
     if args.format == "csv":
         # what csv.writer writes: no field needs quoting
+        rows = {key: "{0.real!r},{0.imag!r},{1}".format(v.approx(), v) for key, v in distinct.items()}
         out.write("n,re,im,exact\n")
         for n, v in seq.items():
-            z = v.approx()
-            out.write(f"{n},{z.real!r},{z.imag!r},{v}\n")
+            out.write(f"{n},{rows[id(v)]}\n")
     elif args.format == "pretty":
+        rows = {key: "{0.real:+.6f}{0.imag:+.6f}i  ({1})".format(v.approx(), v) for key, v in distinct.items()}
         print(f"moments up to +-{seq.n_max}:")
         for n, v in seq.items():
-            z = v.approx()
-            print(f"  n={n:+d}  {z.real:+.6f}{z.imag:+.6f}i  ({v})")
+            print(f"  n={n:+d}  {rows[id(v)]}")
     else:
         # the document _emit_json(serialize.moments_to_json(seq)) would write,
         # one value's text at a time: "values" is its last key and never empty
+        encoded = {key: evaluation_to_json(v) for key, v in distinct.items()}
         out.write(f'{{\n  "n_max": {seq.n_max},\n  "trace": {_dumps(trace_spec_to_json(spec), "  ")},\n  "values": [')
         sep = "\n    "
         for n, v in seq.items():
-            out.write(sep + _dumps({"n": n, **evaluation_to_json(v)}, "    "))
+            out.write(sep + _dumps({"n": n, **encoded[id(v)]}, "    "))
             sep = ",\n    "
         out.write("\n  ]\n}\n")
     return 0

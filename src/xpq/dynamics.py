@@ -405,17 +405,17 @@ def orbit_of(params: SystemParams, x: SolenoidPoint) -> OrbitData:
     stabilizer basis, or all units mod r, read off the unit mask, when
     <p, q> is the whole unit group; numerators are sorted.
     """
-    return _build_orbit(params, x, stabilizer_lattice(params, x.coord.den))
+    return _build_orbit(params, x.coord, stabilizer_lattice(params, x.coord.den))
 
 
-def _build_orbit(params: SystemParams, x: SolenoidPoint, stab: StabilizerLattice) -> OrbitData:
-    """The orbit of x, given the stabilizer lattice stab of its denominator
-    (orbit_of)."""
-    r = x.coord.den
+def _build_orbit(params: SystemParams, x: QmodZ, stab: StabilizerLattice) -> OrbitData:
+    """The orbit of the point x of Q/Z, given the stabilizer lattice stab of
+    its denominator (orbit_of)."""
+    r = x.den
     if stab.index == euler_phi(r):
         nums = list(compress(range(r), _unit_mask(r, [ell for ell, _ in _factorize_cached(r).pairs])))
     else:
-        a0 = x.coord.num
+        a0 = x.num
         nums = sorted([a0 * h % r for h in _subgroup(params, r, stab)])
     return OrbitData(params, r, tuple(nums), stab)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .dynamics import Character, OrbitData, SolenoidPoint, SystemParams, _build_orbit, check_exponent, stabilizer_lattice
+from .dynamics import Character, OrbitData, SystemParams, _build_orbit, check_exponent, stabilizer_lattice
 from .errors import OutOfRange, ParamsMismatch
 from .exact import Cyclotomic, PqRational, QmodZ, euler_phi
 
@@ -161,7 +161,7 @@ def orbit_from_json(data) -> OrbitData:
     lattice = stabilizer_lattice(params, r)
     if len(listed) != lattice.index:
         raise ValueError(f"the orbit list mod {r} has {len(listed)} entries, not index(L_r) = {lattice.index}")
-    orbit = _build_orbit(params, SolenoidPoint(x), lattice)
+    orbit = _build_orbit(params, x, lattice)
     own = orbit_to_json(orbit)
     texts = own["orbit"]
     left = set(texts)

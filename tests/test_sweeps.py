@@ -1,0 +1,34 @@
+import re
+from pathlib import Path
+
+import sweeps
+
+WORKFLOW = (Path(__file__).resolve().parent.parent / ".github/workflows/tests.yml").read_text(encoding="utf-8")
+
+
+class TestWorkflowCallsTheTasks:
+    def test_every_called_name_is_a_task_and_every_task_is_called(self):
+        called = [name for names in re.findall(r"python tests/sweeps\.py((?: [\w-]+)+)", WORKFLOW)
+                  for name in names.split()]
+        assert set(called) <= set(sweeps.TASKS), set(called) - set(sweeps.TASKS)
+        assert set(sweeps.TASKS) <= set(called), set(sweeps.TASKS) - set(called)
+
+    def test_no_multi_line_inline_program(self):
+        programs = re.findall(r"python3? -c\s+(['\"])(.*?)\1", WORKFLOW, re.DOTALL)
+        assert [text for _, text in programs if "\n" in text] == []
+
+
+class TestMain:
+    def test_unknown_name_runs_nothing(self, capsys):
+        assert sweeps.main(["size", "nope"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("unknown task 'nope'; expected any of size, unused-imports, ")
+
+    def test_size_and_lint(self, capsys):
+        assert sweeps.main(["size", "unused-imports"]) == 0
+        assert re.fullmatch(r"src/xpq: \d+ lines, \d+ code lines \(not blank, comment or docstring\)\n",
+                            capsys.readouterr().out)
+
+    def test_code_lines_skip_docstrings_comments_and_blanks(self):
+        text = 'def f():\n    """one\n    two"""\n\n    # note\n    return 1\n'
+        assert sweeps.code_lines(text) == 2
