@@ -292,12 +292,15 @@ def _cmd_moments(args) -> int:
             print(f"  n={n:+d}  {rows[id(v)]}")
     else:
         # the document _emit_json(serialize.moments_to_json(seq)) would write,
-        # one value's text at a time: "values" is its last key and never empty
-        encoded = {key: evaluation_to_json(v) for key, v in distinct.items()}
+        # one value's text at a time: "values" is its last key and never empty,
+        # and "n", the last key of a value, ends it, so each distinct value's
+        # text before "n" is laid out once
+        end = "\n    }"
+        heads = {key: _dumps(evaluation_to_json(v), "    ").removesuffix(end) for key, v in distinct.items()}
         out.write(f'{{\n  "n_max": {seq.n_max},\n  "trace": {_dumps(trace_spec_to_json(spec), "  ")},\n  "values": [')
         sep = "\n    "
         for n, v in seq.items():
-            out.write(sep + _dumps({"n": n, **encoded[id(v)]}, "    "))
+            out.write(f'{sep}{heads[id(v)]},\n      "n": {n}{end}')
             sep = ",\n    "
         out.write("\n  ]\n}\n")
     return 0

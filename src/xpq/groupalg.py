@@ -9,12 +9,13 @@ Ring parts are computed in integers: both summands are written over one
 denominator p^a q^b (a negative power of p or q multiplies the numerator
 instead), the numerators are added, and PqRational.canonical brings the
 sum to canonical form by gcd steps, so neither p nor q is ever factored.
-An element of Q[G] holds integer numerators over one denominator, as
-Cyclotomic does, each keyed by its group element's row (num, a, b, m, n),
-the tuple GroupElement.sort_key() gives (GroupAlgebraElement).  Sums,
-negation, scaling, star and products work on those integers alone; a
-GroupElement is built only at the edges, by from_terms and unit taking
-elements in and by terms handing them out.  A product writes the ring parts
+A group element is its integer row (num, a, b, m, n), x = num / p^a q^b
+in canonical form: GroupElement stores that one tuple and builds x on
+access.  An element of Q[G] holds integer numerators over one denominator,
+as Cyclotomic does, each keyed by its group element's row
+(GroupAlgebraElement).  Sums, negation, scaling, star and products work on
+those integers alone, and terms hands out the stored rows wrapped as
+GroupElements, with no copy and no PqRational.  A product writes the ring parts
 of all its pairs over one p^A q^B and runs the gcd steps once per distinct
 gcd of a numerator with p^A q^B, not once per term (its __mul__).
 
@@ -40,29 +41,43 @@ MAX_CONJUGATES = 1000
 
 
 class GroupElement(Record):
-    __slots__ = ("x", "m", "n")
+    """(x, m, n) in G, stored as its row (num, a, b, m, n) with
+    x = num / p^a q^b: elements compare, hash and sort by the row alone,
+    and x is a PqRational built on each access."""
+
+    __slots__ = ("row",)
 
     def __init__(self, x: PqRational, m: int, n: int):
-        set_x, set_m, set_n = self._setters
-        set_x(self, x)
-        set_m(self, m)
-        set_n(self, n)
+        _set_row(self, (x.num, x.a, x.b, m, n))
 
     @classmethod
     def identity(cls) -> GroupElement:
         return cls(PqRational(0, 0, 0), 0, 0)
 
+    @property
+    def x(self) -> PqRational:
+        return PqRational(*self.row[:3])
+
+    m = property(lambda self: self.row[3])
+    n = property(lambda self: self.row[4])
+
     def is_identity(self) -> bool:
-        return self.x.is_zero() and self.m == 0 and self.n == 0
+        num, _, _, m, n = self.row
+        return num == 0 and m == 0 and n == 0
 
-    def sort_key(self):
-        return (self.x.num, self.x.a, self.x.b, self.m, self.n)
+    def sort_key(self) -> tuple[int, int, int, int, int]:
+        return self.row
 
 
-def _times_pq(params: SystemParams, x: PqRational, m: int, n: int) -> tuple[int, int, int]:
-    # x p^m q^n as (num, a, b) meaning num / (p^a q^b) with a, b >= 0, not
-    # yet canonical; a negative exponent multiplies num instead of dividing
-    num, a, b = x.num, x.a - m, x.b - n
+(_set_row,) = GroupElement._setters
+
+
+def _times_pq(params: SystemParams, num: int, a: int, b: int, m: int, n: int) -> tuple[int, int, int]:
+    # (num / p^a q^b) p^m q^n as (num, a, b) meaning num / (p^a q^b) with
+    # a, b >= 0, not yet canonical; a negative exponent multiplies num
+    # instead of dividing
+    a -= m
+    b -= n
     if a < 0:
         num *= params.p**-a
         a = 0
@@ -79,22 +94,23 @@ def _canonical(params: SystemParams, num: int, a: int, b: int) -> PqRational:
 
 def alpha_apply(params: SystemParams, mn: tuple[int, int], x: PqRational) -> PqRational:
     """The Z^2-action on Z[1/pq]: (m, n) sends x to p^m q^n x."""
-    return _canonical(params, *_times_pq(params, x, *mn))
+    return _canonical(params, *_times_pq(params, x.num, x.a, x.b, *mn))
 
 
 def group_mul(params: SystemParams, g: GroupElement, h: GroupElement) -> GroupElement:
     # the ring part x1 + p^m1 q^n1 x2, both summands over p^a q^b
     p, q = params.p, params.q
-    n1, a1, b1 = g.x.num, g.x.a, g.x.b
-    n2, a2, b2 = _times_pq(params, h.x, g.m, g.n)
+    num1, a1, b1, m1, n1 = g.row
+    num2, a2, b2, m2, n2 = h.row
+    num2, a2, b2 = _times_pq(params, num2, a2, b2, m1, n1)
     a, b = max(a1, a2), max(b1, b2)
-    num = n1 * p ** (a - a1) * q ** (b - b1) + n2 * p ** (a - a2) * q ** (b - b2)
-    return GroupElement(_canonical(params, num, a, b), g.m + h.m, g.n + h.n)
+    num = num1 * p ** (a - a1) * q ** (b - b1) + num2 * p ** (a - a2) * q ** (b - b2)
+    return GroupElement(_canonical(params, num, a, b), m1 + m2, n1 + n2)
 
 
 def group_inv(params: SystemParams, g: GroupElement) -> GroupElement:
-    num, a, b = _times_pq(params, g.x, -g.m, -g.n)
-    return GroupElement(_canonical(params, -num, a, b), -g.m, -g.n)
+    num, a, b, m, n = g.row
+    return GroupElement(_canonical(params, *_times_pq(params, -num, a, b, -m, -n)), -m, -n)
 
 
 def icc_witness(params: SystemParams, g: GroupElement, count: int) -> list[GroupElement]:
@@ -111,21 +127,22 @@ def icc_witness(params: SystemParams, g: GroupElement, count: int) -> list[Group
         raise OutOfRange(f"count = {count} out of range; expected 0 <= count <= {MAX_CONJUGATES}")
     if g.is_identity():
         raise IdentityElement("the identity has a one-element conjugacy class")
-    if not g.x.is_zero():
+    num, _, _, m, n = g.row
+    if num:
         def nth(k: int) -> PqRational:
             return alpha_apply(params, (k, 0), g.x)
     else:
-        # p^m q^n = num / den, so the factor 1 - p^m q^n is (den - num) / den
-        num, a, b = _times_pq(params, PqRational.from_int(1), g.m, g.n)
-        den = params.p**a * params.q**b
-        if num == den:
+        # p^m q^n = top / den, so the factor 1 - p^m q^n is (den - top) / den
+        top, ea, eb = _times_pq(params, 1, 0, 0, m, n)
+        den = params.p**ea * params.q**eb
+        if top == den:
             raise DependentParams(
-                f"p^{g.m} q^{g.n} = 1: the conjugates by (k, 0, 0) collapse; "
+                f"p^{m} q^{n} = 1: the conjugates by (k, 0, 0) collapse; "
                 "this cannot happen for multiplicatively independent p, q"
             )
 
         def nth(k: int) -> PqRational:
-            return PqRational.canonical((den - num) * k, den, params.p, params.q)
+            return PqRational.canonical((den - top) * k, den, params.p, params.q)
 
     digits, limit = str_digit_limit()
     out = []
@@ -136,7 +153,7 @@ def icc_witness(params: SystemParams, g: GroupElement, count: int) -> list[Group
                 f"count = {count}: conjugate {k} has a numerator of more than {digits} decimal "
                 "digits, the limit for printing an integer (sys.get_int_max_str_digits())"
             )
-        out.append(GroupElement(x, g.m, g.n))
+        out.append(GroupElement(x, m, n))
     return out
 
 
@@ -144,13 +161,12 @@ class GroupAlgebraElement(Record):
     """Finitely supported rational combination sum c_g u_g in Q[G].
 
     Stored as integer numerators over one denominator: c_g = k_g / den
-    for (row, k_g) in nums, where row = (num, a, b, m, n) is the integer
-    row of g = (num / p^a q^b, m, n), its GroupElement.sort_key().  nums is
-    sorted by plain tuple order with no zero numerator, and
-    gcd(den, k_g...) = 1 with den >= 1, so equal elements compare and hash
-    equal structurally.  No GroupElement is stored: from_terms and unit take
-    them in, terms hands them out with Fraction coefficients, and coefficient
-    looks one up.  Build through unit / zero / from_terms or the arithmetic
+    for (row, k_g) in nums, where row = (num, a, b, m, n) is g.row.  nums
+    is sorted by row with no zero numerator, and gcd(den, k_g...) = 1 with
+    den >= 1, so equal elements compare and hash equal structurally.
+    from_terms and unit take GroupElements in by their rows, terms wraps
+    the stored rows with Fraction coefficients, and coefficient looks one
+    up.  Build through unit / zero / from_terms or the arithmetic
     operators.
     """
 
@@ -159,9 +175,8 @@ class GroupAlgebraElement(Record):
     @classmethod
     def _normalised(cls, params: SystemParams, den: int, nums) -> GroupAlgebraElement:
         # from (row, k) pairs with distinct rows over den >= 1: drop k = 0,
-        # sort (distinct rows never compare their k), and divide den and
-        # every k by their gcd
-        nums = sorted(filter(itemgetter(1), nums))
+        # sort by row, and divide den and every k by their gcd
+        nums = sorted(filter(itemgetter(1), nums), key=itemgetter(0))
         c = gcd(den, *(k for _, k in nums))
         if c > 1:
             den //= c
@@ -189,7 +204,7 @@ class GroupAlgebraElement(Record):
     def from_terms(cls, params: SystemParams, terms) -> GroupAlgebraElement:
         """sum c u_g over (g, c) in terms, with c an int or a Fraction;
         repeated group elements add up."""
-        terms = [(g.sort_key(), as_fraction(c)) for g, c in terms]
+        terms = [(g.row, as_fraction(c)) for g, c in terms]
         den = lcm(*(c.denominator for _, c in terms))
         acc: dict[tuple, int] = {}
         for row, c in terms:
@@ -198,7 +213,7 @@ class GroupAlgebraElement(Record):
 
     @classmethod
     def unit(cls, params: SystemParams, g: GroupElement) -> GroupAlgebraElement:
-        return cls(params, 1, ((g.sort_key(), 1),))
+        return cls(params, 1, ((g.row, 1),))
 
     @classmethod
     def zero(cls, params: SystemParams) -> GroupAlgebraElement:
@@ -206,15 +221,19 @@ class GroupAlgebraElement(Record):
 
     @property
     def terms(self) -> tuple[tuple[GroupElement, Fraction], ...]:
-        """The (g, c_g) pairs in sort_key() order, c_g a nonzero Fraction;
-        terms with one numerator share one Fraction."""
+        """The (g, c_g) pairs in row order, c_g a nonzero Fraction; each g
+        wraps its stored row, and terms with one numerator share one
+        Fraction."""
         fractions = {k: Fraction(k, self.den) for k in {k for _, k in self.nums}}
-        return tuple(
-            (GroupElement(PqRational(num, a, b), m, n), fractions[k]) for (num, a, b, m, n), k in self.nums
-        )
+        out, new, set_row = [], object.__new__, _set_row
+        for row, k in self.nums:
+            g = new(GroupElement)
+            set_row(g, row)
+            out.append((g, fractions[k]))
+        return tuple(out)
 
     def coefficient(self, g: GroupElement) -> Fraction:
-        nums, row = self.nums, g.sort_key()
+        nums, row = self.nums, g.row
         i = bisect_left(nums, (row,))  # (row,) sorts before (row, k)
         if i < len(nums) and nums[i][0] == row:
             return Fraction(nums[i][1], self.den)

@@ -165,11 +165,17 @@ def orbit_from_json(data) -> OrbitData:
     own = orbit_to_json(orbit)
     texts = own["orbit"]
     left = set(texts)
-    for text in listed:
-        if not isinstance(text, str) or text not in left:
-            raise ValueError(f"{text!r} is listed twice in the orbit list mod {r}" if text in texts
-                             else f"{text!r} is not a point of the orbit of {x}, written a/{r}")
-        left.remove(text)
+    try:  # the lengths are equal, so a list holding every text holds each once
+        left.difference_update(listed)
+    except TypeError:  # an unhashable entry: fewer entries than texts are removed
+        pass
+    if left:  # walk the list to name its first bad text
+        left = set(texts)
+        for text in listed:
+            if not isinstance(text, str) or text not in left:
+                raise ValueError(f"{text!r} is listed twice in the orbit list mod {r}" if text in texts
+                                 else f"{text!r} is not a point of the orbit of {x}, written a/{r}")
+            left.remove(text)
     stab = _need(data, "stabilizer", dict)
     if _need(stab, "basis") != own["stabilizer"]["basis"] or _int_field(stab, "index") != orbit.stabilizer.index:
         raise ValueError(f"stabilizer data does not match the lattice mod {r}")
@@ -182,7 +188,8 @@ def orbit_from_json(data) -> OrbitData:
 
 
 def group_element_to_json(g: GroupElement) -> dict:
-    return {"x": pq_rational_to_json(g.x), "m": g.m, "n": g.n}
+    num, a, b, m, n = g.row  # x as pq_rational_to_json writes it
+    return {"x": {"num": str(num), "a": a, "b": b}, "m": m, "n": n}
 
 
 def group_element_from_json(data, params: SystemParams) -> GroupElement:

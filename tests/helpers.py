@@ -671,22 +671,32 @@ def reference_star(a: GroupAlgebraElement) -> GroupAlgebraElement:
 def algebra_mismatches(params: SystemParams, count: int, seed: int = 0) -> list[tuple[int, str]]:
     """The (i, operation) pairs at which the i-th random pair a, b gives an
     a * b, a.star() or a + b whose terms differ from reference_product, from
-    the adjoint built through group_inv term by term, or from reference_sum.
-    b takes minus some of a's terms, so that a + b cancels and merges."""
+    the adjoint built through group_inv term by term, or from reference_sum,
+    and the i at which a term of a * b, a view of a stored row, differs from
+    GroupElement(g.x, g.m, g.n) or has an x that PqRational.canonical
+    changes ("a * b rows").  b takes minus some of a's terms, so that a + b
+    cancels and merges."""
     rng = random.Random(seed)
+    p, q = params.p, params.q
     bad = []
     for i in range(count):
         a = random_algebra_element(rng, params, support=6)
         b = random_algebra_element(rng, params, support=6)
         b = GroupAlgebraElement.from_terms(params, [*b.terms, *((g, -c) for g, c in a.terms if rng.random() < 0.5)])
         star = GroupAlgebraElement.from_terms(params, [(group_inv(params, g), c) for g, c in a.terms])
+        prod = a * b
         for name, got, want in (
-            ("a * b", a * b, reference_product(a, b)),
+            ("a * b", prod, reference_product(a, b)),
             ("a.star()", a.star(), star),
             ("a + b", a + b, reference_sum(a, b)),
         ):
             if got.terms != want.terms:
                 bad.append((i, name))
+        for g, _ in prod.terms:
+            x = g.x
+            if g != GroupElement(x, g.m, g.n) or PqRational.canonical(x.num, p**x.a * q**x.b, p, q) != x:
+                bad.append((i, "a * b rows"))
+                break
     return bad
 
 

@@ -462,6 +462,36 @@ class TestRowForm:
                 assert keys == sorted(keys) == [row for row, _ in x.nums]
                 assert [c for _, c in terms] == [Fraction(k, x.den) for _, k in x.nums]
 
+    def test_group_element_is_its_row(self):
+        # the record holds one field, the row; x, m and n read back as given
+        # and keyword construction builds the same row
+        x = PqRational(-5, 2, 1)
+        g = GroupElement(x, 3, -2)
+        assert (g.x, g.m, g.n) == (x, 3, -2) and type(g.x) is PqRational
+        assert g.row == g.sort_key() == (-5, 2, 1, 3, -2)
+        assert GroupElement(x=x, n=-2, m=3) == GroupElement(x, m=3, n=-2) == g
+        assert hash(GroupElement(x, 3, -2)) == hash(g) == hash((g.row,))
+        assert g != GroupElement(x, -2, 3) and g.__eq__(g.row) is NotImplemented
+        assert GroupElement.identity() == GroupElement(PqRational(0, 0, 0), 0, 0)
+        for name in ("x", "m", "n"):  # read-only views of the row
+            with pytest.raises(AttributeError):
+                setattr(g, name, 0)
+        a = GroupAlgebraElement.from_terms(P23, [(g, 2), (GroupElement.identity(), Fraction(-1, 3))])
+        assert GroupAlgebraElement.from_terms(P23, a.terms) == a
+
+    @pytest.mark.parametrize("p, q", PAIRS)
+    def test_terms_wrap_the_stored_rows(self, p, q):
+        # terms hands out each stored row tuple itself, and the wrapped
+        # elements equal those built through the constructor
+        params = SystemParams(p, q)
+        rng = random.Random(800 * p + q)
+        for _ in range(30):
+            a = wide_element(rng, params, 6)
+            for x in (a, a.star() * a):
+                for (g, _), (row, _) in zip(x.terms, x.nums):
+                    assert g.row is row
+                    assert g == GroupElement(g.x, g.m, g.n) and hash(g) == hash(GroupElement(g.x, g.m, g.n))
+
     @pytest.mark.parametrize("p, q", PAIRS)
     def test_one_element_three_ways_hashes_equal(self, p, q):
         # a product, the same element rebuilt from its terms through

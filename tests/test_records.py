@@ -60,7 +60,7 @@ CASES = [
     (OrbitData, (P23, 5, ORBIT5.numerators, LAT5), (P23, 5, (1, 2), LAT5),
      ("params", "denominator", "numerators", "stabilizer"), 4, True),
     (FixedPoints, (5, (SolenoidPoint.of(1, 5),)), (5, ()), ("count", "sample"), 2, True),
-    (GroupElement, (PqRational(1, 1, 0), 1, -1), (PqRational(2, 1, 0), 1, -1), ("x", "m", "n"), 3, True),
+    (GroupElement, (PqRational(1, 1, 0), 1, -1), (PqRational(2, 1, 0), 1, -1), ("row",), 3, True),
     (GroupAlgebraElement, (P23, 2, ((G, 1),)), (P23, 3, ((G, 1),)), ("params", "den", "nums"), 3, True),
     (FiniteOrbitTrace, (ORBIT5, CHI), (ORBIT5, CHI0), ("orbit", "chi"), 2, True),
     (CanonicalTrace, (P23,), (SystemParams(2, 5),), ("params",), 1, True),

@@ -232,6 +232,22 @@ class TestOrbit:
             with pytest.raises(ValueError, match="bad rational"):
                 orbit_from_json(data)
 
+    def test_list_checked_as_a_set_still_names_the_first_bad_text(self):
+        # the whole list is checked in one set operation; a list that fails
+        # it is walked, so the message names the first entry that is bad
+        base = orbit_to_json(ORBIT5)
+        for listed, message in (
+            (["1/5", "2/5", "3/5", [1]], "[1] is not a point"),
+            (["1/5", "2/5", "3/5", {"a": 1}], "{'a': 1} is not a point"),
+            (["1/5", "1/5", [1], "9/5"], "'1/5' is listed twice"),
+            (["1/5", "2/5", "7/5", "2/5"], "'7/5' is not a point"),
+            (["1/5", "2/5", "4/5", "2/5"], "'2/5' is listed twice"),
+        ):
+            with pytest.raises(ValueError) as info:
+                orbit_from_json(dict(base, orbit=listed))
+            assert str(info.value).startswith(message)
+        assert orbit_from_json(dict(base, orbit=["4/5", "3/5", "2/5", "1/5"])) == ORBIT5
+
     def test_point_decoder_matches_reference(self):
         # 6 and 11 are 1 mod 5, so each a/5 is an orbit by itself
         base = orbit_to_json(orbit_of(SystemParams(6, 11), SolenoidPoint.of(1, 5)))
