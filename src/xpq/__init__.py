@@ -31,10 +31,8 @@ _EXPORTS = {
         "XpqError",
     ),
     "exact": (
-        "Cyclotomic", "Factorization", "PqRational", "QmodZ", "carmichael",
-        "cyclotomic_polynomial", "euler_phi", "factorize",
-        "is_multiplicatively_independent", "multiplicative_dependence_witness",
-        "multiplicative_order", "root_of_unity",
+        "Cyclotomic", "PqRational", "QmodZ", "carmichael", "cyclotomic_polynomial", "euler_phi",
+        "factorize", "multiplicative_dependence_witness", "multiplicative_order", "root_of_unity",
     ),
     "groupalg": (
         "GroupAlgebraElement", "GroupElement", "alpha_apply", "group_inv", "group_mul",

@@ -29,8 +29,8 @@ from math import gcd, isqrt, lcm
 
 from .errors import IdentityElement, NotCoprime, OutOfRange, ParamsMismatch
 from .exact import (
-    Cyclotomic, QmodZ, Record, _descend, _factorize_cached, _gcd_steps, carmichael, euler_phi,
-    is_multiplicatively_independent, root_of_unity,
+    Cyclotomic, QmodZ, Record, _descend, _gcd_steps, carmichael, euler_phi, factorize,
+    multiplicative_dependence_witness, root_of_unity,
 )
 
 # Largest |exponent| of p or q accepted from a caller.  Powers are exact
@@ -107,12 +107,8 @@ class SystemParams(Record):
     __slots__ = ("p", "q", "mult_indep")
 
     def __init__(self, p: int, q: int):
-        if p < 2 or q < 2:
-            raise OutOfRange(f"bases ({p}, {q}) must both be >= 2")
-        set_p, set_q, set_mult_indep = self._setters
-        set_p(self, p)
-        set_q(self, q)
-        set_mult_indep(self, is_multiplicatively_independent(p, q))
+        # the witness refuses p or q < 2 before any field is set
+        super().__init__(p, q, multiplicative_dependence_witness(p, q) is None)
 
     @property
     def pq(self) -> int:
@@ -189,9 +185,6 @@ class Character(Record):
     @classmethod
     def trivial(cls, lattice: StabilizerLattice) -> Character:
         return cls(lattice, QmodZ(0, 1), QmodZ(0, 1))
-
-    def is_trivial(self) -> bool:
-        return self.t1.is_zero() and self.t2.is_zero()
 
     def exponent(self, m: int, n: int) -> QmodZ:
         """chi(m, n) as an exponent in Q/Z; (m, n) must lie in the lattice."""
@@ -354,7 +347,7 @@ def stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
     params.require_coprime(r)
     p, q = params.p, params.q
     parts = []
-    for s in [ell**k for ell, k in _factorize_cached(r).pairs] or [1]:
+    for s in [ell**k for ell, k in factorize(r)] or [1]:
         lam = carmichael(s)
         parts.append((s, lam, _descend(lam, lambda m: pow(q, m, s) == 1)))
     c = lcm(*[cs for _, _, cs in parts])
@@ -413,7 +406,7 @@ def _build_orbit(params: SystemParams, x: QmodZ, stab: StabilizerLattice) -> Orb
     its denominator (orbit_of)."""
     r = x.den
     if stab.index == euler_phi(r):
-        nums = list(compress(range(r), _unit_mask(r, [ell for ell, _ in _factorize_cached(r).pairs])))
+        nums = list(compress(range(r), _unit_mask(r, [ell for ell, _ in factorize(r)])))
     else:
         a0 = x.num
         nums = sorted([a0 * h % r for h in _subgroup(params, r, stab)])

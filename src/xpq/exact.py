@@ -94,12 +94,6 @@ class Record:
 # ---------------------------------------------------------------------------
 
 
-class Factorization(Record):
-    """Prime factorization n = prod(prime^exp), pairs sorted by prime."""
-
-    __slots__ = ("pairs",)
-
-
 def _is_probable_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -150,12 +144,18 @@ def _factor_into(n: int, acc: dict[int, int]) -> None:
     _factor_into(n // d, acc)
 
 
-def factorize(n: int) -> Factorization:
-    """Factor a positive integer.
+@lru_cache(maxsize=4096)
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of a positive integer, sorted by prime.
 
     Trial division up to 2^16, then Pollard rho on the cofactor.  A
     cofactor still larger than 2^64 after trial division raises
     FactorizationTooHard rather than attempting a hard factorization.
+    Results are cached for the last 4096 arguments, so callers share one
+    immutable tuple per n; a refusal is not cached.
+
+    >>> factorize(360)
+    ((2, 3), (3, 2), (5, 1))
     """
     if n < 1:
         raise OutOfRange(f"cannot factor {n}; expected a positive integer")
@@ -176,15 +176,12 @@ def factorize(n: int) -> Factorization:
             )
         else:
             _factor_into(m, acc)
-    return Factorization(tuple(sorted(acc.items())))
-
-
-_factorize_cached = lru_cache(maxsize=4096)(factorize)
+    return tuple(sorted(acc.items()))
 
 
 def euler_phi(n: int) -> int:
     phi = 1
-    for p, e in _factorize_cached(n).pairs:
+    for p, e in factorize(n):
         phi *= p ** (e - 1) * (p - 1)
     return phi
 
@@ -192,7 +189,7 @@ def euler_phi(n: int) -> int:
 def carmichael(n: int) -> int:
     """Exponent of the unit group (Z/nZ)^* (Carmichael's lambda)."""
     lam = 1
-    for p, e in _factorize_cached(n).pairs:
+    for p, e in factorize(n):
         if p == 2:
             comp = 1 if e == 1 else 2 if e == 2 else 1 << (e - 2)
         else:
@@ -222,7 +219,7 @@ def multiplicative_order(k: int, r: int) -> int:
 def _descend(e: int, holds: Callable[[int], bool]) -> int:
     """e with each prime factor l stripped while holds(e / l): the divisor g
     of e when holds(m) means g | m, as k^m = 1 does for g = ord(k)."""
-    for ell, _ in _factorize_cached(e).pairs:
+    for ell, _ in factorize(e):
         while e % ell == 0 and holds(e // ell):
             e //= ell
     return e
@@ -256,11 +253,6 @@ def multiplicative_dependence_witness(p: int, q: int) -> tuple[int, int] | None:
         ey = (ey[0] - ex[0], ey[1] - ex[1])
     r, s = ex[0] - ey[0], ey[1] - ex[1]
     return (r, s) if r > 0 else (-r, -s)
-
-
-def is_multiplicatively_independent(p: int, q: int) -> bool:
-    """True iff p^r = q^s has no solution with r, s > 0."""
-    return multiplicative_dependence_witness(p, q) is None
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +371,8 @@ class PqRational(Record):
     Canonical form: a = 0 or p does not divide num, and b = 0 or q does
     not divide num.  When p and q share prime factors the canonical form
     is not unique, so the builders fix a deterministic choice: minimal b
-    first, then minimal a.  Construct through canonical, from_fraction or
-    from_int; the raw constructor trusts its inputs.
+    first, then minimal a.  Construct through canonical or from_fraction, or
+    an integer n as PqRational(n, 0, 0); the raw constructor trusts its inputs.
     """
 
     __slots__ = ("num", "a", "b")
@@ -390,10 +382,6 @@ class PqRational(Record):
         set_num(self, num)
         set_a(self, a)
         set_b(self, b)
-
-    @classmethod
-    def from_int(cls, n: int) -> PqRational:
-        return cls(n, 0, 0)
 
     @classmethod
     def canonical(cls, num: int, den: int, p: int, q: int) -> PqRational:
@@ -449,7 +437,7 @@ def _binomial_factors(N: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     # mul when mu(s) = 1.  The level is checked before N is factored.
     check_level(N)
     mul, div = [N], []
-    for p, _ in _factorize_cached(N).pairs:
+    for p, _ in factorize(N):
         mul, div = mul + [d // p for d in div], div + [d // p for d in mul]
     return euler_phi(N), tuple(mul), tuple(div)
 

@@ -65,9 +65,6 @@ class GroupElement(Record):
         num, _, _, m, n = self.row
         return num == 0 and m == 0 and n == 0
 
-    def sort_key(self) -> tuple[int, int, int, int, int]:
-        return self.row
-
 
 (_set_row,) = GroupElement._setters
 

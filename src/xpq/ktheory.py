@@ -158,14 +158,6 @@ class FgAbGroup(Record):
         super().__init__(rank, torsion)
 
     @classmethod
-    def free(cls, rank: int) -> FgAbGroup:
-        return cls(rank, ())
-
-    @classmethod
-    def trivial(cls) -> FgAbGroup:
-        return cls(0, ())
-
-    @classmethod
     def cyclic(cls, n: int) -> FgAbGroup:
         if n == 0:
             return cls(1, ())
@@ -178,9 +170,6 @@ class FgAbGroup(Record):
         D = [[d if i == j else 0 for j in range(len(torsion))] for i, d in enumerate(torsion)]
         chain = tuple(d for d in smith_normal_form(D).diagonal() if d > 1)
         return FgAbGroup(self.rank + other.rank, chain)
-
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.torsion
 
     def order(self) -> int | None:
         """Number of elements, or None for infinite."""
@@ -298,7 +287,7 @@ def mult_map_ker_coker(m: int, n: int) -> tuple[FgAbGroup, FgAbGroup]:
     if n < 1:
         raise OutOfRange(f"modulus {n} out of range; expected n >= 1")
     if n == 1:
-        return FgAbGroup.trivial(), FgAbGroup.trivial()
+        return FgAbGroup(0), FgAbGroup(0)
     G = FgAbGroup.cyclic(n)
     f = FgAbMap(G, G, ((m % n,),))
     return map_kernel(f), map_cokernel(f)
@@ -347,7 +336,7 @@ def k_theory_of_group(p: int, q: int) -> KTheoryResult:
     """
     if p < 2 or q < 2:
         raise OutOfRange(f"bases ({p}, {q}) out of range; expected both >= 2")
-    k0 = FgAbGroup.free(1)
+    k0 = FgAbGroup(1)
     alpha0 = FgAbMap.identity(k0)
     k1 = FgAbGroup(1, (p * q - 1,))
     alpha1 = FgAbMap(k1, k1, ((1, 0), (0, p)))

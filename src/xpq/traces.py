@@ -42,7 +42,7 @@ from operator import add, mul
 
 from .dynamics import Character, OrbitData, SystemParams
 from .errors import OutOfRange, ParamsMismatch, RangeTooSmall
-from .exact import Cyclotomic, PqRational, QmodZ, Record, _factorize_cached, check_level, euler_phi, twisted_level
+from .exact import Cyclotomic, PqRational, QmodZ, Record, check_level, euler_phi, factorize, twisted_level
 from .groupalg import GroupAlgebraElement, GroupElement
 
 # Largest n_max moments accepts.
@@ -108,7 +108,7 @@ def _orbit_mean(orbit: OrbitData, w: int) -> Cyclotomic:
     check_level(r)
     if orbit.size == euler_phi(r):
         s = r // gcd(w, r)
-        pairs = _factorize_cached(s).pairs
+        pairs = factorize(s)
         mu = 0 if any(e > 1 for _, e in pairs) else (-1) ** len(pairs)
         return Cyclotomic(r, [mu], euler_phi(s))
     counts = [0] * r
@@ -337,7 +337,7 @@ def nonfaithful_witness(orbit: OrbitData) -> GroupAlgebraElement:
     """
     params = orbit.params
     u_r = GroupAlgebraElement.unit(
-        params, GroupElement(PqRational.from_int(orbit.denominator), 0, 0)
+        params, GroupElement(PqRational(orbit.denominator, 0, 0), 0, 0)
     )
     u_e = GroupAlgebraElement.unit(params, GroupElement.identity())
     return u_r - u_e

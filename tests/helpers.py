@@ -763,7 +763,7 @@ def unit_moment_mismatches(spec, n_max: int) -> list[int]:
     trace_eval on the unit u_(n,0,0) in level, den or vec."""
     bad = []
     for n, got in traces.moments(spec, n_max).items():
-        u = GroupAlgebraElement.unit(spec.params, GroupElement(PqRational.from_int(n), 0, 0))
+        u = GroupAlgebraElement.unit(spec.params, GroupElement(PqRational(n, 0, 0), 0, 0))
         want = traces.trace_eval(spec, u)
         if (got.level, got.den, got.vec) != (want.level, want.den, want.vec):
             bad.append(n)

@@ -67,9 +67,15 @@ def code_lines(text: str) -> int:
 
 
 def size() -> None:
-    texts = [path.read_text() for path in sorted((ROOT / "src/xpq").glob("*.py"))]
-    total, code = sum(len(text.splitlines()) for text in texts), sum(map(code_lines, texts))
+    """The lines and code lines of src/xpq, then of each of its modules."""
+    counts = {}
+    for path in sorted((ROOT / "src/xpq").glob("*.py")):
+        text = path.read_text()
+        counts[path.stem] = len(text.splitlines()), code_lines(text)
+    total, code = map(sum, zip(*counts.values()))
     print(f"src/xpq: {total} lines, {code} code lines (not blank, comment or docstring)")
+    for module, (module_total, module_code) in counts.items():
+        print(f"{module}: {module_total} lines, {module_code} code lines")
 
 
 def unused_imports() -> None:
@@ -107,7 +113,7 @@ def units() -> None:
     """The sum of the units u_(w, 0, 0), w = 1..1000, at (2, 3)."""
     from xpq import GroupAlgebraElement, GroupElement, PqRational, SystemParams, algebra_element_to_json
 
-    terms = [(GroupElement(PqRational.from_int(w), 0, 0), 1) for w in range(1, 1001)]
+    terms = [(GroupElement(PqRational(w, 0, 0), 0, 0), 1) for w in range(1, 1001)]
     json.dump(algebra_element_to_json(GroupAlgebraElement.from_terms(SystemParams(2, 3), terms)), sys.stdout)
 
 

@@ -1,11 +1,17 @@
+import contextlib
+import importlib
+import io
 import json
 import math
+import operator
 import os
+import re
 import shutil
 import subprocess
 import sys
 import time
 import tracemalloc
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -15,6 +21,7 @@ from hypothesis import strategies as st
 from golden import (
     GOLDEN,
     GOLDEN_ELEMENT,
+    GOLDEN_GROUP_ELEMENT,
     GOLDEN_MEASURE7,
     GOLDEN_POINTS,
     GOLDEN_SEQUENCE,
@@ -400,9 +407,6 @@ def loaded_modules(*argv):
 class TestLimitsTable:
     def test_readme_table_matches_constants(self):
         # one row per MAX_* constant defined in src/xpq, with its module and value
-        import importlib
-        import re
-
         readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
         rows = re.findall(r"^\| `(MAX_\w+)` \| `(\w+)` \| (\d+) \| .+ \|$", readme, re.MULTILINE)
         defined = {
@@ -413,6 +417,27 @@ class TestLimitsTable:
         assert sorted((name, module) for name, module, _ in rows) == sorted(defined)
         for name, module, value in rows:
             assert getattr(importlib.import_module(f"xpq.{module}"), name) == int(value), name
+
+
+def _removed_names() -> list[tuple[str, str]]:
+    """(owner, name) for each bullet of README "Removed names", whose first
+    text is `owner.name`: a submodule of xpq, or a class the package exports."""
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Removed names\n", 1)[1].split("\n## ", 1)[0]
+    bullets = re.findall(r"^\* (.*)", section, re.MULTILINE)
+    names = [re.match(r"`(\w+)\.(\w+)`: ", bullet) for bullet in bullets]
+    assert all(names), [b for b, m in zip(bullets, names) if not m]
+    return [m.groups() for m in names]
+
+
+class TestRemovedNames:
+    @pytest.mark.parametrize("owner, name", [pytest.param(*pair, id=".".join(pair)) for pair in _removed_names()])
+    def test_name_is_gone(self, owner, name):
+        import xpq
+
+        holder = getattr(xpq, owner) if owner in xpq.__all__ else importlib.import_module(f"xpq.{owner}")
+        assert not hasattr(holder, name)
+        assert name not in xpq.__all__
 
 
 class TestStdlibOnly:
@@ -498,6 +523,70 @@ class TestRenderer:
         assert cli._dumps(value) == expected
         # raw newlines in the output are all layout, since strings escape theirs
         assert cli._dumps(value, "    ") == expected.replace("\n", "\n    ")
+
+
+def _members(value, path=()):
+    """The path of every member of a JSON value: object keys and list indices."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, member in items:
+        yield path + (key,)
+        yield from _members(member, path + (key,))
+
+
+def _edited(payload: str):
+    """payload with one member dropped, or its value replaced by a drawn JSON
+    value, a small integer or another member's value."""
+
+    def edit(path, drop, replacement):
+        doc = json.loads(payload)
+        *head, last = path
+        parent = reduce(operator.getitem, head, doc)
+        if drop:
+            del parent[last]
+        else:
+            parent[last] = replacement
+        return doc
+
+    doc = json.loads(payload)
+    paths = list(_members(doc))
+    values = [reduce(operator.getitem, path, doc) for path in paths]
+    replacements = _json_values | st.integers(-2, 40) | st.sampled_from(values)
+    return st.builds(edit, st.sampled_from(paths), st.booleans(), replacements)
+
+
+# each JSON option of the CLI: the rest of a valid argv, the option and a
+# valid small payload for it
+_JSON_INPUTS = [
+    (["trace-eval", "-p", "2", "-q", "3", "--element", GOLDEN_ELEMENT], "--trace", GOLDEN_SPEC5),
+    (["trace-eval", "-p", "2", "-q", "3", "--trace", GOLDEN_SPEC5], "--element", GOLDEN_ELEMENT),
+    (["moments", "-p", "2", "-q", "3", "--n-max", "3"], "--trace", GOLDEN_MEASURE7),
+    (["invariance", "-p", "2", "-q", "3", "--n-max", "3"], "--trace", GOLDEN_SPEC5),
+    (["icc-witness", "-p", "2", "-q", "3", "--count", "3"], "--element", GOLDEN_GROUP_ELEMENT),
+    (["prim-closure"], "--points", GOLDEN_POINTS),
+    (["prim-limit"], "--sequence", GOLDEN_SEQUENCE),
+]
+
+
+class TestDecoderFuzz:
+    @pytest.mark.parametrize("argv, option, payload", _JSON_INPUTS,
+                             ids=[f"{argv[0]}:{option[2:]}" for argv, option, _ in _JSON_INPUTS])
+    def test_json_input_ends_in_an_exit_code_and_one_line(self, argv, option, payload):
+        @given(_json_values | _edited(payload))
+        @settings(max_examples=60, deadline=None)
+        def check(value):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                # "--option=text", so a payload such as -1e+300 is not read as an option
+                code = cli.main([*argv, f"{option}={json.dumps(value)}"])
+            out, err = out.getvalue(), err.getvalue()
+            if code == 0:
+                assert err == "" and out.endswith("\n"), (code, out, err)
+            else:
+                assert code in (1, 2) and out == "", (code, out, err)
+                assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+            assert "Traceback" not in err
+
+        check()
 
 
 class TestDeterminism:

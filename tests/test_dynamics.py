@@ -167,7 +167,7 @@ class TestStabilizer:
         for p, q in ((2, 3), (5, 7), (3, 5)):
             params = SystemParams(p, q)
             for s in range(2, 3001):
-                if gcd(s, p * q) == 1 and len(factorize(s).pairs) == 1:
+                if gcd(s, p * q) == 1 and len(factorize(s)) == 1:
                     assert stabilizer_lattice(params, s) == sympy_stabilizer_lattice(params, s), (p, q, s)
 
     def test_one_carmichael_per_lattice(self, monkeypatch):
@@ -184,7 +184,7 @@ class TestStabilizer:
         for p, q in ((2, 3), (5, 7)):
             census(SystemParams(p, q), 1500)  # builds every lattice before returning
             lattices = [r for r in range(1, 1501)
-                        if gcd(r, p * q) == 1 and (r == 1 or len(factorize(r).pairs) == 1)]
+                        if gcd(r, p * q) == 1 and (r == 1 or len(factorize(r)) == 1)]
             assert calls == lattices, (p, q)
             calls.clear()
 
@@ -355,7 +355,7 @@ class TestOrbits:
         params = SystemParams(p, q)
         stab = stabilizer_lattice(params, r)
         orbits = list(dynamics._orbits_mod(params, r, stab, euler_phi(r) // stab.index,
-                                              tuple(ell for ell, _ in factorize(r).pairs)))
+                                              tuple(ell for ell, _ in factorize(r))))
         assert [o.numerators for o in orbits] == naive_partition(params, r)
         assert all((o.params, o.denominator, o.stabilizer) == (params, r, stab) for o in orbits)
 

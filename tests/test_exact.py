@@ -28,7 +28,6 @@ from xpq import (
     cyclotomic_polynomial,
     euler_phi,
     factorize,
-    is_multiplicatively_independent,
     lift_sequence,
     multiplicative_dependence_witness,
     multiplicative_order,
@@ -99,7 +98,7 @@ class TestPqRational:
         assert (x.num, x.a, x.b) == (5, 1, 1)
         y = PqRational.from_fraction(Fraction(7, 4), 2, 3)
         assert (y.num, y.a, y.b) == (7, 2, 0)
-        z = PqRational.from_int(-3)
+        z = PqRational(-3, 0, 0)
         assert (z.num, z.a, z.b) == (-3, 0, 0)
         zero = PqRational.from_fraction(0, 2, 3)
         assert zero.is_zero() and (zero.a, zero.b) == (0, 0)
@@ -170,7 +169,7 @@ class TestPqRational:
 class TestFactorization:
     def test_small_vs_trial_division(self):
         for n in range(1, 2000):
-            pairs = dict(factorize(n).pairs)
+            pairs = dict(factorize(n))
             m, want = n, {}
             f = 2
             while f * f <= m:
@@ -184,28 +183,36 @@ class TestFactorization:
 
     def test_reassembles(self):
         for n in (2**40, 3**5 * 7**3 * 11, 999983, 2**31 - 1):
-            fac = factorize(n)
             prod = 1
-            for p, e in fac.pairs:
+            for p, e in factorize(n):
                 prod *= p**e
             assert prod == n
 
     def test_large_semiprime(self):
         p1, p2 = 2147483647, 2147483659  # both prime, product near 2^62
-        assert [p for p, _ in factorize(p1 * p2).pairs] == [p1, p2]
+        assert [p for p, _ in factorize(p1 * p2)] == [p1, p2]
 
     def test_too_hard(self):
         with pytest.raises(FactorizationTooHard):
             factorize(2**89 - 1)  # prime, but beyond the certified range
         with pytest.raises(FactorizationTooHard):
             factorize(2**67 - 1)
+        with pytest.raises(FactorizationTooHard):  # a refusal is not cached
+            factorize(2**67 - 1)
+
+    def test_cached_pairs(self):
+        # one shared tuple of (prime, exponent) pairs per n, in a bounded cache
+        pairs = factorize(2**3 * 3**2 * 5 * 65537)
+        assert pairs == ((2, 3), (3, 2), (5, 1), (65537, 1)) and type(pairs) is tuple
+        assert factorize(2**3 * 3**2 * 5 * 65537) is pairs
+        assert factorize.cache_info().maxsize == 4096
 
     def test_divisors_phi(self):
         # the divisors of n are the products of p^k, k <= e, over the pairs
         # (p, e) of its factorization
         for n in range(1, 300):
             ds = [1]
-            for p, e in factorize(n).pairs:
+            for p, e in factorize(n):
                 ds = [d * p**k for d in ds for k in range(e + 1)]
             assert sorted(ds) == [d for d in range(1, n + 1) if n % d == 0]
             assert euler_phi(n) == sum(1 for a in range(n) if gcd(a, n) == 1)
@@ -258,7 +265,7 @@ class TestDependence:
                         break
                     v *= p
                 witness = multiplicative_dependence_witness(p, q)
-                assert is_multiplicatively_independent(p, q) == (witness is None)
+                assert SystemParams(p, q).mult_indep == (witness is None)
                 if hit is None:
                     assert witness is None, (p, q)
                 else:

@@ -207,7 +207,7 @@ class TestAlgebra:
         if where != "absent":
             terms.append((e, Fraction(-7, 2)))
         a = GroupAlgebraElement.from_terms(P23, terms)
-        row = e.sort_key()  # nums holds each element as its row
+        row = e.row  # nums holds each element as its row
         assert (a.nums[0][0] == row, a.nums[-1][0] == row) == (where == "first", where == "last")
         probes = [e, *others, elem(2, 0, 0, 0, 0), elem(-5, 0, 0, 0, 0), elem(0, 0, 0, 0, 1)]
         for g in probes:
@@ -252,7 +252,7 @@ class TestAlgebra:
             naive = [(group_mul(P23, g, h), c * d) for g, c in a.terms for h, d in b.terms]
             prod = a * b
             assert prod == GroupAlgebraElement.from_terms(P23, naive)
-            keys = [g.sort_key() for g, _ in prod.terms]
+            keys = [g.row for g, _ in prod.terms]
             assert keys == sorted(keys) and len(set(keys)) == len(keys)
             assert all(isinstance(c, Fraction) and c != 0 for _, c in prod.terms)
             cancelled += len({g for g, _ in naive}) > prod.support_size()
@@ -345,13 +345,13 @@ class TestProductAgainstReference:
 def assert_normal_form(a: GroupAlgebraElement) -> None:
     # the stored form: den >= 1, numerators nonzero and coprime to den as a
     # whole, rows (num, a, b, m, n) of ints, strictly increasing, each the
-    # sort_key() of its group element
+    # row of its group element
     assert a.den >= 1 and gcd(a.den, *(k for _, k in a.nums)) == 1
     assert all(isinstance(k, int) and k for _, k in a.nums)
     rows = [row for row, _ in a.nums]
     assert all(s < t for s, t in zip(rows, rows[1:]))
     assert all(len(row) == 5 and all(type(v) is int for v in row) for row in rows)
-    assert rows == [g.sort_key() for g, _ in a.terms]
+    assert rows == [g.row for g, _ in a.terms]
 
 
 PAIRS = [(2, 3), (5, 7), (4, 6), (6, 10), (2, 4)]
@@ -458,7 +458,7 @@ class TestRowForm:
                 terms = x.terms
                 assert all(type(g) is GroupElement and type(g.x) is PqRational for g, _ in terms)
                 assert all(type(c) is Fraction and c != 0 for _, c in terms)
-                keys = [g.sort_key() for g, _ in terms]
+                keys = [g.row for g, _ in terms]
                 assert keys == sorted(keys) == [row for row, _ in x.nums]
                 assert [c for _, c in terms] == [Fraction(k, x.den) for _, k in x.nums]
 
@@ -468,7 +468,7 @@ class TestRowForm:
         x = PqRational(-5, 2, 1)
         g = GroupElement(x, 3, -2)
         assert (g.x, g.m, g.n) == (x, 3, -2) and type(g.x) is PqRational
-        assert g.row == g.sort_key() == (-5, 2, 1, 3, -2)
+        assert g.row == (-5, 2, 1, 3, -2)
         assert GroupElement(x=x, n=-2, m=3) == GroupElement(x, m=3, n=-2) == g
         assert hash(GroupElement(x, 3, -2)) == hash(g) == hash((g.row,))
         assert g != GroupElement(x, -2, 3) and g.__eq__(g.row) is NotImplemented

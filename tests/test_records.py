@@ -15,7 +15,7 @@ from xpq.dynamics import (
     SystemParams,
     orbit_of,
 )
-from xpq.exact import Cyclotomic, Factorization, PqRational, QmodZ, Record
+from xpq.exact import Cyclotomic, PqRational, QmodZ, Record
 from xpq.groupalg import GroupAlgebraElement, GroupElement
 from xpq.ktheory import FgAbGroup, FgAbMap, KTheoryResult, SNFResult, k_theory_of_group, smith_normal_form
 from xpq.primspace import (
@@ -49,7 +49,6 @@ KT = k_theory_of_group(2, 3)
 # class with no fields), the compared fields in repr order, the number of
 # required arguments, and whether the record is hashable
 CASES = [
-    (Factorization, (((2, 2), (3, 1)),), (((2, 1),),), ("pairs",), 1, True),
     (QmodZ, (2, 5), (3, 5), ("num", "den"), 2, True),
     (PqRational, (6, 2, 0), (6, 2, 1), ("num", "a", "b"), 3, True),
     (SystemParams, (2, 3), (2, 5), ("p", "q", "mult_indep"), 2, True),
@@ -140,7 +139,6 @@ def test_every_record_class_has_a_case():
 
 def test_the_compared_fields_are_the_slots():
     # equality, hash and repr read __slots__, so no record keeps a slot they skip
-    assert Factorization.__slots__ == ("pairs",)
     for cls, _, _, fields, _, _ in CASES:
         assert not hasattr(cls, "_fields"), cls.__name__
         if cls is not Cyclotomic:  # its own repr shows coeffs, read off den and vec

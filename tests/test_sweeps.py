@@ -26,8 +26,13 @@ class TestMain:
 
     def test_size_and_lint(self, capsys):
         assert sweeps.main(["size", "unused-imports"]) == 0
-        assert re.fullmatch(r"src/xpq: \d+ lines, \d+ code lines \(not blank, comment or docstring\)\n",
-                            capsys.readouterr().out)
+        match = re.fullmatch(r"src/xpq: (\d+) lines, (\d+) code lines \(not blank, comment or docstring\)\n"
+                             r"((?:\w+: \d+ lines, \d+ code lines\n)+)", capsys.readouterr().out)
+        assert match
+        # one line per module of src/xpq, in name order, summing to the first
+        modules = re.findall(r"(\w+): (\d+) lines, (\d+) code lines", match[3])
+        assert [name for name, _, _ in modules] == sorted(path.stem for path in (sweeps.ROOT / "src/xpq").glob("*.py"))
+        assert [sum(int(row[i]) for row in modules) for i in (1, 2)] == [int(match[1]), int(match[2])]
 
     def test_code_lines_skip_docstrings_comments_and_blanks(self):
         text = 'def f():\n    """one\n    two"""\n\n    # note\n    return 1\n'
