@@ -23,7 +23,6 @@ from __future__ import annotations
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
-from functools import reduce
 from itertools import compress, islice
 from math import gcd, isqrt, lcm
 
@@ -54,8 +53,9 @@ MAX_DENOMINATOR_SCAN = 10**6
 MAX_ORBIT_DENOMINATOR = 5_000
 
 # Every numerator a census point can have, 0 <= a < MAX_ORBIT_DENOMINATOR:
-# _orbits_mod reads the last orbit of each r from here, so its points share
-# these ints instead of allocating one per point.
+# _orbits_mod reads the subgroup and the last orbit of each r off its unit
+# mask from here, so their points share these ints instead of allocating
+# one per point.
 _NUMERATORS = tuple(range(MAX_ORBIT_DENOMINATOR))
 
 # Largest diagonal entry c = ord_r(q) or a of a stabilizer basis that
@@ -246,24 +246,18 @@ def beta_apply(params: SystemParams, g: tuple[int, int], x: SolenoidPoint) -> So
     return SolenoidPoint(x.coord.mul_int(w))
 
 
-def _powers(g: int, n: int, r: int) -> list[int]:
-    """[g^0, ..., g^(n-1)] mod r, doubling the list at each step."""
-    out = [1 % r]
-    while len(out) < n:
-        step = pow(g, len(out), r)
-        out += [step * x % r for x in out[: n - len(out)]]
-    return out
-
-
 def _discrete_log(g: int, c: int, r: int) -> Callable[[int], int | None]:
     """The discrete log to the base g mod r, where c = ord_r(g), by baby-step
     giant-step (Shanks 1971): a function taking x to the j in [0, c) with
     g^j = x mod r, or to None when x is not in <g>.  It tables the baby
-    steps g^j, j < s = ceil(sqrt(c)), and takes at most ceil(c / s) giant
-    steps by g^-s; the first step i that meets a baby step g^j gives
-    j + s i, which is below c."""
+    steps g^j, j < s = ceil(sqrt(c)), by one loop of multiplications by g,
+    and takes at most ceil(c / s) giant steps by g^-s; the first step i
+    that meets a baby step g^j gives j + s i, which is below c."""
     s = isqrt(c - 1) + 1
-    baby = {v: j for j, v in enumerate(_powers(g, s, r))}
+    baby, x = {}, 1 % r
+    for j in range(s):
+        baby[x] = j
+        x = x * g % r
     giant = pow(g, -s, r)
     steps = -(-c // s)
 
@@ -352,7 +346,7 @@ def stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
         parts.append((s, lam, _descend(lam, lambda m: pow(q, m, s) == 1)))
     c = lcm(*[cs for _, _, cs in parts])
     _check_stabilizer_limit(r, c)
-    lattices = []
+    lat = None
     for s, lam, cs in parts:
         log_q = _discrete_log(q, cs, s)
         if s % 2:
@@ -360,8 +354,8 @@ def stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
             a = order_p // gcd(order_p, cs)
         else:
             a = _descend(lam, lambda m: log_q(pow(p, m, s)) is not None)
-        lattices.append(StabilizerLattice(((a, -log_q(pow(p, a, s)) % cs), (0, cs))))
-    lat = reduce(_meet, lattices)
+        part = StabilizerLattice(((a, -log_q(pow(p, a, s)) % cs), (0, cs)))
+        lat = part if lat is None else _meet(lat, part)
     _check_stabilizer_limit(r, c, lat.basis[0][0])
     return lat
 
@@ -376,41 +370,55 @@ def _unit_mask(r: int, primes: Iterable[int]) -> bytearray:
     return mask
 
 
-def _subgroup(params: SystemParams, r: int, stab: StabilizerLattice) -> list[int]:
-    """The subgroup <p, q> of (Z/rZ)^*, sorted: the numerators of the orbit
-    of 1/r.
+def _label_coset(params: SystemParams, r: int, stab: StabilizerLattice, a0: int, mask: bytearray | dict) -> None:
+    """Write 2 at each point of the coset a0<p, q> of (Z/rZ)^* in mask, a
+    bytearray of length r or a dict.
 
-    It is {p^i q^j : (i, j) in [0, a) x [0, c)}, where ((a, b), (0, c)) is
-    the Hermite basis of its stabilizer lattice.  These a*c elements are
-    distinct (p^i q^j = p^i' q^j' with |i - i'| < a puts p^(i - i') in <q>,
-    so i = i', and then j = j' below c = ord_r(q)), and there are
-    index(L_r) = |<p, q>| of them.
+    The coset is {a0 p^i q^j : (i, j) in [0, a) x [0, c)}, where
+    ((a, b), (0, c)) is the Hermite basis of the stabilizer lattice stab.
+    These a*c elements are distinct (p^i q^j = p^i' q^j' with |i - i'| < a
+    puts p^(i - i') in <q>, so i = i', and then j = j' below c = ord_r(q)),
+    and there are index(L_r) = |<p, q>| of them.  Row i is walked from
+    a0 p^i by plain multiplications by q.
     """
+    p, q = params.p, params.q
     (a, _), (_, c) = stab.basis
-    q_powers = _powers(params.q, c, r)  # the row of u = p^0 as it is
-    return sorted(q_powers + [u * x % r for u in _powers(params.p, a, r)[1:] for x in q_powers])
+    for _ in range(a):
+        x = a0
+        for _ in range(c):
+            mask[x] = 2
+            x = x * q % r
+        a0 = a0 * p % r
 
 
 def orbit_of(params: SystemParams, x: SolenoidPoint) -> OrbitData:
-    """The finite orbit of a rational point under multiplication by p and q.
-
-    The orbit of a/r is the coset a<p, q> of the subgroup built from the
-    stabilizer basis, or all units mod r, read off the unit mask, when
-    <p, q> is the whole unit group; numerators are sorted.
-    """
+    """The finite orbit of a rational point a/r under multiplication by p
+    and q: the coset a<p, q> of (Z/rZ)^*, its numerators sorted
+    (_build_orbit)."""
     return _build_orbit(params, x.coord, stabilizer_lattice(params, x.coord.den))
 
 
 def _build_orbit(params: SystemParams, x: QmodZ, stab: StabilizerLattice) -> OrbitData:
-    """The orbit of the point x of Q/Z, given the stabilizer lattice stab of
-    its denominator (orbit_of)."""
+    """The orbit of the point x = a/r of Q/Z, given the stabilizer lattice
+    stab of r (orbit_of).  Where <p, q> is the whole unit group it is all
+    units, read off the unit mask.  Otherwise _label_coset labels a<p, q>
+    in a dict, whose keys are sorted: r may lie far above the orbit's size
+    (at (2, 4) the orbit of 1/(2^61 - 1) has 61 points)."""
     r = x.den
     if stab.index == euler_phi(r):
-        nums = list(compress(range(r), _unit_mask(r, [ell for ell, _ in factorize(r)])))
+        nums = compress(range(r), _unit_mask(r, [ell for ell, _ in factorize(r)]))
     else:
-        a0 = x.num
-        nums = sorted([a0 * h % r for h in _subgroup(params, r, stab)])
+        found: dict[int, int] = {}
+        _label_coset(params, r, stab, x.num, found)
+        nums = sorted(found)
     return OrbitData(params, r, tuple(nums), stab)
+
+
+# Tables for bytearray.translate on a census unit mask, whose entries are 0
+# (no unit, or a unit already listed), 1 (a unit not yet covered) or 2 (an
+# element of <p, q>): _SUBGROUP keeps the 2s, as 1, and _UNCOVERED the 1s.
+_SUBGROUP = bytes.maketrans(b"\x01\x02", b"\x00\x01")
+_UNCOVERED = bytes.maketrans(b"\x02", b"\x00")
 
 
 def _orbits_mod(
@@ -420,24 +428,29 @@ def _orbits_mod(
     the stabilizer lattice stab of r, the orbit count phi(r) / index(stab)
     and the prime factors of r.
 
-    One unit mask of r tracks the units not yet covered.  The first orbit
-    is the sorted subgroup <p, q> itself, the orbit of 1; each later one is
-    the coset a0<p, q> of the least uncovered unit a0, found in the mask;
-    a0 times the sorted subgroup, reduced mod r, is a few ascending runs,
-    which sorted() merges cheaply.  Each orbit built clears its points in
-    the mask, and the last orbit is what is left, read off the mask in
-    increasing order from _NUMERATORS, so r <= MAX_ORBIT_DENOMINATOR; with
-    count 1 that is all the units.
+    One unit mask of r holds every label.  With count 1 the orbit is all
+    the units, read off the mask.  Otherwise _label_coset writes 2 at each
+    element of <p, q> as it generates it, and the first orbit, the orbit
+    of 1, is read off the 2s in increasing order, with no sort.  Each
+    middle orbit is the coset a0<p, q> of the least unit a0 still labelled
+    1; a0 times the sorted subgroup, reduced mod r, is a few ascending
+    runs, which sorted() merges cheaply, and its points are cleared in the
+    mask.  The last orbit is the units still labelled 1.  Orbits are read
+    off the mask from _NUMERATORS, so r <= MAX_ORBIT_DENOMINATOR.
     """
     mask = _unit_mask(r, primes)
-    subgroup = _subgroup(params, r, stab) if count > 1 else []
-    a0 = 1
-    for _ in range(count - 1):
-        nums = sorted([a0 * h % r for h in subgroup]) if a0 > 1 else subgroup
-        for x in nums:
-            mask[x] = 0
-        yield OrbitData(params, r, tuple(nums), stab)
-        a0 = mask.find(1, a0)
+    if count > 1:
+        _label_coset(params, r, stab, 1, mask)
+        subgroup = tuple(compress(_NUMERATORS, mask.translate(_SUBGROUP)))
+        yield OrbitData(params, r, subgroup, stab)
+        a0 = 1
+        for _ in range(count - 2):
+            a0 = mask.find(1, a0)
+            nums = sorted([a0 * h % r for h in subgroup])
+            for x in nums:
+                mask[x] = 0
+            yield OrbitData(params, r, tuple(nums), stab)
+        mask = mask.translate(_UNCOVERED)
     yield OrbitData(params, r, tuple(compress(_NUMERATORS, mask)), stab)
 
 
@@ -447,8 +460,9 @@ def census(params: SystemParams, max_denominator: int) -> tuple[int, Iterator[Or
 
     The bound is checked first (check_orbit_bound).  The lattices of all r
     come next, and the count is the sum of phi(r) / index(L_r) over them;
-    the orbits are built r by r as the iterator is read (_orbits_mod), so
-    at most one denominator's orbits are held at a time.
+    the orbits are built r by r as the iterator is read, each r's read off
+    one labelled unit mask of r bytes (_orbits_mod), so at most one
+    denominator's orbits and mask are held at a time.
 
     A smallest-prime-factor sieve splits each r into l^k m, l its least
     prime factor and m coprime to l.  r = 1 and the prime powers go to

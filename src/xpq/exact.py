@@ -314,9 +314,6 @@ class QmodZ(Record):
         """The class of k*x; multiplication by k on R/Z."""
         return QmodZ(self.num * k, self.den)
 
-    def is_zero(self) -> bool:
-        return self.num == 0
-
     def __str__(self) -> str:
         return f"{self.num}/{self.den}"
 
@@ -411,9 +408,6 @@ class PqRational(Record):
 
     def to_fraction(self, p: int, q: int) -> Fraction:
         return Fraction(self.num, p**self.a * q**self.b)
-
-    def is_zero(self) -> bool:
-        return self.num == 0
 
 
 # ---------------------------------------------------------------------------

@@ -388,6 +388,17 @@ GOLDEN = [
          "--format", "pretty"],
         "08a2d05fe0398d55750e76e5401f81546cfa7fce34b99a804422793ea42cbb65",
     ),
+    # the two below were recorded before census orbits were labelled in the
+    # unit mask: 2^k from 8 on splits into 4 orbits at (9, 25), and at
+    # (2, 4) the census of 300 holds 512 orbits, 18 of them mod 127
+    (
+        ["orbits", "-p", "9", "-q", "25", "--max-den", "200", "--format", "csv"],
+        "ec8fec5684827ebf91781fdf5d9e9da550f44bc2bb2022ed9fb580d06bf8fcfa",
+    ),
+    (
+        ["orbits", "-p", "2", "-q", "4", "--max-den", "300"],
+        "a13b1307720928f04df451f46f1d660fe2569aa9688a75158376ad1b5f38458b",
+    ),
 ]
 
 

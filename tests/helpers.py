@@ -810,7 +810,7 @@ def reference_trace_eval(spec, a: GroupAlgebraElement) -> Cyclotomic:
                 twist = None
             r = spec.orbit.denominator
             v = reference_orbit_mean(spec.orbit, g.x.num * pow(p**g.x.a * q**g.x.b, -1, r) % r)
-            if twist is not None and not twist.is_zero():
+            if twist is not None and twist.num != 0:
                 v = root_of_unity(twist) * v
         v = v.scaled(c)
         total = v if total is None else total + v

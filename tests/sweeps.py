@@ -25,9 +25,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # task: (mismatch function of tests/helpers.py, (p, q) pairs, its arguments
 # after SystemParams(p, q), failure message given the first ten mismatches)
 SWEEPS = {
-    "census-lattices": ("census_mismatches", ((2, 3), (5, 7), (4, 6), (6, 10), (2, 4)), (5000,),
+    "census-lattices": ("census_mismatches", ((2, 3), (5, 7), (4, 6), (6, 10), (2, 4), (9, 25)), (5000,),
                         "census at ({p}, {q}) differs from the reference at r = {bad}"),
-    "census-orbits": ("orbit_mismatches", ((2, 3), (5, 7), (12, 23), (2, 4)), (2000,),
+    "census-orbits": ("orbit_mismatches", ((2, 3), (5, 7), (12, 23), (2, 4), (9, 25)), (2000,),
                       "census orbits at ({p}, {q}) differ from the BFS partition at r = {bad}"),
     "orbit-means": ("orbit_mean_mismatches", ((2, 3), (5, 7), (2, 5), (4, 6)), (400,),
                     "orbit means at ({p}, {q}) differ from the point loop at (r, numerator, w) = {bad}"),

@@ -170,6 +170,21 @@ class TestStabilizer:
                 if gcd(s, p * q) == 1 and len(factorize(s)) == 1:
                     assert stabilizer_lattice(params, s) == sympy_stabilizer_lattice(params, s), (p, q, s)
 
+    def test_discrete_log_matches_brute_force(self):
+        # every x mod s for every s <= 200, powers of 2 among them, to the
+        # bases 2, 3, 5, 7 and s - 1 where they are units: the least j with
+        # g^j = x, or None when x is not a power of g
+        for s in range(1, 201):
+            for g in {2 % s, 3 % s, 5 % s, 7 % s, s - 1}:
+                if gcd(g, s) != 1:
+                    continue
+                c = multiplicative_order(g, s)
+                logs = {}
+                for j in range(c):
+                    logs.setdefault(pow(g, j, s), j)
+                log = dynamics._discrete_log(g, c, s)
+                assert [log(x) for x in range(s)] == [logs.get(x) for x in range(s)], (g, s)
+
     def test_one_carmichael_per_lattice(self, monkeypatch):
         # census builds L_1 and each prime power's lattice from one lambda;
         # every other r is the meet of two lattices built before it
@@ -346,18 +361,40 @@ class TestOrbits:
                     (o.denominator, o.numerators[0]) for o in listed
                 )
 
-    @pytest.mark.parametrize("p, q, r", [(3, 7, MAX_ORBIT_DENOMINATOR), (2, 3, 4999), (5, 7, 109), (2, 3, 5),
-                                         (2, 3, 1)])
+    # (p, q, r): the number of orbits mod r
+    ORBIT_COUNTS = {(3, 7, MAX_ORBIT_DENOMINATOR): 2, (2, 3, 4999): 1, (5, 7, 109): 4, (2, 3, 5): 1, (2, 3, 1): 1,
+                    (9, 25, 4096): 4, (2, 4, 4095): 144, (2, 3, 23): 2}
+
+    @pytest.mark.parametrize("p, q, r", list(ORBIT_COUNTS))
     def test_orbits_mod_matches_the_naive_partition(self, p, q, r):
         # 5000 and 4999 are the top r of the census table at their pairs, so
         # the last orbit is read up to the last numerator; at r = 109 and 5
-        # the lattice has a = 1, so the subgroup is the powers of q alone
+        # the lattice has a = 1, so the subgroup is the powers of q alone.
+        # 4096 splits into 4 orbits in the non-cyclic unit group mod 2^12,
+        # 4095 into 144 middle cosets, and the prime 23 into the subgroup
+        # and the units left
         params = SystemParams(p, q)
         stab = stabilizer_lattice(params, r)
         orbits = list(dynamics._orbits_mod(params, r, stab, euler_phi(r) // stab.index,
                                               tuple(ell for ell, _ in factorize(r))))
+        assert len(orbits) == self.ORBIT_COUNTS[p, q, r]
         assert [o.numerators for o in orbits] == naive_partition(params, r)
         assert all((o.params, o.denominator, o.stabilizer) == (params, r, stab) for o in orbits)
+
+    def test_orbit_of_any_numerator_matches_the_naive_partition(self):
+        # orbit_of from the largest point of each orbit, on r split into
+        # several orbits, so each coset is labelled in a dict and sorted
+        for p, q, r in ((9, 25, 4096), (2, 4, 4095), (2, 3, 23), (5, 7, 109)):
+            params = SystemParams(p, q)
+            for part in naive_partition(params, r):
+                assert orbit_of(params, SolenoidPoint.of(part[-1], r)).numerators == part, (p, q, r, part[-1])
+
+    def test_orbit_of_far_below_its_denominator(self):
+        # at (2, 4) the orbit of 1/(2^61 - 1) is the 61 powers of 2, built
+        # with no table of r entries
+        r = 2**61 - 1
+        orbit = orbit_of(SystemParams(2, 4), SolenoidPoint.of(3, r))
+        assert orbit.numerators == tuple(sorted(3 * 2**i % r for i in range(61)))
 
     def test_is_invariant_set(self):
         # multiplication by p and by q permutes an orbit's numerators mod r,

@@ -101,7 +101,7 @@ class TestPqRational:
         z = PqRational(-3, 0, 0)
         assert (z.num, z.a, z.b) == (-3, 0, 0)
         zero = PqRational.from_fraction(0, 2, 3)
-        assert zero.is_zero() and (zero.a, zero.b) == (0, 0)
+        assert zero.num == 0 and (zero.a, zero.b) == (0, 0)
         # a base whose cofactor after trial division passes 2^64
         big = 3**200 + 2
         x = PqRational.canonical(10, big * big * 25, big, 5)
