@@ -43,19 +43,18 @@ _EXPORTS = {
         "map_cokernel", "map_kernel", "mult_map_ker_coker", "pv_assemble", "smith_normal_form",
     ),
     "primspace": (
-        "ALL", "EMPTY", "ESCAPING", "FULL", "INFINITY", "AllClosedSet", "EscapingTail",
-        "FinitePoints", "FiniteUnion", "FullTorus", "InfinityPoint", "OrbitCharPoint",
-        "SequenceDesc", "closed_intersection", "closed_union", "closure", "contains_point",
-        "limit_set", "specializes",
+        "ALL", "ESCAPING", "FULL", "INFINITY", "AllClosedSet", "EscapingTail", "FinitePoints",
+        "FiniteUnion", "FullTorus", "InfinityPoint", "OrbitCharPoint", "SequenceDesc",
+        "closed_intersection", "closed_union", "closure", "contains_point", "limit_set",
+        "specializes",
     ),
     "serialize": (
-        "algebra_element_from_json", "algebra_element_to_json", "closed_set_from_json",
-        "closed_set_to_json", "cyclotomic_to_json", "evaluation_to_json",
-        "fg_ab_group_from_json", "fg_ab_group_to_json", "group_element_from_json",
-        "group_element_to_json", "ktheory_result_to_json", "moments_to_json",
-        "orbit_from_json", "orbit_to_json", "pq_rational_from_json", "pq_rational_to_json",
-        "prim_point_from_json", "prim_point_to_json", "sequence_desc_from_json",
-        "sequence_desc_to_json", "trace_spec_from_json", "trace_spec_to_json",
+        "algebra_element_from_json", "algebra_element_to_json", "closed_set_to_json",
+        "cyclotomic_to_json", "evaluation_to_json", "fg_ab_group_to_json",
+        "group_element_from_json", "group_element_to_json", "ktheory_result_to_json",
+        "moments_to_json", "orbit_from_json", "orbit_to_json", "pq_rational_from_json",
+        "prim_point_from_json", "sequence_desc_from_json", "trace_spec_from_json",
+        "trace_spec_to_json",
     ),
     "traces": (
         "CanonicalTrace", "FiniteOrbitTrace", "MomentSequence", "OrbitMeasureTrace", "TraceSpec",

@@ -28,9 +28,9 @@ ENV_MAX_DENOMINATOR = "XPQ_MAX_DENOMINATOR"
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage problems are exit code 1 here, not argparse's 2
+    # usage problems are exit code 1 here, not argparse's 2, and one line:
+    # the usage block is left to -h
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 

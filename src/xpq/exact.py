@@ -225,6 +225,12 @@ def _descend(e: int, holds: Callable[[int], bool]) -> int:
     return e
 
 
+def check_bases(p: int, q: int) -> None:
+    """Refuse bases p or q below 2."""
+    if p < 2 or q < 2:
+        raise OutOfRange(f"bases ({p}, {q}) out of range; expected both >= 2")
+
+
 def multiplicative_dependence_witness(p: int, q: int) -> tuple[int, int] | None:
     """Minimal (r, s) with r, s > 0 and p^r = q^s, or None if independent.
 
@@ -240,8 +246,7 @@ def multiplicative_dependence_witness(p: int, q: int) -> tuple[int, int] | None:
     >>> multiplicative_dependence_witness(2, 3) is None
     True
     """
-    if p < 2 or q < 2:
-        raise OutOfRange(f"bases ({p}, {q}) out of range; expected both >= 2")
+    check_bases(p, q)
     # x = p^ex[0] q^ex[1] and y = p^ey[0] q^ey[1] throughout
     x, ex, y, ey = p, (1, 0), q, (0, 1)
     while x != y:

@@ -30,10 +30,10 @@ form as an independent cross-check.
 from __future__ import annotations
 
 import operator
-from math import gcd, prod
+from math import gcd
 
 from .errors import IncompatibleMap, OutOfRange
-from .exact import Record
+from .exact import Record, check_bases
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -170,10 +170,6 @@ class FgAbGroup(Record):
         D = [[d if i == j else 0 for j in range(len(torsion))] for i, d in enumerate(torsion)]
         chain = tuple(d for d in smith_normal_form(D).diagonal() if d > 1)
         return FgAbGroup(self.rank + other.rank, chain)
-
-    def order(self) -> int | None:
-        """Number of elements, or None for infinite."""
-        return None if self.rank else prod(self.torsion)
 
     def gen_orders(self) -> tuple[int, ...]:
         """Orders of the standard generators; 0 marks a free generator."""
@@ -334,8 +330,7 @@ def k_theory_of_group(p: int, q: int) -> KTheoryResult:
     >>> str(k_theory_of_group(2, 3).K0)
     'Z^2'
     """
-    if p < 2 or q < 2:
-        raise OutOfRange(f"bases ({p}, {q}) out of range; expected both >= 2")
+    check_bases(p, q)
     k0 = FgAbGroup(1)
     alpha0 = FgAbMap.identity(k0)
     k1 = FgAbGroup(1, (p * q - 1,))

@@ -82,9 +82,6 @@ class FinitePoints(Record):
         canon = sorted(set(points), key=lambda chi: (chi.t1.to_fraction(), chi.t2.to_fraction()))
         super().__init__(tuple(canon))
 
-    def is_empty(self) -> bool:
-        return not self.points
-
 
 T2Closed = FullTorus | FinitePoints
 
@@ -114,21 +111,16 @@ class FiniteUnion(Record):
                     f"({orbit.params.p}, {orbit.params.q}) in one closed set"
                 )
             if isinstance(chunk, FinitePoints):
-                if chunk.is_empty():
+                if not chunk.points:
                     raise ValueError("empty part in a finite union")
                 for chi in chunk.points:
                     orbit.require_character(chi)
         super().__init__(parts)
 
-    def is_empty(self) -> bool:
-        return not self.parts
-
 
 ClosedSetDesc = AllClosedSet | FiniteUnion
 
 ALL = AllClosedSet()
-
-EMPTY = FiniteUnion(())
 
 
 # ---------------------------------------------------------------------------

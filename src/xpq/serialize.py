@@ -1,7 +1,7 @@
 """JSON views of the library's values.
 
 Every *_to_json function returns plain dict/list/str data ready for
-json.dumps; every *_from_json re-parses it, validating as it goes.
+json.dumps; every *_from_json parses such data, validating as it goes.
 Structural problems (wrong shape, corrupt orbit lists, characters that
 do not parse) raise ValueError; domain violations discovered while
 rebuilding (bases below 2, denominators sharing a factor with pq, ...)
@@ -48,28 +48,21 @@ def _need(data, key, kind=None):
     return value
 
 
-def _int_value(value, what: str) -> int:
-    """value as an int: a JSON integer, or ASCII digits after an optional
+def _int_field(data, key) -> int:
+    """data[key] as an int: a JSON integer, or ASCII digits after an optional
     "-" (int() alone takes floats, other scripts' digits, "_" and spaces)."""
+    value = _need(data, key)
     if type(value) is int or isinstance(value, str) and not value.strip("-0123456789"):
         try:
             return int(value)
         except ValueError:  # more digits than int() converts
             pass
-    raise ValueError(f"{what} is not an integer")
-
-
-def _int_field(data, key) -> int:
-    return _int_value(_need(data, key), f"key {key!r}")
+    raise ValueError(f"key {key!r} is not an integer")
 
 
 # ---------------------------------------------------------------------------
 # exact values
 # ---------------------------------------------------------------------------
-
-
-def pq_rational_to_json(x: PqRational) -> dict:
-    return {"num": str(x.num), "a": x.a, "b": x.b}
 
 
 def pq_rational_from_json(data, params: SystemParams) -> PqRational:
@@ -188,7 +181,7 @@ def orbit_from_json(data) -> OrbitData:
 
 
 def group_element_to_json(g: GroupElement) -> dict:
-    num, a, b, m, n = g.row  # x as pq_rational_to_json writes it
+    num, a, b, m, n = g.row  # x as pq_rational_from_json reads it
     return {"x": {"num": str(num), "a": a, "b": b}, "m": m, "n": n}
 
 
@@ -234,12 +227,6 @@ def algebra_element_from_json(data, params: SystemParams) -> GroupAlgebraElement
 # ---------------------------------------------------------------------------
 
 
-def _orbit_chi_to_json(kind: str, orbit: OrbitData, chi: Character, key: str = "chi") -> dict:
-    """The payload of an orbit with a character of its stabilizer lattice,
-    the character under key ("chi_limit" in a constant-orbit tail)."""
-    return {"kind": kind, "orbit": orbit_to_json(orbit), key: {"t1": str(chi.t1), "t2": str(chi.t2)}}
-
-
 def _chi_from_json(data, key: str, orbit: OrbitData) -> Character:
     """The character data[key] of the stabilizer lattice of an orbit already decoded."""
     chi = _need(data, key, dict)
@@ -250,7 +237,8 @@ def trace_spec_to_json(spec: TraceSpec) -> dict:
     from .traces import CanonicalTrace, FiniteOrbitTrace, OrbitMeasureTrace
 
     if isinstance(spec, FiniteOrbitTrace):
-        return _orbit_chi_to_json("finite_orbit", spec.orbit, spec.chi)
+        chi = {"t1": str(spec.chi.t1), "t2": str(spec.chi.t2)}
+        return {"kind": "finite_orbit", "orbit": orbit_to_json(spec.orbit), "chi": chi}
     if isinstance(spec, CanonicalTrace):
         return {"kind": "canonical"}
     if isinstance(spec, OrbitMeasureTrace):
@@ -258,17 +246,15 @@ def trace_spec_to_json(spec: TraceSpec) -> dict:
     raise ValueError(f"unknown trace spec {type(spec).__name__}")
 
 
-def trace_spec_from_json(data, params: SystemParams | None = None) -> TraceSpec:
+def trace_spec_from_json(data, params: SystemParams) -> TraceSpec:
     from .traces import CanonicalTrace, FiniteOrbitTrace, OrbitMeasureTrace
 
     kind = _need(data, "kind", str)
     if kind == "canonical":
-        if params is None:
-            raise ValueError("a canonical trace needs explicit system parameters")
         return CanonicalTrace(params)
     if kind in ("finite_orbit", "orbit_measure"):
         orbit = orbit_from_json(_need(data, "orbit", dict))
-        if params is not None and orbit.params != params:
+        if orbit.params != params:
             raise ParamsMismatch(
                 f"orbit is for ({orbit.params.p}, {orbit.params.q}), "
                 f"not ({params.p}, {params.q})"
@@ -294,16 +280,6 @@ def moments_to_json(seq: MomentSequence) -> dict:
 
 def fg_ab_group_to_json(group: FgAbGroup) -> dict:
     return {"rank": group.rank, "torsion": list(group.torsion)}
-
-
-def fg_ab_group_from_json(data) -> FgAbGroup:
-    from .ktheory import FgAbGroup
-
-    torsion = _need(data, "torsion", list)
-    try:
-        return FgAbGroup(_int_field(data, "rank"), tuple(_int_value(d, "torsion entry") for d in torsion))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad group data: {exc}") from None
 
 
 def ktheory_result_to_json(result: KTheoryResult) -> dict:
@@ -339,40 +315,6 @@ def closed_set_to_json(desc: ClosedSetDesc) -> dict:
     }
 
 
-def closed_set_from_json(data) -> ClosedSetDesc:
-    from .primspace import ALL, FULL, FinitePoints, FiniteUnion
-
-    kind = _need(data, "kind", str)
-    if kind == "all":
-        return ALL
-    if kind != "union":
-        raise ValueError(f"unknown closed-set kind {kind!r}")
-    parts = []
-    for entry in _need(data, "parts", list):
-        orbit = orbit_from_json(_need(entry, "orbit", dict))
-        part = _need(entry, "part")
-        if part == "full":
-            parts.append((orbit, FULL))
-            continue
-        if not isinstance(part, list):
-            raise ValueError("part must be \"full\" or a list of character pairs")
-        points = []
-        for pair in part:
-            if not isinstance(pair, list) or len(pair) != 2:
-                raise ValueError(f"bad character pair {pair!r}")
-            points.append(Character(orbit.stabilizer, *map(_coord_from_json, pair, ("t1", "t2"))))
-        parts.append((orbit, FinitePoints(tuple(points))))
-    return FiniteUnion(tuple(parts))
-
-
-def prim_point_to_json(pt: PrimPoint) -> dict:
-    from .primspace import InfinityPoint
-
-    if isinstance(pt, InfinityPoint):
-        return {"kind": "infinity"}
-    return _orbit_chi_to_json("orbit_char", pt.orbit, pt.chi)
-
-
 def prim_point_from_json(data) -> PrimPoint:
     from .primspace import INFINITY, OrbitCharPoint
 
@@ -383,20 +325,6 @@ def prim_point_from_json(data) -> PrimPoint:
         raise ValueError(f"unknown point kind {kind!r}")
     orbit = orbit_from_json(_need(data, "orbit", dict))
     return OrbitCharPoint(orbit, _chi_from_json(data, "chi", orbit))
-
-
-def sequence_desc_to_json(seq: SequenceDesc) -> dict:
-    from .primspace import EscapingTail
-
-    tail = seq.tail
-    if isinstance(tail, EscapingTail):
-        tail_data = {"kind": "escaping"}
-    else:
-        tail_data = _orbit_chi_to_json("constant_orbit", tail.orbit, tail.chi, "chi_limit")
-    return {
-        "prefix": [prim_point_to_json(pt) for pt in seq.prefix],
-        "tail": tail_data,
-    }
 
 
 def sequence_desc_from_json(data) -> SequenceDesc:

@@ -4,8 +4,10 @@
 
 runs the named tasks in the order given, or every check when no name is
 given, and stops at the first that fails: a check exits 1 with its message,
-an unknown name exits 2.  Run it from anywhere; paths are read from the
-repository root.  There is no option, so no run can change a bound.
+an unknown name exits 2, and output that cannot be written, as when the
+reader quits first, exits 1 with one line.  Run it from anywhere; paths are
+read from the repository root.  There is no option, so no run can change a
+bound.
 
 The checks are the reference sweeps of SWEEPS, which compare the library
 with the oracles of tests/helpers.py (they need the test dependencies), the
@@ -143,4 +145,13 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        code = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError as exc:  # the reader quit first: one line, as from xpq
+        from xpq.cli import _discard_stdout
+
+        _discard_stdout()
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        code = 1
+    sys.exit(code)

@@ -37,11 +37,13 @@ from xpq import (
     OutOfRange,
     SolenoidPoint,
     SystemParams,
-    closed_set_from_json,
+    closed_set_to_json,
+    closure,
     moments,
     moments_to_json,
     orbit_from_json,
     orbit_of,
+    prim_point_from_json,
     run_checks,
     trace_spec_from_json,
     trace_spec_to_json,
@@ -67,29 +69,33 @@ class TestExitCodes:
         assert run("ktheory", "-p", "2", "-q", "3").returncode == 0
 
     def test_usage_errors(self):
-        assert run("ktheory", "-p", "2").returncode == 1  # missing -q
-        assert run("no-such-command").returncode == 1
-        assert run("ktheory", "-p", "x", "-q", "3").returncode == 1
-        assert run("trace-eval", "-p", "2", "-q", "3", "--trace", "{bad json",
-                   "--element", "{}").returncode == 1
-        assert run("orbits", "-p", "2", "-q", "3", "--max-den", "7",
-                   "--format", "nope").returncode == 1
+        def refused(*args):
+            # exit 1 and one line on stderr; the usage block is left to -h
+            proc = run(*args)
+            assert proc.returncode == 1 and len(proc.stderr.splitlines()) == 1, (args, proc.stderr)
+            return proc
+
+        refused("ktheory", "-p", "2")  # missing -q
+        refused("no-such-command")
+        refused("ktheory", "-p", "x", "-q", "3")
+        proc = refused("orbits", "-p", "2", "-q", "x")
+        assert proc.stderr == "xpq orbits: error: argument -q: invalid int value: 'x'\n"
+        refused("trace-eval", "-p", "2", "-q", "3", "--trace", "{bad json", "--element", "{}")
+        refused("orbits", "-p", "2", "-q", "3", "--max-den", "7", "--format", "nope")
         # an orbit point that is not a string, after the first, is refused as input
         spec = ('{"kind":"orbit_measure","orbit":{"p":2,"q":3,"r":5,"orbit":["1/5","2/5",null,"4/5"],'
                 '"stabilizer":{"basis":[[1,1],[0,4]],"index":4}}}')
-        proc = run("trace-eval", "-p", "2", "-q", "3", "--trace", spec, "--element",
-                   '{"terms":[{"g":{"x":{"num":"1","a":0,"b":0},"m":0,"n":0},"c":"1"}]}')
-        assert proc.returncode == 1 and proc.stdout == "" and "Traceback" not in proc.stderr
-        assert proc.stderr == "error: None is not a point of the orbit of 1/5, written a/5\n"
-        proc = run("prim-limit", "--sequence", '{"tail":{"kind":"escaping"},"prefix":5}')
-        assert proc.returncode == 1
+        proc = refused("trace-eval", "-p", "2", "-q", "3", "--trace", spec, "--element",
+                       '{"terms":[{"g":{"x":{"num":"1","a":0,"b":0},"m":0,"n":0},"c":"1"}]}')
+        assert proc.stdout == "" and proc.stderr == "error: None is not a point of the orbit of 1/5, written a/5\n"
+        proc = refused("prim-limit", "--sequence", '{"tail":{"kind":"escaping"},"prefix":5}')
         assert "prefix" in proc.stderr and "Traceback" not in proc.stderr
         # coefficients whose decimal exponent would expand to 10^400000 digits and more
         for c in ("1e400000", "1e999999999"):
             element = '{"terms":[{"g":{"x":{"num":"1","a":0,"b":0},"m":0,"n":0},"c":"%s"}]}' % c
-            proc = run("trace-eval", "-p", "2", "-q", "3", "--trace", '{"kind":"canonical"}',
-                       "--element", element)
-            assert proc.returncode == 1 and proc.stdout == ""
+            proc = refused("trace-eval", "-p", "2", "-q", "3", "--trace", '{"kind":"canonical"}',
+                           "--element", element)
+            assert proc.stdout == ""
             assert f"bad coefficient '{c}'" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_domain_errors(self):
@@ -924,8 +930,7 @@ class TestPrimCommands:
 
     def test_closure_round_trip(self):
         data = run_json("prim-closure", "--points", self.POINTS)
-        desc = closed_set_from_json(data)
-        assert not desc.is_empty()
+        assert data == closed_set_to_json(closure(map(prim_point_from_json, json.loads(self.POINTS))))
         assert data["parts"][0]["part"] == [["0/1", "1/4"]]
 
     def test_closure_of_infinity(self):
@@ -992,7 +997,7 @@ class TestMiscCommands:
 
     def test_help(self):
         proc = run("--help")
-        assert proc.returncode == 0
+        assert proc.returncode == 0 and proc.stdout.startswith("usage: xpq ")
         for name in ("orbits", "stabilizer", "fix", "lift", "trace-eval", "moments",
                      "invariance", "ktheory", "lemma36", "prim-closure", "prim-limit",
                      "icc-witness", "mult-indep", "check"):

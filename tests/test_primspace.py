@@ -5,7 +5,6 @@ import pytest
 
 from xpq import (
     ALL,
-    EMPTY,
     ESCAPING,
     FULL,
     INFINITY,
@@ -52,7 +51,7 @@ def pt(orbit, character=CHI0):
 def sample_sets():
     return [
         ALL,
-        EMPTY,
+        FiniteUnion(()),
         closure([pt(ORBIT5)]),
         closure([pt(ORBIT5, CHI_I), pt(ORBIT7)]),
         closure([pt(ORBIT1), pt(ORBIT5), pt(ORBIT5, CHI_I)]),
@@ -67,9 +66,8 @@ class TestClosure:
         assert closure([pt(ORBIT5), INFINITY]) == ALL
 
     def test_empty(self):
-        assert closure([]) == EMPTY
-        assert EMPTY.is_empty()
-        assert not closure([pt(ORBIT5)]).is_empty()
+        assert closure([]) == FiniteUnion(())
+        assert closure([pt(ORBIT5)]).parts
 
     def test_points_are_closed(self):
         x = pt(ORBIT5, CHI_I)
@@ -197,7 +195,7 @@ class TestLatticeOperations:
         assert u == closure([pt(ORBIT5), pt(ORBIT5, CHI_I)])
         assert closed_union(a, ALL) == ALL
         assert closed_union(ALL, a) == ALL
-        assert closed_union(a, EMPTY) == a
+        assert closed_union(a, FiniteUnion(())) == a
 
     def test_full_torus_absorbs_points(self):
         a = FiniteUnion(((ORBIT5, FULL),))
@@ -211,9 +209,9 @@ class TestLatticeOperations:
         assert closed_intersection(a, b) == closure([pt(ORBIT5)])
         assert closed_intersection(a, ALL) == a
         assert closed_intersection(ALL, a) == a
-        assert closed_intersection(a, EMPTY) == EMPTY
+        assert closed_intersection(a, FiniteUnion(())) == FiniteUnion(())
         disjoint = closed_intersection(closure([pt(ORBIT5)]), closure([pt(ORBIT7)]))
-        assert disjoint == EMPTY
+        assert disjoint == FiniteUnion(())
 
     def test_lattice_laws_sampled(self):
         sets = sample_sets()

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import sweeps
@@ -37,3 +40,16 @@ class TestMain:
     def test_code_lines_skip_docstrings_comments_and_blanks(self):
         text = 'def f():\n    """one\n    two"""\n\n    # note\n    return 1\n'
         assert sweeps.code_lines(text) == 2
+
+    def test_reader_that_quits_first_ends_in_one_line(self):
+        read, write = os.pipe()
+        os.close(read)  # the reader is gone before the first line is written
+        try:
+            proc = subprocess.run(
+                [sys.executable, str(sweeps.ROOT / "tests/sweeps.py"), "size"], stdout=write, stderr=subprocess.PIPE,
+                text=True, env={**os.environ, "PYTHONPATH": str(sweeps.ROOT / "src")}, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: cannot write output: ") and proc.stderr.count("\n") == 1
