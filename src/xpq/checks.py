@@ -18,17 +18,17 @@ from math import gcd
 from operator import attrgetter
 
 from .dynamics import (
+    MAX_ORBIT_DENOMINATOR,
     Character,
     SolenoidPoint,
     SystemParams,
     beta_apply,
     census,
-    check_orbit_bound,
     enumerate_minimal_sets,
     fixed_points,
     lift_sequence,
 )
-from .errors import OutOfRange
+from .errors import check_range
 from .exact import (
     Cyclotomic,
     PqRational,
@@ -332,9 +332,8 @@ def run_checks(
     the name, trials and max_denominator are checked before any suite runs."""
     if suite != "all" and suite not in _SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected all or one of {', '.join(_SUITES)}")
-    if not 0 <= trials <= MAX_TRIALS:
-        raise OutOfRange(f"trials = {trials} out of range; expected 0 <= trials <= {MAX_TRIALS}")
-    check_orbit_bound(max_denominator)
+    check_range("trials", trials, 0, MAX_TRIALS)
+    check_range("max_denominator", max_denominator, 1, MAX_ORBIT_DENOMINATOR)
     names = list(_SUITES) if suite == "all" else [suite]
     return [_tally(name, _SUITES[name](params, random.Random(f"{seed}:{name}"), max_denominator, trials))
             for name in names]

@@ -22,15 +22,18 @@ import os
 import sys
 from functools import cache
 
-from .errors import OutOfRange, XpqError
+from .errors import OutOfRange, XpqError, int_text
 
 ENV_MAX_DENOMINATOR = "XPQ_MAX_DENOMINATOR"
 
 
 class _Parser(argparse.ArgumentParser):
     # usage problems are exit code 1 here, not argparse's 2, and one line:
-    # the usage block is left to -h
+    # the usage block is left to -h.  The message is cut at 200 characters,
+    # as argparse echoes a refused value whole: -r 10^4300 is 4301 digits.
     def error(self, message):
+        if len(message) > 200:
+            message = f"{message[:200]}... ({len(message)} characters)"
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
@@ -194,7 +197,7 @@ def _cmd_stabilizer(args) -> int:
 
 
 def _cmd_fix(args) -> int:
-    from .dynamics import fixed_points, int_text, str_digit_limit
+    from .dynamics import fixed_points, str_digit_limit
 
     params = _params(args)
     bound = _max_den(args, required=False)

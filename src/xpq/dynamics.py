@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import compress, islice
 from math import gcd, isqrt, lcm
 
-from .errors import IdentityElement, NotCoprime, OutOfRange, ParamsMismatch
+from .errors import IdentityElement, NotCoprime, OutOfRange, ParamsMismatch, check_range, int_text
 from .exact import (
     Cyclotomic, QmodZ, Record, _descend, _gcd_steps, carmichael, euler_phi, factorize,
     multiplicative_dependence_witness, root_of_unity,
@@ -70,26 +70,6 @@ MAX_STABILIZER_ORDER = 10**6
 MAX_LIFT_DEPTH = 10**6
 
 
-def check_exponent(name: str, value: int) -> None:
-    """Refuse an exponent beyond MAX_EXPONENT before any power is computed."""
-    if abs(value) > MAX_EXPONENT:
-        raise OutOfRange(f"exponent {name} = {value} out of range; |{name}| must be <= {MAX_EXPONENT}")
-
-
-def check_orbit_bound(max_denominator: int) -> None:
-    """Refuse a denominator bound outside [1, MAX_ORBIT_DENOMINATOR] before any work."""
-    if not 1 <= max_denominator <= MAX_ORBIT_DENOMINATOR:
-        raise OutOfRange(
-            f"max_denominator = {max_denominator} out of range; "
-            f"expected 1 <= max_denominator <= {MAX_ORBIT_DENOMINATOR}"
-        )
-
-
-def int_text(n: int) -> str:
-    """n in decimal, or "about 2^k" from 4096 bits on, where str() may refuse it."""
-    return str(n) if n.bit_length() < 4096 else f"about 2^{n.bit_length() - 1}"
-
-
 def str_digit_limit() -> tuple[int, int | None]:
     """(digits, 10**digits): the most decimal digits str() writes of an int,
     sys.get_int_max_str_digits(), and the least int with more; (0, None) if none."""
@@ -116,7 +96,7 @@ class SystemParams(Record):
 
     def require_coprime(self, den: int) -> None:
         if gcd(den, self.pq) != 1:
-            raise NotCoprime(f"denominator {den} shares a factor with pq = {self.pq}")
+            raise NotCoprime(f"denominator {int_text(den)} shares a factor with pq = {int_text(self.pq)}")
 
 
 class SolenoidPoint(Record):
@@ -300,11 +280,12 @@ def _check_stabilizer_limit(r: int, c: int, a: int = 1) -> None:
     <q>, exceeds MAX_STABILIZER_ORDER."""
     if c > MAX_STABILIZER_ORDER:
         raise OutOfRange(
-            f"denominator {r}: ord_r(q) = {c} exceeds the stabilizer limit {MAX_STABILIZER_ORDER}"
+            f"denominator {int_text(r)}: ord_r(q) = {int_text(c)} exceeds the stabilizer limit "
+            f"{MAX_STABILIZER_ORDER}"
         )
     if a > MAX_STABILIZER_ORDER:
         raise OutOfRange(
-            f"denominator {r}: no p^m with m <= {MAX_STABILIZER_ORDER} lies in <q> "
+            f"denominator {int_text(r)}: no p^m with m <= {MAX_STABILIZER_ORDER} lies in <q> "
             f"(ord_r(q) = {c}); {MAX_STABILIZER_ORDER} is the stabilizer limit"
         )
 
@@ -336,8 +317,7 @@ def stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
     >>> stabilizer_lattice(SystemParams(2, 3), 5).basis
     ((1, 1), (0, 4))
     """
-    if r < 1:
-        raise OutOfRange(f"denominator {r} out of range; expected r >= 1")
+    check_range("r", r, 1)
     params.require_coprime(r)
     p, q = params.p, params.q
     parts = []
@@ -458,7 +438,7 @@ def census(params: SystemParams, max_denominator: int) -> tuple[int, Iterator[Or
     """The number of finite minimal invariant sets with denominator <= the
     bound, and an iterator over them in the order of enumerate_minimal_sets.
 
-    The bound is checked first (check_orbit_bound).  The lattices of all r
+    The bound, 1 to MAX_ORBIT_DENOMINATOR, is checked first.  The lattices of all r
     come next, and the count is the sum of phi(r) / index(L_r) over them;
     the orbits are built r by r as the iterator is read, each r's read off
     one labelled unit mask of r bytes (_orbits_mod), so at most one
@@ -470,7 +450,7 @@ def census(params: SystemParams, max_denominator: int) -> tuple[int, Iterator[Or
     and m, built before it, and its phi and primes from theirs, so no r is
     factored.
     """
-    check_orbit_bound(max_denominator)
+    check_range("max_denominator", max_denominator, 1, MAX_ORBIT_DENOMINATOR)
     spf = list(range(max_denominator + 1))
     for i in range(isqrt(max_denominator), 1, -1):  # the least divisor i > 1 is written last
         spf[i * i :: i] = [i] * len(range(i * i, max_denominator + 1, i))
@@ -523,10 +503,10 @@ def fixed_points(
     5
     """
     m, n = g
-    check_exponent("m", m)
-    check_exponent("n", n)
-    if max_denominator is not None and max_denominator < 1:
-        raise OutOfRange(f"max_denominator = {max_denominator} out of range; expected max_denominator >= 1")
+    check_range("m", m, -MAX_EXPONENT, MAX_EXPONENT)
+    check_range("n", n, -MAX_EXPONENT, MAX_EXPONENT)
+    if max_denominator is not None:
+        check_range("max_denominator", max_denominator, 1)
     if (m, n) == (0, 0):
         raise IdentityElement("(0, 0) fixes every point")
     w = Fraction(params.p) ** m * Fraction(params.q) ** n - 1
@@ -546,7 +526,7 @@ def fixed_points(
     scan = min(max_denominator, count)
     if scan > MAX_DENOMINATOR_SCAN:
         raise OutOfRange(
-            f"max_denominator = {max_denominator} would scan {scan} denominators; "
+            f"max_denominator = {int_text(max_denominator)} would scan {int_text(scan)} denominators; "
             f"the scan limit is {MAX_DENOMINATOR_SCAN}"
         )
     pts = []
@@ -557,7 +537,7 @@ def fixed_points(
             if len(pts) > MAX_FIXED_LISTING:
                 raise OutOfRange(
                     f"more than {MAX_FIXED_LISTING} fixed points have a denominator <= "
-                    f"{max_denominator}, the listing limit; lower max_denominator"
+                    f"{int_text(max_denominator)}, the listing limit; lower max_denominator"
                 )
     pts.sort(key=lambda x: x.num * (count // x.den))
     return FixedPoints(count, tuple(SolenoidPoint(x) for x in pts))
@@ -570,8 +550,7 @@ def lift_sequence(params: SystemParams, x: SolenoidPoint, depth: int) -> tuple[S
     On denominators coprime to pq the division is the multiplication by
     the inverse of pq mod r, so the lift is unique and stays rational.
     """
-    if not 0 <= depth <= MAX_LIFT_DEPTH:
-        raise OutOfRange(f"depth = {depth} out of range; expected 0 <= depth <= {MAX_LIFT_DEPTH}")
+    check_range("depth", depth, 0, MAX_LIFT_DEPTH)
     r = x.coord.den
     params.require_coprime(r)
     w = pow(params.pq, -1, r)

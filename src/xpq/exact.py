@@ -28,7 +28,7 @@ from math import gcd, lcm
 from numbers import Rational
 from operator import add, attrgetter, sub
 
-from .errors import FactorizationTooHard, NonInvertible, OutOfRange
+from .errors import FactorizationTooHard, NonInvertible, OutOfRange, check_range, int_text
 
 _TRIAL_LIMIT = 1 << 16
 _RHO_LIMIT = 1 << 64
@@ -157,8 +157,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     >>> factorize(360)
     ((2, 3), (3, 2), (5, 1))
     """
-    if n < 1:
-        raise OutOfRange(f"cannot factor {n}; expected a positive integer")
+    check_range("n", n, 1)
     acc: dict[int, int] = {}
     m = n
     f = 2
@@ -172,7 +171,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
             acc[m] = acc.get(m, 0) + 1  # no factor below sqrt(m): prime
         elif m > _RHO_LIMIT:
             raise FactorizationTooHard(
-                f"cofactor {m} exceeds 2^64 after trial division"
+                f"cofactor {int_text(m)} exceeds 2^64 after trial division"
             )
         else:
             _factor_into(m, acc)
@@ -209,8 +208,7 @@ def multiplicative_order(k: int, r: int) -> int:
     >>> multiplicative_order(3, 7)
     6
     """
-    if r < 1:
-        raise OutOfRange(f"modulus {r} out of range; expected r >= 1")
+    check_range("r", r, 1)
     if gcd(k, r) != 1:
         raise NonInvertible(f"{k} is not a unit mod {r}")
     return _descend(carmichael(r), lambda m: pow(k, m, r) == 1)
@@ -227,8 +225,8 @@ def _descend(e: int, holds: Callable[[int], bool]) -> int:
 
 def check_bases(p: int, q: int) -> None:
     """Refuse bases p or q below 2."""
-    if p < 2 or q < 2:
-        raise OutOfRange(f"bases ({p}, {q}) out of range; expected both >= 2")
+    check_range("p", p, 2)
+    check_range("q", q, 2)
 
 
 def multiplicative_dependence_witness(p: int, q: int) -> tuple[int, int] | None:
@@ -280,8 +278,7 @@ class QmodZ(Record):
     __slots__ = ("num", "den")
 
     def __init__(self, num: int, den: int):
-        if den <= 0:
-            raise OutOfRange(f"denominator {den} out of range; expected >= 1")
+        check_range("denominator", den, 1)
         num %= den
         g = gcd(num, den)
         set_num, set_den = self._setters
@@ -402,7 +399,7 @@ class PqRational(Record):
         den //= g
         form = _den_form(den, p, q)
         if form is None:
-            raise OutOfRange(f"{num}/{den} is not an element of Z[1/{p * q}]")
+            raise OutOfRange(f"{int_text(num)}/{int_text(den)} is not an element of Z[1/{int_text(p * q)}]")
         f, a, b = form
         return cls(num * f, a, b)
 
@@ -423,10 +420,7 @@ class PqRational(Record):
 def check_level(N: int) -> None:
     """Refuse a cyclotomic level outside 1..MAX_CYCLOTOMIC_LEVEL before any
     vector of that length is built."""
-    if not 1 <= N <= MAX_CYCLOTOMIC_LEVEL:
-        raise OutOfRange(
-            f"cyclotomic level {N} out of range; expected 1 <= level <= {MAX_CYCLOTOMIC_LEVEL}"
-        )
+    check_range("cyclotomic level", N, 1, MAX_CYCLOTOMIC_LEVEL)
 
 
 @lru_cache(maxsize=4096)

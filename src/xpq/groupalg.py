@@ -32,7 +32,7 @@ from math import gcd, lcm
 from operator import itemgetter
 
 from .dynamics import SystemParams, str_digit_limit
-from .errors import DependentParams, IdentityElement, OutOfRange, ParamsMismatch
+from .errors import DependentParams, IdentityElement, OutOfRange, ParamsMismatch, check_range
 from .exact import PqRational, Record, _den_form, as_fraction
 
 # Most conjugates icc_witness lists.  The k-th conjugate of (x, m, n) with
@@ -120,8 +120,7 @@ def icc_witness(params: SystemParams, g: GroupElement, count: int) -> list[Group
     stops with OutOfRange at the first numerator too long to print, so no
     conjugate is built much past that length.
     """
-    if not 0 <= count <= MAX_CONJUGATES:
-        raise OutOfRange(f"count = {count} out of range; expected 0 <= count <= {MAX_CONJUGATES}")
+    check_range("count", count, 0, MAX_CONJUGATES)
     if g.is_identity():
         raise IdentityElement("the identity has a one-element conjugacy class")
     num, _, _, m, n = g.row

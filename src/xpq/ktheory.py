@@ -32,7 +32,7 @@ from __future__ import annotations
 import operator
 from math import gcd
 
-from .errors import IncompatibleMap, OutOfRange
+from .errors import IncompatibleMap, check_range
 from .exact import Record, check_bases
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -280,8 +280,7 @@ def mult_map_ker_coker(m: int, n: int) -> tuple[FgAbGroup, FgAbGroup]:
     >>> mult_map_ker_coker(4, 6)
     (FgAbGroup(rank=0, torsion=(2,)), FgAbGroup(rank=0, torsion=(2,)))
     """
-    if n < 1:
-        raise OutOfRange(f"modulus {n} out of range; expected n >= 1")
+    check_range("n", n, 1)
     if n == 1:
         return FgAbGroup(0), FgAbGroup(0)
     G = FgAbGroup.cyclic(n)

@@ -23,8 +23,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .dynamics import Character, OrbitData, SystemParams, _build_orbit, check_exponent, stabilizer_lattice
-from .errors import OutOfRange, ParamsMismatch
+from .dynamics import MAX_EXPONENT, Character, OrbitData, SystemParams, _build_orbit, stabilizer_lattice
+from .errors import OutOfRange, ParamsMismatch, check_range, int_text
 from .exact import Cyclotomic, PqRational, QmodZ, euler_phi
 
 if TYPE_CHECKING:
@@ -71,12 +71,12 @@ def pq_rational_from_json(data, params: SystemParams) -> PqRational:
     b = _int_field(data, "b")
     if a < 0 or b < 0:
         raise ValueError(f"exponents ({a}, {b}) must be nonnegative")
-    check_exponent("a", a)
-    check_exponent("b", b)
+    check_range("a", a, 0, MAX_EXPONENT)
+    check_range("b", b, 0, MAX_EXPONENT)
     canon = PqRational.canonical(num, params.p**a * params.q**b, params.p, params.q)
     if (canon.num, canon.a, canon.b) != (num, a, b):
         raise ValueError(
-            f"{num}/({params.p}^{a} {params.q}^{b}) is not in canonical form"
+            f"{int_text(num)}/({int_text(params.p)}^{a} {int_text(params.q)}^{b}) is not in canonical form"
         )
     return canon
 
@@ -190,8 +190,8 @@ def group_element_from_json(data, params: SystemParams) -> GroupElement:
 
     m = _int_field(data, "m")
     n = _int_field(data, "n")
-    check_exponent("m", m)
-    check_exponent("n", n)
+    check_range("m", m, -MAX_EXPONENT, MAX_EXPONENT)
+    check_range("n", n, -MAX_EXPONENT, MAX_EXPONENT)
     return GroupElement(pq_rational_from_json(_need(data, "x", dict), params), m, n)
 
 

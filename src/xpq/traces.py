@@ -41,7 +41,7 @@ from math import gcd, lcm
 from operator import add, mul
 
 from .dynamics import Character, OrbitData, SystemParams
-from .errors import OutOfRange, ParamsMismatch, RangeTooSmall
+from .errors import OutOfRange, ParamsMismatch, RangeTooSmall, check_range, int_text
 from .exact import Cyclotomic, PqRational, QmodZ, Record, check_level, euler_phi, factorize, twisted_level
 from .groupalg import GroupAlgebraElement, GroupElement
 
@@ -252,8 +252,7 @@ class MomentSequence(Record):
     __slots__ = ("spec", "n_max", "values")
 
     def value(self, n: int) -> Cyclotomic:
-        if abs(n) > self.n_max:
-            raise OutOfRange(f"moment index {n} outside range +-{self.n_max}")
+        check_range("n", n, -self.n_max, self.n_max)
         return self.values[n + self.n_max]
 
     def items(self):
@@ -269,8 +268,7 @@ def moments(spec: TraceSpec, n_max: int) -> MomentSequence:
     n = 0 and 0 elsewhere.  Both limits, MAX_MOMENT_RANGE and
     MAX_MOMENT_COEFFICIENTS, are checked before any value is computed.
     """
-    if not 0 <= n_max <= MAX_MOMENT_RANGE:
-        raise OutOfRange(f"n_max = {n_max} out of range; expected 0 <= n_max <= {MAX_MOMENT_RANGE}")
+    check_range("n_max", n_max, 0, MAX_MOMENT_RANGE)
     r = 1 if isinstance(spec, CanonicalTrace) else spec.orbit.denominator
     check_level(r)
     if (size := (2 * n_max + 1) * euler_phi(r)) > MAX_MOMENT_COEFFICIENTS:
@@ -298,7 +296,7 @@ def check_pq_invariance(seq: MomentSequence, params: SystemParams) -> bool:
     """
     if seq.n_max < max(params.p, params.q):
         raise RangeTooSmall(
-            f"range {seq.n_max} cannot test invariance for p = {params.p}, q = {params.q}"
+            f"range {seq.n_max} cannot test invariance for p = {int_text(params.p)}, q = {int_text(params.q)}"
         )
     for n in range(-seq.n_max, seq.n_max + 1):
         for k in (params.p, params.q):
@@ -317,8 +315,7 @@ def average_over_character_level(orbit: OrbitData, k: int, a: GroupAlgebraElemen
     trace.  The function computes the average honestly; the collapse is a
     theorem the tests verify.
     """
-    if k < 1:
-        raise OutOfRange(f"character level {k} out of range; expected >= 1")
+    check_range("k", k, 1)
     total = Cyclotomic.zero()
     for i in range(k):
         for j in range(k):

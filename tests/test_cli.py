@@ -15,7 +15,7 @@ from functools import reduce
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from golden import (
@@ -82,6 +82,10 @@ class TestExitCodes:
         assert proc.stderr == "xpq orbits: error: argument -q: invalid int value: 'x'\n"
         refused("trace-eval", "-p", "2", "-q", "3", "--trace", "{bad json", "--element", "{}")
         refused("orbits", "-p", "2", "-q", "3", "--max-den", "7", "--format", "nope")
+        # int() reads at most 4300 digits; the refused value is not echoed whole
+        proc = refused("stabilizer", "-p", "2", "-q", "3", "-r", "1" + "0" * 4300)
+        assert proc.stderr.startswith("xpq stabilizer: error: argument -r: invalid int value: '1000")
+        assert proc.stderr.endswith("... (4335 characters)\n") and len(proc.stderr.encode()) < 300
         # an orbit point that is not a string, after the first, is refused as input
         spec = ('{"kind":"orbit_measure","orbit":{"p":2,"q":3,"r":5,"orbit":["1/5","2/5",null,"4/5"],'
                 '"stabilizer":{"basis":[[1,1],[0,4]],"index":4}}}')
@@ -97,6 +101,20 @@ class TestExitCodes:
                            "--element", element)
             assert proc.stdout == ""
             assert f"bad coefficient '{c}'" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_huge_integers_are_named_in_a_short_line(self, capsys):
+        # 10^4299 has 4300 digits, the most int() reads and str() writes
+        big = 10**4299
+        for argv, code, error in (
+            (["fix", "-p", "2", "-q", "3", "-m", str(big), "-n", "0"], 2,
+             "m = about 2^14280 out of range; expected -10000 <= m <= 10000"),
+            (["stabilizer", "-p", "2", "-q", "3", "-r", str(big)], 2,
+             "denominator about 2^14280 shares a factor with pq = 6"),
+            (["stabilizer", "-p", "2", "-q", "3", "-r", str(big + 1)], 2,
+             "cofactor about 2^14271 exceeds 2^64 after trial division"),
+        ):
+            assert cli.main(argv) == code
+            assert capsys.readouterr() == ("", f"error: {error}\n")
 
     def test_domain_errors(self):
         # r shares a factor with pq
@@ -115,14 +133,14 @@ class TestExitCodes:
         # exponents beyond the limit are refused before any power is computed
         big = ('{"terms":[{"g":{"x":{"num":"1","a":1000000000,"b":0},"m":0,"n":0},'
                '"c":"1"}]}')
-        for argv, field in (
+        for argv, field, lo in (
             (["trace-eval", "-p", "2", "-q", "3", "--trace", '{"kind":"canonical"}',
-              "--element", big], "a"),
-            (["fix", "-p", "2", "-q", "3", "-m", "1000000000", "-n", "0"], "m"),
+              "--element", big], "a", 0),
+            (["fix", "-p", "2", "-q", "3", "-m", "1000000000", "-n", "0"], "m", -10000),
         ):
             proc = run(*argv)
             assert proc.returncode == 2
-            assert f"exponent {field} = 1000000000" in proc.stderr
+            assert f"{field} = 1000000000 out of range; expected {lo} <= {field} <= 10000" in proc.stderr
             assert "10000" in proc.stderr and "Traceback" not in proc.stderr
         # an unbounded listing of ~1.3e31 fixed points is refused
         proc = run("fix", "-p", "2", "-q", "3", "-m", "40", "-n", "40")
@@ -160,7 +178,7 @@ class TestExitCodes:
              "count = 100000000", "1000"),
             (["check", "all", "--trials", "100000000", "--max-den", "8"], "trials = 100000000", "1000"),
             (["trace-eval", "-p", "2", "-q", "3", "--trace", chi_level, "--element", unit],
-             "cyclotomic level 1000000007", "1000000"),
+             "cyclotomic level = 1000000007", "1000000"),
             (["moments", "-p", "2", "-q", "3", "--trace", measure1001, "--n-max", "1000"],
              "n_max = 1000 at r = 1001", "1000000"),
         ):
@@ -595,6 +613,88 @@ class TestDecoderFuzz:
         check()
 
 
+def _int_options():
+    """Each subcommand with integer options: the rest of a valid argv, and
+    each option with the texts of the values it is drawn from.  Every option
+    takes -1, 0, small values, 2^64, 10^4299 (the most digits int() reads)
+    and 10^4300; an option with a MAX_* limit also takes the limit + 1, and
+    the limit itself unless reaching it takes a second or more: orbits and
+    check --max-den 5000, check --trials 1000, lift --depth 10^6, fix
+    --max-den 10^6 over a large count and fix -m 10000 -n 10000.
+
+    Two inputs that take seconds before any limit is checked are left out
+    too.  fix builds p^m q^n whole, so it draws p and q from the small
+    values alone: at p = 2^64, -m 10000 --max-den 100001 takes 16 s, and at
+    p = 10^4299, -m 10000 over two minutes.  stabilizer -r 10^4299 with p, q
+    prime to 10 takes 4 s to order q mod 5^4299 before the stabilizer limit
+    refuses it, so -r does not take 10^4299."""
+    from xpq.checks import MAX_TRIALS
+    from xpq.dynamics import (
+        MAX_DENOMINATOR_SCAN, MAX_EXPONENT, MAX_FIXED_LISTING, MAX_LIFT_DEPTH, MAX_ORBIT_DENOMINATOR,
+        MAX_STABILIZER_ORDER,
+    )
+    from xpq.groupalg import MAX_CONJUGATES
+    from xpq.traces import MAX_MOMENT_RANGE
+
+    # str() writes at most 4300 digits, so the powers of 10 are spelled out
+    small, big = ("-1", "0", "1", "2", "3", "5", "7"), "1" + "0" * 4299
+    common = (*small, str(2**64), big, big + "0")
+
+    def past(*limits):
+        return (*common, *[str(limit + 1) for limit in limits])
+
+    def up_to(limit):
+        return (*past(limit), str(limit))
+
+    pq = {"-p": common, "-q": common}
+    canonical = ["--trace", '{"kind":"canonical"}']
+    return {
+        "orbits": ([], {**pq, "--max-den": past(MAX_ORBIT_DENOMINATOR)}),
+        "stabilizer": ([], {**pq, "-r": tuple(r for r in past(MAX_STABILIZER_ORDER) if r != big)}),
+        "fix": ([], {"-p": small, "-q": small, "-m": up_to(MAX_EXPONENT), "-n": up_to(MAX_EXPONENT),
+                     "--max-den": past(MAX_FIXED_LISTING, MAX_DENOMINATOR_SCAN)}),
+        "lift": (["--point", "1/5"], {**pq, "--depth": past(MAX_LIFT_DEPTH)}),
+        "trace-eval": ([*canonical, "--element", GOLDEN_ELEMENT], pq),
+        "moments": (canonical, {**pq, "--n-max": up_to(MAX_MOMENT_RANGE)}),
+        "invariance": (canonical, {**pq, "--n-max": up_to(MAX_MOMENT_RANGE)}),
+        "ktheory": ([], pq),
+        "lemma36": ([], {"-m": common, "-n": common}),
+        "icc-witness": (["--element", GOLDEN_GROUP_ELEMENT], {**pq, "--count": up_to(MAX_CONJUGATES)}),
+        "mult-indep": ([], pq),
+        "check": ([], {**pq, "--max-den": past(MAX_ORBIT_DENOMINATOR), "--trials": past(MAX_TRIALS),
+                       "--seed": common}),
+    }
+
+
+class TestIntegerOptionFuzz:
+    def test_integer_options_end_in_an_exit_code_and_one_line(self):
+        commands = _int_options()
+        # the one stderr line a run may add ahead of its result or error
+        warning = re.compile(r"warning: \d+ and \d+ are multiplicatively dependent \(.*\); .*")
+
+        @given(st.data())
+        @settings(max_examples=600, deadline=3000)
+        def check(data):
+            command = data.draw(st.sampled_from(sorted(commands)))
+            rest, options = commands[command]
+            values = {option: data.draw(st.sampled_from(pool), label=option) for option, pool in options.items()}
+            assume(command != "fix" or (values["-m"], values["-n"]) != ("10000", "10000"))
+            argv = [command, *rest, *[token for item in values.items() for token in item]]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            out, err = out.getvalue(), err.getvalue()
+            assert code in (0, 1, 2, 3) and "Traceback" not in err, (code, err)
+            lines = [line for line in err.splitlines() if not warning.fullmatch(line)]
+            if code in (0, 3):
+                assert lines == [] and out.endswith("\n"), (code, err)
+            else:
+                assert out == "" and len(lines) == 1 and err.endswith("\n"), (code, err)
+                assert lines[0].startswith(("error: ", f"xpq {command}: error: ")) and len(lines[0]) < 300, err
+
+        check()
+
+
 class TestDeterminism:
     def test_byte_identical_runs(self):
         a = run("orbits", "-p", "2", "-q", "3", "--max-den", "30")
@@ -758,7 +858,7 @@ class TestLift:
             assert proc.stderr == f"error: bad rational {text!r}\n"
         proc = run("lift", "-p", "2", "-q", "3", "--point", "1/0")
         assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr == "error: denominator 0 out of range; expected >= 1\n"
+        assert proc.stderr == "error: denominator = 0 out of range; expected 1 <= denominator\n"
 
 
 class TestTraceCommands:

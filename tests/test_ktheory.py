@@ -394,8 +394,9 @@ class TestAssembly:
                 assert gcd(p - 1, p * q - 1) == gcd(p - 1, q - 1)
 
     def test_out_of_range(self):
-        # one rule refuses bases below 2, with one message, in both library calls
-        for p, q in ((1, 3), (3, 1), (0, -2)):
+        # one rule refuses bases below 2, with one message naming the first
+        # base refused, in both library calls
+        for p, q, name, value in ((1, 3, "p", 1), (3, 1, "q", 1), (0, -2, "p", 0)):
             for call in (k_theory_of_group, multiplicative_dependence_witness):
-                with pytest.raises(OutOfRange, match=rf"^bases \({p}, {q}\) out of range; expected both >= 2$"):
+                with pytest.raises(OutOfRange, match=rf"^{name} = {value} out of range; expected 2 <= {name}$"):
                     call(p, q)

@@ -346,7 +346,7 @@ class TestTraceEvalAgainstReference:
         chi = Character(ORBIT7.stabilizer, QmodZ(1, big), QmodZ(0, 1))
         m, n = ORBIT7.stabilizer.basis[0]
         a = unit(GroupElement.identity()) + unit(GroupElement(PqRational(1, 0, 0), m, n))
-        with pytest.raises(OutOfRange, match=f"level {big} out of range") as err:
+        with pytest.raises(OutOfRange, match=f"cyclotomic level = {big} out of range") as err:
             trace_eval(FiniteOrbitTrace(ORBIT7, chi), a)
         assert str(7 * big) not in str(err.value)
 
