@@ -7,9 +7,11 @@ calculus, and crossed-product K-theory.
 Everything is integer or cyclotomic arithmetic; floating point appears
 only in .approx() views.
 
-The names below are resolved on first use: ``import xpq`` loads no
-submodule, and ``xpq.trace_eval`` imports ``xpq.traces`` when it is first
-read.
+Nothing is loaded before it is used.  The names below are resolved on
+first use: ``import xpq`` loads no submodule, and ``xpq.trace_eval``
+imports ``xpq.traces`` when it is first read.  Each ``xpq`` subcommand
+imports the modules it runs when it runs, and serialize the modules of the
+values it encodes or decodes; no module imports dataclasses or inspect.
 """
 
 import sys

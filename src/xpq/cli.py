@@ -1,17 +1,11 @@
-"""Command-line interface.
-
-Exit codes: 0 success, 1 usage or input-parsing problem or output that
-cannot be written (stdout closed or full), 2 domain error
-(bad denominators, identity elements, dependent bases where forbidden),
-3 check-suite failure.  Output goes to stdout in the format picked by
---format (csv only for `orbits` and `moments`); warnings go to stderr.
-For a fixed argv the stdout bytes are identical run to run.
+"""Command-line interface.  README.md "Command line" states its
+subcommands, formats and exit codes.  Output goes to stdout, warnings and
+errors to stderr; for a fixed argv the stdout bytes are identical run to
+run.
 
 JSON payloads passed to --trace/--element/--points/--sequence may be
-given inline or as @path to read a file.
-
-Each subcommand imports the library modules it runs when it runs, so a
-call loads only those.
+given inline or as @path to read a file.  Modules load as the xpq package
+docstring states.
 """
 
 from __future__ import annotations
@@ -27,14 +21,21 @@ from .errors import OutOfRange, XpqError, int_text
 ENV_MAX_DENOMINATOR = "XPQ_MAX_DENOMINATOR"
 
 
+def _one_line(message: str) -> str:
+    """message on one line, each unprintable character such as a newline
+    escaped, and cut to its first 200 characters and its length when
+    longer.  Refusals echo the caller's text whole: argparse a value such as
+    -r 10^4300 (4301 digits) and unrecognized arguments raw, QmodZ.parse a
+    bad rational."""
+    message = "".join(c if c.isprintable() else repr(c)[1:-1] for c in message)
+    return message if len(message) <= 200 else f"{message[:200]}... ({len(message)} characters)"
+
+
 class _Parser(argparse.ArgumentParser):
     # usage problems are exit code 1 here, not argparse's 2, and one line:
-    # the usage block is left to -h.  The message is cut at 200 characters,
-    # as argparse echoes a refused value whole: -r 10^4300 is 4301 digits.
+    # the usage block is left to -h
     def error(self, message):
-        if len(message) > 200:
-            message = f"{message[:200]}... ({len(message)} characters)"
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(1, f"{self.prog}: error: {_one_line(message)}\n")
 
 
 _SCALARS = {str, int, float, bool, type(None)}
@@ -66,8 +67,7 @@ def _dumps(value, indent: str = "") -> str:
 
 
 def _emit_json(payload):
-    """Write payload as json.dumps(payload, sort_keys=True, indent=2) would,
-    through _dumps, and a newline."""
+    """Write payload as _dumps lays it out, and a newline."""
     sys.stdout.write(_dumps(payload) + "\n")
 
 
@@ -564,7 +564,7 @@ def main(argv=None) -> int:
         print(f"error: a value is outside the float range in {args.command}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_one_line(str(exc))}", file=sys.stderr)
         return 1
     except OSError as exc:
         # only writes are left to fail here: _load_json turns read errors

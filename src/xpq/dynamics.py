@@ -37,6 +37,11 @@ from .exact import (
 # a single power of 2 and 3 already takes seconds.
 MAX_EXPONENT = 10_000
 
+# Largest |m| bit_length(p) + |n| bit_length(q), a bound on the bits of
+# p^|m| q^|n|, that fixed_points accepts: at p = 10^4299 and m = 10000 the
+# power has 1.4 * 10^8 bits, while |m|, |n| <= MAX_EXPONENT at (2, 3) need 40000.
+MAX_POWER_BITS = 2**16
+
 # Most fixed points fixed_points lists, with or without a denominator bound.
 MAX_FIXED_LISTING = 100_000
 
@@ -47,22 +52,17 @@ MAX_DENOMINATOR_SCAN = 10**6
 # Largest denominator bound census and enumerate_minimal_sets accept.  The
 # census up to N holds sum phi(r) over r <= N coprime to pq, of order N^2
 # points: at N = 5000, 3.8 million at (2, 3) and 5.5 million at (5, 7),
-# which `xpq orbits` writes as 79 and 116 MB of JSON.  census builds them r
-# by r, so its memory is O(N + largest orbit); the bound caps time and
-# output, which grow as N^2.
+# which `xpq orbits` writes as 79 and 116 MB of JSON.  The bound caps time
+# and output, which grow as N^2; census states its memory.
 MAX_ORBIT_DENOMINATOR = 5_000
 
-# Every numerator a census point can have, 0 <= a < MAX_ORBIT_DENOMINATOR:
-# _orbits_mod reads the subgroup and the last orbit of each r off its unit
-# mask from here, so their points share these ints instead of allocating
-# one per point.
+# Every numerator a census point can have, 0 <= a < MAX_ORBIT_DENOMINATOR.
 _NUMERATORS = tuple(range(MAX_ORBIT_DENOMINATOR))
 
 # Largest diagonal entry c = ord_r(q) or a of a stabilizer basis that
-# stabilizer_lattice and census accept; where each is checked is stated at
-# stabilizer_lattice.  The limit bounds the size of a basis, not the work
-# of building it: with it lifted, r = 10000019, where ord_r(3) = 5000009,
-# takes about 1 ms.
+# stabilizer_lattice and census accept, each checked where
+# stabilizer_lattice states.  It bounds the size of a basis, not the work
+# of building it.
 MAX_STABILIZER_ORDER = 10**6
 
 # Longest backward orbit lift_sequence builds: one point per step, about
@@ -311,8 +311,7 @@ def stabilizer_lattice(params: SystemParams, r: int) -> StabilizerLattice:
 
     OutOfRange, naming r, is raised when c or a of r itself exceeds
     MAX_STABILIZER_ORDER: c = ord_r(q), the lcm of the prime powers'
-    orders, before any power of q is tabled, and a after the meet.  census
-    applies the same check to every lattice it meets.
+    orders, before any power of q is tabled, and a after the meet.
 
     >>> stabilizer_lattice(SystemParams(2, 3), 5).basis
     ((1, 1), (0, 4))
@@ -416,7 +415,8 @@ def _orbits_mod(
     1; a0 times the sorted subgroup, reduced mod r, is a few ascending
     runs, which sorted() merges cheaply, and its points are cleared in the
     mask.  The last orbit is the units still labelled 1.  Orbits are read
-    off the mask from _NUMERATORS, so r <= MAX_ORBIT_DENOMINATOR.
+    off the mask from _NUMERATORS, so r <= MAX_ORBIT_DENOMINATOR and their
+    points share its ints instead of one new int per point.
     """
     mask = _unit_mask(r, primes)
     if count > 1:
@@ -438,11 +438,13 @@ def census(params: SystemParams, max_denominator: int) -> tuple[int, Iterator[Or
     """The number of finite minimal invariant sets with denominator <= the
     bound, and an iterator over them in the order of enumerate_minimal_sets.
 
-    The bound, 1 to MAX_ORBIT_DENOMINATOR, is checked first.  The lattices of all r
-    come next, and the count is the sum of phi(r) / index(L_r) over them;
-    the orbits are built r by r as the iterator is read, each r's read off
-    one labelled unit mask of r bytes (_orbits_mod), so at most one
-    denominator's orbits and mask are held at a time.
+    The bound, 1 to MAX_ORBIT_DENOMINATOR, is checked first.  The lattices
+    of all r come next, each held to the stabilizer limit as
+    stabilizer_lattice holds its own, and the count is the sum of
+    phi(r) / index(L_r) over them.  The orbits are built r by r as the
+    iterator is read, each r's read off one labelled unit mask of r bytes
+    (_orbits_mod), so at most one denominator's orbits and mask are held at
+    a time: memory is O(N + largest orbit) at the bound N.
 
     A smallest-prime-factor sieve splits each r into l^k m, l its least
     prime factor and m coprime to l.  r = 1 and the prime powers go to
@@ -495,9 +497,10 @@ def fixed_points(
     The sample is one scan over the divisors d <= min(bound, count) of
     count, each giving its lowest-terms a/d, so with no bound it lists all
     count points.  OutOfRange is raised for |m| or |n| above MAX_EXPONENT,
-    for a max_denominator below 1, for a listing of more than
-    MAX_FIXED_LISTING points, and for a scan min(max_denominator, count)
-    above MAX_DENOMINATOR_SCAN.
+    for a max_denominator below 1, and for |m| bit_length(p) +
+    |n| bit_length(q) above MAX_POWER_BITS, all before any power is built;
+    then for a listing of more than MAX_FIXED_LISTING points and for a scan
+    min(max_denominator, count) above MAX_DENOMINATOR_SCAN.
 
     >>> fixed_points(SystemParams(2, 3), (1, 1)).count
     5
@@ -507,6 +510,8 @@ def fixed_points(
     check_range("n", n, -MAX_EXPONENT, MAX_EXPONENT)
     if max_denominator is not None:
         check_range("max_denominator", max_denominator, 1)
+    if (bits := abs(m) * params.p.bit_length() + abs(n) * params.q.bit_length()) > MAX_POWER_BITS:
+        raise OutOfRange(f"|m| bit_length(p) + |n| bit_length(q) = {bits} exceeds MAX_POWER_BITS = {MAX_POWER_BITS}")
     if (m, n) == (0, 0):
         raise IdentityElement("(0, 0) fixes every point")
     w = Fraction(params.p) ** m * Fraction(params.q) ** n - 1

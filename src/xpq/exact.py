@@ -35,8 +35,7 @@ _RHO_LIMIT = 1 << 64
 
 # Largest cyclotomic level N a value may have.  A value at level N is built
 # from dense vectors of length up to N, so a level from a character such as
-# 1/1000000007 would ask for 10^9 entries.  Phi_N and the reduction mod Phi_N
-# take one strided pass over such a vector per squarefree divisor of N.
+# 1/1000000007 would ask for 10^9 entries.
 MAX_CYCLOTOMIC_LEVEL = 10**6
 
 # deterministic Miller-Rabin witness set, valid for all n < 3.317e24

@@ -5,19 +5,10 @@ the normal subgroup by (m, n): x -> p^m q^n x, so
 
     (x1, m1, n1) (x2, m2, n2) = (x1 + p^m1 q^n1 x2, m1 + m2, n1 + n2).
 
-Ring parts are computed in integers: both summands are written over one
-denominator p^a q^b (a negative power of p or q multiplies the numerator
-instead), the numerators are added, and PqRational.canonical brings the
-sum to canonical form by gcd steps, so neither p nor q is ever factored.
-A group element is its integer row (num, a, b, m, n), x = num / p^a q^b
-in canonical form: GroupElement stores that one tuple and builds x on
-access.  An element of Q[G] holds integer numerators over one denominator,
-as Cyclotomic does, each keyed by its group element's row
-(GroupAlgebraElement).  Sums, negation, scaling, star and products work on
-those integers alone, and terms hands out the stored rows wrapped as
-GroupElements, with no copy and no PqRational.  A product writes the ring parts
-of all its pairs over one p^A q^B and runs the gcd steps once per distinct
-gcd of a numerator with p^A q^B, not once per term (its __mul__).
+Ring parts are integers over powers of p and q, brought to canonical form
+by gcd steps (group_mul), so neither p nor q is ever factored.
+GroupElement states how an element of G is stored, and
+GroupAlgebraElement how an element of Q[G] is stored and multiplied.
 
 For multiplicatively independent p, q every nontrivial conjugacy class
 is infinite; icc_witness produces arbitrarily many distinct conjugates
@@ -95,7 +86,9 @@ def alpha_apply(params: SystemParams, mn: tuple[int, int], x: PqRational) -> PqR
 
 
 def group_mul(params: SystemParams, g: GroupElement, h: GroupElement) -> GroupElement:
-    # the ring part x1 + p^m1 q^n1 x2, both summands over p^a q^b
+    """g h, its ring part x1 + p^m1 q^n1 x2 computed in integers: both
+    summands over one p^a q^b, their numerators added, and the sum brought
+    to canonical form by PqRational.canonical."""
     p, q = params.p, params.q
     num1, a1, b1, m1, n1 = g.row
     num2, a2, b2, m2, n2 = h.row
@@ -156,14 +149,17 @@ def icc_witness(params: SystemParams, g: GroupElement, count: int) -> list[Group
 class GroupAlgebraElement(Record):
     """Finitely supported rational combination sum c_g u_g in Q[G].
 
-    Stored as integer numerators over one denominator: c_g = k_g / den
-    for (row, k_g) in nums, where row = (num, a, b, m, n) is g.row.  nums
-    is sorted by row with no zero numerator, and gcd(den, k_g...) = 1 with
-    den >= 1, so equal elements compare and hash equal structurally.
-    from_terms and unit take GroupElements in by their rows, terms wraps
-    the stored rows with Fraction coefficients, and coefficient looks one
-    up.  Build through unit / zero / from_terms or the arithmetic
-    operators.
+    Stored as integer numerators over one denominator, as Cyclotomic is:
+    c_g = k_g / den for (row, k_g) in nums, where row = (num, a, b, m, n) is
+    g.row.  nums is sorted by row with no zero numerator, and
+    gcd(den, k_g...) = 1 with den >= 1, so equal elements compare and hash
+    equal structurally.  Sums, negation, scaling, star and products work on
+    those integers alone: from_terms and unit take GroupElements in by their
+    rows, terms wraps the stored rows with Fraction coefficients, and
+    coefficient looks one up.  A product, and star, writes the ring parts of
+    all its terms over one p^A q^B and finds their canonical forms once per
+    distinct gcd of a numerator with p^A q^B (_over), not once per term.
+    Build through unit / zero / from_terms or the arithmetic operators.
     """
 
     __slots__ = ("params", "den", "nums")

@@ -12,10 +12,9 @@ Big integers ride as strings ("num") so consumers that read JSON with
 53-bit floats cannot corrupt them silently; small structural integers
 (exponents, lattice entries) stay bare.
 
-Only the exact values, orbits and errors are imported with the module;
-each function that builds or recognises a group-algebra, trace, K-theory
-or ideal-space value imports that module itself, so a command loads only
-what it encodes.  Per-item helpers such as _qmodz_from_str import nothing.
+Modules load as the xpq package docstring states: a function that builds
+or recognises a group-algebra, trace, K-theory or ideal-space value
+imports that module itself.
 """
 
 from __future__ import annotations

@@ -51,10 +51,7 @@ MAX_MOMENT_RANGE = 1000
 # values with phi(r) coefficients each, r the orbit denominator (1 for the
 # canonical trace), so the limit caps the time and the written JSON: at
 # r = 10007 and n_max = 1000 that would be 2 * 10^7 coefficients and 150 MB.
-# Memory holds the sequence, one vector per distinct period (values of equal
-# period share one; up to phi(r) coordinates for an irrational period, one
-# for a rational one), and the text of one value at a time, as the JSON is
-# written value by value.  The limit admits n_max = 49 at r = 10007.
+# The limit admits n_max = 49 at r = 10007; moments states what memory holds.
 MAX_MOMENT_COEFFICIENTS = 10**6
 
 
@@ -100,9 +97,9 @@ def _orbit_mean(orbit: OrbitData, w: int) -> Cyclotomic:
     s = r / g, w <p, q> is g times a coset of <p, q> in the units mod s.
     The period of w is the least positive member of that orbit (r for
     w = 0); _periods computes it, and equal periods give equal means.
-    When the orbit is every unit mod r the period is g, and the mean is the
-    Ramanujan sum c_r(w) / phi(r) = mu(s) / phi(s) (Ramanujan, Trans.
-    Cambridge Phil. Soc. 22, 1918); any other orbit is summed point by point.
+    When the orbit is every unit mod r the mean is the Ramanujan sum
+    c_r(w) / phi(r) = mu(s) / phi(s) (Ramanujan, Trans. Cambridge Phil.
+    Soc. 22, 1918); any other orbit is summed point by point.
     """
     r = orbit.denominator
     check_level(r)
@@ -143,13 +140,17 @@ def _periods(orbit: OrbitData) -> Callable[[int], int]:
 
 
 def _mean_sum(orbit: OrbitData, K: int, sums: dict[tuple[int, int], int], den: int) -> Cyclotomic:
-    # sum over keys (w, e) of (k / den) zeta_K^e times the mean at w, as one
-    # integer vector at the lcm L of the levels the summands have alone; no
-    # keys give 0 at level 1.  Keys of equal (period, e) add their k first;
-    # each period's mean is built at most once, and only for a key whose k is
-    # not 0 or whose twist needs the mean's rationality for its level.  Each
-    # summand keeps its mean's den and trimmed vec only, so memory does not
-    # grow as keys x phi(r).
+    """The sum over keys (w, e) of (k / den) zeta_K^e times the mean at w
+    (_orbit_mean), as one integer vector at the lcm L of the levels the
+    summands have alone, zero sums included: r untwisted, and
+    exact.twisted_level for a twist.  No keys give 0 at level 1.
+
+    Keys of equal (period, e) add their k first.  Each period's mean is
+    built at most once per call, only for a key whose k is not 0 or whose
+    twist needs the mean's rationality for its level, and none is kept
+    across calls.  Each summand keeps its mean's den and trimmed vec only, so
+    memory does not grow as keys x phi(r).
+    """
     r = orbit.denominator
     period, keyed = _periods(orbit), {}
     for (w, e), k in sums.items():
@@ -194,12 +195,8 @@ def trace_eval(spec: TraceSpec, a: GroupAlgebraElement) -> Cyclotomic:
 
     Terms with equal pairing factor w and twist chi(m, n) = e/K mod 1
     (K the lcm of the character's denominators) add their numerators into
-    one key (w, e), and keys with equal period (see _orbit_mean) and e into
-    one key (period, e).  Each key whose numerators do not sum to 0 adds
-    its period's mean once.  The keys are summed into one integer vector at
-    the lcm L of the levels each key has alone, zero sums included: r, the
-    orbit denominator, untwisted, and ``exact.twisted_level`` for a twist.
-    The result has level L, which divides lcm(r, character level).
+    one key (w, e), and _mean_sum adds up the keys' orbit means.  The
+    result's level divides lcm(r, character level), r the orbit denominator.
     """
     params = spec.params
     if params != a.params:
@@ -264,8 +261,8 @@ def moments(spec: TraceSpec, n_max: int) -> MomentSequence:
     the units.  A unit with (m, n) = (0, 0) has character value 1 and pairing
     factor n mod r, so an orbit trace gives the orbit mean at n mod r, as
     trace_eval does on that unit, and values of equal period (see
-    _orbit_mean) are one shared Cyclotomic; the canonical trace gives 1 at
-    n = 0 and 0 elsewhere.  Both limits, MAX_MOMENT_RANGE and
+    _orbit_mean) are one shared Cyclotomic, so memory holds one value per
+    distinct period; the canonical trace gives 1 at n = 0 and 0 elsewhere.  Both limits, MAX_MOMENT_RANGE and
     MAX_MOMENT_COEFFICIENTS, are checked before any value is computed.
     """
     check_range("n_max", n_max, 0, MAX_MOMENT_RANGE)

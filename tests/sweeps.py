@@ -69,7 +69,8 @@ def code_lines(text: str) -> int:
 
 
 def size() -> None:
-    """The lines and code lines of src/xpq, then of each of its modules."""
+    """The lines and code lines of src/xpq, then of each of its modules, then
+    the lines of README.md."""
     counts = {}
     for path in sorted((ROOT / "src/xpq").glob("*.py")):
         text = path.read_text()
@@ -78,6 +79,7 @@ def size() -> None:
     print(f"src/xpq: {total} lines, {code} code lines (not blank, comment or docstring)")
     for module, (module_total, module_code) in counts.items():
         print(f"{module}: {module_total} lines, {module_code} code lines")
+    print(f"README.md: {len((ROOT / 'README.md').read_text(encoding='utf-8').splitlines())} lines")
 
 
 def unused_imports() -> None:

@@ -116,6 +116,35 @@ class TestExitCodes:
             assert cli.main(argv) == code
             assert capsys.readouterr() == ("", f"error: {error}\n")
 
+    def test_echoed_text_is_cut_to_one_short_line(self, capsys):
+        # a refusal with exit code 1 that echoes the caller's text is cut,
+        # and argparse's raw echo of an unrecognized argument has its newline escaped
+        element = '{"terms":[{"g":{"x":{"num":"1","a":0,"b":0},"m":0,"n":0},"c":"1%s"}]}' % ("x" * 5000)
+        for argv, start in (
+            (["lift", "-p", "2", "-q", "3", "--point", "1/1" + "0" * 5000], "error: bad rational '1/1000"),
+            (["ktheory", "-p", "2", "-q", "3", "a\nb"], "xpq: error: unrecognized arguments: a\\nb\n"),
+            (["check", "x" * 5000], "error: unknown suite 'xxx"),
+            (["trace-eval", "-p", "2", "-q", "3", "--trace", '{"kind":"canonical"}', "--element", element],
+             "error: bad coefficient '1xxx"),
+        ):
+            assert cli.main(argv) == 1, argv
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith(start) and err.count("\n") == 1, err
+            assert len(err.splitlines()) == 1 and len(err.encode()) < 300, err
+
+    def test_power_limit_refused_before_the_power(self, capsys):
+        # 10^4299 has 14281 bits and 2^64 has 65: both are refused before
+        # p^m q^n, which would take minutes and seconds to build and scan
+        for argv, bits in ((["fix", "-p", "1" + "0" * 4299, "-q", "3", "-m", "10000", "-n", "0", "--max-den", "2"],
+                            142810000),
+                           (["fix", "-p", str(2**64), "-q", "3", "-m", "10000", "-n", "7", "--max-den", "100001"],
+                            650014)):
+            t = time.perf_counter()
+            assert cli.main(argv) == 2
+            assert time.perf_counter() - t < 1
+            assert capsys.readouterr() == (
+                "", f"error: |m| bit_length(p) + |n| bit_length(q) = {bits} exceeds MAX_POWER_BITS = 65536\n")
+
     def test_domain_errors(self):
         # r shares a factor with pq
         proc = run("stabilizer", "-p", "2", "-q", "3", "-r", "6")
@@ -464,6 +493,21 @@ class TestRemovedNames:
         assert name not in xpq.__all__
 
 
+class TestReadmeNames:
+    def test_module_names_are_public_and_exist(self):
+        # README states the contract, so a backticked `module.name` outside
+        # "Removed names" names a public attribute of that xpq module
+        readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        head, rest = readme.split("\n## Removed names\n", 1)
+        text = head + rest.split("\n## ", 1)[1]
+        modules = {path.stem for path in (SRC / "xpq").glob("*.py")} - {"__init__"}
+        named = [pair for pair in re.findall(r"`(\w+)\.(\w+)`", text) if pair[0] in modules]
+        assert len(named) > 10
+        bad = [f"{module}.{name}" for module, name in named
+               if name.startswith("_") or not hasattr(importlib.import_module(f"xpq.{module}"), name)]
+        assert bad == []
+
+
 class TestStdlibOnly:
     def test_imports_without_site_packages(self):
         # -S drops site-packages, so any third-party import fails here; every
@@ -622,12 +666,10 @@ def _int_options():
     check --max-den 5000, check --trials 1000, lift --depth 10^6, fix
     --max-den 10^6 over a large count and fix -m 10000 -n 10000.
 
-    Two inputs that take seconds before any limit is checked are left out
-    too.  fix builds p^m q^n whole, so it draws p and q from the small
-    values alone: at p = 2^64, -m 10000 --max-den 100001 takes 16 s, and at
-    p = 10^4299, -m 10000 over two minutes.  stabilizer -r 10^4299 with p, q
-    prime to 10 takes 4 s to order q mod 5^4299 before the stabilizer limit
-    refuses it, so -r does not take 10^4299."""
+    One input that takes seconds before any limit is checked is left out
+    too: stabilizer -r 10^4299 with p, q prime to 10 takes 4 s to order q
+    mod 5^4299 before the stabilizer limit refuses it, so -r does not take
+    10^4299."""
     from xpq.checks import MAX_TRIALS
     from xpq.dynamics import (
         MAX_DENOMINATOR_SCAN, MAX_EXPONENT, MAX_FIXED_LISTING, MAX_LIFT_DEPTH, MAX_ORBIT_DENOMINATOR,
@@ -651,7 +693,7 @@ def _int_options():
     return {
         "orbits": ([], {**pq, "--max-den": past(MAX_ORBIT_DENOMINATOR)}),
         "stabilizer": ([], {**pq, "-r": tuple(r for r in past(MAX_STABILIZER_ORDER) if r != big)}),
-        "fix": ([], {"-p": small, "-q": small, "-m": up_to(MAX_EXPONENT), "-n": up_to(MAX_EXPONENT),
+        "fix": ([], {**pq, "-m": up_to(MAX_EXPONENT), "-n": up_to(MAX_EXPONENT),
                      "--max-den": past(MAX_FIXED_LISTING, MAX_DENOMINATOR_SCAN)}),
         "lift": (["--point", "1/5"], {**pq, "--depth": past(MAX_LIFT_DEPTH)}),
         "trace-eval": ([*canonical, "--element", GOLDEN_ELEMENT], pq),

@@ -30,6 +30,7 @@ from xpq.dynamics import (
     MAX_FIXED_LISTING,
     MAX_LIFT_DEPTH,
     MAX_ORBIT_DENOMINATOR,
+    MAX_POWER_BITS,
     MAX_STABILIZER_ORDER,
     StabilizerLattice,
 )
@@ -499,6 +500,18 @@ class TestFixedPoints:
         # a bounded listing beyond the limit is refused too
         with pytest.raises(OutOfRange, match=str(MAX_FIXED_LISTING)):
             fixed_points(params, (40, 40), max_denominator=MAX_DENOMINATOR_SCAN)
+
+    def test_power_bits_limit(self):
+        # |m| bit_length(p) + |n| bit_length(q) is checked before p^m q^n is
+        # built: 10^4299 has 14281 bits, so m = 10000 asks for 1.4 * 10^8
+        for p, q, g in ((10**4299, 3, (MAX_EXPONENT, 0)), (2**64, 3, (MAX_EXPONENT, 7)),
+                        (3, 2**20, (2, -MAX_EXPONENT))):
+            bits = abs(g[0]) * p.bit_length() + abs(g[1]) * q.bit_length()
+            with pytest.raises(OutOfRange, match=f"^.* = {bits} exceeds MAX_POWER_BITS = {MAX_POWER_BITS}$"):
+                fixed_points(SystemParams(p, q), g, max_denominator=2)
+        # the limit itself is accepted, and so are both exponents at their limit over (2, 3)
+        assert fixed_points(SystemParams(2**16 - 1, 3), (4096, 0), max_denominator=1).count > 1
+        assert fixed_points(SystemParams(2, 3), (MAX_EXPONENT, MAX_EXPONENT), max_denominator=1).count > 1
 
 
 class TestLift:

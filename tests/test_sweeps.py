@@ -30,7 +30,7 @@ class TestMain:
     def test_size_and_lint(self, capsys):
         assert sweeps.main(["size", "unused-imports"]) == 0
         match = re.fullmatch(r"src/xpq: (\d+) lines, (\d+) code lines \(not blank, comment or docstring\)\n"
-                             r"((?:\w+: \d+ lines, \d+ code lines\n)+)", capsys.readouterr().out)
+                             r"((?:\w+: \d+ lines, \d+ code lines\n)+)README\.md: \d+ lines\n", capsys.readouterr().out)
         assert match
         # one line per module of src/xpq, in name order, summing to the first
         modules = re.findall(r"(\w+): (\d+) lines, (\d+) code lines", match[3])
